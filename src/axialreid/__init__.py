@@ -4,7 +4,6 @@ tracklet re-detect/link alignment, and revised re-id evaluation tooling."""
 from .attention import (
     AttentionConfig,
     axial_forward,
-    axial_ps_forward,
     cfaa_forward,
     nonlocal_3d_forward,
     sinusoidal_encode,
@@ -24,7 +23,6 @@ __all__ = [
     "TrackletMeta",
     "attention_flops",
     "axial_forward",
-    "axial_ps_forward",
     "backbone_flops",
     "cfaa_forward",
     "load_tensor",

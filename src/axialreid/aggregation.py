@@ -1,8 +1,9 @@
 """Mask-aware feature aggregation and the two training losses.
 
-Per-frame feature maps are pooled over valid (non-padded) pixels only, averaged
-over time, and batch-normalized; training uses batch-hard triplet loss on the
-pre-BN feature and cross-entropy on the classifier output.
+Per-frame feature maps are pooled over valid (non-padded) pixels only; the
+model averages them over time and batch-normalizes the result. Training uses
+batch-hard triplet loss on the pre-BN feature and cross-entropy on the
+classifier output.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ def mask_downsample(mask, target_hw: tuple[int, int]) -> np.ndarray:
     all ones (so later pooling never divides by zero).
     """
     mask = np.asarray(mask)
-    if mask.ndim != 3:
-        raise DimensionError(f"mask must be (T, H, W), got shape {mask.shape}")
+    if mask.ndim != 3 or not mask.size:
+        raise DimensionError(f"mask must be a non-empty (T, H, W) array, got shape {mask.shape}")
     t, h, w = mask.shape
     th, tw = target_hw
     if th > h or tw > w or h % th or w % tw:
@@ -56,64 +57,6 @@ def masked_avg_pool_backward(grad, mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.float64)
     counts = mask.sum(axis=(1, 2))
     return np.einsum("tc,thw->tchw", grad / counts[:, None], mask)
-
-
-class BatchNorm1d:
-    """Feature-wise batch normalization with learned affine and running stats.
-
-    Training mode normalizes with batch statistics and updates the running
-    estimates; eval mode uses the running estimates.
-    """
-
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
-        self.gamma = np.ones(dim, dtype=np.float64)
-        self.beta = np.zeros(dim, dtype=np.float64)
-        self.running_mean = np.zeros(dim, dtype=np.float64)
-        self.running_var = np.ones(dim, dtype=np.float64)
-        self.eps = eps
-        self.momentum = momentum
-
-    def forward(self, x: np.ndarray, training: bool):
-        x = as_tensor(x, "bn input")
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        if training:
-            mean = xb.mean(axis=0)
-            var = xb.var(axis=0)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (xb - mean) * inv
-        out = self.gamma * xhat + self.beta
-        cache = dict(xhat=xhat, inv=inv, training=training, n=xb.shape[0])
-        return (out[0] if single else out), cache
-
-    def backward(self, grad: np.ndarray, cache: dict):
-        """Returns (d_x, d_gamma, d_beta)."""
-        single = grad.ndim == 1
-        g = grad[None] if single else grad
-        xhat, inv, n = cache["xhat"], cache["inv"], cache["n"]
-        d_gamma = (g * xhat).sum(axis=0)
-        d_beta = g.sum(axis=0)
-        d_xhat = g * self.gamma
-        if cache["training"]:
-            d_x = (inv / n) * (n * d_xhat - d_xhat.sum(axis=0) - xhat * (d_xhat * xhat).sum(axis=0))
-        else:
-            d_x = d_xhat * inv
-        return (d_x[0] if single else d_x), d_gamma, d_beta
-
-
-def aggregate(frame_feats, bn: BatchNorm1d, training: bool = False):
-    """Tracklet representation: f_pre = temporal mean (feeds the triplet loss),
-    f_post = BN(f_pre) (feeds the classifier)."""
-    frame_feats = as_tensor(frame_feats, "frame features")
-    if frame_feats.ndim != 2 or frame_feats.shape[0] < 1:
-        raise DimensionError(f"expected (T, C) frame features with T >= 1, got {frame_feats.shape}")
-    f_pre = frame_feats.mean(axis=0)
-    f_post, _ = bn.forward(f_pre, training=training)
-    return f_pre, f_post
 
 
 def validate_pk_labels(labels: np.ndarray) -> tuple[int, int]:

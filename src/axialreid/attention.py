@@ -1,15 +1,17 @@
 """Attention kernels over (C, T, H, W) feature maps.
 
-Four variants, each with a forward pass and an analytic backward pass:
+Three ops, each with a forward pass and an analytic backward pass; every
+backward takes ``(d_out, params, cache)`` and returns ``(d_x, grads)`` with
+grads in the params container's type:
 
 * 3D self-attention: every spatio-temporal position attends to all T*H*W
   positions (single head, no positional encoding), then output projection
   and residual add.
 * axial attention: attention restricted to 1-D lines along one axis (height,
-  width or time); all other coordinates are independent batch items.
-* position-sensitive axial attention: axial attention with learned relative
-  positional embeddings contributing q^T r^q and k^T r^k logit terms and a
-  value-side r^v term.
+  width or time); all other coordinates are independent batch items. With
+  ``encoding="relative"`` it is position-sensitive: learned relative
+  positional embeddings add q^T r^q and k^T r^k logit terms and a value-side
+  r^v term.
 * coarse-to-fine module: the input is split into S channel groups, group s is
   average-pooled by 2^(s-1), passed through height/width/time axial attention
   in sequence, upsampled, concatenated, projected back to C_in and added to
@@ -23,7 +25,7 @@ be instrumented via ``count_multiplies`` for cost-model cross-checks.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +158,7 @@ class AxialLayerParams:
     r_k: np.ndarray | None = None
     r_v: np.ndarray | None = None  # (2L-1, c_out/heads)
 
-    def named(self, prefix: str):
+    def named(self, prefix: str = "axial"):
         for f in fields(self):
             v = getattr(self, f.name)
             if v is not None:
@@ -406,10 +408,8 @@ def _axial_core_backward(d_out: np.ndarray, p: AxialLayerParams, cache: dict):
 
 
 def axial_forward(x, params: AxialLayerParams, axis: str, cfg: AttentionConfig, want_cache: bool = False):
-    """Plain or sinusoidal axial attention along one axis; returns the
-    concatenated multi-head output stream (c_out channels)."""
-    if cfg.encoding == "relative":
-        raise ConfigurationError("axial_forward handles encoding none/sinusoidal; use axial_ps_forward")
+    """Axial attention along one axis with cfg.encoding (none, sinusoidal or
+    relative); returns the concatenated multi-head output stream (c_out channels)."""
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
     out, cache = _axial_core_forward(x, params, axis, cfg.heads, cfg.encoding)
@@ -421,20 +421,6 @@ def axial_backward(d_out, params: AxialLayerParams, cache: dict):
     if d_out.shape[0] != params.w_v.shape[0] or d_out.shape[1:] != cache["ext"][1:]:
         raise DimensionError(f"upstream gradient shape {d_out.shape} does not match forward output")
     return _axial_core_backward(d_out, params, cache)
-
-
-def axial_ps_forward(x, params: AxialLayerParams, axis: str, cfg: AttentionConfig, want_cache: bool = False):
-    """Position-sensitive axial attention: adds q^T r^q and k^T r^k logit terms
-    and the value-side r^v term (learned relative embeddings)."""
-    if cfg.encoding != "relative":
-        raise ConfigurationError("axial_ps_forward requires encoding='relative'")
-    x = as_tensor(x, "x")
-    _check_extents(x, cfg)
-    out, cache = _axial_core_forward(x, params, axis, cfg.heads, "relative")
-    return (out, cache) if want_cache else out
-
-
-axial_ps_backward = axial_backward
 
 
 def nonlocal_3d_forward(x, params: NonlocalParams, cfg: AttentionConfig, want_cache: bool = False):
@@ -530,21 +516,21 @@ def cfaa_forward(x, params: CfaaParams, cfg: AttentionConfig, want_cache: bool =
     return (out, cache) if want_cache else out
 
 
-def cfaa_backward(d_out, params: CfaaParams, cfg: AttentionConfig, cache: dict):
+def cfaa_backward(d_out, params: CfaaParams, cache: dict):
     """Returns (d_x, CfaaParams gradients)."""
     d_out = as_tensor(d_out, "upstream gradient")
     if d_out.shape != cache["shape"]:
         raise DimensionError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")
     c, t, h, w = cache["shape"]
-    per_in = c // cfg.scales
-    per_out = cfg.c_out // cfg.scales
+    scales, c_out = len(params.scales), params.w_o.shape[1]
+    per_in, per_out = c // scales, c_out // scales
     d_flat = d_out.reshape(c, -1)
     d_wo = d_flat @ cache["z"].T
-    d_z = (params.w_o.T @ d_flat).reshape(cfg.c_out, t, h, w)
+    d_z = (params.w_o.T @ d_flat).reshape(c_out, t, h, w)
 
     d_x = d_out.copy()
     scale_grads = []
-    for s in range(cfg.scales):
+    for s in range(scales):
         sc = cache["scale_caches"][s]
         d_up = d_z[s * per_out : (s + 1) * per_out]
         ph, pw = sc["pooled_hw"]

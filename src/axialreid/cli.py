@@ -8,7 +8,8 @@ Subcommands:
   demo       desk-scale training + retrieval demonstration
 
 Every report ends with a machine-readable key=value block fenced by `---`
-lines. Exit codes: 0 success, 1 validation error, 2 internal assertion.
+lines. Exit codes: 0 success, 1 invalid input or configuration, or a
+computation that produced non-finite values, 2 internal assertion.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import evaluate as ev
 from . import flops
 from . import gradcheck as gc
 from . import toytrain as tt
-from .errors import ConfigurationError, DimensionError, ValidationError
+from .errors import ConfigurationError, DimensionError, NumericalError, ValidationError
 from .tensor import load_tensor, save_tensor
 
 
@@ -207,9 +208,6 @@ def cmd_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="axialreid", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallelizable stages; computation "
-                             "currently runs single-threaded for determinism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help="analytic FLOP reports")
@@ -269,10 +267,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
-    except (ValidationError, ConfigurationError, DimensionError, FileNotFoundError) as exc:
+    except (ValidationError, ConfigurationError, DimensionError, NumericalError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

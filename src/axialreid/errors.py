@@ -11,3 +11,7 @@ class ConfigurationError(ValueError):
 
 class ValidationError(ValueError):
     """External input (file, record, flag) failed validation."""
+
+
+class NumericalError(ValueError):
+    """A computation produced non-finite values (for example a diverging run)."""

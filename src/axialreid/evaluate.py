@@ -75,6 +75,13 @@ class EvalDataset:
                 f"distance matrix {self.distances.shape} does not match "
                 f"{len(self.queries)} queries x {len(self.gallery)} gallery"
             )
+        bad = np.argwhere(~np.isfinite(self.distances))
+        if len(bad):
+            qi, gi = bad[0]
+            raise ValidationError(
+                f"distance matrix holds {len(bad)} non-finite entries, first at "
+                f"(query {qi}, gallery {gi}): {self.distances[qi, gi]}"
+            )
 
 
 def apply_corrections(dataset: EvalDataset, corrections: LabelCorrections) -> EvalDataset:

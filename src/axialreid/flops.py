@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import attention as att
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 from .tensor import Rng
 
 # published cost column used for calibration (GFLOPs)
@@ -28,7 +28,15 @@ REFERENCE_COSTS = {
     "cfaa_net_total": 24.646,
 }
 
-VARIANTS = ("nonlocal3d", "axial", "axial+sinusoidal", "axial+relative", "cfaa")
+# variant -> (encoding, fixed scale count or None for the caller's)
+_VARIANT_SHAPES = {
+    "nonlocal3d": ("none", 1),
+    "axial": ("none", 1),
+    "axial+sinusoidal": ("sinusoidal", 1),
+    "axial+relative": ("relative", 1),
+    "cfaa": ("relative", None),
+}
+VARIANTS = tuple(_VARIANT_SHAPES)
 
 # insertion points for the 256x128 backbone: (channels, H, W, module count)
 INSERTIONS = ((512, 32, 16, 2), (1024, 16, 8, 3))
@@ -145,48 +153,45 @@ def backbone_flops(frames: int = 6, height: int = 256, width: int = 128, last_st
     return FlopReport("backbone", layers, convention)
 
 
-def _axial_module_ops(c_in, t, h, w, scales, encoding, convention: CountingConvention) -> int:
-    """Score/value contraction count of one coarse-to-fine axial module
-    (scales=1 gives the single-scale module), plus optional projection cost."""
-    heads_per_scale = max(TOTAL_HEADS // scales, 1)
-    ops = 0
-    for s in range(scales):
-        f = 2**s
-        hs, ws = -(-h // f), -(-w // f)
-        n = t * hs * ws
-        lsum = hs + ws + t
-        cs = c_in // scales
-        cqk, cout = cs // 2, cs
-        ops += n * lsum * (cqk + cout)
-        shared = convention.positional_shared_heads
-        if encoding == "relative":
-            if shared is None:
-                ops += n * lsum * (2 * cqk + cout)
-            else:
-                ops += n * lsum * (2 * (cqk // shared) + cout // shared)
-        elif encoding == "sinusoidal":
-            if shared is not None:
-                ops += n * lsum * (cqk // shared)
-            # per-head mode: encodings are added to q/k, no extra contraction
-        if convention.include_projections:
-            # q/k/v for AA^H (from cs) and for AA^W, AA^T (from cout)
-            ops += n * (cs + 2 * cout) * (2 * cqk + cout)
-        if convention.include_softmax_exp:
-            ops += 4 * n * lsum * heads_per_scale
-    if convention.include_projections:
-        # single projection from the concatenated c_out back to c_in
-        ops += (t * h * w) * c_in * c_in
-    return ops
+def _attention_layers(variant: str, cfg: att.AttentionConfig):
+    """(positions, keys per query, input channels) of each attention layer in
+    one module: the single 3D layer, or AA^H, AA^W, AA^T at every scale."""
+    t, h, w = cfg.axis_lengths
+    if variant == "nonlocal3d":
+        if (cfg.heads, cfg.scales, cfg.encoding) != (1, 1, "none"):
+            raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
+        return [(t * h * w, t * h * w, cfg.c_in)]
+    c_in, c_out = cfg.c_in // cfg.scales, cfg.c_out // cfg.scales
+    layers = []
+    for s in range(cfg.scales):
+        ts, hs, ws = cfg.scale_extents(s)
+        n = ts * hs * ws
+        layers += [(n, hs, c_in), (n, ws, c_out), (n, ts, c_out)]
+    return layers
 
 
-def _nonlocal_module_ops(c_in, t, h, w, convention: CountingConvention) -> int:
-    n = t * h * w
-    cqk, cout = c_in // 2, c_in
-    ops = n * n * (cqk + cout)
-    if convention.include_projections:
-        ops += n * c_in * (2 * cqk + cout) + n * cout * c_in
+def _module_ops(variant: str, cfg: att.AttentionConfig, convention: CountingConvention) -> int:
+    """Op count of one attention module at cfg under the convention: score/value
+    contractions, positional terms, and optionally softmax and projections."""
+    if variant not in _VARIANT_SHAPES:
+        raise ValidationError(f"unknown attention variant {variant!r}")
+    t, h, w = cfg.axis_lengths
+    cqk, cout = cfg.c_qk // cfg.scales, cfg.c_out // cfg.scales
+    shared = convention.positional_shared_heads
+    per_pair = cqk + cout
+    if cfg.encoding == "relative":
+        per_pair += 2 * cqk + cout if shared is None else 2 * (cqk // shared) + cout // shared
+    elif cfg.encoding == "sinusoidal" and shared is not None:
+        per_pair += cqk // shared  # per head the encodings are added to q/k: no contraction
     if convention.include_softmax_exp:
-        ops += 4 * n * n
+        per_pair += 4 * cfg.heads
+    ops = 0
+    for n, keys, c_x in _attention_layers(variant, cfg):
+        ops += n * keys * per_pair
+        if convention.include_projections:
+            ops += n * c_x * (2 * cqk + cout)  # q/k/v of this layer
+    if convention.include_projections:
+        ops += t * h * w * cfg.c_out * cfg.c_in  # concatenated c_out back to c_in
     return ops
 
 
@@ -194,49 +199,23 @@ def attention_flops(variant: str, convention: CountingConvention = CountingConve
                     scales: int = 1, frames: int = 6, insertions=INSERTIONS) -> FlopReport:
     """Cost of inserting the given attention variant at the standard points
     (2 modules on the 32x16 stage, 3 on the 16x8 stage for the 256x128 input)."""
-    if variant == "cfaa":
-        encoding = "relative"
-    elif variant == "nonlocal3d":
-        encoding, scales = "none", 1
-    elif variant == "axial":
-        encoding, scales = "none", 1
-    elif variant == "axial+sinusoidal":
-        encoding, scales = "sinusoidal", 1
-    elif variant == "axial+relative":
-        encoding, scales = "relative", 1
-    else:
+    if variant not in _VARIANT_SHAPES:
         raise ValidationError(f"unknown attention variant {variant!r}")
+    encoding, fixed_scales = _VARIANT_SHAPES[variant]
+    scales = fixed_scales or scales
+    heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // max(scales, 1), 1)  # the config rejects scales < 1
     layers = []
     for c, h, w, count in insertions:
-        if variant == "nonlocal3d":
-            ops = _nonlocal_module_ops(c, frames, h, w, convention)
-        else:
-            ops = _axial_module_ops(c, frames, h, w, scales, encoding, convention)
-        layers.append(LayerSpec("attention", f"{variant}@c{c}_{h}x{w}(x{count})", count * ops))
+        cfg = att.AttentionConfig.default(c, (frames, h, w), heads, scales, encoding)
+        layers.append(LayerSpec("attention", f"{variant}@c{c}_{h}x{w}(x{count})",
+                                count * _module_ops(variant, cfg, convention)))
     return FlopReport(variant if variant != "cfaa" else f"cfaa{scales}", layers, convention)
 
 
 def attention_contraction_count(variant: str, cfg: att.AttentionConfig) -> int:
     """Exact multiply count of the score/value contractions the kernels execute
     for one module at the given config (the analytic side of the kernel check)."""
-    t, h, w = cfg.axis_lengths
-    n = t * h * w
-    if variant == "nonlocal3d":
-        return n * n * (cfg.c_qk + cfg.c_out)
-    if variant not in ("axial", "axial+sinusoidal", "axial+relative", "cfaa"):
-        raise ValidationError(f"unknown attention variant {variant!r}")
-    total = 0
-    for s in range(cfg.scales):
-        ts, hs, ws = cfg.scale_extents(s)
-        ns = ts * hs * ws
-        lsum = hs + ws + ts
-        cqk = cfg.c_qk // cfg.scales
-        cout = cfg.c_out // cfg.scales
-        per_pair = cfg.c_qk // cfg.scales + cout
-        if cfg.encoding == "relative":
-            per_pair = 3 * cqk + 2 * cout
-        total += ns * lsum * per_pair
-    return total
+    return _module_ops(variant, cfg, KERNEL_EXACT)
 
 
 def count_oracle_multiplies(variant: str, cfg: att.AttentionConfig, seed: int = 0) -> int:

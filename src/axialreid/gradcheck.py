@@ -1,7 +1,10 @@
 """Central finite-difference verification of the analytic backward passes.
 
-The scalar probe loss is sum(g * f(x, params)) for a fixed random upstream g,
-so the analytic gradient of the probe is exactly what backward(g) returns.
+Each registered op builds its inputs from a seed and hands one comparison a
+scalar probe and the analytic gradient of every tensor the probe reads. For
+attention ops the probe is sum(g * f(x, params)) for a fixed random upstream
+g, so its analytic gradient is exactly what backward(g, params, cache)
+returns; for losses the probe is the loss itself.
 """
 
 from __future__ import annotations
@@ -54,131 +57,87 @@ def fd_gradient(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     return g
 
 
-def _check_op(name: str, seed: int, tensors: dict[str, np.ndarray], forward, analytic: dict[str, np.ndarray], perturb: bool) -> CheckResult:
-    """Compare analytic gradients against finite differences for every tensor."""
+def _attention_case(forward, backward, params, x: np.ndarray, g: np.ndarray):
+    """Probe sum(g * forward(x)) of an attention op; ``forward(want_cache)``
+    runs the op on x and params, which the finite differences perturb in place."""
+    _, cache = forward(True)
+    d_x, grads = backward(g, params, cache)
+    tensors = {"x": x, **dict(params.named())}
+    analytic = {"x": d_x, **dict(grads.named())}
+    return tensors, lambda: float(np.sum(g * forward(False))), analytic
+
+
+def _nonlocal(rng: Rng):
+    cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=3, axis_lengths=(2, 2, 2))
+    params = att.init_nonlocal_params(cfg, rng.child(0))
+    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
+    return "nonlocal_3d", _attention_case(
+        lambda want_cache: att.nonlocal_3d_forward(x, params, cfg, want_cache),
+        att.nonlocal_3d_backward, params, x, rng.child(2).normal(x.shape))
+
+
+def _axial(rng: Rng, encoding: str):
+    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, encoding=encoding, axis_lengths=(2, 3, 2))
+    axis = ("H", "W", "T")[rng.seed % 3]
+    params = att.init_axial_layer(cfg, cfg.c_in, dict(T=2, H=3, W=2)[axis], rng.child(0))
+    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
+    return f"axial[{encoding}]", _attention_case(
+        lambda want_cache: att.axial_forward(x, params, axis, cfg, want_cache),
+        att.axial_backward, params, x, rng.child(2).normal((cfg.c_out, *cfg.axis_lengths)))
+
+
+def _cfaa(rng: Rng):
+    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=1, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
+    params = att.init_cfaa_params(cfg, rng.child(0))
+    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
+    return "cfaa", _attention_case(
+        lambda want_cache: att.cfaa_forward(x, params, cfg, want_cache),
+        att.cfaa_backward, params, x, rng.child(2).normal(x.shape))
+
+
+def _loss_case(loss, x: np.ndarray):
+    """Probe the loss itself; ``loss()`` returns (value, d_x) on the current x."""
+    return {"x": x}, lambda: loss()[0], {"x": loss()[1]}
+
+
+def _triplet(rng: Rng):
+    feats = rng.child(0).normal((8, 5))
+    labels = np.repeat(np.arange(4), 2)
+    return "triplet", _loss_case(lambda: agg.batch_hard_triplet(feats, labels, margin=0.3), feats)
+
+
+def _cross_entropy(rng: Rng):
+    logits = rng.child(0).normal((6, 5))
+    labels = rng.child(1).integers(0, 5, (6,))
+    return "cross_entropy", _loss_case(lambda: agg.cross_entropy(logits, labels), logits)
+
+
+# name -> builder: Rng -> (op label, (tensors, probe, analytic gradients))
+ALL_CHECKS = {
+    "nonlocal_3d": _nonlocal,
+    "axial": lambda rng: _axial(rng, "sinusoidal" if rng.seed % 2 else "none"),
+    "axial_ps": lambda rng: _axial(rng, "relative"),
+    "cfaa": _cfaa,
+    "triplet": _triplet,
+    "cross_entropy": _cross_entropy,
+}
+
+
+def check(name: str, seed: int, perturb: bool = False) -> CheckResult:
+    """Compare the analytic gradients of a registered op against finite
+    differences for every tensor; ``perturb`` corrupts the analytic side."""
+    op, (tensors, probe, analytic) = ALL_CHECKS[name](Rng(seed))
     worst_name, worst = "", 0.0
     for pname, arr in tensors.items():
         a = analytic[pname]
         if perturb:
             a = a + 1e-2 * (np.abs(a).max() + 1.0)
-        num = fd_gradient(forward, arr)
-        err = rel_error(a, num)
+        err = rel_error(a, fd_gradient(probe, arr))
         if err > worst:
             worst_name, worst = pname, err
-    return CheckResult(op=name, seed=seed, worst_param=worst_name, worst_rel_err=worst)
-
-
-def check_nonlocal(seed: int, perturb: bool = False) -> CheckResult:
-    rng = Rng(seed)
-    cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=3, axis_lengths=(2, 2, 2))
-    params = att.init_nonlocal_params(cfg, rng.child(0))
-    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    g = rng.child(2).normal(x.shape)
-
-    def loss():
-        return float(np.sum(g * att.nonlocal_3d_forward(x, params, cfg)))
-
-    _, cache = att.nonlocal_3d_forward(x, params, cfg, want_cache=True)
-    d_x, grads = att.nonlocal_3d_backward(g, params, cache)
-    tensors = dict(x=x, w_q=params.w_q, w_k=params.w_k, w_v=params.w_v, w_o=params.w_o)
-    analytic = dict(x=d_x, w_q=grads.w_q, w_k=grads.w_k, w_v=grads.w_v, w_o=grads.w_o)
-    return _check_op("nonlocal_3d", seed, tensors, loss, analytic, perturb)
-
-
-def _axial_case(seed: int, encoding: str, perturb: bool) -> CheckResult:
-    rng = Rng(seed)
-    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, encoding=encoding, axis_lengths=(2, 3, 2))
-    axis = ("H", "W", "T")[seed % 3]
-    axis_len = dict(T=2, H=3, W=2)[axis]
-    params = att.init_axial_layer(cfg, cfg.c_in, axis_len, rng.child(0))
-    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    g = rng.child(2).normal((cfg.c_out, *cfg.axis_lengths))
-    fwd = att.axial_ps_forward if encoding == "relative" else att.axial_forward
-
-    def loss():
-        return float(np.sum(g * fwd(x, params, axis, cfg)))
-
-    _, cache = fwd(x, params, axis, cfg, want_cache=True)
-    d_x, grads = att.axial_backward(g, params, cache)
-    tensors = dict(x=x, w_q=params.w_q, w_k=params.w_k, w_v=params.w_v)
-    analytic = dict(x=d_x, w_q=grads.w_q, w_k=grads.w_k, w_v=grads.w_v)
-    if encoding == "relative":
-        tensors.update(r_q=params.r_q, r_k=params.r_k, r_v=params.r_v)
-        analytic.update(r_q=grads.r_q, r_k=grads.r_k, r_v=grads.r_v)
-    return _check_op(f"axial[{encoding}]", seed, tensors, loss, analytic, perturb)
-
-
-def check_axial(seed: int, perturb: bool = False) -> CheckResult:
-    return _axial_case(seed, "sinusoidal" if seed % 2 else "none", perturb)
-
-
-def check_axial_ps(seed: int, perturb: bool = False) -> CheckResult:
-    return _axial_case(seed, "relative", perturb)
-
-
-def check_cfaa(seed: int, perturb: bool = False) -> CheckResult:
-    rng = Rng(seed)
-    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=1, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
-    params = att.init_cfaa_params(cfg, rng.child(0))
-    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    g = rng.child(2).normal(x.shape)
-
-    def loss():
-        return float(np.sum(g * att.cfaa_forward(x, params, cfg)))
-
-    _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
-    d_x, grads = att.cfaa_backward(g, params, cfg, cache)
-    tensors, analytic = dict(x=x), dict(x=d_x)
-    for (name, p), (_, gr) in zip(params.named(), grads.named()):
-        tensors[name] = p
-        analytic[name] = gr
-    return _check_op("cfaa", seed, tensors, loss, analytic, perturb)
-
-
-def check_triplet(seed: int, perturb: bool = False) -> CheckResult:
-    rng = Rng(seed)
-    feats = rng.child(0).normal((8, 5))
-    labels = np.repeat(np.arange(4), 2)
-
-    def loss():
-        return agg.batch_hard_triplet(feats, labels, margin=0.3)[0]
-
-    _, grad = agg.batch_hard_triplet(feats, labels, margin=0.3)
-    if perturb:
-        grad = grad + 1e-2
-    num = fd_gradient(loss, feats)
-    return CheckResult("triplet", seed, "features", rel_error(grad, num))
-
-
-def check_cross_entropy(seed: int, perturb: bool = False) -> CheckResult:
-    rng = Rng(seed)
-    logits = rng.child(0).normal((6, 5))
-    labels = rng.child(1).integers(0, 5, (6,))
-
-    def loss():
-        return agg.cross_entropy(logits, labels)[0]
-
-    _, grad = agg.cross_entropy(logits, labels)
-    if perturb:
-        grad = grad + 1e-2
-    num = fd_gradient(loss, logits)
-    return CheckResult("cross_entropy", seed, "logits", rel_error(grad, num))
-
-
-ALL_CHECKS = {
-    "nonlocal_3d": check_nonlocal,
-    "axial": check_axial,
-    "axial_ps": check_axial_ps,
-    "cfaa": check_cfaa,
-    "triplet": check_triplet,
-    "cross_entropy": check_cross_entropy,
-}
+    return CheckResult(op=op, seed=seed, worst_param=worst_name, worst_rel_err=worst)
 
 
 def run_gradient_checks(seeds=range(5), ops=None, perturb: bool = False) -> list[CheckResult]:
     """Run every registered check on every seed; returns all results."""
-    results = []
-    for name in ops or ALL_CHECKS:
-        for seed in seeds:
-            results.append(ALL_CHECKS[name](int(seed), perturb=perturb))
-    return results
+    return [check(name, int(seed), perturb) for name in ops or ALL_CHECKS for seed in seeds]

@@ -1,5 +1,5 @@
-"""Dense f64 tensor substrate: elementwise ops, contractions, softmax, pooling,
-seeded initialization, and the binary container format used for all file I/O.
+"""Dense f64 tensor substrate: validation, pooling, seeded initialization, and
+the binary container format used for all file I/O.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Every public
 operation validates its inputs and guarantees a finite result.
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, NumericalError, ValidationError
 
 MAGIC = b"AAKT"
 FORMAT_VERSION = 1
@@ -29,31 +29,8 @@ def as_tensor(x, name: str = "tensor") -> np.ndarray:
 
 def check_finite(arr: np.ndarray, name: str = "result") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise NumericalError(f"{name} contains non-finite values")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of a (m x k) and b (k x n)."""
-    a = as_tensor(a, "a")
-    b = as_tensor(b, "b")
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    return check_finite(a @ b, "matmul result")
-
-
-def softmax(x, axis: int) -> np.ndarray:
-    """Numerically stabilized softmax along one axis."""
-    x = as_tensor(x, "x")
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax axis {axis} out of range for rank {x.ndim}")
-    if x.shape[axis] == 0:
-        raise DimensionError("softmax along an empty axis")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return check_finite(e / np.sum(e, axis=axis, keepdims=True), "softmax result")
 
 
 def avg_pool_2d(x, factor: int) -> np.ndarray:

@@ -60,7 +60,12 @@ class Conv2d:
         return d_x, d_w
 
 
-class BatchNorm2d:
+class BatchNorm:
+    """Batch normalization over (N, C) or (N, C, H, W) inputs: statistics per
+    channel (axis 1), reduced over every other axis, with learned affine and
+    running estimates. Training mode normalizes with batch statistics and
+    updates the running estimates; eval mode uses the running estimates."""
+
     def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
@@ -70,7 +75,8 @@ class BatchNorm2d:
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        axes = (0, 2, 3)
+        axes = (0, *range(2, x.ndim))
+        col = (-1,) + (1,) * (x.ndim - 2)  # a per-channel vector against axis 1
         if training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
@@ -79,25 +85,25 @@ class BatchNorm2d:
         else:
             mean, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[:, None, None]) * inv[:, None, None]
-        self._cache = (xhat, inv, training, x.shape)
-        return self.gamma[:, None, None] * xhat + self.beta[:, None, None]
+        xhat = (x - mean.reshape(col)) * inv.reshape(col)
+        self._cache = (xhat, inv, training, axes, col)
+        return self.gamma.reshape(col) * xhat + self.beta.reshape(col)
 
     def backward(self, grad: np.ndarray):
-        xhat, inv, training, shape = self._cache
-        axes = (0, 2, 3)
-        n = shape[0] * shape[2] * shape[3]
+        """Returns (d_x, d_gamma, d_beta)."""
+        xhat, inv, training, axes, col = self._cache
+        n = grad.size // grad.shape[1]
         d_gamma = (grad * xhat).sum(axis=axes)
         d_beta = grad.sum(axis=axes)
-        d_xhat = grad * self.gamma[:, None, None]
+        d_xhat = grad * self.gamma.reshape(col)
         if training:
-            d_x = (inv[:, None, None] / n) * (
+            d_x = (inv.reshape(col) / n) * (
                 n * d_xhat
-                - d_xhat.sum(axis=axes)[:, None, None]
-                - xhat * (d_xhat * xhat).sum(axis=axes)[:, None, None]
+                - d_xhat.sum(axis=axes).reshape(col)
+                - xhat * (d_xhat * xhat).sum(axis=axes).reshape(col)
             )
         else:
-            d_x = d_xhat * inv[:, None, None]
+            d_x = d_xhat * inv.reshape(col)
         return d_x, d_gamma, d_beta
 
 
@@ -249,12 +255,12 @@ class ToyModel:
     def __init__(self, spec: ToyModelSpec, rng: Rng):
         self.spec = spec
         self.convs: list[Conv2d] = []
-        self.bns: list[BatchNorm2d] = []
+        self.bns: list[BatchNorm] = []
         self.relus: list[ReLU] = []
         c_prev = 3
         for i, (c, s) in enumerate(zip(spec.channels, spec.strides)):
             self.convs.append(Conv2d(c_prev, c, spec.kernel, s, rng.child(0, i)))
-            self.bns.append(BatchNorm2d(c))
+            self.bns.append(BatchNorm(c))
             self.relus.append(ReLU())
             c_prev = c
         self.att_cfg = spec.attention_config()
@@ -262,7 +268,7 @@ class ToyModel:
             att.init_cfaa_params(self.att_cfg, rng.child(1), zero_output_proj=True)
             if self.att_cfg else None
         )
-        self.bn_feat = agg.BatchNorm1d(spec.channels[-1])
+        self.bn_feat = BatchNorm(spec.channels[-1])
         self.classifier = rng.child(2).uniform_init((spec.num_classes, spec.channels[-1]), spec.channels[-1])
         self._cache = None
 
@@ -302,10 +308,10 @@ class ToyModel:
             small_masks[bi] = agg.mask_downsample(masks[bi], (fh, fw))
             pooled[bi] = agg.masked_avg_pool(feats[bi], small_masks[bi])
         f_pre = pooled.mean(axis=1)  # (B, C)
-        f_post, bn_cache = self.bn_feat.forward(f_pre, training)
+        f_post = self.bn_feat.forward(f_pre, training)
         logits = f_post @ self.classifier.T
         self._cache = dict(bt=(b, t), att_caches=att_caches, small_masks=small_masks,
-                           feat_hw=(fh, fw), bn_cache=bn_cache, f_post=f_post, training=training)
+                           feat_hw=(fh, fw), f_post=f_post)
         return f_pre, f_post, logits
 
     def backward(self, d_f_pre: np.ndarray, d_logits: np.ndarray) -> dict[str, np.ndarray]:
@@ -316,7 +322,7 @@ class ToyModel:
         grads: dict[str, np.ndarray] = {}
         grads["classifier.weight"] = d_logits.T @ cache["f_post"]
         d_f_post = d_logits @ self.classifier
-        d_pre_bn, d_gamma, d_beta = self.bn_feat.backward(d_f_post, cache["bn_cache"])
+        d_pre_bn, d_gamma, d_beta = self.bn_feat.backward(d_f_post)
         grads["bn_feat.gamma"], grads["bn_feat.beta"] = d_gamma, d_beta
         d_f_pre = d_f_pre + d_pre_bn
 
@@ -335,7 +341,7 @@ class ToyModel:
                 att_grads = None
                 for bi in range(b):
                     d_vol = np.ascontiguousarray(np.moveaxis(d_x[bi], 0, 1))
-                    d_in, g = att.cfaa_backward(d_vol, self.att_params, self.att_cfg, cache["att_caches"][bi])
+                    d_in, g = att.cfaa_backward(d_vol, self.att_params, cache["att_caches"][bi])
                     d_x[bi] = np.moveaxis(d_in, 1, 0)
                     if att_grads is None:
                         att_grads = dict(g.named("attention"))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from axialreid import aggregation as agg
+from axialreid import toytrain as tt
 from axialreid.errors import DimensionError, ValidationError
 from axialreid.gradcheck import fd_gradient, rel_error
 from axialreid.tensor import Rng
@@ -85,65 +86,58 @@ class TestMaskedAvgPool:
 
 
 class TestAggregate:
+    """The tracklet head of the toy model: f_pre is the temporal mean of the
+    masked-pooled frame features, f_post = BN(f_pre). Without attention and in
+    eval mode, frames do not interact, so a one-frame clip gives a frame's feature."""
+
+    @staticmethod
+    def model():
+        spec = tt.ToyModelSpec(channels=(4, 6), strides=(2, 2), frame_hw=(8, 4), num_classes=2, use_attention=False)
+        return tt.ToyModel(spec, Rng(0))
+
+    @staticmethod
+    def clip(seed, t=4):
+        frames = Rng(seed).normal((1, t, 3, 8, 4))
+        masks = np.ones((1, t, 8, 4))
+        masks[:, :, :, 0] = 0.0  # a padded column
+        return frames, masks
+
     def test_single_frame(self):
-        f = Rng(4).normal((1, 5))
-        bn = agg.BatchNorm1d(5, eps=0.0)
-        f_pre, _ = agg.aggregate(f, bn)
-        np.testing.assert_array_equal(f_pre, f[0])
+        model = self.model()
+        frames, masks = self.clip(4, t=1)
+        f_pre, _, _ = model.forward(frames, masks, training=False)
+        x = frames[0]
+        for conv, bn, relu in zip(model.convs, model.bns, model.relus):
+            x = relu.forward(bn.forward(conv.forward(x), training=False))
+        expected = agg.masked_avg_pool(x, agg.mask_downsample(masks[0], x.shape[2:]))
+        np.testing.assert_array_equal(f_pre, expected)
 
     def test_identical_frames(self):
-        one = Rng(5).normal((6,))
-        f = np.tile(one, (4, 1))
-        bn = agg.BatchNorm1d(6)
-        f_pre, _ = agg.aggregate(f, bn)
-        np.testing.assert_allclose(f_pre, one, atol=1e-15)
+        model = self.model()
+        frames, masks = self.clip(5, t=1)
+        one, _, _ = model.forward(frames, masks, training=False)
+        tiled, _, _ = model.forward(np.repeat(frames, 4, axis=1), np.repeat(masks, 4, axis=1), training=False)
+        np.testing.assert_allclose(tiled, one, atol=1e-15)
 
     def test_identity_bn_in_eval_mode(self):
-        f = Rng(6).normal((3, 4))
-        bn = agg.BatchNorm1d(4, eps=0.0)  # unit scale, zero shift, running stats (0, 1)
-        f_pre, f_post = agg.aggregate(f, bn, training=False)
+        model = self.model()
+        model.bn_feat.eps = 0.0  # unit scale, zero shift, running stats (0, 1)
+        f_pre, f_post, _ = model.forward(*self.clip(6), training=False)
         np.testing.assert_array_equal(f_post, f_pre)
 
     def test_frame_order_invariance(self):
-        f = Rng(7).normal((5, 3))
-        bn = agg.BatchNorm1d(3)
-        pre1, _ = agg.aggregate(f, bn)
-        pre2, _ = agg.aggregate(f[::-1], bn)
-        np.testing.assert_allclose(pre1, pre2, atol=1e-15)
+        model = self.model()
+        frames, masks = self.clip(7, t=5)
+        f_pre, _, _ = model.forward(frames, masks, training=False)
+        rev, _, _ = model.forward(frames[:, ::-1], masks[:, ::-1], training=False)
+        per_frame = [model.forward(frames[:, i : i + 1], masks[:, i : i + 1], training=False)[0] for i in range(5)]
+        np.testing.assert_allclose(rev, f_pre, atol=1e-15)
+        np.testing.assert_allclose(np.mean(per_frame, axis=0), f_pre, atol=1e-15)
 
     def test_empty_rejected(self):
+        frames, masks = self.clip(8, t=1)
         with pytest.raises(DimensionError):
-            agg.aggregate(np.empty((0, 3)), agg.BatchNorm1d(3))
-
-
-class TestBatchNorm:
-    def test_train_backward_matches_fd(self):
-        rng = Rng(8)
-        x = rng.child(0).normal((6, 4))
-        g = rng.child(1).normal((6, 4))
-        bn = agg.BatchNorm1d(4)
-        bn.gamma = rng.child(2).uniform(0.5, 1.5, (4,))
-        bn.beta = rng.child(3).normal((4,))
-
-        def loss():
-            fresh = agg.BatchNorm1d(4)
-            fresh.gamma, fresh.beta = bn.gamma, bn.beta
-            out, _ = fresh.forward(x, training=True)
-            return float(np.sum(g * out))
-
-        out, cache = bn.forward(x, training=True)
-        d_x, d_gamma, d_beta = bn.backward(g, cache)
-        assert rel_error(d_x, fd_gradient(loss, x)) < 1e-5
-        assert rel_error(d_gamma, fd_gradient(loss, bn.gamma)) < 1e-5
-        assert rel_error(d_beta, fd_gradient(loss, bn.beta)) < 1e-5
-
-    def test_running_stats_converge_in_eval(self):
-        rng = Rng(9)
-        bn = agg.BatchNorm1d(3, momentum=0.5)
-        for i in range(50):
-            bn.forward(rng.child(i).normal((32, 3)) * 2.0 + 1.0, training=True)
-        out, _ = bn.forward(np.array([[1.0, 1.0, 1.0]]), training=False)
-        assert np.max(np.abs(out)) < 0.2
+            self.model().forward(frames[:, :0], masks[:, :0], training=False)
 
 
 class TestTriplet:

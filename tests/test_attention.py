@@ -240,7 +240,7 @@ class TestAxialPositionSensitive:
         for tab in ("r_q", "r_k", "r_v"):
             setattr(params, tab, np.zeros_like(getattr(params, tab)))
         x = Rng(2).normal((3, 1, 3, 1))
-        out_ps = att.axial_ps_forward(x, params, "H", cfg)
+        out_ps = att.axial_forward(x, params, "H", cfg)
         cfg_plain = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, axis_lengths=(1, 3, 1))
         out_plain = att.axial_forward(x, params, "H", cfg_plain)
         assert np.array_equal(out_ps, out_plain)
@@ -253,13 +253,13 @@ class TestAxialPositionSensitive:
         params.r_v = np.zeros((1, 2))
         cfg1 = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, encoding="relative", axis_lengths=(1, 1, 1))
         x = Rng(4).normal((3, 1, 1, 1))
-        out = att.axial_ps_forward(x, params, "W", cfg1)
+        out = att.axial_forward(x, params, "W", cfg1)
         np.testing.assert_allclose(out[:, 0, 0, 0], params.w_v @ x[:, 0, 0, 0], atol=1e-15)
 
     def test_length2_line_against_expanded_oracle(self):
         cfg, params = self.make(length=2, seed=5)
         x = Rng(6).normal((3, 1, 2, 1))
-        out = att.axial_ps_forward(x, params, "H", cfg)
+        out = att.axial_forward(x, params, "H", cfg)
         oracle = dense_line_attention_oracle(
             x[:, 0, :, 0], params.w_q, params.w_k, params.w_v, params.r_q, params.r_k, params.r_v
         )
@@ -270,7 +270,7 @@ class TestAxialPositionSensitive:
         params.r_q = params.r_q[:-1]
         x = Rng(8).normal((3, 1, 3, 1))
         with pytest.raises(ConfigurationError, match="r_q"):
-            att.axial_ps_forward(x, params, "H", cfg)
+            att.axial_forward(x, params, "H", cfg)
 
     def test_translation_equivariance_with_periodic_tables(self):
         # test-only construction: tables made periodic (offset d == d - L) so a
@@ -281,9 +281,52 @@ class TestAxialPositionSensitive:
             for delta in range(1, length):
                 tab[delta + length - 1] = tab[delta - 1]
         x = Rng(10).normal((3, 1, length, 1))
-        out = att.axial_ps_forward(x, params, "H", cfg)
-        rolled = att.axial_ps_forward(np.roll(x, 1, axis=2), params, "H", cfg)
+        out = att.axial_forward(x, params, "H", cfg)
+        rolled = att.axial_forward(np.roll(x, 1, axis=2), params, "H", cfg)
         np.testing.assert_allclose(rolled, np.roll(out, 1, axis=2), atol=1e-12)
+
+
+class TestSoftmax:
+    """The row softmax inside the kernels, read back from the forward cache."""
+
+    @staticmethod
+    def line_attention(values, w_qk=1.0):
+        # one channel, one head, one H line: logits[i, j] = w_qk^2 * values[i] * values[j]
+        cfg = att.AttentionConfig(c_in=1, c_qk=1, c_out=1, axis_lengths=(1, len(values), 1))
+        params = att.AxialLayerParams(w_q=np.array([[w_qk]]), w_k=np.array([[w_qk]]), w_v=np.array([[1.0]]))
+        x = np.asarray(values, dtype=np.float64).reshape(1, 1, -1, 1)
+        out, cache = att.axial_forward(x, params, "H", cfg, want_cache=True)
+        return out, cache["attn"][0, 0]  # (L, L) rows over keys
+
+    def test_uniform_logits(self):
+        _, attn = self.line_attention([0.3, -1.2, 2.0], w_qk=0.0)
+        np.testing.assert_allclose(attn, np.full((3, 3), 1 / 3), rtol=0, atol=1e-15)
+
+    def test_large_logits_no_overflow(self):
+        out, attn = self.line_attention([1000.0, 1000.0])  # logits 1e6 everywhere
+        np.testing.assert_allclose(attn, np.full((2, 2), 0.5), rtol=0, atol=0)
+        assert np.all(np.isfinite(out))
+
+    def test_exp_normalize_oracle_extended_precision(self):
+        _, attn = self.line_attention([1.0, 2.0, 3.0])
+        e = np.exp(np.asarray([1.0, 2.0, 3.0], dtype=np.longdouble))  # row 0: logits 1, 2, 3
+        np.testing.assert_allclose(attn[0], (e / e.sum()).astype(np.float64), rtol=0, atol=1e-15)
+
+    def test_rows_sum_to_one(self):
+        rng = Rng(11)
+        cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(2, 13, 3))
+        params = att.init_axial_layer(cfg, 2, 13, rng.child(0))
+        x = rng.child(1).uniform(-30.0, 30.0, (2, 2, 13, 3))  # logits up to ~1e3
+        _, cache = att.axial_forward(x, params, "H", cfg, want_cache=True)
+        _, nl_cache = att.nonlocal_3d_forward(x, att.init_nonlocal_params(cfg, rng.child(2)), cfg, want_cache=True)
+        for attn in (cache["attn"], nl_cache["attn"]):
+            assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
+
+    def test_empty_axis_rejected(self):
+        cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(1, 1, 1))
+        params = att.init_axial_layer(cfg, 2, 1, Rng(0))
+        with pytest.raises(DimensionError):
+            att.axial_forward(np.empty((2, 1, 0, 1)), params, "H", cfg)
 
 
 class TestCfaa:

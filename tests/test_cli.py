@@ -58,10 +58,6 @@ class TestBench:
         assert int(kv_block(out_mac2)["total_flops"]) == 2 * base
         assert int(kv_block(out_proj)["total_flops"]) > base
 
-    def test_threads_validated(self, capsys):
-        code, _, err = run(capsys, "--threads", "0", "bench", "--preset", "costs")
-        assert code == 1 and "--threads" in err
-
     def test_bad_usage_exits_one(self, capsys):
         code, _, err = run(capsys, "bench")
         assert code == 1
@@ -210,6 +206,17 @@ class TestEval:
         assert code == 1
         assert "2 queries" in err and "4 gallery" in err
 
+    def test_non_finite_distances_exit_one(self, capsys, eval_fixture, tmp_path):
+        meta, dist, _, _ = eval_fixture
+        distances = load_tensor(dist)
+        distances[1, 2] = np.nan
+        bad = tmp_path / "nan.aakt"
+        save_tensor(bad, distances)
+        code, out, err = run(capsys, "eval", "--meta", str(meta), "--distances", str(bad))
+        assert code == 1
+        assert "mAP" not in out
+        assert "(query 1, gallery 2)" in err
+
 
 class TestDemo:
     def test_tiny_demo_deterministic(self, capsys):
@@ -228,6 +235,12 @@ class TestDemo:
         kv = kv_block(out)
         assert float(kv["rank1"]) <= 0.8
         assert "chance_rank1_mean" in kv
+
+    def test_diverging_run_exits_one_without_traceback(self, capsys):
+        code, _, err = run(capsys, "demo", "--ids", "4", "--epochs", "3", "--lr", "1e8")
+        assert code == 1
+        assert err.startswith("error: ") and "non-finite" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 class TestHelp:

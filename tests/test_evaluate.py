@@ -234,6 +234,18 @@ class TestEvaluate:
                 distances=np.ones((2, 1)),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distance_rejected_with_its_index(self, bad):
+        distances = np.ones((2, 3))
+        distances[1, 2] = bad
+        distances[1, 0] = bad
+        with pytest.raises(ValidationError, match=r"\(query 1, gallery 0\)"):
+            ev.EvalDataset(
+                queries=[ev.TrackletMeta(tid=1, identity=1, camera=0), ev.TrackletMeta(tid=2, identity=2, camera=0)],
+                gallery=[ev.TrackletMeta(tid=3 + i, identity=1 + i, camera=1) for i in range(3)],
+                distances=distances,
+            )
+
 
 class TestDeltaReport:
     def test_zero_deltas_without_corrections(self):

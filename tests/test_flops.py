@@ -3,7 +3,7 @@ import pytest
 
 from axialreid import attention as att
 from axialreid import flops
-from axialreid.errors import ValidationError
+from axialreid.errors import ConfigurationError, ValidationError
 
 DEFAULT = flops.CountingConvention()
 
@@ -72,6 +72,12 @@ class TestReferenceRows:
         with pytest.raises(ValidationError):
             flops.attention_flops("fancy")
 
+    @pytest.mark.parametrize("scales", [0, 3, 8])
+    def test_unsplittable_scale_counts_rejected(self, scales):
+        # 3 does not divide 512 channels, 8 needs H, W >= 128, 0 makes no groups
+        with pytest.raises(ConfigurationError):
+            flops.attention_flops("cfaa", scales=scales)
+
 
 class TestModelTable:
     def test_totals_within_tolerance(self):
@@ -106,6 +112,11 @@ class TestKernelAgreement:
         value = (h * h * w * t + h * w * w * t + h * w * t * t) * cfg.c_out
         assert analytic == score + value
         assert flops.count_oracle_multiplies("axial", cfg) == analytic
+
+    def test_config_the_3d_kernel_rejects_is_not_priced(self):
+        cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, encoding="relative", axis_lengths=(2, 2, 2))
+        with pytest.raises(ConfigurationError):
+            flops.attention_contraction_count("nonlocal3d", cfg)
 
     def test_single_position_counts(self):
         cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(1, 1, 1))

@@ -10,37 +10,37 @@ SEEDS = range(5)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_nonlocal_3d_matches_finite_differences(seed):
-    res = gc.check_nonlocal(seed)
+    res = gc.check("nonlocal_3d", seed)
     assert res.passed, f"{res.op} seed {seed}: {res.worst_param} err {res.worst_rel_err:.2e}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_axial_matches_finite_differences(seed):
-    res = gc.check_axial(seed)
+    res = gc.check("axial", seed)
     assert res.passed, f"{res.op} seed {seed}: {res.worst_param} err {res.worst_rel_err:.2e}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_axial_ps_matches_finite_differences(seed):
-    res = gc.check_axial_ps(seed)
+    res = gc.check("axial_ps", seed)
     assert res.passed, f"{res.op} seed {seed}: {res.worst_param} err {res.worst_rel_err:.2e}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cfaa_matches_finite_differences(seed):
-    res = gc.check_cfaa(seed)
+    res = gc.check("cfaa", seed)
     assert res.passed, f"{res.op} seed {seed}: {res.worst_param} err {res.worst_rel_err:.2e}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_triplet_matches_finite_differences(seed):
-    res = gc.check_triplet(seed)
+    res = gc.check("triplet", seed)
     assert res.passed, f"seed {seed}: err {res.worst_rel_err:.2e}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cross_entropy_matches_finite_differences(seed):
-    res = gc.check_cross_entropy(seed)
+    res = gc.check("cross_entropy", seed)
     assert res.passed, f"seed {seed}: err {res.worst_rel_err:.2e}"
 
 
@@ -53,10 +53,10 @@ def test_fd_on_2x3x4x2_input_all_parameters():
     g = rng.child(2).normal((2, 3, 4, 2))
 
     def loss():
-        return float(np.sum(g * att.axial_ps_forward(x, params, "H", cfg)))
+        return float(np.sum(g * att.axial_forward(x, params, "H", cfg)))
 
-    _, cache = att.axial_ps_forward(x, params, "H", cfg, want_cache=True)
-    d_x, grads = att.axial_ps_backward(g, params, cache)
+    _, cache = att.axial_forward(x, params, "H", cfg, want_cache=True)
+    d_x, grads = att.axial_backward(g, params, cache)
     for name, analytic in [("x", d_x), *grads.named("p")]:
         target = x if name == "x" else dict(params.named("p"))[name]
         err = gc.rel_error(analytic, gc.fd_gradient(loss, target, step=1e-5))
@@ -70,7 +70,7 @@ def test_zero_upstream_gives_zero_bundle():
     params = att.init_cfaa_params(cfg, rng.child(0))
     x = rng.child(1).normal((4, 2, 4, 2))
     _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
-    d_x, grads = att.cfaa_backward(np.zeros_like(x), params, cfg, cache)
+    d_x, grads = att.cfaa_backward(np.zeros_like(x), params, cache)
     assert not d_x.any()
     for _, g in grads.named():
         assert not g.any()
@@ -86,7 +86,7 @@ def test_frozen_zero_projection_passes_upstream_through():
     x = rng.child(1).normal((4, 2, 2, 2))
     g = rng.child(2).normal(x.shape)
     _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
-    d_x, _ = att.cfaa_backward(g, params, cfg, cache)
+    d_x, _ = att.cfaa_backward(g, params, cache)
     np.testing.assert_array_equal(d_x, g)
 
 
@@ -100,9 +100,30 @@ def test_upstream_shape_mismatch_rejected():
         att.nonlocal_3d_backward(np.zeros((3, 2, 2, 3)), params, cache)
 
 
-def test_fault_injection_is_caught():
-    assert not gc.check_cfaa(0, perturb=True).passed
-    assert not gc.check_triplet(0, perturb=True).passed
+@pytest.mark.parametrize("name", list(gc.ALL_CHECKS))
+def test_fault_injection_is_caught(name):
+    assert not gc.check(name, 0, perturb=True).passed
+
+
+def test_attention_backwards_share_one_signature():
+    # every attention backward is (d_out, params, cache) -> (d_x, grads like params)
+    rng = Rng(3)
+    x = rng.child(0).normal((4, 2, 4, 2))
+    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
+    cfaa = att.init_cfaa_params(cfg, rng.child(1))
+    ax_cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, encoding="relative", axis_lengths=(2, 4, 2))
+    axial = att.init_axial_layer(ax_cfg, 4, 4, rng.child(2))
+    nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 4, 2))
+    nl = att.init_nonlocal_params(nl_cfg, rng.child(3))
+    cases = [
+        (att.cfaa_forward(x, cfaa, cfg, want_cache=True), att.cfaa_backward, cfaa),
+        (att.axial_forward(x, axial, "H", ax_cfg, want_cache=True), att.axial_backward, axial),
+        (att.nonlocal_3d_forward(x, nl, nl_cfg, want_cache=True), att.nonlocal_3d_backward, nl),
+    ]
+    for (out, cache), backward, params in cases:
+        d_x, grads = backward(np.ones_like(out), params, cache)
+        assert d_x.shape == x.shape and type(grads) is type(params)
+        assert [n for n, _ in grads.named()] == [n for n, _ in params.named()]
 
 
 def test_run_gradient_checks_all_pass():

@@ -7,78 +7,10 @@ from axialreid.tensor import (
     avg_pool_2d,
     avg_pool_2d_adjoint,
     load_tensor,
-    matmul,
     save_tensor,
-    softmax,
     upsample_nearest_2d,
     upsample_nearest_2d_adjoint,
 )
-
-
-def matmul_oracle(a, b):
-    # naive triple loop, independent of the library path
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert matmul([[1, 0], [0, 1]], [[3], [4]]).tolist() == [[3], [4]]
-
-    def test_hand_arithmetic(self):
-        assert matmul([[1, 2]], [[3], [4]]).tolist() == [[11]]
-
-    def test_against_triple_loop_oracle(self):
-        rng = Rng(7)
-        a = rng.child(0).normal((5, 7))
-        b = rng.child(1).normal((7, 3))
-        assert np.max(np.abs(matmul(a, b) - matmul_oracle(a, b))) < 1e-12
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_associativity(self):
-        rng = Rng(3)
-        for trial in range(10):
-            a = rng.child(trial, 0).normal((4, 5))
-            b = rng.child(trial, 1).normal((5, 3))
-            c = rng.child(trial, 2).normal((3, 6))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) / np.max(np.abs(left)) < 1e-9
-
-
-class TestSoftmax:
-    def test_uniform_logits(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0, 0.0], 0), [1 / 3] * 3, rtol=0, atol=1e-15)
-
-    def test_large_logits_no_overflow(self):
-        np.testing.assert_allclose(softmax([1000.0, 1000.0], 0), [0.5, 0.5], rtol=0, atol=0)
-
-    def test_exp_normalize_oracle_extended_precision(self):
-        x = np.array([1.0, 2.0, 3.0])
-        e = np.exp(np.asarray(x, dtype=np.longdouble))
-        expected = (e / e.sum()).astype(np.float64)
-        np.testing.assert_allclose(softmax(x, 0), expected, rtol=0, atol=1e-15)
-
-    def test_rows_sum_to_one(self):
-        rng = Rng(11)
-        x = rng.uniform(-1e3, 1e3, (20, 13))
-        sums = softmax(x, 1).sum(axis=1)
-        assert np.max(np.abs(sums - 1.0)) < 1e-12
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(DimensionError):
-            softmax(np.empty((3, 0)), 1)
 
 
 class TestPooling:

@@ -71,20 +71,6 @@ class TestLayers:
         assert rel_error(d_x, fd_gradient(loss, x)) < 1e-6
         assert rel_error(d_w, fd_gradient(loss, conv.weight)) < 1e-6
 
-    def test_bn2d_backward_matches_fd(self):
-        rng = Rng(1)
-        x = rng.child(0).normal((3, 2, 4, 2))
-        g = rng.child(1).normal(x.shape)
-
-        def loss():
-            bn = tt.BatchNorm2d(2)
-            return float(np.sum(g * bn.forward(x, training=True)))
-
-        bn = tt.BatchNorm2d(2)
-        bn.forward(x, training=True)
-        d_x, _, _ = bn.backward(g)
-        assert rel_error(d_x, fd_gradient(loss, x)) < 1e-5
-
     def test_model_backward_matches_fd_on_conv1(self):
         # end-to-end analytic gradient through attention, pooling, bn, losses
         from axialreid import aggregation as agg
@@ -107,6 +93,48 @@ class TestLayers:
         grads = model.backward(np.zeros_like(f_pre), d_logits)
         num = fd_gradient(loss, model.convs[0].weight, step=1e-5)
         assert rel_error(grads["conv0.weight"], num) < 1e-4
+
+
+LAYOUTS = {"nc": (6, 4), "nchw": (3, 4, 4, 2)}
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_backward_matches_fd(self, layout, training):
+        rng = Rng(8)
+        shape = LAYOUTS[layout]
+        c = shape[1]
+        x = rng.child(0).normal(shape)
+        g = rng.child(1).normal(shape)
+        bn = tt.BatchNorm(c)
+        bn.gamma = rng.child(2).uniform(0.5, 1.5, (c,))
+        bn.beta = rng.child(3).normal((c,))
+        bn.running_mean = rng.child(4).normal((c,))
+        bn.running_var = rng.child(5).uniform(0.5, 2.0, (c,))
+        stats = (bn.running_mean, bn.running_var)
+
+        def loss():
+            fresh = tt.BatchNorm(c)
+            fresh.gamma, fresh.beta = bn.gamma, bn.beta
+            fresh.running_mean, fresh.running_var = stats
+            return float(np.sum(g * fresh.forward(x, training)))
+
+        bn.forward(x, training)
+        d_x, d_gamma, d_beta = bn.backward(g)
+        assert rel_error(d_x, fd_gradient(loss, x)) < 1e-5
+        assert rel_error(d_gamma, fd_gradient(loss, bn.gamma)) < 1e-5
+        assert rel_error(d_beta, fd_gradient(loss, bn.beta)) < 1e-5
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_running_stats_converge_in_eval(self, layout):
+        rng = Rng(9)
+        shape = (32, 3) + LAYOUTS[layout][2:]
+        bn = tt.BatchNorm(3, momentum=0.5)
+        for i in range(50):
+            bn.forward(rng.child(i).normal(shape) * 2.0 + 1.0, training=True)
+        out = bn.forward(np.ones((1,) + shape[1:]), training=False)
+        assert np.max(np.abs(out)) < 0.2
 
 
 class TestTraining:
