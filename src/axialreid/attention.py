@@ -2,16 +2,19 @@
 
 Three ops, each with a forward pass and an analytic backward pass; every
 backward takes ``(d_out, params, cache)`` and returns ``(d_x, grads)`` with
-grads in the params container's type:
+grads in the params container's type. All three run on one attention core
+(one softmax, one analytic backward, one place that counts multiplies and
+checks the logits):
 
-* 3D self-attention: every spatio-temporal position attends to all T*H*W
-  positions (single head, no positional encoding), then output projection
-  and residual add.
 * axial attention: attention restricted to 1-D lines along one axis (height,
   width or time); all other coordinates are independent batch items. With
   ``encoding="relative"`` it is position-sensitive: learned relative
   positional embeddings add q^T r^q and k^T r^k logit terms and a value-side
-  r^v term.
+  r^v term. A layer carries relative tables if and only if the encoding is
+  ``"relative"``.
+* 3D self-attention: the axial core along one line that holds all T*H*W
+  positions (single head, no positional encoding), then output projection
+  and residual add.
 * coarse-to-fine module: the input is split into S channel groups, group s is
   average-pooled by 2^(s-1), passed through height/width/time axial attention
   in sequence, upsampled, concatenated, projected back to C_in and added to
@@ -186,9 +189,6 @@ class ScaleParams:
     aa_w: AxialLayerParams
     aa_t: AxialLayerParams
 
-    def layer(self, axis: str) -> AxialLayerParams:
-        return {"H": self.aa_h, "W": self.aa_w, "T": self.aa_t}[axis]
-
     def named(self, prefix: str):
         for axis in ("aa_h", "aa_w", "aa_t"):
             yield from getattr(self, axis).named(f"{prefix}.{axis}")
@@ -261,19 +261,21 @@ def init_cfaa_params(cfg: AttentionConfig, rng: Rng, zero_output_proj: bool = Fa
 _AXIS_INDEX = {"T": 1, "H": 2, "W": 3}
 
 
+def _offset_index(length: int) -> np.ndarray:
+    """(L, L) map from a query/key pair [i, j] to the row j - i + L - 1 of a
+    (2L-1, d) offset table."""
+    return np.arange(length)[None, :] - np.arange(length)[:, None] + length - 1
+
+
 def _gather_offsets(table: np.ndarray, length: int) -> np.ndarray:
     """(2L-1, d) offset table -> (L, L, d) with entry [i, j] = table[j - i + L - 1]."""
-    idx = np.arange(length)[None, :] - np.arange(length)[:, None] + length - 1
-    return table[idx]
+    return table[_offset_index(length)]
 
 
 def _scatter_offsets(grad_full: np.ndarray, length: int) -> np.ndarray:
     """Adjoint of _gather_offsets: sum (L, L, d) gradients over constant j - i."""
-    d = grad_full.shape[-1]
-    out = np.zeros((2 * length - 1, d), dtype=np.float64)
-    for i in range(length):
-        for j in range(length):
-            out[j - i + length - 1] += grad_full[i, j]
+    out = np.zeros((2 * length - 1, grad_full.shape[-1]), dtype=np.float64)
+    np.add.at(out, _offset_index(length), grad_full)
     return out
 
 
@@ -290,6 +292,8 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
     cqk, cout = p.w_q.shape[0], p.w_v.shape[0]
     if cqk % heads or cout % heads:
         raise DimensionError(f"c_qk={cqk}, c_out={cout} must divide heads={heads}")
+    if encoding != "relative" and any(t is not None for t in (p.r_q, p.r_k, p.r_v)):
+        raise ConfigurationError(f"relative tables r_q/r_k/r_v need encoding 'relative', got {encoding!r}")
     ax = _AXIS_INDEX[axis]
     ext = x.shape
     length = ext[ax]
@@ -331,6 +335,7 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
         logits = logits + np.einsum("mdbj,ijd->mbij", k, rk)
         _count(heads * b * length * length * dq)
 
+    check_finite(logits, "attention logits")
     m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
     attn = e / e.sum(axis=-1, keepdims=True)
@@ -423,54 +428,42 @@ def axial_backward(d_out, params: AxialLayerParams, cache: dict):
     return _axial_core_backward(d_out, params, cache)
 
 
+def _residual_forward(x: np.ndarray, z: np.ndarray, w_o: np.ndarray, what: str):
+    """x + w_o z: project the attention output z (c_out channels) back to x's
+    channels and add the input. Returns (out, cache)."""
+    out = check_finite(x + (w_o @ z.reshape(w_o.shape[1], -1)).reshape(x.shape), what)
+    return out, dict(z=z, shape=x.shape)
+
+
+def _residual_backward(d_out, w_o: np.ndarray, cache: dict):
+    """Backward of _residual_forward. Returns (d_out, d_z, d_w_o); the residual
+    path's input gradient is d_out itself."""
+    d_out = as_tensor(d_out, "upstream gradient")
+    if d_out.shape != cache["shape"]:
+        raise DimensionError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")
+    z, d_flat = cache["z"], d_out.reshape(d_out.shape[0], -1)
+    return d_out, (w_o.T @ d_flat).reshape(z.shape), d_flat @ z.reshape(z.shape[0], -1).T
+
+
 def nonlocal_3d_forward(x, params: NonlocalParams, cfg: AttentionConfig, want_cache: bool = False):
-    """3D self-attention over all T*H*W positions, output projection, residual add."""
+    """3D self-attention: the axial core along one line through all T*H*W
+    positions, then output projection and residual add."""
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
     if cfg.heads != 1 or cfg.encoding != "none" or cfg.scales != 1:
         raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
-    c, t, h, w = x.shape
-    n = t * h * w
-    xf = x.reshape(c, n)
-    q = params.w_q @ xf
-    k = params.w_k @ xf
-    v = params.w_v @ xf
-    logits = q.T @ k  # (N, N)
-    _count(n * n * q.shape[0])
-    mx = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - mx)
-    attn = e / e.sum(axis=1, keepdims=True)
-    y = v @ attn.T  # (c_out, N)
-    _count(n * n * v.shape[0])
-    proj = params.w_o @ y
-    out = check_finite((xf + proj).reshape(x.shape), "3D attention output")
-    cache = dict(xf=xf, q=q, k=k, v=v, attn=attn, y=y, shape=x.shape)
-    return (out, cache) if want_cache else out
+    line = AxialLayerParams(params.w_q, params.w_k, params.w_v)
+    y, core_cache = _axial_core_forward(x.reshape(x.shape[0], 1, 1, -1), line, "W", 1, "none")
+    out, cache = _residual_forward(x, y, params.w_o, "3D attention output")
+    return (out, {**core_cache, **cache}) if want_cache else out
 
 
 def nonlocal_3d_backward(d_out, params: NonlocalParams, cache: dict):
     """Returns (d_x, NonlocalParams gradients)."""
-    d_out = as_tensor(d_out, "upstream gradient")
-    if d_out.shape != cache["shape"]:
-        raise DimensionError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")
-    xf, q, k, v, attn, y = cache["xf"], cache["q"], cache["k"], cache["v"], cache["attn"], cache["y"]
-    c = xf.shape[0]
-    d_flat = d_out.reshape(c, -1)
-
-    d_wo = d_flat @ y.T
-    d_y = params.w_o.T @ d_flat
-    d_attn = d_y.T @ v  # (N, N)
-    d_v = d_y @ attn
-    inner = (attn * d_attn).sum(axis=1, keepdims=True)
-    d_logits = attn * (d_attn - inner)
-    d_q = k @ d_logits.T
-    d_k = q @ d_logits
-    d_wq = d_q @ xf.T
-    d_wk = d_k @ xf.T
-    d_wv = d_v @ xf.T
-    d_xf = params.w_q.T @ d_q + params.w_k.T @ d_k + params.w_v.T @ d_v + d_flat
-    grads = NonlocalParams(w_q=d_wq, w_k=d_wk, w_v=d_wv, w_o=d_wo)
-    return d_xf.reshape(cache["shape"]), grads
+    d_out, d_y, d_wo = _residual_backward(d_out, params.w_o, cache)
+    line = AxialLayerParams(params.w_q, params.w_k, params.w_v)
+    d_line, g = _axial_core_backward(d_y, line, cache)
+    return d_line.reshape(d_out.shape) + d_out, NonlocalParams(g.w_q, g.w_k, g.w_v, d_wo)
 
 
 def _chain_forward(x, sp: ScaleParams, cfg: AttentionConfig):
@@ -508,26 +501,16 @@ def cfaa_forward(x, params: CfaaParams, cfg: AttentionConfig, want_cache: bool =
         outs.append(up)
         caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[2:], extents=pooled.shape))
     z = np.concatenate(outs, axis=0)  # (c_out, T, H, W)
-    zf = z.reshape(cfg.c_out, -1)
-    proj = params.w_o @ zf
-    out = x + proj.reshape(x.shape)
-    cache = dict(scale_caches=caches, z=zf, shape=x.shape)
-    out = check_finite(out, "coarse-to-fine output")
-    return (out, cache) if want_cache else out
+    out, cache = _residual_forward(x, z, params.w_o, "coarse-to-fine output")
+    return (out, dict(scale_caches=caches, **cache)) if want_cache else out
 
 
 def cfaa_backward(d_out, params: CfaaParams, cache: dict):
     """Returns (d_x, CfaaParams gradients)."""
-    d_out = as_tensor(d_out, "upstream gradient")
-    if d_out.shape != cache["shape"]:
-        raise DimensionError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")
-    c, t, h, w = cache["shape"]
-    scales, c_out = len(params.scales), params.w_o.shape[1]
-    per_in, per_out = c // scales, c_out // scales
-    d_flat = d_out.reshape(c, -1)
-    d_wo = d_flat @ cache["z"].T
-    d_z = (params.w_o.T @ d_flat).reshape(c_out, t, h, w)
-
+    d_out, d_z, d_wo = _residual_backward(d_out, params.w_o, cache)
+    c, t, h, w = d_out.shape
+    scales = len(params.scales)
+    per_in, per_out = c // scales, d_z.shape[0] // scales
     d_x = d_out.copy()
     scale_grads = []
     for s in range(scales):

@@ -74,7 +74,6 @@ KERNEL_EXACT = CountingConvention(positional_shared_heads=None)
 
 @dataclass
 class LayerSpec:
-    kind: str
     name: str
     ops: int  # raw MAC / op count before the macs_per_flop factor
 
@@ -88,8 +87,6 @@ class FlopReport:
     name: str
     layers: list[LayerSpec]
     convention: CountingConvention
-    baseline_name: str | None = None
-    baseline_total: int | None = None
 
     @property
     def total(self) -> int:
@@ -99,19 +96,8 @@ class FlopReport:
     def gflops(self) -> float:
         return self.total / 1e9
 
-    @property
-    def delta(self) -> int | None:
-        if self.baseline_total is None:
-            return None
-        return self.total - self.baseline_total
-
     def lines(self) -> list[str]:
-        out = [f"report={self.name}", f"convention={self.convention.tag()}", f"total_flops={self.total}", f"gflops={self.gflops:.6f}"]
-        if self.baseline_total is not None:
-            out.append(f"baseline={self.baseline_name}")
-            out.append(f"delta_flops={self.delta}")
-            out.append(f"delta_gflops={self.delta / 1e9:.6f}")
-        return out
+        return [f"report={self.name}", f"convention={self.convention.tag()}", f"total_flops={self.total}", f"gflops={self.gflops:.6f}"]
 
 
 def _conv(cin, cout, k, ho, wo) -> int:
@@ -129,7 +115,7 @@ def backbone_flops(frames: int = 6, height: int = 256, width: int = 128, last_st
 
     def add(name, cin, cout, k, ho, wo):
         nonlocal act_elems
-        layers.append(LayerSpec("conv", name, frames * _conv(cin, cout, k, ho, wo)))
+        layers.append(LayerSpec(name, frames * _conv(cin, cout, k, ho, wo)))
         act_elems += frames * cout * ho * wo
 
     h, w = (height + 1) // 2, (width + 1) // 2
@@ -149,7 +135,7 @@ def backbone_flops(frames: int = 6, height: int = 256, width: int = 128, last_st
             cin = width_s * 4
             h, w = ho, wo
     if convention.include_bn_relu:
-        layers.append(LayerSpec("bn", "bn+relu", 3 * act_elems))
+        layers.append(LayerSpec("bn+relu", 3 * act_elems))
     return FlopReport("backbone", layers, convention)
 
 
@@ -207,7 +193,7 @@ def attention_flops(variant: str, convention: CountingConvention = CountingConve
     layers = []
     for c, h, w, count in insertions:
         cfg = att.AttentionConfig.default(c, (frames, h, w), heads, scales, encoding)
-        layers.append(LayerSpec("attention", f"{variant}@c{c}_{h}x{w}(x{count})",
+        layers.append(LayerSpec(f"{variant}@c{c}_{h}x{w}(x{count})",
                                 count * _module_ops(variant, cfg, convention)))
     return FlopReport(variant if variant != "cfaa" else f"cfaa{scales}", layers, convention)
 
@@ -247,12 +233,10 @@ def model_table(presets=PRESETS, convention: CountingConvention = CountingConven
             out.append(FlopReport("baseline", list(base.layers), convention))
         elif preset == "nonlocal":
             extra = attention_flops("nonlocal3d", convention, frames=frames)
-            out.append(FlopReport("nonlocal", base.layers + extra.layers, convention,
-                                  baseline_name="baseline", baseline_total=base.total))
+            out.append(FlopReport("nonlocal", base.layers + extra.layers, convention))
         elif preset == "cfaa_net":
             extra = attention_flops("cfaa", convention, scales=4, frames=frames)
-            out.append(FlopReport("cfaa_net", base.layers + extra.layers, convention,
-                                  baseline_name="baseline", baseline_total=base.total))
+            out.append(FlopReport("cfaa_net", base.layers + extra.layers, convention))
         else:
             raise ValidationError(f"unknown preset {preset!r}")
     return out

@@ -300,18 +300,11 @@ class ToyModel:
                     x[bi] = np.moveaxis(out, 1, 0)
                     att_caches.append(cache)
                 x = x.reshape(b * t, c, h, w)
-        c, fh, fw = x.shape[1:]
-        feats = x.reshape(b, t, c, fh, fw)
-        pooled = np.empty((b, t, c))
-        small_masks = np.empty((b, t, fh, fw))
-        for bi in range(b):
-            small_masks[bi] = agg.mask_downsample(masks[bi], (fh, fw))
-            pooled[bi] = agg.masked_avg_pool(feats[bi], small_masks[bi])
-        f_pre = pooled.mean(axis=1)  # (B, C)
+        small_masks = agg.mask_downsample(masks.reshape(b * t, *masks.shape[2:]), x.shape[2:])
+        f_pre = agg.masked_avg_pool(x, small_masks).reshape(b, t, -1).mean(axis=1)  # (B, C)
         f_post = self.bn_feat.forward(f_pre, training)
         logits = f_post @ self.classifier.T
-        self._cache = dict(bt=(b, t), att_caches=att_caches, small_masks=small_masks,
-                           feat_hw=(fh, fw), f_post=f_post)
+        self._cache = dict(bt=(b, t), att_caches=att_caches, small_masks=small_masks, f_post=f_post)
         return f_pre, f_post, logits
 
     def backward(self, d_f_pre: np.ndarray, d_logits: np.ndarray) -> dict[str, np.ndarray]:
@@ -326,13 +319,8 @@ class ToyModel:
         grads["bn_feat.gamma"], grads["bn_feat.beta"] = d_gamma, d_beta
         d_f_pre = d_f_pre + d_pre_bn
 
-        fh, fw = cache["feat_hw"]
-        c = d_f_pre.shape[1]
-        d_pooled = np.repeat(d_f_pre[:, None, :], t, axis=1) / t  # temporal mean
-        d_x = np.empty((b, t, c, fh, fw))
-        for bi in range(b):
-            d_x[bi] = agg.masked_avg_pool_backward(d_pooled[bi], cache["small_masks"][bi])
-        d_x = d_x.reshape(b * t, c, fh, fw)
+        d_pooled = np.repeat(d_f_pre, t, axis=0) / t  # temporal mean, one row per frame
+        d_x = agg.masked_avg_pool_backward(d_pooled, cache["small_masks"])
 
         for i in reversed(range(len(self.convs))):
             if self.att_params is not None and i == self.spec.attention_after_block:
@@ -371,19 +359,13 @@ class TrainLog:
 def _sample_clip(track: Tracklet, clip_len: int, rng: Rng, flip: bool, log: TrainLog | None):
     f = track.frames.shape[0]
     start = int(rng.integers(0, f - clip_len + 1)) if f > clip_len else 0
-    frames = track.frames[start : start + clip_len].copy()
-    masks = track.masks[start : start + clip_len].copy()
-    flags = []
-    if flip:
-        for i in range(clip_len):  # synchronized: every frame of the clip flips
-            frames[i] = frames[i, :, :, ::-1]
-            masks[i] = masks[i, :, ::-1]
-            flags.append(True)
-    else:
-        flags = [False] * clip_len
+    frames = track.frames[start : start + clip_len]
+    masks = track.masks[start : start + clip_len]
+    if flip:  # synchronized: every frame of the clip flips
+        frames, masks = frames[..., ::-1], masks[..., ::-1]
     if log is not None:
-        log.flip_records.append(flags)
-    return frames, masks
+        log.flip_records.append([flip] * clip_len)
+    return frames.copy(), masks.copy()
 
 
 def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, seed: int,
@@ -395,6 +377,10 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
         raise ValidationError(
             f"cannot build {p_ids}x{k_tracks} batches from {dataset.num_ids} ids "
             f"x {dataset.tracklets_per_id} tracklets"
+        )
+    if dataset.frames_per_tracklet < spec.clip_len:
+        raise ValidationError(
+            f"tracklets of {dataset.frames_per_tracklet} frames are shorter than clip_len={spec.clip_len}"
         )
     use_triplet = p_ids >= 2  # a single-identity batch has no negatives: CE only
     if spec.num_classes != dataset.num_ids:

@@ -52,6 +52,15 @@ def dense_line_attention_oracle(line, w_q, w_k, w_v, r_q=None, r_k=None, r_v=Non
     return out
 
 
+def scatter_offsets_oracle(grad_full, length):
+    """Loop form of the offset-table adjoint: row j - i + L - 1 sums grad_full[i, j]."""
+    out = np.zeros((2 * length - 1, grad_full.shape[-1]))
+    for i in range(length):
+        for j in range(length):
+            out[j - i + length - 1] += grad_full[i, j]
+    return out
+
+
 class TestConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -242,7 +251,8 @@ class TestAxialPositionSensitive:
         x = Rng(2).normal((3, 1, 3, 1))
         out_ps = att.axial_forward(x, params, "H", cfg)
         cfg_plain = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, axis_lengths=(1, 3, 1))
-        out_plain = att.axial_forward(x, params, "H", cfg_plain)
+        plain = att.AxialLayerParams(params.w_q, params.w_k, params.w_v)
+        out_plain = att.axial_forward(x, plain, "H", cfg_plain)
         assert np.array_equal(out_ps, out_plain)
 
     def test_singleton_axis_zero_tables(self):
@@ -271,6 +281,23 @@ class TestAxialPositionSensitive:
         x = Rng(8).normal((3, 1, 3, 1))
         with pytest.raises(ConfigurationError, match="r_q"):
             att.axial_forward(x, params, "H", cfg)
+
+    @pytest.mark.parametrize("encoding", ["none", "sinusoidal"])
+    def test_tables_without_relative_encoding_rejected(self, encoding):
+        _, params = self.make(length=3, seed=11)
+        cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, encoding=encoding, axis_lengths=(1, 3, 1))
+        with pytest.raises(ConfigurationError, match="relative"):
+            att.axial_forward(Rng(12).normal((3, 1, 3, 1)), params, "H", cfg)
+
+    @pytest.mark.parametrize("length", range(1, 17))
+    def test_scatter_matches_loop_oracle_and_is_gather_adjoint(self, length):
+        rng = Rng(13 + length)
+        grad_full = rng.child(0).normal((length, length, 3))
+        scattered = att._scatter_offsets(grad_full, length)
+        assert np.array_equal(scattered, scatter_offsets_oracle(grad_full, length))
+        table = rng.child(1).normal((2 * length - 1, 3))
+        np.testing.assert_allclose(np.sum(att._gather_offsets(table, length) * grad_full),
+                                   np.sum(table * scattered), rtol=1e-12)
 
     def test_translation_equivariance_with_periodic_tables(self):
         # test-only construction: tables made periodic (offset d == d - L) so a

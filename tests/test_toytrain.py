@@ -203,6 +203,12 @@ class TestTraining:
         with pytest.raises(ValidationError):
             tt.train(small_spec(), ds, epochs=1, seed=0, p_ids=8, k_tracks=2)
 
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_tracklets_shorter_than_clip_rejected(self, use_attention):
+        ds = tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=4, frames_per_tracklet=3, seed=3)
+        with pytest.raises(ValidationError, match=r"\b3 frames.*clip_len=4"):
+            tt.train(small_spec(use_attention=use_attention), ds, epochs=1, seed=0)
+
 
 class TestRetrieval:
     def test_identical_tracklet_under_other_camera_is_rank1(self):
