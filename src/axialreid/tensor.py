@@ -58,18 +58,17 @@ def avg_pool_2d(x, factor: int) -> np.ndarray:
 
 
 def avg_pool_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np.ndarray:
-    """Adjoint of avg_pool_2d: spreads each cell gradient over its window."""
+    """Adjoint of avg_pool_2d: spreads each cell gradient, divided by its
+    window's cell count, over its window (repeat, then crop the edge windows)."""
     grad = as_tensor(grad, "grad")
     h, w = in_hw
-    c, t, ho, wo = grad.shape
-    out = np.zeros((c, t, h, w), dtype=np.float64)
-    for i in range(ho):
-        for j in range(wo):
-            hs = slice(i * factor, min((i + 1) * factor, h))
-            ws = slice(j * factor, min((j + 1) * factor, w))
-            n = (hs.stop - hs.start) * (ws.stop - ws.start)
-            out[:, :, hs, ws] += grad[:, :, i, j][:, :, None, None] / n
-    return out
+    ho, wo = grad.shape[2:]
+    if (ho, wo) != (-(-h // factor), -(-w // factor)):
+        raise DimensionError(f"grad extents {(ho, wo)} do not match avg_pool_2d of {in_hw} by {factor}")
+    top, left = np.arange(ho) * factor, np.arange(wo) * factor
+    rows, cols = np.minimum(top + factor, h) - top, np.minimum(left + factor, w) - left
+    cells = grad / (rows[:, None] * cols[None, :])
+    return np.ascontiguousarray(np.repeat(np.repeat(cells, factor, axis=2), factor, axis=3)[:, :, :h, :w])
 
 
 def upsample_nearest_2d(x, factor: int, target_hw: tuple[int, int] | None = None) -> np.ndarray:
@@ -94,11 +93,11 @@ def upsample_nearest_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np
     grad = as_tensor(grad, "grad")
     h, w = in_hw
     c, t, gh, gw = grad.shape
-    out = np.zeros((c, t, h, w), dtype=np.float64)
-    for i in range(gh):
-        for j in range(gw):
-            out[:, :, i // factor, j // factor] += grad[:, :, i, j]
-    return out
+    if gh > h * factor or gw > w * factor:
+        raise DimensionError(f"grad extents {(gh, gw)} exceed {in_hw} upsampled by {factor}")
+    padded = np.zeros((c, t, h * factor, w * factor))  # a cropped target leaves zeros
+    padded[:, :, :gh, :gw] = grad
+    return padded.reshape(c, t, h, factor, w, factor).sum(axis=(3, 5))
 
 
 class Rng:

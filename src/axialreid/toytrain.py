@@ -2,7 +2,7 @@
 attention inserted, trained on a synthetic video-identity dataset with the
 triplet + cross-entropy recipe, then evaluated with the retrieval protocol.
 
-Everything is seeded and single-threaded; a run is bitwise reproducible.
+Everything is seeded; a run is bitwise reproducible at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .tensor import Rng
 
 
 class Conv2d:
-    """3x3 / 1x1 convolution without bias, stride s, zero padding."""
+    """3x3 / 1x1 convolution without bias, stride s, zero padding. Each of the
+    k*k taps is one stacked per-frame matmul, weight[:, :, di, dj] (O, C) times
+    the tap's strided window of the padded input (B, C, Ho*Wo)."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, rng: Rng):
         fan_in = c_in * kernel * kernel
@@ -36,26 +38,28 @@ class Conv2d:
         k, s, p = self.weight.shape[2], self.stride, self.pad
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-        out = np.zeros((b, self.weight.shape[0], ho, wo))
+        o = self.weight.shape[0]
+        out = np.zeros((b, o, ho * wo))
         for di in range(k):
             for dj in range(k):
-                sl = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s]
-                out += np.einsum("oc,bchw->bohw", self.weight[:, :, di, dj], sl)
+                xs = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s].reshape(b, c, ho * wo)
+                out += self.weight[:, :, di, dj] @ xs
         self._cache = (xp, x.shape, ho, wo)
-        return out
+        return out.reshape(b, o, ho, wo)
 
     def backward(self, grad: np.ndarray):
         xp, x_shape, ho, wo = self._cache
         k, s, p = self.weight.shape[2], self.stride, self.pad
+        (o, c), b = self.weight.shape[:2], x_shape[0]
+        g = grad.reshape(b, o, ho * wo)
         d_w = np.zeros_like(self.weight)
         d_xp = np.zeros_like(xp)
         for di in range(k):
             for dj in range(k):
-                sl = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s]
-                d_w[:, :, di, dj] = np.einsum("bohw,bchw->oc", grad, sl)
-                d_xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += np.einsum(
-                    "oc,bohw->bchw", self.weight[:, :, di, dj], grad
-                )
+                tap = (slice(None), slice(None), slice(di, di + s * ho, s), slice(dj, dj + s * wo, s))
+                xs = xp[tap].reshape(b, c, ho * wo)
+                d_w[:, :, di, dj] = (g @ xs.transpose(0, 2, 1)).sum(0)
+                d_xp[tap] += (self.weight[:, :, di, dj].T @ g).reshape(b, c, ho, wo)
         d_x = d_xp[:, :, p : p + x_shape[2], p : p + x_shape[3]] if p else d_xp
         return d_x, d_w
 
@@ -437,7 +441,9 @@ def tracklet_feature(model: ToyModel, track: Tracklet) -> np.ndarray:
     """Clip-split-and-average representation (post-BN feature, eval mode)."""
     clip = model.spec.clip_len
     f = track.frames.shape[0]
-    n_clips = max(f // clip, 1)
+    if f < clip:
+        raise ValidationError(f"tracklet {track.tid} has {f} frames, fewer than clip_len={clip}")
+    n_clips = f // clip
     feats = []
     for c in range(n_clips):
         frames = track.frames[c * clip : (c + 1) * clip][None]

@@ -176,6 +176,7 @@ def test_criterion_8_masked_aggregation_invariance():
     report(8, time.time() - t0, 10.0, "f_pre delta exactly 0")
 
 
+@pytest.mark.slow
 def test_criterion_9_toy_end_to_end():
     t0 = time.time()
     dataset = tt.SyntheticIdentityDataset(num_ids=20, seed=7)

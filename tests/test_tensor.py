@@ -78,6 +78,62 @@ class TestPooling:
             assert abs(adj[idx] - fd) < 1e-12
 
 
+def loop_avg_pool_2d_adjoint(grad, factor, in_hw):
+    """Reference adjoint: one window at a time."""
+    h, w = in_hw
+    c, t, ho, wo = grad.shape
+    out = np.zeros((c, t, h, w))
+    for i in range(ho):
+        for j in range(wo):
+            hs = slice(i * factor, min((i + 1) * factor, h))
+            ws = slice(j * factor, min((j + 1) * factor, w))
+            n = (hs.stop - hs.start) * (ws.stop - ws.start)
+            out[:, :, hs, ws] += grad[:, :, i, j][:, :, None, None] / n
+    return out
+
+
+def loop_upsample_nearest_2d_adjoint(grad, factor, in_hw):
+    """Reference adjoint: one output cell at a time."""
+    h, w = in_hw
+    c, t, gh, gw = grad.shape
+    out = np.zeros((c, t, h, w))
+    for i in range(gh):
+        for j in range(gw):
+            out[:, :, i // factor, j // factor] += grad[:, :, i, j]
+    return out
+
+
+ADJOINT_CASES = [(f, hw) for f in (1, 2, 3, 4, 8) for hw in ((16, 8), (7, 5), (9, 13), (3, 2))]
+
+
+class TestPoolingAdjointOracle:
+    @pytest.mark.parametrize("factor,hw", ADJOINT_CASES)
+    def test_avg_pool_adjoint_bitwise_equals_loop(self, factor, hw):
+        h, w = hw
+        g = Rng(factor).normal((3, 2, -(-h // factor), -(-w // factor)))
+        out = avg_pool_2d_adjoint(g, factor, hw)
+        assert out.shape == (3, 2, h, w) and out.flags.c_contiguous
+        assert np.array_equal(out, loop_avg_pool_2d_adjoint(g, factor, hw))
+
+    @pytest.mark.parametrize("factor,hw", ADJOINT_CASES)
+    def test_upsample_adjoint_matches_loop(self, factor, hw):
+        # the fine grid may be cropped below h * factor, as cfaa does for odd
+        # sizes, down to the smallest grid that still reaches every coarse cell
+        h, w = hw
+        for target in ((h * factor, w * factor), ((h - 1) * factor + 1, (w - 1) * factor + 1)):
+            g = Rng(10 + factor).normal((3, 2, *target))
+            out = upsample_nearest_2d_adjoint(g, factor, hw)
+            assert out.shape == (3, 2, h, w)
+            np.testing.assert_allclose(out, loop_upsample_nearest_2d_adjoint(g, factor, hw), rtol=1e-14, atol=1e-14)
+
+
+    def test_mismatched_grad_extents_rejected(self):
+        with pytest.raises(DimensionError):
+            avg_pool_2d_adjoint(np.ones((1, 1, 2, 2)), 2, (8, 8))
+        with pytest.raises(DimensionError):
+            upsample_nearest_2d_adjoint(np.ones((1, 1, 3, 2)), 2, (1, 1))
+
+
 class TestRng:
     def test_same_seed_identical_streams(self):
         a = Rng(42).uniform_init((4, 4), 16)

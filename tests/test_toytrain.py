@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -93,6 +98,79 @@ class TestLayers:
         grads = model.backward(np.zeros_like(f_pre), d_logits)
         num = fd_gradient(loss, model.convs[0].weight, step=1e-5)
         assert rel_error(grads["conv0.weight"], num) < 1e-4
+
+
+def einsum_conv_forward(weight, stride, x):
+    """Reference convolution: one einsum per kernel tap, no BLAS."""
+    b, c, h, w = x.shape
+    k, s, p = weight.shape[2], stride, weight.shape[2] // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    out = np.zeros((b, weight.shape[0], ho, wo))
+    for di in range(k):
+        for dj in range(k):
+            sl = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s]
+            out += np.einsum("oc,bchw->bohw", weight[:, :, di, dj], sl)
+    return out
+
+
+def einsum_conv_backward(weight, stride, x, grad):
+    """Reference (d_x, d_w) for einsum_conv_forward."""
+    k, s, p = weight.shape[2], stride, weight.shape[2] // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ho, wo = grad.shape[2:]
+    d_w = np.zeros_like(weight)
+    d_xp = np.zeros_like(xp)
+    for di in range(k):
+        for dj in range(k):
+            sl = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s]
+            d_w[:, :, di, dj] = np.einsum("bohw,bchw->oc", grad, sl)
+            d_xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += np.einsum(
+                "oc,bohw->bchw", weight[:, :, di, dj], grad
+            )
+    return d_xp[:, :, p : p + x.shape[2], p : p + x.shape[3]], d_w
+
+
+def scaled_error(a, ref):
+    """max |a - ref| relative to the largest |ref|: the two summation orders
+    differ by ~1e-16 of the array's scale, which is ~1e-11 elementwise where
+    a sum cancels to nearly zero."""
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+# (c_in, c_out, kernel, stride, h, w): small odd/even cases, then the three
+# convs of the default ToyModelSpec at its 32x16 frames
+CONV_SHAPES = [
+    (2, 3, 1, 1, 7, 5), (2, 3, 1, 2, 7, 5), (2, 3, 3, 1, 7, 5), (2, 3, 3, 2, 7, 5),
+    (3, 4, 3, 2, 6, 4), (3, 32, 3, 2, 32, 16), (32, 64, 3, 2, 16, 8), (64, 64, 3, 1, 8, 4),
+]
+
+
+class TestConvOracle:
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_einsum_reference(self, shape, batch):
+        c_in, c_out, k, s, h, w = shape
+        rng = Rng(31)
+        conv = tt.Conv2d(c_in, c_out, k, s, rng.child(0))
+        x = rng.child(1).normal((batch, c_in, h, w))
+        out = conv.forward(x)
+        ref = einsum_conv_forward(conv.weight, s, x)
+        assert out.shape == ref.shape
+        assert scaled_error(out, ref) < 1e-12
+        g = rng.child(2).normal(out.shape)
+        d_x, d_w = conv.backward(g)
+        ref_dx, ref_dw = einsum_conv_backward(conv.weight, s, x, g)
+        assert d_x.shape == x.shape and d_w.shape == conv.weight.shape
+        assert scaled_error(d_x, ref_dx) < 1e-12
+        assert scaled_error(d_w, ref_dw) < 1e-12
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES[:4], ids=lambda s: "x".join(map(str, s)))
+    def test_empty_batch_keeps_shape(self, shape):
+        c_in, c_out, k, s, h, w = shape
+        conv = tt.Conv2d(c_in, c_out, k, s, Rng(0))
+        out = conv.forward(np.zeros((0, c_in, h, w)))
+        assert out.shape == (0, c_out, (h - 1) // s + 1, (w - 1) // s + 1)
 
 
 LAYOUTS = {"nc": (6, 4), "nchw": (3, 4, 4, 2)}
@@ -210,6 +288,43 @@ class TestTraining:
             tt.train(small_spec(use_attention=use_attention), ds, epochs=1, seed=0)
 
 
+# Trains with and without CF-AA at the default channel widths, then prints one
+# sha256 over the losses, every parameter and the retrieval distances.
+TRAIN_DIGEST = """
+import hashlib
+from axialreid import toytrain as tt
+h = hashlib.sha256()
+ds = tt.SyntheticIdentityDataset(num_ids=8, seed=3)
+for use_attention in (True, False):
+    spec = tt.ToyModelSpec(num_classes=8, use_attention=use_attention)
+    model, log = tt.train(spec, ds, epochs=2, seed=11)
+    h.update(repr(log.epoch_losses).encode())
+    for _, param in model.named_params():
+        h.update(param.tobytes())
+    h.update(tt.retrieve(model, ds.fresh_split(12).tracklets).distances.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_training_bitwise_equal_across_blas_thread_counts():
+    src = str(Path(tt.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.Popen([sys.executable, "-c", TRAIN_DIGEST], env=env,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    try:
+        outputs = [run.communicate(timeout=300) for run in runs]
+    finally:
+        for run in runs:
+            run.kill()  # no-op for a run that finished
+    for run, (_, err) in zip(runs, outputs):
+        assert run.returncode == 0, err
+    one, two = (out.strip() for out, _ in outputs)
+    assert len(one) == 64 and one == two
+
+
 class TestRetrieval:
     def test_identical_tracklet_under_other_camera_is_rank1(self):
         ds = small_dataset()
@@ -235,6 +350,13 @@ class TestRetrieval:
         ds = small_dataset(num_ids=4)
         levels = tt.chance_baseline(small_spec(), ds, seeds=range(3))
         assert all(0.0 <= r1 <= 0.8 for r1 in levels)
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_tracklet_shorter_than_clip_rejected(self, use_attention):
+        ds = tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=4, frames_per_tracklet=3, seed=3)
+        model = tt.ToyModel(small_spec(use_attention=use_attention), Rng(0).child(0))
+        with pytest.raises(ValidationError, match=r"tracklet 0 has 3 frames.*clip_len=4"):
+            tt.retrieve(model, ds.tracklets)
 
     def test_needs_two_cameras(self):
         ds = small_dataset()
