@@ -4,7 +4,11 @@ Three ops, each with a forward pass and an analytic backward pass; every
 backward takes ``(d_out, params, cache)`` and returns ``(d_x, grads)`` with
 grads in the params container's type. All three run on one attention core
 (one softmax, one analytic backward, one place that counts multiplies and
-checks the logits):
+checks the logits). The core treats every axis but the channel axis and the
+attended one as a batch axis and keeps queries, keys, values and attention
+weights as (heads, lines, L, d) stacks, so each projection and each
+score/value contraction, relative positional terms included, is one stacked
+``np.matmul``:
 
 * axial attention: attention restricted to 1-D lines along one axis (height,
   width or time); all other coordinates are independent batch items. With
@@ -18,7 +22,10 @@ checks the logits):
 * coarse-to-fine module: the input is split into S channel groups, group s is
   average-pooled by 2^(s-1), passed through height/width/time axial attention
   in sequence, upsampled, concatenated, projected back to C_in and added to
-  the input.
+  the input. It takes one (C, T, H, W) volume or a batch (N, C, T, H, W),
+  which runs channels first as (C, N, T, H, W) in one pass; the output
+  projection is one matmul per volume. Axial attention and 3D self-attention
+  take one volume.
 
 Projections are per-position linear maps (1x1x1 convolutions) without bias.
 All math is float64 numpy; multiply counts of the score/value contractions can
@@ -258,7 +265,7 @@ def init_cfaa_params(cfg: AttentionConfig, rng: Rng, zero_output_proj: bool = Fa
 # ---------------------------------------------------------------------------
 # axial attention engine
 
-_AXIS_INDEX = {"T": 1, "H": 2, "W": 3}
+_AXIS_INDEX = {"T": -3, "H": -2, "W": -1}  # from the end, so leading axes are batch axes
 
 
 def _offset_index(length: int) -> np.ndarray:
@@ -279,10 +286,26 @@ def _scatter_offsets(grad_full: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: int, encoding: str):
-    """Single-layer axial attention on x (c_x, T, H, W); returns (out, cache).
+def _per_head(w: np.ndarray, heads: int) -> np.ndarray:
+    """(heads*d, c) projection -> (heads, d, c)."""
+    return w.reshape(heads, -1, w.shape[1])
 
-    out has c_out channels and the same (T, H, W) extents.
+
+def _per_query(a: np.ndarray) -> np.ndarray:
+    """(heads, b, L, n) -> (L, heads*b, n): one matrix per index of axis 2."""
+    return a.transpose(2, 0, 1, 3).reshape(a.shape[2], -1, a.shape[3])
+
+
+# matmul warns on overflow where einsum did not; the check_finite calls on the
+# logits and the output report a diverging run instead
+@np.errstate(over="ignore", invalid="ignore")
+def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: int, encoding: str):
+    """Single-layer axial attention on x (c_x, ..., T, H, W); returns (out, cache).
+
+    Every axis but the channel axis and the attended one is a batch axis, so a
+    (c_x, N, T, H, W) stack of volumes runs in one call. out has c_out channels
+    and x's other extents. q, k, v and attn are kept as (heads, b, L, d) and
+    each projection and score/value contraction is one stacked matmul.
     """
     if axis not in _AXIS_INDEX:
         raise DimensionError(f"unknown axis {axis!r}, expected one of {AXES}")
@@ -295,28 +318,20 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
     if encoding != "relative" and any(t is not None for t in (p.r_q, p.r_k, p.r_v)):
         raise ConfigurationError(f"relative tables r_q/r_k/r_v need encoding 'relative', got {encoding!r}")
     ax = _AXIS_INDEX[axis]
-    ext = x.shape
-    length = ext[ax]
-    xl = np.moveaxis(x, ax, -1).reshape(c_x, -1, length)  # (c_x, B, L) after channel-first reshape
-    # moveaxis keeps channel axis 0; collapse the two off-axes into B
-    b = xl.shape[1]
+    lines = np.moveaxis(x, ax, -1)  # (c_x, ..., L)
+    length = lines.shape[-1]
+    xp = lines.reshape(c_x, -1).T  # (b*L, c_x): one row per position
+    b = xp.shape[0] // length
 
-    q = np.einsum("ac,cbl->abl", p.w_q, xl)
-    k = np.einsum("ac,cbl->abl", p.w_k, xl)
-    v = np.einsum("ac,cbl->abl", p.w_v, xl)
     dq, dv = cqk // heads, cout // heads
-    q = q.reshape(heads, dq, b, length)
-    k = k.reshape(heads, dq, b, length)
-    v = v.reshape(heads, dv, b, length)
+    q, k, v = (
+        (xp @ _per_head(w, heads).swapaxes(1, 2)).reshape(heads, b, length, -1) for w in (p.w_q, p.w_k, p.w_v)
+    )
 
-    enc = None
     if encoding == "sinusoidal":
-        enc = sinusoidal_encode(length, dq).T  # (dq, L), shared across heads
-        q = q + enc[None, :, None, :]
-        k = k + enc[None, :, None, :]
-
-    logits = np.einsum("mdbi,mdbj->mbij", q, k)
-    _count(heads * b * length * length * dq)
+        enc = sinusoidal_encode(length, dq)  # (L, dq), shared across heads
+        q = q + enc
+        k = k + enc
 
     rq = rk = rv = None
     if encoding == "relative":
@@ -330,9 +345,14 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
         rq = _gather_offsets(p.r_q, length)  # (L, L, dq)
         rk = _gather_offsets(p.r_k, length)
         rv = _gather_offsets(p.r_v, length)  # (L, L, dv)
-        logits = logits + np.einsum("mdbi,ijd->mbij", q, rq)
+
+    logits = q @ k.swapaxes(-1, -2)  # (heads, b, L, L)
+    _count(heads * b * length * length * dq)
+    if rq is not None:
+        # q term stacked over the query index i, k term over the key index j
+        logits += (q.swapaxes(1, 2) @ rq.swapaxes(1, 2)).swapaxes(1, 2)
         _count(heads * b * length * length * dq)
-        logits = logits + np.einsum("mdbj,ijd->mbij", k, rk)
+        logits += (k.swapaxes(1, 2) @ rk.transpose(1, 2, 0)).transpose(0, 2, 3, 1)
         _count(heads * b * length * length * dq)
 
     check_finite(logits, "attention logits")
@@ -340,67 +360,52 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
     e = np.exp(logits - m)
     attn = e / e.sum(axis=-1, keepdims=True)
 
-    y = np.einsum("mbij,mdbj->mdbi", attn, v)
+    y = attn @ v  # (heads, b, L, dv)
     _count(heads * b * length * length * dv)
-    if encoding == "relative":
-        y = y + np.einsum("mbij,ijd->mdbi", attn, rv)
+    if rv is not None:
+        y += (attn.swapaxes(1, 2) @ rv).swapaxes(1, 2)
         _count(heads * b * length * length * dv)
 
-    out = y.reshape(cout, b, length)
-    out = np.moveaxis(out.reshape([cout] + [ext[i] for i in range(1, 4) if i != ax] + [length]), -1, ax)
-    cache = dict(xl=xl, q=q, k=k, v=v, attn=attn, rq=rq, rk=rk, rv=rv, axis=ax, length=length, b=b, heads=heads, encoding=encoding, ext=ext)
+    out = np.moveaxis(y.transpose(0, 3, 1, 2).reshape(cout, *lines.shape[1:]), -1, ax)
+    cache = dict(xp=xp, q=q, k=k, v=v, attn=attn, rq=rq, rk=rk, rv=rv, axis=ax, heads=heads,
+                 lines=lines.shape[1:], ext=x.shape)
     return check_finite(np.ascontiguousarray(out), "axial attention output"), cache
 
 
 def _axial_core_backward(d_out: np.ndarray, p: AxialLayerParams, cache: dict):
     """Backward of _axial_core_forward. Returns (d_x, grads: AxialLayerParams)."""
-    ax, length, b, heads = cache["axis"], cache["length"], cache["b"], cache["heads"]
-    xl, q, k, v, attn = cache["xl"], cache["q"], cache["k"], cache["v"], cache["attn"]
+    ax, heads, xp = cache["axis"], cache["heads"], cache["xp"]
+    q, k, v, attn = cache["q"], cache["k"], cache["v"], cache["attn"]
     rq, rk, rv = cache["rq"], cache["rk"], cache["rv"]
-    ext = cache["ext"]
-    cout = p.w_v.shape[0]
-    dv = v.shape[1]
+    _, b, length, dv = v.shape
 
-    dy = np.moveaxis(d_out, ax, -1).reshape(cout, b, length).reshape(heads, dv, b, length)
+    dy = np.moveaxis(d_out, ax, -1).reshape(heads, dv, b, length)
+    dy = np.ascontiguousarray(dy.transpose(0, 2, 3, 1))  # (heads, b, L, dv)
 
-    d_attn = np.einsum("mebi,mebj->mbij", dy, v)
+    d_attn = dy @ v.swapaxes(-1, -2)
+    d_v = attn.swapaxes(-1, -2) @ dy
     if rv is not None:
-        d_attn = d_attn + np.einsum("mebi,ije->mbij", dy, rv)
-    d_v = np.einsum("mbij,mebi->mebj", attn, dy)
-    d_rv_full = np.einsum("mbij,mebi->ije", attn, dy) if rv is not None else None
+        d_attn += (dy.swapaxes(1, 2) @ rv.swapaxes(1, 2)).swapaxes(1, 2)
+        d_rv_full = _per_query(attn).swapaxes(1, 2) @ _per_query(dy)
 
     # softmax backward per (m, b, i) row
     inner = (attn * d_attn).sum(axis=-1, keepdims=True)
     d_logits = attn * (d_attn - inner)
 
-    d_q = np.einsum("mbij,mdbj->mdbi", d_logits, k)
-    d_k = np.einsum("mbij,mdbi->mdbj", d_logits, q)
-    d_rq_full = d_rk_full = None
+    d_q = d_logits @ k
+    d_k = d_logits.swapaxes(-1, -2) @ q
     if rq is not None:
-        d_q = d_q + np.einsum("mbij,ijd->mdbi", d_logits, rq)
-        d_k = d_k + np.einsum("mbij,ijd->mdbj", d_logits, rk)
-        d_rq_full = np.einsum("mbij,mdbi->ijd", d_logits, q)
-        d_rk_full = np.einsum("mbij,mdbj->ijd", d_logits, k)
+        d_q += (d_logits.swapaxes(1, 2) @ rq).swapaxes(1, 2)
+        d_k += (d_logits.transpose(0, 3, 1, 2) @ rk.swapaxes(0, 1)).swapaxes(1, 2)
+        d_rq_full = _per_query(d_logits).swapaxes(1, 2) @ _per_query(q)
+        d_rk_full = (_per_query(d_logits.swapaxes(2, 3)).swapaxes(1, 2) @ _per_query(k)).swapaxes(0, 1)
 
     # sinusoidal encodings are constants: d_q/d_k pass through unchanged
-    cqk = p.w_q.shape[0]
-    d_q = d_q.reshape(cqk, b, length)
-    d_k = d_k.reshape(cqk, b, length)
-    d_v2 = d_v.reshape(cout, b, length)
+    pairs = [(g.reshape(heads, b * length, -1), w) for g, w in ((d_q, p.w_q), (d_k, p.w_k), (d_v, p.w_v))]
+    grads = AxialLayerParams(*((g.swapaxes(1, 2) @ xp).reshape(w.shape) for g, w in pairs))
+    d_xp = sum(g @ _per_head(w, heads) for g, w in pairs).sum(axis=0)  # (b*L, c_x)
+    d_x = np.moveaxis(d_xp.T.reshape(-1, *cache["lines"]), -1, ax)
 
-    d_wq = np.einsum("abl,cbl->ac", d_q, xl)
-    d_wk = np.einsum("abl,cbl->ac", d_k, xl)
-    d_wv = np.einsum("abl,cbl->ac", d_v2, xl)
-    d_xl = (
-        np.einsum("ac,abl->cbl", p.w_q, d_q)
-        + np.einsum("ac,abl->cbl", p.w_k, d_k)
-        + np.einsum("ac,abl->cbl", p.w_v, d_v2)
-    )
-
-    c_x = xl.shape[0]
-    d_x = np.moveaxis(d_xl.reshape([c_x] + [ext[i] for i in range(1, 4) if i != ax] + [length]), -1, ax)
-
-    grads = AxialLayerParams(w_q=d_wq, w_k=d_wk, w_v=d_wv)
     if rq is not None:
         grads.r_q = _scatter_offsets(d_rq_full, length)
         grads.r_k = _scatter_offsets(d_rk_full, length)
@@ -429,20 +434,26 @@ def axial_backward(d_out, params: AxialLayerParams, cache: dict):
 
 
 def _residual_forward(x: np.ndarray, z: np.ndarray, w_o: np.ndarray, what: str):
-    """x + w_o z: project the attention output z (c_out channels) back to x's
-    channels and add the input. Returns (out, cache)."""
-    out = check_finite(x + (w_o @ z.reshape(w_o.shape[1], -1)).reshape(x.shape), what)
+    """x + w_o z for x ([N,] C, T, H, W): project the attention output z
+    (c_out channels first, then x's other axes) back to x's channels, one
+    matmul per volume, and add the input. Returns (out, cache)."""
+    z = np.moveaxis(z, 0, -4)  # x's layout
+    out = check_finite(x + (w_o @ z.reshape(*z.shape[:-3], -1)).reshape(x.shape), what)
     return out, dict(z=z, shape=x.shape)
 
 
 def _residual_backward(d_out, w_o: np.ndarray, cache: dict):
-    """Backward of _residual_forward. Returns (d_out, d_z, d_w_o); the residual
-    path's input gradient is d_out itself."""
+    """Backward of _residual_forward. Returns (d_out, d_z, d_w_o) with d_z
+    channels first like the forward's z; the residual path's input gradient is
+    d_out itself."""
     d_out = as_tensor(d_out, "upstream gradient")
     if d_out.shape != cache["shape"]:
         raise DimensionError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")
-    z, d_flat = cache["z"], d_out.reshape(d_out.shape[0], -1)
-    return d_out, (w_o.T @ d_flat).reshape(z.shape), d_flat @ z.reshape(z.shape[0], -1).T
+    z = cache["z"]
+    d_flat, z_flat = d_out.reshape(*d_out.shape[:-3], -1), z.reshape(*z.shape[:-3], -1)
+    d_z = (w_o.T @ d_flat).reshape(z.shape)
+    d_wo = (d_flat @ z_flat.swapaxes(-1, -2)).reshape(-1, *w_o.shape).sum(axis=0)
+    return d_out, np.moveaxis(d_z, -4, 0), d_wo
 
 
 def nonlocal_3d_forward(x, params: NonlocalParams, cfg: AttentionConfig, want_cache: bool = False):
@@ -483,24 +494,24 @@ def _chain_backward(d_out, sp: ScaleParams, caches):
 
 
 def cfaa_forward(x, params: CfaaParams, cfg: AttentionConfig, want_cache: bool = False):
-    """Coarse-to-fine module: channel split, per-scale pooled axial attention
-    (H, W, T in sequence), upsample, concat, project to C_in, residual add."""
+    """Coarse-to-fine module on one (C, T, H, W) volume or a batch
+    (N, C, T, H, W): channel split, per-scale pooled axial attention (H, W, T
+    in sequence), upsample, concat, project to C_in, residual add."""
     x = as_tensor(x, "x")
-    _check_extents(x, cfg)
+    _check_extents(x, cfg, batched=True)
     if len(params.scales) != cfg.scales:
         raise ConfigurationError(f"params carry {len(params.scales)} scales, config says {cfg.scales}")
-    c, t, h, w = x.shape
-    per_in = c // cfg.scales
+    xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
+    h, w = x.shape[-2:]
+    per_in = cfg.c_in // cfg.scales
     outs, caches = [], []
     for s in range(cfg.scales):
-        group = x[s * per_in : (s + 1) * per_in]
         factor = 2**s
-        pooled = avg_pool_2d(group, factor)
+        pooled = avg_pool_2d(xc[s * per_in : (s + 1) * per_in], factor)
         chained, chain_cache = _chain_forward(pooled, params.scales[s], cfg)
-        up = upsample_nearest_2d(chained, factor, target_hw=(h, w))
-        outs.append(up)
-        caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[2:], extents=pooled.shape))
-    z = np.concatenate(outs, axis=0)  # (c_out, T, H, W)
+        outs.append(upsample_nearest_2d(chained, factor, target_hw=(h, w)))
+        caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[-2:], extents=pooled.shape))
+    z = np.concatenate(outs, axis=0)  # (c_out, [N,] T, H, W)
     out, cache = _residual_forward(x, z, params.w_o, "coarse-to-fine output")
     return (out, dict(scale_caches=caches, **cache)) if want_cache else out
 
@@ -508,29 +519,29 @@ def cfaa_forward(x, params: CfaaParams, cfg: AttentionConfig, want_cache: bool =
 def cfaa_backward(d_out, params: CfaaParams, cache: dict):
     """Returns (d_x, CfaaParams gradients)."""
     d_out, d_z, d_wo = _residual_backward(d_out, params.w_o, cache)
-    c, t, h, w = d_out.shape
     scales = len(params.scales)
-    per_in, per_out = c // scales, d_z.shape[0] // scales
+    per_in, per_out = d_out.shape[-4] // scales, d_z.shape[0] // scales
     d_x = d_out.copy()
+    d_xc = np.moveaxis(d_x, -4, 0)  # a channels-first view of d_x
     scale_grads = []
     for s in range(scales):
         sc = cache["scale_caches"][s]
-        d_up = d_z[s * per_out : (s + 1) * per_out]
-        ph, pw = sc["pooled_hw"]
-        d_chained = upsample_nearest_2d_adjoint(d_up, sc["factor"], (ph, pw))
+        d_chained = upsample_nearest_2d_adjoint(d_z[s * per_out : (s + 1) * per_out], sc["factor"], sc["pooled_hw"])
         d_pooled, g_scale = _chain_backward(d_chained, params.scales[s], sc["chain"])
-        d_group = avg_pool_2d_adjoint(d_pooled, sc["factor"], (h, w))
-        d_x[s * per_in : (s + 1) * per_in] += d_group
+        d_xc[s * per_in : (s + 1) * per_in] += avg_pool_2d_adjoint(d_pooled, sc["factor"], d_out.shape[-2:])
         scale_grads.append(g_scale)
     return d_x, CfaaParams(scales=scale_grads, w_o=d_wo)
 
 
-def _check_extents(x: np.ndarray, cfg: AttentionConfig):
-    if x.ndim != 4:
-        raise DimensionError(f"expected (C, T, H, W) input, got shape {x.shape}")
-    t, h, w = cfg.axis_lengths
-    if x.shape != (cfg.c_in, t, h, w):
-        raise DimensionError(f"input shape {x.shape} does not match config ({cfg.c_in}, {t}, {h}, {w})")
+def _check_extents(x: np.ndarray, cfg: AttentionConfig, batched: bool = False):
+    """x is one (C, T, H, W) volume of cfg's extents or, if batched, also a
+    (N, C, T, H, W) stack of them."""
+    if x.ndim != 4 and not (batched and x.ndim == 5):
+        shapes = "(C, T, H, W) or (N, C, T, H, W)" if batched else "(C, T, H, W)"
+        raise DimensionError(f"expected {shapes} input, got shape {x.shape}")
+    want = (cfg.c_in, *cfg.axis_lengths)
+    if x.shape[-4:] != want:
+        raise DimensionError(f"input shape {x.shape} does not match config {want}")
 
 
 # ---------------------------------------------------------------------------

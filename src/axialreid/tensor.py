@@ -33,28 +33,30 @@ def check_finite(arr: np.ndarray, name: str = "result") -> np.ndarray:
     return arr
 
 
+def _window_counts(h: int, w: int, factor: int):
+    """Window starts along H and W and the (ceil(H/f), ceil(W/f)) cell count
+    of each window; edge windows are shorter."""
+    rows, cols = np.arange(0, h, factor), np.arange(0, w, factor)
+    counts = (np.minimum(rows + factor, h) - rows)[:, None] * (np.minimum(cols + factor, w) - cols)[None, :]
+    return rows, cols, counts
+
+
 def avg_pool_2d(x, factor: int) -> np.ndarray:
-    """Average-pool the trailing two axes of a (C, T, H, W) tensor.
+    """Average-pool the trailing two axes (H, W) of a tensor of any leading shape.
 
     Output extents are ceil(H/factor) x ceil(W/factor); edge windows that only
     partially cover the input average over the covered cells.
     """
     x = as_tensor(x, "x")
-    if x.ndim != 4:
-        raise DimensionError(f"avg_pool_2d expects rank-4 input, got shape {x.shape}")
+    if x.ndim < 2:
+        raise DimensionError(f"avg_pool_2d expects (..., H, W) input, got shape {x.shape}")
     if factor < 1:
         raise DimensionError(f"pooling factor must be >= 1, got {factor}")
     if factor == 1:
         return x.copy()
-    c, t, h, w = x.shape
-    ho = -(-h // factor)
-    wo = -(-w // factor)
-    out = np.empty((c, t, ho, wo), dtype=np.float64)
-    for i in range(ho):
-        for j in range(wo):
-            win = x[:, :, i * factor : min((i + 1) * factor, h), j * factor : min((j + 1) * factor, w)]
-            out[:, :, i, j] = win.mean(axis=(2, 3))
-    return check_finite(out, "avg_pool_2d result")
+    rows, cols, counts = _window_counts(*x.shape[-2:], factor)
+    sums = np.add.reduceat(np.add.reduceat(x, cols, axis=-1), rows, axis=-2)
+    return check_finite(sums / counts, "avg_pool_2d result")
 
 
 def avg_pool_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np.ndarray:
@@ -62,29 +64,27 @@ def avg_pool_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np.ndarray
     window's cell count, over its window (repeat, then crop the edge windows)."""
     grad = as_tensor(grad, "grad")
     h, w = in_hw
-    ho, wo = grad.shape[2:]
-    if (ho, wo) != (-(-h // factor), -(-w // factor)):
-        raise DimensionError(f"grad extents {(ho, wo)} do not match avg_pool_2d of {in_hw} by {factor}")
-    top, left = np.arange(ho) * factor, np.arange(wo) * factor
-    rows, cols = np.minimum(top + factor, h) - top, np.minimum(left + factor, w) - left
-    cells = grad / (rows[:, None] * cols[None, :])
-    return np.ascontiguousarray(np.repeat(np.repeat(cells, factor, axis=2), factor, axis=3)[:, :, :h, :w])
+    if grad.shape[-2:] != (-(-h // factor), -(-w // factor)):
+        raise DimensionError(f"grad extents {grad.shape[-2:]} do not match avg_pool_2d of {in_hw} by {factor}")
+    cells = grad / _window_counts(h, w, factor)[2]
+    return np.ascontiguousarray(np.repeat(np.repeat(cells, factor, axis=-2), factor, axis=-1)[..., :h, :w])
 
 
 def upsample_nearest_2d(x, factor: int, target_hw: tuple[int, int] | None = None) -> np.ndarray:
-    """Nearest-neighbor upsampling of the trailing two axes, optionally cropped
-    to target extents (used when the fine scale has odd size)."""
+    """Nearest-neighbor upsampling of the trailing two axes of a tensor of any
+    leading shape, optionally cropped to target extents (used when the fine
+    scale has odd size)."""
     x = as_tensor(x, "x")
-    if x.ndim != 4:
-        raise DimensionError(f"upsample_nearest_2d expects rank-4 input, got shape {x.shape}")
+    if x.ndim < 2:
+        raise DimensionError(f"upsample_nearest_2d expects (..., H, W) input, got shape {x.shape}")
     if factor < 1:
         raise DimensionError(f"upsampling factor must be >= 1, got {factor}")
-    out = np.repeat(np.repeat(x, factor, axis=2), factor, axis=3)
+    out = np.repeat(np.repeat(x, factor, axis=-2), factor, axis=-1)
     if target_hw is not None:
         th, tw = target_hw
-        if th > out.shape[2] or tw > out.shape[3]:
-            raise DimensionError(f"target {target_hw} exceeds upsampled extents {out.shape[2:]}")
-        out = out[:, :, :th, :tw]
+        if th > out.shape[-2] or tw > out.shape[-1]:
+            raise DimensionError(f"target {target_hw} exceeds upsampled extents {out.shape[-2:]}")
+        out = out[..., :th, :tw]
     return np.ascontiguousarray(out)
 
 
@@ -92,12 +92,12 @@ def upsample_nearest_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np
     """Adjoint of upsample_nearest_2d: sums gradients over each replicated block."""
     grad = as_tensor(grad, "grad")
     h, w = in_hw
-    c, t, gh, gw = grad.shape
+    *lead, gh, gw = grad.shape
     if gh > h * factor or gw > w * factor:
         raise DimensionError(f"grad extents {(gh, gw)} exceed {in_hw} upsampled by {factor}")
-    padded = np.zeros((c, t, h * factor, w * factor))  # a cropped target leaves zeros
-    padded[:, :, :gh, :gw] = grad
-    return padded.reshape(c, t, h, factor, w, factor).sum(axis=(3, 5))
+    padded = np.zeros((*lead, h * factor, w * factor))  # a cropped target leaves zeros
+    padded[..., :gh, :gw] = grad
+    return padded.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1))
 
 
 class Rng:

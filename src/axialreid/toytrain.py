@@ -291,24 +291,19 @@ class ToyModel:
         """frames (B, T, 3, H, W), masks (B, T, H, W) -> (f_pre, f_post, logits)."""
         b, t = frames.shape[:2]
         x = frames.reshape(b * t, *frames.shape[2:])
-        att_caches = None
+        att_cache = None
         for i in range(len(self.convs)):
             x = self.relus[i].forward(self.bns[i].forward(self.convs[i].forward(x), training))
             if self.att_params is not None and i == self.spec.attention_after_block:
                 c, h, w = x.shape[1:]
-                x = x.reshape(b, t, c, h, w)
-                att_caches = []
-                for bi in range(b):
-                    vol = np.ascontiguousarray(np.moveaxis(x[bi], 0, 1))  # (C, T, h, w)
-                    out, cache = att.cfaa_forward(vol, self.att_params, self.att_cfg, want_cache=True)
-                    x[bi] = np.moveaxis(out, 1, 0)
-                    att_caches.append(cache)
-                x = x.reshape(b * t, c, h, w)
+                vols = x.reshape(b, t, c, h, w).transpose(0, 2, 1, 3, 4)  # (B, C, T, h, w)
+                out, att_cache = att.cfaa_forward(vols, self.att_params, self.att_cfg, want_cache=True)
+                x = out.transpose(0, 2, 1, 3, 4).reshape(b * t, c, h, w)
         small_masks = agg.mask_downsample(masks.reshape(b * t, *masks.shape[2:]), x.shape[2:])
         f_pre = agg.masked_avg_pool(x, small_masks).reshape(b, t, -1).mean(axis=1)  # (B, C)
         f_post = self.bn_feat.forward(f_pre, training)
         logits = f_post @ self.classifier.T
-        self._cache = dict(bt=(b, t), att_caches=att_caches, small_masks=small_masks, f_post=f_post)
+        self._cache = dict(bt=(b, t), att_cache=att_cache, small_masks=small_masks, f_post=f_post)
         return f_pre, f_post, logits
 
     def backward(self, d_f_pre: np.ndarray, d_logits: np.ndarray) -> dict[str, np.ndarray]:
@@ -328,20 +323,11 @@ class ToyModel:
 
         for i in reversed(range(len(self.convs))):
             if self.att_params is not None and i == self.spec.attention_after_block:
-                ci, hi, wi = d_x.shape[1:]
-                d_x = d_x.reshape(b, t, ci, hi, wi)
-                att_grads = None
-                for bi in range(b):
-                    d_vol = np.ascontiguousarray(np.moveaxis(d_x[bi], 0, 1))
-                    d_in, g = att.cfaa_backward(d_vol, self.att_params, cache["att_caches"][bi])
-                    d_x[bi] = np.moveaxis(d_in, 1, 0)
-                    if att_grads is None:
-                        att_grads = dict(g.named("attention"))
-                    else:
-                        for name, arr in g.named("attention"):
-                            att_grads[name] += arr
-                grads.update(att_grads)
-                d_x = d_x.reshape(b * t, ci, hi, wi)
+                c, h, w = d_x.shape[1:]
+                d_vols = d_x.reshape(b, t, c, h, w).transpose(0, 2, 1, 3, 4)
+                d_in, g = att.cfaa_backward(d_vols, self.att_params, cache["att_cache"])
+                grads.update(g.named("attention"))
+                d_x = d_in.transpose(0, 2, 1, 3, 4).reshape(b * t, c, h, w)
             d_x = self.relus[i].backward(d_x)
             d_x, d_g, d_b = self.bns[i].backward(d_x)
             grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = d_g, d_b
@@ -443,14 +429,11 @@ def tracklet_feature(model: ToyModel, track: Tracklet) -> np.ndarray:
     f = track.frames.shape[0]
     if f < clip:
         raise ValidationError(f"tracklet {track.tid} has {f} frames, fewer than clip_len={clip}")
-    n_clips = f // clip
-    feats = []
-    for c in range(n_clips):
-        frames = track.frames[c * clip : (c + 1) * clip][None]
-        masks = track.masks[c * clip : (c + 1) * clip][None]
-        _, f_post, _ = model.forward(frames, masks, training=False)
-        feats.append(f_post[0])
-    return np.mean(feats, axis=0)
+    used = f // clip * clip  # every clip of the tracklet in one eval-mode forward
+    frames = track.frames[:used].reshape(-1, clip, *track.frames.shape[1:])
+    masks = track.masks[:used].reshape(-1, clip, *track.masks.shape[1:])
+    _, f_post, _ = model.forward(frames, masks, training=False)
+    return f_post.mean(axis=0)
 
 
 def retrieve(model: ToyModel, tracklets: list[Tracklet], query_camera: int = 0) -> ev.EvalDataset:

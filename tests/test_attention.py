@@ -61,6 +61,77 @@ def scatter_offsets_oracle(grad_full, length):
     return out
 
 
+ORACLE_AXIS = {"T": 1, "H": 2, "W": 3}
+
+
+def einsum_core_forward(x, p, axis, heads, encoding):
+    """Reference axial core on one (c_x, T, H, W) volume: the einsum kernel the
+    matmul core replaced, with (heads, d, b, L) operands."""
+    ax = ORACLE_AXIS[axis]
+    c_x, ext = x.shape[0], x.shape
+    length = ext[ax]
+    xl = np.moveaxis(x, ax, -1).reshape(c_x, -1, length)
+    b = xl.shape[1]
+    cqk, cout = p.w_q.shape[0], p.w_v.shape[0]
+    dq, dv = cqk // heads, cout // heads
+    q = np.einsum("ac,cbl->abl", p.w_q, xl).reshape(heads, dq, b, length)
+    k = np.einsum("ac,cbl->abl", p.w_k, xl).reshape(heads, dq, b, length)
+    v = np.einsum("ac,cbl->abl", p.w_v, xl).reshape(heads, dv, b, length)
+    if encoding == "sinusoidal":
+        enc = att.sinusoidal_encode(length, dq).T
+        q = q + enc[None, :, None, :]
+        k = k + enc[None, :, None, :]
+    logits = np.einsum("mdbi,mdbj->mbij", q, k)
+    rq = rk = rv = None
+    if encoding == "relative":
+        rq, rk, rv = (att._gather_offsets(t, length) for t in (p.r_q, p.r_k, p.r_v))
+        logits = logits + np.einsum("mdbi,ijd->mbij", q, rq) + np.einsum("mdbj,ijd->mbij", k, rk)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    y = np.einsum("mbij,mdbj->mdbi", attn, v)
+    if encoding == "relative":
+        y = y + np.einsum("mbij,ijd->mdbi", attn, rv)
+    out = y.reshape(cout, b, length)
+    out = np.moveaxis(out.reshape([cout] + [ext[i] for i in range(1, 4) if i != ax] + [length]), -1, ax)
+    cache = dict(xl=xl, q=q, k=k, v=v, attn=attn, rq=rq, rk=rk, rv=rv, axis=ax, length=length, b=b, heads=heads, ext=ext)
+    return np.ascontiguousarray(out), cache
+
+
+def einsum_core_backward(d_out, p, cache):
+    """Backward of einsum_core_forward: (d_x, AxialLayerParams gradients)."""
+    ax, length, b, heads, ext = cache["axis"], cache["length"], cache["b"], cache["heads"], cache["ext"]
+    xl, q, k, v, attn = cache["xl"], cache["q"], cache["k"], cache["v"], cache["attn"]
+    rq, rk, rv = cache["rq"], cache["rk"], cache["rv"]
+    cqk, cout, dv = p.w_q.shape[0], p.w_v.shape[0], v.shape[1]
+    dy = np.moveaxis(d_out, ax, -1).reshape(cout, b, length).reshape(heads, dv, b, length)
+    d_attn = np.einsum("mebi,mebj->mbij", dy, v)
+    if rv is not None:
+        d_attn = d_attn + np.einsum("mebi,ije->mbij", dy, rv)
+    d_v = np.einsum("mbij,mebi->mebj", attn, dy)
+    d_logits = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
+    d_q = np.einsum("mbij,mdbj->mdbi", d_logits, k)
+    d_k = np.einsum("mbij,mdbi->mdbj", d_logits, q)
+    grads = att.AxialLayerParams(w_q=None, w_k=None, w_v=None)
+    if rq is not None:
+        d_q = d_q + np.einsum("mbij,ijd->mdbi", d_logits, rq)
+        d_k = d_k + np.einsum("mbij,ijd->mdbj", d_logits, rk)
+        grads.r_q = att._scatter_offsets(np.einsum("mbij,mdbi->ijd", d_logits, q), length)
+        grads.r_k = att._scatter_offsets(np.einsum("mbij,mdbj->ijd", d_logits, k), length)
+        grads.r_v = att._scatter_offsets(np.einsum("mbij,mebi->ije", attn, dy), length)
+    d_q, d_k, d_v = d_q.reshape(cqk, b, length), d_k.reshape(cqk, b, length), d_v.reshape(cout, b, length)
+    grads.w_q, grads.w_k, grads.w_v = (np.einsum("abl,cbl->ac", d, xl) for d in (d_q, d_k, d_v))
+    d_xl = sum(np.einsum("ac,abl->cbl", w, d) for w, d in ((p.w_q, d_q), (p.w_k, d_k), (p.w_v, d_v)))
+    d_x = np.moveaxis(d_xl.reshape([xl.shape[0]] + [ext[i] for i in range(1, 4) if i != ax] + [length]), -1, ax)
+    return np.ascontiguousarray(d_x), grads
+
+
+def scaled_error(a, ref):
+    """max |a - ref| relative to the largest |ref| (0 when both are all zero):
+    the matmul and einsum summation orders differ by ~1e-16 of the scale."""
+    top = np.max(np.abs(ref))
+    return float(np.max(np.abs(a - ref)) / top) if top else float(np.max(np.abs(a)))
+
+
 class TestConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -412,6 +483,98 @@ class TestCfaa:
         params.scales = params.scales[:1]
         with pytest.raises(ConfigurationError):
             att.cfaa_forward(np.ones((8, 2, 8, 4)), params, cfg)
+
+
+def batch_case(encoding, scales, heads, seed):
+    """A CF-AA config with 3x5x7 volumes (larger H, W where the scales need it)."""
+    c = 4 * scales * heads
+    hw = (max(5, 2 ** (scales - 1)), max(7, 2 ** (scales - 1)))
+    cfg = att.AttentionConfig(c_in=c, c_qk=c, c_out=c, heads=heads, scales=scales,
+                              encoding=encoding, axis_lengths=(3, *hw))
+    rng = Rng(seed)
+    return cfg, att.init_cfaa_params(cfg, rng.child(0)), rng
+
+
+BATCH_CASES = [(e, s, h) for e in att.ENCODINGS for s in (1, 2, 4) for h in (1, 2)]
+
+
+class TestBatchedMatmulCore:
+    """The batched matmul core and CF-AA against the einsum core they replaced,
+    run one volume at a time."""
+
+    @pytest.mark.parametrize("axis", att.AXES)
+    @pytest.mark.parametrize("encoding,heads", [(e, h) for e in att.ENCODINGS for h in (1, 2)])
+    def test_core_matches_einsum_oracle_per_volume(self, encoding, heads, axis):
+        cfg, _, rng = batch_case(encoding, 1, heads, 40 + heads)
+        x = rng.child(1).normal((5, 3, *cfg.axis_lengths))  # (c_x, N, T, H, W)
+        length = dict(zip(att.AXES, cfg.axis_lengths))[axis]
+        p = att.init_axial_layer(cfg, 5, length, rng.child(2))
+        out, cache = att._axial_core_forward(x, p, axis, heads, encoding)
+        d_out = rng.child(3).normal(out.shape)
+        d_x, grads = att._axial_core_backward(d_out, p, cache)
+        want_grads = None
+        for n in range(x.shape[1]):
+            ref, ref_cache = einsum_core_forward(x[:, n], p, axis, heads, encoding)
+            ref_dx, ref_grads = einsum_core_backward(d_out[:, n], p, ref_cache)
+            assert scaled_error(out[:, n], ref) < 1e-12
+            assert scaled_error(d_x[:, n], ref_dx) < 1e-12
+            named = dict(ref_grads.named())
+            want_grads = named if want_grads is None else {k: want_grads[k] + v for k, v in named.items()}
+        for name, g in grads.named():
+            assert scaled_error(g, want_grads[name]) < 1e-12, name
+
+    @pytest.mark.parametrize("encoding,scales,heads", BATCH_CASES)
+    def test_batched_cfaa_matches_per_volume_oracle_loop(self, encoding, scales, heads, monkeypatch):
+        for n in (1, 3, 8):
+            cfg, params, rng = batch_case(encoding, scales, heads, 10 * n + scales)
+            x = rng.child(1).normal((n, cfg.c_in, *cfg.axis_lengths))
+            g = rng.child(2).normal(x.shape)
+            out, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+            d_x, grads = att.cfaa_backward(g, params, cache)
+            with monkeypatch.context() as mp:
+                mp.setattr(att, "_axial_core_forward", einsum_core_forward)
+                mp.setattr(att, "_axial_core_backward", einsum_core_backward)
+                refs = []
+                for i in range(n):
+                    ref, ref_cache = att.cfaa_forward(x[i], params, cfg, want_cache=True)
+                    refs.append((ref, *att.cfaa_backward(g[i], params, ref_cache)))
+            assert scaled_error(out, np.stack([r[0] for r in refs])) < 1e-12
+            assert scaled_error(d_x, np.stack([r[1] for r in refs])) < 1e-12
+            for name, grad in grads.named():
+                want = sum(dict(r[2].named())[name] for r in refs)
+                assert scaled_error(grad, want) < 1e-12, (n, name)
+
+    @pytest.mark.parametrize("encoding", att.ENCODINGS)
+    def test_multiplies_count_every_volume(self, encoding):
+        from axialreid import flops
+
+        for n in (1, 2, 5):
+            cfg, params, rng = batch_case(encoding, 2, 2, n)
+            x = rng.child(1).normal((n, cfg.c_in, *cfg.axis_lengths))
+            with att.count_multiplies() as counter:
+                att.cfaa_forward(x, params, cfg)
+            assert counter.total == n * flops.attention_contraction_count("cfaa", cfg)
+
+    def test_batch_with_wrong_volume_shape_rejected(self):
+        cfg, params, _ = batch_case("relative", 2, 1, 0)
+        t, h, w = cfg.axis_lengths
+        for shape in ((2, cfg.c_in, t, h, w + 1), (2, cfg.c_in + 1, t, h, w), (1, 2, cfg.c_in, t, h, w)):
+            with pytest.raises(DimensionError):
+                att.cfaa_forward(np.ones(shape), params, cfg)
+        # axial attention and 3D self-attention take one volume
+        with pytest.raises(DimensionError):
+            att.axial_forward(np.ones((2, cfg.c_in, t, h, w)), params.scales[0].aa_h, "H", cfg)
+        nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 2, 2))
+        with pytest.raises(DimensionError):
+            att.nonlocal_3d_forward(np.ones((2, 4, 2, 2, 2)), att.init_nonlocal_params(nl_cfg, Rng(0)), nl_cfg)
+
+    def test_batched_upstream_shape_mismatch_rejected(self):
+        cfg, params, rng = batch_case("relative", 2, 1, 1)
+        x = rng.child(1).normal((3, cfg.c_in, *cfg.axis_lengths))
+        _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+        for shape in ((2, *x.shape[1:]), x.shape[1:]):
+            with pytest.raises(DimensionError, match="shape"):
+                att.cfaa_backward(np.ones(shape), params, cache)
 
 
 class TestCheckpoint:

@@ -63,6 +63,25 @@ def test_fd_on_2x3x4x2_input_all_parameters():
         assert err < 1e-4, f"{name}: {err:.2e}"
 
 
+def test_fd_on_batch_of_two_volumes_all_parameters():
+    # the batched CF-AA path: two (4, 2, 4, 2) volumes in one call, step 1e-5
+    rng = Rng(43)
+    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
+    params = att.init_cfaa_params(cfg, rng.child(0))
+    x = rng.child(1).normal((2, 4, 2, 4, 2))
+    g = rng.child(2).normal(x.shape)
+
+    def loss():
+        return float(np.sum(g * att.cfaa_forward(x, params, cfg)))
+
+    _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+    d_x, grads = att.cfaa_backward(g, params, cache)
+    tensors = {"x": x, **dict(params.named())}
+    for name, analytic in [("x", d_x), *grads.named()]:
+        err = gc.rel_error(analytic, gc.fd_gradient(loss, tensors[name], step=1e-5))
+        assert err < 1e-4, f"{name}: {err:.2e}"
+
+
 def test_zero_upstream_gives_zero_bundle():
     rng = Rng(0)
     cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2,

@@ -78,6 +78,18 @@ class TestPooling:
             assert abs(adj[idx] - fd) < 1e-12
 
 
+def loop_avg_pool_2d(x, factor):
+    """Reference pooling: one output cell at a time, the mean of its window."""
+    c, t, h, w = x.shape
+    ho, wo = -(-h // factor), -(-w // factor)
+    out = np.empty((c, t, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            win = x[:, :, i * factor : min((i + 1) * factor, h), j * factor : min((j + 1) * factor, w)]
+            out[:, :, i, j] = win.mean(axis=(2, 3))
+    return out
+
+
 def loop_avg_pool_2d_adjoint(grad, factor, in_hw):
     """Reference adjoint: one window at a time."""
     h, w = in_hw
@@ -107,6 +119,33 @@ ADJOINT_CASES = [(f, hw) for f in (1, 2, 3, 4, 8) for hw in ((16, 8), (7, 5), (9
 
 
 class TestPoolingAdjointOracle:
+    @pytest.mark.parametrize("factor,hw", ADJOINT_CASES)
+    def test_avg_pool_matches_loop(self, factor, hw):
+        # reduceat sums each window in another order than the loop's mean
+        x = Rng(20 + factor).normal((3, 2, *hw))
+        out = avg_pool_2d(x, factor)
+        ref = loop_avg_pool_2d(x, factor)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3, 2)])
+    def test_any_leading_shape_pools_the_trailing_two_axes(self, lead):
+        rng = Rng(30 + len(lead))
+        x = rng.child(0).normal((*lead, 7, 5))
+        flat = x.reshape(1, -1, 7, 5)  # the same data as one (C, T, H, W) tensor
+        pooled = avg_pool_2d(x, 2)
+        assert pooled.shape == (*lead, 4, 3)
+        assert np.array_equal(pooled.reshape(1, -1, 4, 3), avg_pool_2d(flat, 2))
+        g = rng.child(1).normal(pooled.shape)
+        assert np.array_equal(avg_pool_2d_adjoint(g, 2, (7, 5)).reshape(flat.shape),
+                              avg_pool_2d_adjoint(g.reshape(1, -1, 4, 3), 2, (7, 5)))
+        up = upsample_nearest_2d(x, 2, target_hw=(13, 9))
+        assert up.shape == (*lead, 13, 9)
+        assert np.array_equal(up.reshape(1, -1, 13, 9), upsample_nearest_2d(flat, 2, target_hw=(13, 9)))
+        g = rng.child(2).normal(up.shape)
+        assert np.array_equal(upsample_nearest_2d_adjoint(g, 2, (7, 5)).reshape(flat.shape),
+                              upsample_nearest_2d_adjoint(g.reshape(1, -1, 13, 9), 2, (7, 5)))
+
     @pytest.mark.parametrize("factor,hw", ADJOINT_CASES)
     def test_avg_pool_adjoint_bitwise_equals_loop(self, factor, hw):
         h, w = hw

@@ -99,6 +99,30 @@ class TestLayers:
         num = fd_gradient(loss, model.convs[0].weight, step=1e-5)
         assert rel_error(grads["conv0.weight"], num) < 1e-4
 
+    def test_one_attention_call_per_batch(self, monkeypatch):
+        from axialreid import aggregation as agg
+        from axialreid import attention as att
+
+        calls = []
+
+        def recording(name):
+            original = getattr(att, name)
+
+            def wrapper(x, *args, **kwargs):
+                calls.append((name, x.shape))
+                return original(x, *args, **kwargs)
+            return wrapper
+
+        for name in ("cfaa_forward", "cfaa_backward"):
+            monkeypatch.setattr(att, name, recording(name))
+        ds = small_dataset()
+        model = tt.ToyModel(small_spec(), Rng(4).child(0))
+        frames = np.stack([t.frames[:4] for t in ds.tracklets[:6]])
+        masks = np.stack([t.masks[:4] for t in ds.tracklets[:6]])
+        f_pre, _, logits = model.forward(frames, masks, training=True)
+        model.backward(f_pre, agg.cross_entropy(logits, np.arange(6) % 4)[1])
+        assert calls == [("cfaa_forward", (6, 8, 4, 16, 8)), ("cfaa_backward", (6, 8, 4, 16, 8))]
+
 
 def einsum_conv_forward(weight, stride, x):
     """Reference convolution: one einsum per kernel tap, no BLAS."""
@@ -325,6 +349,33 @@ def test_training_bitwise_equal_across_blas_thread_counts():
     assert len(one) == 64 and one == two
 
 
+# One CF-AA training epoch at the default spec, timed after a warm-up epoch;
+# prints process CPU seconds and wall seconds.
+TRAIN_CPU_WALL = """
+import time
+from axialreid import toytrain as tt
+ds = tt.SyntheticIdentityDataset(num_ids=8, seed=3)
+spec = tt.ToyModelSpec(num_classes=8)
+tt.train(spec, ds, epochs=1, seed=0)
+wall, cpu = time.perf_counter(), time.process_time()
+tt.train(spec, ds, epochs=1, seed=1)
+print(time.process_time() - cpu, time.perf_counter() - wall)
+"""
+
+
+def test_training_keeps_blas_helper_threads_idle():
+    # A kernel that hands OpenBLAS a large GEMM wakes its helper threads, whose
+    # spin-wait burns CPU for no gain on this workload; at the default thread
+    # count the process must use about one core.
+    src = str(Path(tt.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", TRAIN_CPU_WALL], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    cpu, wall = map(float, run.stdout.split())
+    assert cpu <= 1.3 * wall, f"process CPU {cpu:.2f} s for {wall:.2f} s of wall time"
+
+
 class TestRetrieval:
     def test_identical_tracklet_under_other_camera_is_rank1(self):
         ds = small_dataset()
@@ -344,6 +395,17 @@ class TestRetrieval:
         clipped = tt.tracklet_feature(model, tr)
         _, whole, _ = model.forward(tr.frames[None], tr.masks[None], training=False)
         np.testing.assert_allclose(clipped, whole[0], atol=1e-10)
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_one_forward_per_tracklet_equals_clip_loop(self, use_attention):
+        ds = tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=2, frames_per_tracklet=13, seed=6)
+        model = tt.ToyModel(small_spec(use_attention=use_attention), Rng(5).child(0))
+        if use_attention:  # a nonzero output projection, so attention shapes the feature
+            model.att_params.w_o = Rng(6).normal(model.att_params.w_o.shape)
+        for tr in ds.tracklets:  # 3 clips of 4 frames; the 13th frame is dropped
+            clips = [model.forward(tr.frames[c : c + 4][None], tr.masks[c : c + 4][None], training=False)[1][0]
+                     for c in (0, 4, 8)]
+            assert np.array_equal(tt.tracklet_feature(model, tr), np.mean(clips, axis=0))
 
     def test_untrained_model_no_better_than_modest(self):
         # documented chance region: untrained retrieval stays far from 0.9
