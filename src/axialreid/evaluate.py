@@ -10,6 +10,14 @@ Protocols:
 A gallery entry counts as correct iff its identity equals the query identity
 or lies in either side's ambiguity set. Queries with no remaining positive are
 excluded from the mAP / CMC denominators and reported.
+
+Scoring works on blocks of query rows. Each block's drop and match masks are
+built from integer identity and camera arrays, the ambiguity sets and DUPDIST
+pairs are set in them as sparse (query, gallery) exceptions, and the masks are
+gathered into rank order. APs come from cumulative counts of hits and kept
+entries, and the CMC from a count of first-hit ranks. The ranking is a stable
+argsort of each row, so tied distances keep gallery order;
+``protocol_delta_report`` sorts once for its three evaluations.
 """
 
 from __future__ import annotations
@@ -75,18 +83,27 @@ class EvalDataset:
                 f"distance matrix {self.distances.shape} does not match "
                 f"{len(self.queries)} queries x {len(self.gallery)} gallery"
             )
-        bad = np.argwhere(~np.isfinite(self.distances))
-        if len(bad):
+        if not np.isfinite(self.distances).all():
+            bad = np.argwhere(~np.isfinite(self.distances))
             qi, gi = bad[0]
             raise ValidationError(
                 f"distance matrix holds {len(bad)} non-finite entries, first at "
                 f"(query {qi}, gallery {gi}): {self.distances[qi, gi]}"
             )
+        for role, metas in (("query", self.queries), ("gallery", self.gallery)):
+            seen: dict[int, int] = {}
+            for i, m in enumerate(metas):
+                if m.tid in seen:
+                    raise ValidationError(f"{role} list repeats tid {m.tid} at indices {seen[m.tid]} and {i}")
+                seen[m.tid] = i
 
 
 def apply_corrections(dataset: EvalDataset, corrections: LabelCorrections) -> EvalDataset:
-    """Pure: returns a corrected copy (relabels applied, ambiguity sets attached,
-    duplicate markers carried on the dataset)."""
+    """Pure: returns a corrected dataset (relabels applied, ambiguity sets
+    attached, duplicate markers carried on the dataset). Its distances are a
+    read-only view of ``dataset.distances``, not a copy: both rank the same
+    matrix, and a second (Q, G) matrix would double the memory of a delta
+    report."""
     corrections.validate()
 
     def fix(meta: TrackletMeta) -> TrackletMeta:
@@ -95,24 +112,14 @@ def apply_corrections(dataset: EvalDataset, corrections: LabelCorrections) -> Ev
         ambiguous = (meta.ambiguous_ids | set(extra)) - {identity}
         return replace(meta, identity=identity, ambiguous_ids=frozenset(ambiguous))
 
+    distances = dataset.distances.view()
+    distances.flags.writeable = False
     return EvalDataset(
         queries=[fix(m) for m in dataset.queries],
         gallery=[fix(m) for m in dataset.gallery],
-        distances=dataset.distances.copy(),
+        distances=distances,
         duplicate_pairs=set(dataset.duplicate_pairs) | set(corrections.duplicate_pairs),
     )
-
-
-def _is_ignored(q: TrackletMeta, g: TrackletMeta, protocol: str, dup_pairs) -> bool:
-    if g.camera == q.camera and g.identity == q.identity:
-        return True
-    if protocol == "new" and g.camera == q.camera and g.identity == DISTRACTOR_ID:
-        return frozenset((q.tid, g.tid)) in dup_pairs
-    return False
-
-
-def _is_match(q: TrackletMeta, g: TrackletMeta) -> bool:
-    return g.identity == q.identity or g.identity in q.ambiguous_ids or q.identity in g.ambiguous_ids
 
 
 @dataclass
@@ -130,31 +137,93 @@ def evaluate(dataset: EvalDataset, protocol: str = "old", max_rank: int = 50) ->
     """Rank the gallery per query, drop ignored entries, score AP and CMC."""
     if protocol not in PROTOCOLS:
         raise ValidationError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
+    return _score(dataset, protocol, max_rank, _rank(dataset.distances))
+
+
+_BLOCK = 128  # query rows scored together; bounds the (rows, |G|) temporaries
+
+
+def _rank(distances: np.ndarray) -> np.ndarray:
+    return np.argsort(distances, axis=1, kind="stable")  # ties keep gallery index order
+
+
+def _expand(rows: np.ndarray, keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (row, j) with ids[j] == key, for each (row, key) pair."""
+    by_id = np.argsort(ids, kind="stable")
+    lo = np.searchsorted(ids[by_id], keys, "left")
+    n = np.searchsorted(ids[by_id], keys, "right") - lo
+    start = np.cumsum(n) - n
+    return np.repeat(rows, n), by_id[np.arange(n.sum()) + np.repeat(lo - start, n)]
+
+
+def _ambiguity_pairs(metas: list[TrackletMeta], other_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) where entry j of the other side has an identity in metas[i]'s ambiguity set."""
+    listed = [(i, a) for i, m in enumerate(metas) for a in m.ambiguous_ids]
+    rows, keys = np.array(listed, dtype=np.int64).reshape(-1, 2).T
+    return _expand(rows, keys, other_ids)
+
+
+def _by_query(qi: np.ndarray, gi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(qi, kind="stable")
+    return qi[order], gi[order]
+
+
+def _mark(mask: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], start: int) -> None:
+    """Set the pairs whose query lies in rows [start, start + len(mask))."""
+    qi, gi = pairs
+    lo, hi = np.searchsorted(qi, [start, start + len(mask)])
+    mask[qi[lo:hi] - start, gi[lo:hi]] = True
+
+
+def _score(dataset: EvalDataset, protocol: str, max_rank: int, order: np.ndarray) -> EvalResult:
+    """``evaluate`` on a precomputed ranking ``order`` of ``dataset.distances``."""
     nq, ng = dataset.distances.shape
     max_rank = min(max_rank, ng)
-    order = np.argsort(dataset.distances, axis=1, kind="stable")  # ties keep gallery index order
+    q_id = np.array([m.identity for m in dataset.queries])
+    q_cam = np.array([m.camera for m in dataset.queries])
+    g_id = np.array([m.identity for m in dataset.gallery])
+    g_cam = np.array([m.camera for m in dataset.gallery])
 
-    aps: list[float | None] = []
-    cmc_sum = np.zeros(max_rank)
-    included = 0
-    for qi, q in enumerate(dataset.queries):
-        ranked = [dataset.gallery[gi] for gi in order[qi]]
-        kept = [g for g in ranked if not _is_ignored(q, g, protocol, dataset.duplicate_pairs)]
-        matches = np.array([_is_match(q, g) for g in kept], dtype=bool)
-        if not matches.any():
-            aps.append(None)
+    q_side = _ambiguity_pairs(dataset.queries, g_id)
+    g_side = _ambiguity_pairs(dataset.gallery, q_id)[::-1]
+    also_match = _by_query(*(np.concatenate(side) for side in zip(q_side, g_side)))
+    dup = []
+    if protocol == "new":
+        q_at = {m.tid: i for i, m in enumerate(dataset.queries)}
+        g_at = {m.tid: j for j, m in enumerate(dataset.gallery)}
+        for a, b in map(tuple, dataset.duplicate_pairs):
+            dup += [(q_at[x], g_at[y]) for x, y in ((a, b), (b, a)) if x in q_at and y in g_at]
+    qi, gi = np.array(dup, dtype=np.int64).reshape(-1, 2).T
+    keep = (q_cam[qi] == g_cam[gi]) & (g_id[gi] == DISTRACTOR_ID)
+    also_drop = _by_query(qi[keep], gi[keep])
+
+    aps: list[float | None] = [None] * nq
+    firsts = []
+    for start in range(0, nq, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        match = q_id[rows, None] == g_id
+        dropped = match & (q_cam[rows, None] == g_cam)
+        _mark(match, also_match, start)
+        _mark(dropped, also_drop, start)
+        kept = ~np.take_along_axis(dropped, order[rows], axis=1)
+        hit = np.take_along_axis(match, order[rows], axis=1) & kept
+        n_hit = np.cumsum(hit, axis=1)
+        ranks = np.cumsum(kept, axis=1)[hit]  # 1-based rank among kept entries, hits in row order
+        per_row = n_hit[:, -1]
+        scored = np.flatnonzero(per_row)
+        if not len(scored):
             continue
-        included += 1
-        hits = np.flatnonzero(matches)
-        precisions = (np.arange(len(hits)) + 1.0) / (hits + 1.0)
-        aps.append(float(precisions.mean()))
-        first = hits[0]
-        if first < max_rank:
-            cmc_sum[first:] += 1.0
-    if included == 0:
+        bounds = np.cumsum(per_row[scored]) - per_row[scored]
+        ap = np.add.reduceat(n_hit[hit] / ranks, bounds) / per_row[scored]
+        for q, a in zip((scored + start).tolist(), ap.tolist()):
+            aps[q] = a
+        firsts.append(ranks[bounds] - 1)
+    if not firsts:
         raise ValidationError("every query lost all its positives under this protocol")
+    firsts = np.concatenate(firsts)
     m_ap = float(np.mean([a for a in aps if a is not None]))
-    return EvalResult(mAP=m_ap, cmc=cmc_sum / included, per_query_ap=aps, excluded=nq - included)
+    cmc = np.cumsum(np.bincount(firsts[firsts < max_rank], minlength=max_rank)) / len(firsts)
+    return EvalResult(mAP=m_ap, cmc=cmc, per_query_ap=aps, excluded=nq - len(firsts))
 
 
 @dataclass
@@ -187,10 +256,11 @@ class DeltaReport:
 
 def protocol_delta_report(dataset: EvalDataset, corrections: LabelCorrections, max_rank: int = 50) -> DeltaReport:
     corrected = apply_corrections(dataset, corrections)
+    order = _rank(dataset.distances)  # the corrected dataset ranks the same matrix
     return DeltaReport(
-        old_raw=evaluate(dataset, "old", max_rank),
-        old_corrected=evaluate(corrected, "old", max_rank),
-        new_corrected=evaluate(corrected, "new", max_rank),
+        old_raw=_score(dataset, "old", max_rank, order),
+        old_corrected=_score(corrected, "old", max_rank, order),
+        new_corrected=_score(corrected, "new", max_rank, order),
     )
 
 
@@ -200,8 +270,10 @@ def protocol_delta_report(dataset: EvalDataset, corrections: LabelCorrections, m
 
 def read_metadata_file(path) -> tuple[list[TrackletMeta], list[TrackletMeta]]:
     """One line per tracklet: role(query|gallery), tid, identity, camera,
-    comma-separated ambiguous ids ('-' or omitted when none). Tab separated."""
+    comma-separated ambiguous ids ('-' or omitted when none). Tab separated.
+    A tid appears at most once per role."""
     queries, gallery = [], []
+    first_line: dict[tuple[str, int], int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -218,18 +290,12 @@ def read_metadata_file(path) -> tuple[list[TrackletMeta], list[TrackletMeta]]:
             ) if len(parts) == 5 and parts[4] != "-" else frozenset()
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        if (role, tid) in first_line:
+            raise ValidationError(f"{path}:{lineno}: {role} tid {tid} repeats line {first_line[role, tid]}")
+        first_line[role, tid] = lineno
         meta = TrackletMeta(tid=tid, identity=identity, camera=camera, ambiguous_ids=ambiguous)
         (queries if role == "query" else gallery).append(meta)
     return queries, gallery
-
-
-def write_metadata_file(path, queries, gallery) -> None:
-    lines = []
-    for role, metas in (("query", queries), ("gallery", gallery)):
-        for m in metas:
-            amb = ",".join(str(i) for i in sorted(m.ambiguous_ids)) or "-"
-            lines.append(f"{role}\t{m.tid}\t{m.identity}\t{m.camera}\t{amb}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_corrections_file(path) -> LabelCorrections:

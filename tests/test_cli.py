@@ -5,6 +5,7 @@ from axialreid import cli
 from axialreid import detect_link as dl
 from axialreid import evaluate as ev
 from axialreid.tensor import Rng, load_tensor, save_tensor
+from eval_files import write_metadata_file
 
 
 def run(capsys, *argv):
@@ -155,7 +156,7 @@ def eval_fixture(tmp_path):
         [0.80, 0.85, 0.70, 0.10],
     ])
     meta = tmp_path / "meta.tsv"
-    ev.write_metadata_file(meta, queries, gallery)
+    write_metadata_file(meta, queries, gallery)
     dist_path = tmp_path / "dist.aakt"
     save_tensor(dist_path, distances)
     corr = tmp_path / "corr.txt"
@@ -216,6 +217,14 @@ class TestEval:
         assert code == 1
         assert "mAP" not in out
         assert "(query 1, gallery 2)" in err
+
+    def test_repeated_gallery_tid_exits_one_with_line(self, capsys, eval_fixture):
+        meta, dist, _, _ = eval_fixture
+        meta.write_text(meta.read_text() + "gallery\t410\t374\t0\t-\n")
+        code, out, err = run(capsys, "eval", "--meta", str(meta), "--distances", str(dist))
+        assert code == 1
+        assert "mAP" not in out
+        assert err.startswith("error: ") and "meta.tsv:7: gallery tid 410 repeats line 4" in err
 
 
 class TestDemo:

@@ -1,14 +1,25 @@
+import copy
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from axialreid import evaluate as ev
 from axialreid.errors import DimensionError, ValidationError
 from axialreid.tensor import Rng, save_tensor
+from eval_files import write_metadata_file
 
 
 def brute_force_eval(dataset, protocol, max_rank=50):
+    """Independent reference: (mAP, CMC, excluded count) of ``brute_force_scores``."""
+    aps, cmc, excluded = brute_force_scores(dataset, protocol, max_rank)
+    return float(np.mean([a for a in aps if a is not None])), cmc, excluded
+
+
+def brute_force_scores(dataset, protocol, max_rank=50):
     """Independent reference: per query, sort (distance, index) pairs, filter,
-    enumerate precision by hand."""
+    enumerate precision by hand. Returns (per-query AP or None, CMC, excluded count)."""
     aps, cmc_rows = [], []
     excluded = 0
     max_rank = min(max_rank, len(dataset.gallery))
@@ -47,9 +58,8 @@ def brute_force_eval(dataset, protocol, max_rank=50):
         if first_hit < max_rank:
             row[first_hit:] = 1.0
         cmc_rows.append(row)
-    m_ap = float(np.mean([a for a in aps if a is not None]))
     cmc = np.mean(cmc_rows, axis=0)
-    return m_ap, cmc, excluded
+    return aps, cmc, excluded
 
 
 def random_instance(seed, nq=None, ng=None, with_corrections=False):
@@ -98,6 +108,60 @@ def distractor_duplicate_instance():
     dataset = ev.EvalDataset(queries=[q], gallery=gallery, distances=dist)
     corrections = ev.LabelCorrections(duplicate_pairs={frozenset((374, 9000))})
     return dataset, corrections
+
+
+def tied_instance(seed, nq=9):
+    """Distances on a 0.25 grid (many ties); ambiguity in query and gallery
+    metadata and in AMBIG records on both roles; relabels; DUPDIST pairs under
+    the query's camera, across cameras and naming a tid in neither list; and a
+    query whose only positive shares its camera, so it is always excluded."""
+    rng = np.random.default_rng(seed)
+    ng, n_ids = 16, 4
+    queries = [
+        ev.TrackletMeta(tid=i, identity=1 + i % n_ids, camera=int(rng.integers(0, 2)),
+                        ambiguous_ids=frozenset({1 + (i + 1) % n_ids}) if i % 4 == 1 else frozenset())
+        for i in range(nq - 1)
+    ]
+    queries.append(ev.TrackletMeta(tid=nq - 1, identity=n_ids + 1, camera=0))
+    gallery = [ev.TrackletMeta(tid=1000 + j, identity=1 + j, camera=2) for j in range(n_ids)]
+    gallery.append(ev.TrackletMeta(tid=1000 + n_ids, identity=n_ids + 1, camera=0))
+    for j in range(n_ids + 1, ng):
+        ident = int(rng.integers(0, n_ids + 1))  # 0 = distractor
+        listed = frozenset({1 + j % n_ids}) - {ident} if j % 5 == 0 else frozenset()
+        gallery.append(ev.TrackletMeta(tid=1000 + j, identity=ident, camera=int(rng.integers(0, 3)),
+                                       ambiguous_ids=listed))
+    dist = rng.integers(0, 5, (nq, ng)) * 0.25
+    corrections = ev.LabelCorrections(
+        relabels={1000 + n_ids + 2: int(rng.integers(0, n_ids + 1))},
+        ambiguities={2: {n_ids}, 1000 + n_ids + 3: {int(rng.integers(1, n_ids + 1))}},
+        duplicate_pairs={frozenset((0, 12345))},
+    )
+    distractors = [j for j, g in enumerate(gallery) if g.identity == 0]
+    for i in range(nq):
+        for j in rng.permutation(distractors)[:2]:
+            corrections.duplicate_pairs.add(frozenset((queries[i].tid, gallery[j].tid)))
+            dist[i, j] = 0.0
+    dataset = ev.EvalDataset(queries=queries, gallery=gallery, distances=dist)
+    return dataset, corrections
+
+
+def duke_shape_instance(seed=6):
+    """702 queries x 2636 gallery over 8 cameras, the DukeMTMC-VideoReID test shape."""
+    rng = np.random.default_rng(seed)
+    nq, ng, n_cams = 702, 2636, 8
+    queries = [ev.TrackletMeta(tid=i, identity=1 + i, camera=int(c))
+               for i, c in enumerate(rng.integers(0, n_cams, nq))]
+    g_id = np.concatenate([np.arange(1, nq + 1), rng.integers(0, nq + 1, ng - nq)])
+    gallery = [ev.TrackletMeta(tid=nq + j, identity=int(g), camera=int(c))
+               for j, (g, c) in enumerate(zip(g_id, rng.integers(0, n_cams, ng)))]
+    dist = np.round(rng.uniform(0.0, 2.0, (nq, ng)) / 0.05) * 0.05
+    distractors = np.flatnonzero(g_id == 0)
+    corrections = ev.LabelCorrections(
+        relabels={nq + int(j): int(rng.integers(0, nq + 1)) for j in rng.choice(ng, 50, replace=False)},
+        ambiguities={int(i): {int(i) % nq + 2} for i in rng.choice(nq - 1, 40, replace=False)},
+        duplicate_pairs={frozenset((int(i), nq + int(rng.choice(distractors)))) for i in range(0, nq, 10)},
+    )
+    return ev.EvalDataset(queries=queries, gallery=gallery, distances=dist), corrections
 
 
 class TestApplyCorrections:
@@ -247,6 +311,99 @@ class TestEvaluate:
             )
 
 
+class TestAgainstOracle:
+    @pytest.mark.parametrize("protocol", ["old", "new"])
+    @pytest.mark.parametrize("seed, nq", [(s, 9) for s in range(12)] + [(0, 300), (1, 300)])
+    def test_per_query_ap_cmc_and_exclusions_match_brute_force(self, seed, nq, protocol):
+        # 300 queries span several blocks of query rows
+        dataset, corrections = tied_instance(seed, nq)
+        ng = len(dataset.gallery)
+        for work in (dataset, ev.apply_corrections(dataset, corrections)):
+            for max_rank in (1, 5, ng, ng + 7):
+                res = ev.evaluate(work, protocol, max_rank)
+                aps, cmc, excluded = brute_force_scores(work, protocol, max_rank)
+                assert [a is None for a in res.per_query_ap] == [a is None for a in aps]
+                assert all(abs(a - b) <= 1e-12 for a, b in zip(res.per_query_ap, aps) if a is not None)
+                assert res.excluded == excluded
+                assert res.cmc.shape == (min(max_rank, ng),) and np.array_equal(res.cmc, cmc)
+
+    def test_tied_instances_exercise_every_rule(self):
+        seen = dict(excluded=True, dup_dropped=False, ambiguity_hit=False, ties=True)
+        for seed in range(12):
+            dataset, corrections = tied_instance(seed)
+            work = ev.apply_corrections(dataset, corrections)
+            old, new = ev.evaluate(work, "old"), ev.evaluate(work, "new")
+            stripped = ev.EvalDataset(
+                [replace(q, ambiguous_ids=frozenset()) for q in work.queries],
+                [replace(g, ambiguous_ids=frozenset()) for g in work.gallery],
+                work.distances, work.duplicate_pairs)
+            seen["excluded"] &= old.per_query_ap[-1] is None and new.per_query_ap[-1] is None
+            seen["dup_dropped"] |= old.per_query_ap != new.per_query_ap
+            seen["ambiguity_hit"] |= ev.evaluate(stripped, "old").per_query_ap != old.per_query_ap
+            seen["ties"] &= len(np.unique(work.distances)) <= 5
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_delta_report_bitwise_equals_three_evaluations(self, seed):
+        dataset, corrections = tied_instance(seed)
+        report = ev.protocol_delta_report(dataset, corrections, max_rank=6)
+        corrected = ev.apply_corrections(dataset, corrections)
+        for got, want in ((report.old_raw, ev.evaluate(dataset, "old", 6)),
+                          (report.old_corrected, ev.evaluate(corrected, "old", 6)),
+                          (report.new_corrected, ev.evaluate(corrected, "new", 6))):
+            assert got.per_query_ap == want.per_query_ap
+            assert got.mAP == want.mAP and got.excluded == want.excluded
+            assert np.array_equal(got.cmc, want.cmc)
+
+
+class TestDuplicateTids:
+    @pytest.mark.parametrize("role", ["query", "gallery"])
+    def test_repeated_tid_in_one_role_rejected_with_both_indices(self, role):
+        metas = [ev.TrackletMeta(tid=t, identity=1, camera=0) for t in (7, 8, 7)]
+        other = [ev.TrackletMeta(tid=9, identity=1, camera=1)]
+        queries, gallery = (metas, other) if role == "query" else (other, metas)
+        with pytest.raises(ValidationError, match=f"{role} list repeats tid 7 at indices 0 and 2"):
+            ev.EvalDataset(queries, gallery, np.ones((len(queries), len(gallery))))
+
+    def test_same_tid_in_both_roles_accepted(self):
+        meta = ev.TrackletMeta(tid=7, identity=1, camera=0)
+        ev.EvalDataset([meta], [meta], np.ones((1, 1)))
+
+    def test_metadata_file_names_the_repeated_line(self, tmp_path):
+        p = tmp_path / "meta.tsv"
+        p.write_text("query\t1\t5\t0\t-\ngallery\t1\t5\t1\t-\n# note\ngallery\t2\t6\t1\ngallery\t1\t6\t0\t-\n")
+        with pytest.raises(ValidationError, match=r"meta.tsv:5: gallery tid 1 repeats line 2"):
+            ev.read_metadata_file(p)
+
+
+class TestMemory:
+    def test_corrected_distances_are_a_read_only_view(self):
+        dataset, corrections = tied_instance(0)
+        before = copy.deepcopy(dataset)
+        out = ev.apply_corrections(dataset, corrections)
+        assert not out.distances.flags.writeable
+        assert np.shares_memory(out.distances, dataset.distances)
+        with pytest.raises(ValueError):
+            out.distances[0, 0] = 1.0
+        assert dataset.distances.flags.writeable
+        assert np.array_equal(dataset.distances, before.distances)
+        assert dataset.queries == before.queries and dataset.gallery == before.gallery
+        assert dataset.duplicate_pairs == before.duplicate_pairs
+
+    def test_delta_report_peak_memory_near_one_ranking(self):
+        # one (Q, G) int64 ranking plus per-block temporaries; a corrected
+        # copy of the matrix on top of the ranking reads about 3x
+        dataset, corrections = duke_shape_instance()
+        tracemalloc.start()
+        try:
+            report = ev.protocol_delta_report(dataset, corrections)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.old_raw.excluded < len(dataset.queries)
+        assert peak <= 2.2 * dataset.distances.nbytes, peak / dataset.distances.nbytes
+
+
 class TestDeltaReport:
     def test_zero_deltas_without_corrections(self):
         dataset, _ = random_instance(11)
@@ -276,7 +433,7 @@ class TestFiles:
     def test_metadata_roundtrip(self, tmp_path):
         dataset, _ = random_instance(13)
         p = tmp_path / "meta.tsv"
-        ev.write_metadata_file(p, dataset.queries, dataset.gallery)
+        write_metadata_file(p, dataset.queries, dataset.gallery)
         q, g = ev.read_metadata_file(p)
         assert q == dataset.queries and g == dataset.gallery
 
@@ -297,7 +454,7 @@ class TestFiles:
 
     def test_load_dataset_checks_extents(self, tmp_path):
         dataset, _ = random_instance(14)
-        ev.write_metadata_file(tmp_path / "meta.tsv", dataset.queries, dataset.gallery)
+        write_metadata_file(tmp_path / "meta.tsv", dataset.queries, dataset.gallery)
         save_tensor(tmp_path / "dist.aakt", np.ones((1, 1)))
         with pytest.raises(DimensionError, match="queries"):
             ev.load_eval_dataset(tmp_path / "meta.tsv", tmp_path / "dist.aakt")
