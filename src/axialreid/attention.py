@@ -36,13 +36,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, ValidationError
+from .errors import ConfigurationError, DimensionError
 from .tensor import Rng, as_tensor, check_finite
-from .tensor import avg_pool_2d, avg_pool_2d_adjoint, load_tensor, save_tensor
+from .tensor import avg_pool_2d, avg_pool_2d_adjoint
 from .tensor import upsample_nearest_2d, upsample_nearest_2d_adjoint
 
 AXES = ("T", "H", "W")
@@ -542,43 +541,3 @@ def _check_extents(x: np.ndarray, cfg: AttentionConfig, batched: bool = False):
     want = (cfg.c_in, *cfg.axis_lengths)
     if x.shape[-4:] != want:
         raise DimensionError(f"input shape {x.shape} does not match config {want}")
-
-
-# ---------------------------------------------------------------------------
-# checkpoint I/O: directory of tensor containers plus a manifest
-
-
-def save_params(directory, named_params) -> None:
-    """Write parameters to a directory: one container per tensor plus manifest.txt
-    (name, shape, file per line; line order is canonical and stable)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, (name, value) in enumerate(named_params):
-        fname = f"p{i:04d}.aakt"
-        save_tensor(directory / fname, value)
-        shape = "x".join(str(e) for e in value.shape)
-        lines.append(f"{name}\t{shape}\t{fname}")
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def load_params(directory) -> dict[str, np.ndarray]:
-    """Read a checkpoint directory back into an ordered name -> tensor mapping."""
-    directory = Path(directory)
-    manifest = directory / "manifest.txt"
-    if not manifest.exists():
-        raise ValidationError(f"{directory} has no manifest.txt")
-    out: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValidationError(f"{manifest}:{lineno}: malformed manifest line")
-        name, shape_s, fname = parts
-        arr = load_tensor(directory / fname)
-        want = tuple(int(e) for e in shape_s.split("x"))
-        if arr.shape != want:
-            raise ValidationError(f"{manifest}:{lineno}: {name} has shape {arr.shape}, manifest says {want}")
-        out[name] = arr
-    return out

@@ -133,6 +133,9 @@ def cmd_align(args) -> int:
         if not frame_files:
             raise ValidationError(f"{frame_dir} holds no frame containers")
         frames = [load_tensor(p) for p in frame_files]
+        for path, frame in zip(frame_files, frames):
+            if not np.isfinite(frame).all():
+                raise ValidationError(f"{path}: frame container holds non-finite pixel values")
         by_frame: list[list[dl.CandidateBox]] = [[] for _ in frames]
         for cand in records[tid]:
             if not 0 <= cand.frame < len(frames):

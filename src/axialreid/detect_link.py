@@ -36,12 +36,16 @@ class CandidateBox:
     feature: np.ndarray
 
     def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.float64)
+        if not (np.isfinite([*self.box, self.confidence]).all() and np.isfinite(self.feature).all()):
+            raise ValidationError(
+                f"non-finite box {self.box}, confidence {self.confidence} or feature in frame {self.frame}"
+            )
         x, y, w, h = self.box
         if w <= 0 or h <= 0:
             raise ValidationError(f"degenerate box {self.box} in frame {self.frame}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
-        self.feature = np.asarray(self.feature, dtype=np.float64)
 
     @property
     def area(self) -> float:
@@ -235,20 +239,7 @@ def synthetic_detector(script: list[ScriptedIdentity], num_frames: int, rng: Rng
 
 
 # ---------------------------------------------------------------------------
-# candidate file I/O
-
-
-def write_candidate_file(path, records: dict[int, list[CandidateBox]], dim: int) -> None:
-    """records maps tracklet id -> candidate list (any frame order)."""
-    lines = [f"D={dim}"]
-    for tid in sorted(records):
-        for c in sorted(records[tid], key=lambda c: c.frame):
-            if c.feature.shape != (dim,):
-                raise ValidationError(f"tracklet {tid}: feature dim {c.feature.shape} != {dim}")
-            x, y, w, h = (float(v) for v in c.box)
-            feat = "\t".join(repr(float(v)) for v in c.feature)
-            lines.append(f"{tid}\t{c.frame}\t{x!r}\t{y!r}\t{w!r}\t{h!r}\t{float(c.confidence)!r}\t{feat}")
-    Path(path).write_text("\n".join(lines) + "\n")
+# candidate file input
 
 
 def read_candidate_file(path) -> dict[int, list[CandidateBox]]:
@@ -271,7 +262,8 @@ def read_candidate_file(path) -> dict[int, list[CandidateBox]]:
             tid, frame = int(parts[0]), int(parts[1])
             x, y, w, h, conf = (float(v) for v in parts[2:7])
             feature = np.array([float(v) for v in parts[7:]], dtype=np.float64)
-        except ValueError as exc:
+            cand = CandidateBox(frame=frame, box=(x, y, w, h), confidence=conf, feature=feature)
+        except ValueError as exc:  # a ValidationError from CandidateBox included
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        out.setdefault(tid, []).append(CandidateBox(frame=frame, box=(x, y, w, h), confidence=conf, feature=feature))
+        out.setdefault(tid, []).append(cand)
     return out

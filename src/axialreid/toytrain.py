@@ -14,17 +14,34 @@ import numpy as np
 from . import attention as att
 from . import aggregation as agg
 from . import evaluate as ev
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, DimensionError, ValidationError
 from .tensor import Rng
 
 # ---------------------------------------------------------------------------
 # layers for the toy backbone
 
 
-class Conv2d:
+class Layer:
+    """forward(x, training) -> y caches what backward reads only when training,
+    so an eval-mode forward keeps nothing; backward(dy) -> dx then stores the
+    gradient of each parameter attribute p in PARAMS as d_p. named_params and
+    named_grads yield them as ("<prefix>.p", array) pairs."""
+
+    PARAMS: tuple[str, ...] = ()
+
+    def named_params(self, prefix: str):
+        return ((f"{prefix}.{p}", getattr(self, p)) for p in self.PARAMS)
+
+    def named_grads(self, prefix: str):
+        return ((f"{prefix}.{p}", getattr(self, f"d_{p}")) for p in self.PARAMS)
+
+
+class Conv2d(Layer):
     """3x3 / 1x1 convolution without bias, stride s, zero padding. Each of the
     k*k taps is one stacked per-frame matmul, weight[:, :, di, dj] (O, C) times
     the tap's strided window of the padded input (B, C, Ho*Wo)."""
+
+    PARAMS = ("weight",)
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, rng: Rng):
         fan_in = c_in * kernel * kernel
@@ -33,7 +50,7 @@ class Conv2d:
         self.pad = kernel // 2
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         b, c, h, w = x.shape
         k, s, p = self.weight.shape[2], self.stride, self.pad
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -44,15 +61,15 @@ class Conv2d:
             for dj in range(k):
                 xs = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s].reshape(b, c, ho * wo)
                 out += self.weight[:, :, di, dj] @ xs
-        self._cache = (xp, x.shape, ho, wo)
+        self._cache = (xp, x.shape, ho, wo) if training else None
         return out.reshape(b, o, ho, wo)
 
-    def backward(self, grad: np.ndarray):
+    def backward(self, dy: np.ndarray) -> np.ndarray:
         xp, x_shape, ho, wo = self._cache
         k, s, p = self.weight.shape[2], self.stride, self.pad
         (o, c), b = self.weight.shape[:2], x_shape[0]
-        g = grad.reshape(b, o, ho * wo)
-        d_w = np.zeros_like(self.weight)
+        g = dy.reshape(b, o, ho * wo)
+        d_w = self.d_weight = np.zeros_like(self.weight)
         d_xp = np.zeros_like(xp)
         for di in range(k):
             for dj in range(k):
@@ -60,15 +77,16 @@ class Conv2d:
                 xs = xp[tap].reshape(b, c, ho * wo)
                 d_w[:, :, di, dj] = (g @ xs.transpose(0, 2, 1)).sum(0)
                 d_xp[tap] += (self.weight[:, :, di, dj].T @ g).reshape(b, c, ho, wo)
-        d_x = d_xp[:, :, p : p + x_shape[2], p : p + x_shape[3]] if p else d_xp
-        return d_x, d_w
+        return d_xp[:, :, p : p + x_shape[2], p : p + x_shape[3]] if p else d_xp
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Batch normalization over (N, C) or (N, C, H, W) inputs: statistics per
     channel (axis 1), reduced over every other axis, with learned affine and
     running estimates. Training mode normalizes with batch statistics and
     updates the running estimates; eval mode uses the running estimates."""
+
+    PARAMS = ("gamma", "beta")
 
     def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
         self.gamma = np.ones(dim)
@@ -90,37 +108,64 @@ class BatchNorm:
             mean, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean.reshape(col)) * inv.reshape(col)
-        self._cache = (xhat, inv, training, axes, col)
+        self._cache = (xhat, inv, axes, col) if training else None
         return self.gamma.reshape(col) * xhat + self.beta.reshape(col)
 
-    def backward(self, grad: np.ndarray):
-        """Returns (d_x, d_gamma, d_beta)."""
-        xhat, inv, training, axes, col = self._cache
-        n = grad.size // grad.shape[1]
-        d_gamma = (grad * xhat).sum(axis=axes)
-        d_beta = grad.sum(axis=axes)
-        d_xhat = grad * self.gamma.reshape(col)
-        if training:
-            d_x = (inv.reshape(col) / n) * (
-                n * d_xhat
-                - d_xhat.sum(axis=axes).reshape(col)
-                - xhat * (d_xhat * xhat).sum(axis=axes).reshape(col)
-            )
-        else:
-            d_x = d_xhat * inv.reshape(col)
-        return d_x, d_gamma, d_beta
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        """Gradient through the batch statistics of the training-mode forward."""
+        xhat, inv, axes, col = self._cache
+        n = dy.size // dy.shape[1]
+        self.d_gamma = (dy * xhat).sum(axis=axes)
+        self.d_beta = dy.sum(axis=axes)
+        d_xhat = dy * self.gamma.reshape(col)
+        return (inv.reshape(col) / n) * (
+            n * d_xhat
+            - d_xhat.sum(axis=axes).reshape(col)
+            - xhat * (d_xhat * xhat).sum(axis=axes).reshape(col)
+        )
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self):
         self._mask = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+        mask = x > 0
+        self._mask = mask if training else None
+        return x * mask
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        return dy * self._mask
+
+
+class CfaaLayer(Layer):
+    """Coarse-to-fine axial attention on (B*T, C, H, W) frame maps: each clip's
+    T = cfg.axis_lengths[0] frames form one (C, T, H, W) volume, and the batch is
+    one att.cfaa_forward call. A zero output projection makes it start as the identity."""
+
+    def __init__(self, cfg: att.AttentionConfig, rng: Rng):
+        self.cfg = cfg
+        self.params = att.init_cfaa_params(cfg, rng, zero_output_proj=True)
+        self._cache = None
+
+    def named_params(self, prefix: str):
+        return self.params.named(prefix)
+
+    def named_grads(self, prefix: str):
+        return self.d_params.named(prefix)
+
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+        t = self.cfg.axis_lengths[0]
+        vols = x.reshape(x.shape[0] // t, t, *x.shape[1:]).transpose(0, 2, 1, 3, 4)  # (B, C, T, H, W)
+        out = att.cfaa_forward(vols, self.params, self.cfg, want_cache=training)
+        out, self._cache = out if training else (out, None)
+        return out.transpose(0, 2, 1, 3, 4).reshape(x.shape)
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        t = self.cfg.axis_lengths[0]
+        d_vols = dy.reshape(dy.shape[0] // t, t, *dy.shape[1:]).transpose(0, 2, 1, 3, 4)
+        d_in, self.d_params = att.cfaa_backward(d_vols, self.params, self._cache)
+        return d_in.transpose(0, 2, 1, 3, 4).reshape(dy.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +257,6 @@ class SyntheticIdentityDataset:
             frames[i] = np.clip(img, 0.0, 1.2)
         return Tracklet(identity=ident, camera=camera, tid=tid, frames=frames, masks=masks)
 
-    def fresh_split(self, seed: int) -> "SyntheticIdentityDataset":
-        """New tracklets of the same identities (same palette, new seed)."""
-        return SyntheticIdentityDataset(
-            num_ids=self.num_ids,
-            tracklets_per_id=self.tracklets_per_id,
-            frames_per_tracklet=self.frames_per_tracklet,
-            hw=self.hw,
-            seed=seed,
-            palette=self.palette,
-        )
-
 
 # ---------------------------------------------------------------------------
 # model
@@ -241,9 +275,7 @@ class ToyModelSpec:
     attention_scales: int = 4
     attention_heads: int = 2
 
-    def attention_config(self) -> att.AttentionConfig | None:
-        if not self.use_attention:
-            return None
+    def attention_config(self) -> att.AttentionConfig:
         h, w = self.frame_hw
         for s in self.strides[: self.attention_after_block + 1]:
             h, w = h // s, w // s
@@ -256,83 +288,59 @@ class ToyModelSpec:
 
 
 class ToyModel:
+    """Backbone: (name, layer) pairs, conv/BN/ReLU per block and CF-AA after block
+    spec.attention_after_block. Head: masked pooling, temporal mean, bn_feat, classifier."""
+
     def __init__(self, spec: ToyModelSpec, rng: Rng):
         self.spec = spec
-        self.convs: list[Conv2d] = []
-        self.bns: list[BatchNorm] = []
-        self.relus: list[ReLU] = []
+        self.layers: list[tuple[str, Layer]] = []
         c_prev = 3
         for i, (c, s) in enumerate(zip(spec.channels, spec.strides)):
-            self.convs.append(Conv2d(c_prev, c, spec.kernel, s, rng.child(0, i)))
-            self.bns.append(BatchNorm(c))
-            self.relus.append(ReLU())
+            self.layers += [(f"conv{i}", Conv2d(c_prev, c, spec.kernel, s, rng.child(0, i))),
+                            (f"bn{i}", BatchNorm(c)), (f"relu{i}", ReLU())]
+            if spec.use_attention and i == spec.attention_after_block:
+                self.layers.append(("attention", CfaaLayer(spec.attention_config(), rng.child(1))))
             c_prev = c
-        self.att_cfg = spec.attention_config()
-        self.att_params = (
-            att.init_cfaa_params(self.att_cfg, rng.child(1), zero_output_proj=True)
-            if self.att_cfg else None
-        )
         self.bn_feat = BatchNorm(spec.channels[-1])
         self.classifier = rng.child(2).uniform_init((spec.num_classes, spec.channels[-1]), spec.channels[-1])
         self._cache = None
 
     def named_params(self):
-        for i, conv in enumerate(self.convs):
-            yield f"conv{i}.weight", conv.weight
-            yield f"bn{i}.gamma", self.bns[i].gamma
-            yield f"bn{i}.beta", self.bns[i].beta
-        if self.att_params is not None:
-            yield from self.att_params.named("attention")
-        yield "bn_feat.gamma", self.bn_feat.gamma
-        yield "bn_feat.beta", self.bn_feat.beta
+        for name, layer in self.layers:
+            yield from layer.named_params(name)
+        yield from self.bn_feat.named_params("bn_feat")
         yield "classifier.weight", self.classifier
 
     def forward(self, frames: np.ndarray, masks: np.ndarray, training: bool):
         """frames (B, T, 3, H, W), masks (B, T, H, W) -> (f_pre, f_post, logits)."""
         b, t = frames.shape[:2]
+        if self.spec.use_attention and t != self.spec.clip_len:
+            raise DimensionError(f"clips of T={t} frames, but attention runs on clip_len={self.spec.clip_len}")
         x = frames.reshape(b * t, *frames.shape[2:])
-        att_cache = None
-        for i in range(len(self.convs)):
-            x = self.relus[i].forward(self.bns[i].forward(self.convs[i].forward(x), training))
-            if self.att_params is not None and i == self.spec.attention_after_block:
-                c, h, w = x.shape[1:]
-                vols = x.reshape(b, t, c, h, w).transpose(0, 2, 1, 3, 4)  # (B, C, T, h, w)
-                out, att_cache = att.cfaa_forward(vols, self.att_params, self.att_cfg, want_cache=True)
-                x = out.transpose(0, 2, 1, 3, 4).reshape(b * t, c, h, w)
+        for _, layer in self.layers:
+            x = layer.forward(x, training)
         small_masks = agg.mask_downsample(masks.reshape(b * t, *masks.shape[2:]), x.shape[2:])
         f_pre = agg.masked_avg_pool(x, small_masks).reshape(b, t, -1).mean(axis=1)  # (B, C)
         f_post = self.bn_feat.forward(f_pre, training)
         logits = f_post @ self.classifier.T
-        self._cache = dict(bt=(b, t), att_cache=att_cache, small_masks=small_masks, f_post=f_post)
+        self._cache = dict(t=t, small_masks=small_masks, f_post=f_post) if training else None
         return f_pre, f_post, logits
 
     def backward(self, d_f_pre: np.ndarray, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-        """Accumulate gradients for a combined loss with d(loss)/d(f_pre) and
-        d(loss)/d(logits); returns name -> gradient matching named_params."""
-        cache = self._cache
-        b, t = cache["bt"]
-        grads: dict[str, np.ndarray] = {}
-        grads["classifier.weight"] = d_logits.T @ cache["f_post"]
-        d_f_post = d_logits @ self.classifier
-        d_pre_bn, d_gamma, d_beta = self.bn_feat.backward(d_f_post)
-        grads["bn_feat.gamma"], grads["bn_feat.beta"] = d_gamma, d_beta
-        d_f_pre = d_f_pre + d_pre_bn
-
+        """Gradients of a combined loss with d(loss)/d(f_pre) and
+        d(loss)/d(logits), after a training-mode forward; returns name ->
+        gradient matching named_params."""
+        if self._cache is None:
+            raise ConfigurationError("backward needs a training-mode forward; the last forward kept no cache")
+        t = self._cache["t"]
+        grads = {"classifier.weight": d_logits.T @ self._cache["f_post"]}
+        d_f_pre = d_f_pre + self.bn_feat.backward(d_logits @ self.classifier)
+        grads.update(self.bn_feat.named_grads("bn_feat"))
         d_pooled = np.repeat(d_f_pre, t, axis=0) / t  # temporal mean, one row per frame
-        d_x = agg.masked_avg_pool_backward(d_pooled, cache["small_masks"])
-
-        for i in reversed(range(len(self.convs))):
-            if self.att_params is not None and i == self.spec.attention_after_block:
-                c, h, w = d_x.shape[1:]
-                d_vols = d_x.reshape(b, t, c, h, w).transpose(0, 2, 1, 3, 4)
-                d_in, g = att.cfaa_backward(d_vols, self.att_params, cache["att_cache"])
-                grads.update(g.named("attention"))
-                d_x = d_in.transpose(0, 2, 1, 3, 4).reshape(b * t, c, h, w)
-            d_x = self.relus[i].backward(d_x)
-            d_x, d_g, d_b = self.bns[i].backward(d_x)
-            grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = d_g, d_b
-            d_x, d_w = self.convs[i].backward(d_x)
-            grads[f"conv{i}.weight"] = d_w
+        d_x = agg.masked_avg_pool_backward(d_pooled, self._cache["small_masks"])
+        for name, layer in reversed(self.layers):
+            d_x = layer.backward(d_x)
+            grads.update(layer.named_grads(name))
         return grads
 
 

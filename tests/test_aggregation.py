@@ -107,8 +107,8 @@ class TestAggregate:
         frames, masks = self.clip(4, t=1)
         f_pre, _, _ = model.forward(frames, masks, training=False)
         x = frames[0]
-        for conv, bn, relu in zip(model.convs, model.bns, model.relus):
-            x = relu.forward(bn.forward(conv.forward(x), training=False))
+        for _, layer in model.layers:
+            x = layer.forward(x, training=False)
         expected = agg.masked_avg_pool(x, agg.mask_downsample(masks[0], x.shape[2:]))
         np.testing.assert_array_equal(f_pre, expected)
 

@@ -576,22 +576,3 @@ class TestBatchedMatmulCore:
             with pytest.raises(DimensionError, match="shape"):
                 att.cfaa_backward(np.ones(shape), params, cache)
 
-
-class TestCheckpoint:
-    def test_roundtrip_preserves_names_and_values(self, tmp_path):
-        cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2,
-                                  encoding="relative", axis_lengths=(2, 4, 2))
-        params = att.init_cfaa_params(cfg, Rng(7))
-        named = list(params.named())
-        att.save_params(tmp_path / "ckpt", named)
-        loaded = att.load_params(tmp_path / "ckpt")
-        assert list(loaded.keys()) == [n for n, _ in named]
-        for name, value in named:
-            assert np.array_equal(loaded[name], value)
-
-    def test_manifest_order_stable(self, tmp_path):
-        cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(1, 2, 2))
-        p = att.init_nonlocal_params(cfg, Rng(8))
-        att.save_params(tmp_path / "a", p.named())
-        att.save_params(tmp_path / "b", p.named())
-        assert (tmp_path / "a" / "manifest.txt").read_text() == (tmp_path / "b" / "manifest.txt").read_text()

@@ -6,6 +6,7 @@ from axialreid import detect_link as dl
 from axialreid import evaluate as ev
 from axialreid.tensor import Rng, load_tensor, save_tensor
 from eval_files import write_metadata_file
+from helpers import write_candidate_file
 
 
 def run(capsys, *argv):
@@ -92,7 +93,7 @@ def align_fixture(tmp_path):
     cands, truth = dl.synthetic_detector([target, occluder], 4, rng, noise_scale=0.05)
     records = {5: [c for row in cands for c in row]}
     cand_file = tmp_path / "cands.tsv"
-    dl.write_candidate_file(cand_file, records, dim=2)
+    write_candidate_file(cand_file, records, dim=2)
     tdir = frames_dir / "5"
     tdir.mkdir(parents=True)
     for i in range(4):
@@ -130,6 +131,38 @@ class TestAlign:
         for a in sorted((out_dir / "5").glob("*.aakt")):
             b = second / "5" / a.name
             assert np.array_equal(load_tensor(a), load_tensor(b))
+
+    # one bad field in frame 1's record (line 3): a NaN width or an Inf x would
+    # crash the crop arithmetic, and a NaN feature would link on NaN distances
+    @pytest.mark.parametrize("field, value", [(4, "nan"), (2, "inf"), (7, "nan")],
+                             ids=["nan-width", "inf-x", "nan-feature"])
+    def test_non_finite_candidate_exits_one(self, capsys, align_fixture, field, value):
+        _, frames_dir, out_dir, _ = align_fixture
+        records = []
+        for f in range(4):
+            fields = ["5", str(f), "2", "2", "8", "24", "0.9", "1.0", "0.0"]
+            if f == 1:
+                fields[field] = value
+            records.append("\t".join(fields))
+        cand_file = frames_dir.parent / "bad.tsv"
+        cand_file.write_text("D=2\n" + "\n".join(records) + "\n")
+        code, _, err = run(capsys, "align", "--candidates", str(cand_file),
+                           "--frames", str(frames_dir), "--out", str(out_dir))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {cand_file}:3:"), err
+        assert "non-finite" in err
+
+    def test_non_finite_frame_exits_one(self, capsys, align_fixture):
+        cand_file, frames_dir, out_dir, _ = align_fixture
+        bad = frames_dir / "5" / "0002.aakt"
+        pixels = load_tensor(bad)
+        pixels[1, 10, 10] = np.nan
+        save_tensor(bad, pixels)
+        code, _, err = run(capsys, "align", "--candidates", str(cand_file),
+                           "--frames", str(frames_dir), "--out", str(out_dir))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}:"), err
+        assert not (out_dir / "5").exists()
 
     def test_malformed_candidates_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"

@@ -4,6 +4,7 @@ import pytest
 from axialreid import detect_link as dl
 from axialreid.errors import ValidationError
 from axialreid.tensor import Rng
+from helpers import write_candidate_file
 
 
 def box(frame=0, b=(0, 0, 10, 20), conf=0.9, feat=(1.0, 0.0)):
@@ -229,7 +230,7 @@ class TestCandidateFile:
             2: [box(frame=0, feat=tuple(rng.child(2).normal((3,))))],
         }
         p = tmp_path / "cands.tsv"
-        dl.write_candidate_file(p, records, dim=3)
+        write_candidate_file(p, records, dim=3)
         back = dl.read_candidate_file(p)
         assert set(back) == {2, 5}
         for tid in records:

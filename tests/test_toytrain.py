@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,10 @@ import pytest
 
 from axialreid import evaluate as ev
 from axialreid import toytrain as tt
-from axialreid.errors import ValidationError
+from axialreid.errors import ConfigurationError, DimensionError, ValidationError
 from axialreid.gradcheck import fd_gradient, rel_error
 from axialreid.tensor import Rng
+from helpers import fresh_split
 
 
 def small_dataset(seed=3, num_ids=4):
@@ -48,7 +51,7 @@ class TestDataset:
 
     def test_fresh_split_shares_palette(self):
         ds = small_dataset()
-        other = ds.fresh_split(123)
+        other = fresh_split(ds, 123)
         assert np.array_equal(ds.palette, other.palette)
         assert not np.array_equal(ds.tracklets[0].frames, other.tracklets[0].frames)
 
@@ -66,13 +69,14 @@ class TestLayers:
         rng = Rng(0)
         conv = tt.Conv2d(2, 3, 3, 2, rng.child(0))
         x = rng.child(1).normal((2, 2, 6, 4))
-        g = rng.child(2).normal(conv.forward(x).shape)
+        g = rng.child(2).normal(conv.forward(x, training=False).shape)
 
         def loss():
-            return float(np.sum(g * conv.forward(x)))
+            return float(np.sum(g * conv.forward(x, training=False)))
 
-        conv.forward(x)
-        d_x, d_w = conv.backward(g)
+        conv.forward(x, training=True)
+        d_x = conv.backward(g)
+        d_w = conv.d_weight
         assert rel_error(d_x, fd_gradient(loss, x)) < 1e-6
         assert rel_error(d_w, fd_gradient(loss, conv.weight)) < 1e-6
 
@@ -96,7 +100,7 @@ class TestLayers:
         f_pre, _, logits = model.forward(frames, masks, training=True)
         _, d_logits = agg.cross_entropy(logits, labels)
         grads = model.backward(np.zeros_like(f_pre), d_logits)
-        num = fd_gradient(loss, model.convs[0].weight, step=1e-5)
+        num = fd_gradient(loss, dict(model.layers)["conv0"].weight, step=1e-5)
         assert rel_error(grads["conv0.weight"], num) < 1e-4
 
     def test_one_attention_call_per_batch(self, monkeypatch):
@@ -122,6 +126,57 @@ class TestLayers:
         f_pre, _, logits = model.forward(frames, masks, training=True)
         model.backward(f_pre, agg.cross_entropy(logits, np.arange(6) % 4)[1])
         assert calls == [("cfaa_forward", (6, 8, 4, 16, 8)), ("cfaa_backward", (6, 8, 4, 16, 8))]
+
+    def test_clip_length_other_than_clip_len_rejected(self):
+        # B=4 clips of T=5 are 20 frames, which would regroup into 5 volumes of 4
+        ds = small_dataset()
+        model = tt.ToyModel(small_spec(), Rng(4).child(0))
+        frames = np.stack([t.frames[:5] for t in ds.tracklets[:4]])
+        masks = np.stack([t.masks[:5] for t in ds.tracklets[:4]])
+        for training in (True, False):
+            with pytest.raises(DimensionError, match=r"T=5.*clip_len=4"):
+                model.forward(frames, masks, training)
+
+    def test_backward_after_eval_forward_rejected(self):
+        from axialreid import aggregation as agg
+
+        ds = small_dataset()
+        model = tt.ToyModel(small_spec(), Rng(4).child(0))
+        frames = np.stack([t.frames[:4] for t in ds.tracklets[:4]])
+        masks = np.stack([t.masks[:4] for t in ds.tracklets[:4]])
+        f_pre, _, logits = model.forward(frames, masks, training=True)
+        model.forward(frames, masks, training=False)
+        with pytest.raises(ConfigurationError, match="training-mode forward"):
+            model.backward(np.zeros_like(f_pre), agg.cross_entropy(logits, np.arange(4))[1])
+
+
+PROTOCOL_MODEL = tt.ToyModel(small_spec(), Rng(7).child(0))
+
+
+class TestLayerProtocol:
+    @pytest.mark.parametrize("name", [name for name, _ in PROTOCOL_MODEL.layers])
+    def test_backward_returns_dx_and_grads_named_like_params(self, name):
+        model = tt.ToyModel(small_spec(), Rng(7).child(0))
+        frames = np.stack([t.frames[:4] for t in small_dataset().tracklets[:2]])
+        x = frames.reshape(8, *frames.shape[2:])
+        for layer_name, layer in model.layers:  # x becomes the named layer's input
+            if layer_name == name:
+                break
+            x = layer.forward(x, training=True)
+        y = layer.forward(x, training=True)
+        dx = layer.backward(Rng(8).normal(y.shape))
+        assert dx.shape == x.shape
+        params, grads = dict(layer.named_params(name)), dict(layer.named_grads(name))
+        assert list(grads) == list(params)
+        for key, grad in grads.items():
+            assert grad.shape == params[key].shape, key
+
+    def test_parameter_names(self):
+        names = [name for name, _ in PROTOCOL_MODEL.named_params()]
+        assert names[:3] == ["conv0.weight", "bn0.gamma", "bn0.beta"]
+        assert {"attention.scale0.aa_h.w_q", "attention.scale1.aa_t.r_v", "attention.w_o"} <= set(names)
+        assert names[-3:] == ["bn_feat.gamma", "bn_feat.beta", "classifier.weight"]
+        assert len(set(names)) == len(names)
 
 
 def einsum_conv_forward(weight, stride, x):
@@ -178,12 +233,12 @@ class TestConvOracle:
         rng = Rng(31)
         conv = tt.Conv2d(c_in, c_out, k, s, rng.child(0))
         x = rng.child(1).normal((batch, c_in, h, w))
-        out = conv.forward(x)
+        out = conv.forward(x, training=True)
         ref = einsum_conv_forward(conv.weight, s, x)
         assert out.shape == ref.shape
         assert scaled_error(out, ref) < 1e-12
         g = rng.child(2).normal(out.shape)
-        d_x, d_w = conv.backward(g)
+        d_x, d_w = conv.backward(g), conv.d_weight
         ref_dx, ref_dw = einsum_conv_backward(conv.weight, s, x, g)
         assert d_x.shape == x.shape and d_w.shape == conv.weight.shape
         assert scaled_error(d_x, ref_dx) < 1e-12
@@ -193,7 +248,7 @@ class TestConvOracle:
     def test_empty_batch_keeps_shape(self, shape):
         c_in, c_out, k, s, h, w = shape
         conv = tt.Conv2d(c_in, c_out, k, s, Rng(0))
-        out = conv.forward(np.zeros((0, c_in, h, w)))
+        out = conv.forward(np.zeros((0, c_in, h, w)), training=True)
         assert out.shape == (0, c_out, (h - 1) // s + 1, (w - 1) // s + 1)
 
 
@@ -201,9 +256,8 @@ LAYOUTS = {"nc": (6, 4), "nchw": (3, 4, 4, 2)}
 
 
 class TestBatchNorm:
-    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("layout", list(LAYOUTS))
-    def test_backward_matches_fd(self, layout, training):
+    def test_backward_matches_fd(self, layout):
         rng = Rng(8)
         shape = LAYOUTS[layout]
         c = shape[1]
@@ -220,10 +274,11 @@ class TestBatchNorm:
             fresh = tt.BatchNorm(c)
             fresh.gamma, fresh.beta = bn.gamma, bn.beta
             fresh.running_mean, fresh.running_var = stats
-            return float(np.sum(g * fresh.forward(x, training)))
+            return float(np.sum(g * fresh.forward(x, training=True)))
 
-        bn.forward(x, training)
-        d_x, d_gamma, d_beta = bn.backward(g)
+        bn.forward(x, training=True)
+        d_x = bn.backward(g)
+        d_gamma, d_beta = bn.d_gamma, bn.d_beta
         assert rel_error(d_x, fd_gradient(loss, x)) < 1e-5
         assert rel_error(d_gamma, fd_gradient(loss, bn.gamma)) < 1e-5
         assert rel_error(d_beta, fd_gradient(loss, bn.beta)) < 1e-5
@@ -317,6 +372,7 @@ class TestTraining:
 TRAIN_DIGEST = """
 import hashlib
 from axialreid import toytrain as tt
+from helpers import fresh_split
 h = hashlib.sha256()
 ds = tt.SyntheticIdentityDataset(num_ids=8, seed=3)
 for use_attention in (True, False):
@@ -325,17 +381,17 @@ for use_attention in (True, False):
     h.update(repr(log.epoch_losses).encode())
     for _, param in model.named_params():
         h.update(param.tobytes())
-    h.update(tt.retrieve(model, ds.fresh_split(12).tracklets).distances.tobytes())
+    h.update(tt.retrieve(model, fresh_split(ds, 12).tracklets).distances.tobytes())
 print(h.hexdigest())
 """
 
 
 def test_training_bitwise_equal_across_blas_thread_counts():
-    src = str(Path(tt.__file__).resolve().parents[1])
+    paths = [str(Path(tt.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+                   PYTHONPATH=os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")])))
         runs.append(subprocess.Popen([sys.executable, "-c", TRAIN_DIGEST], env=env,
                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
     try:
@@ -401,11 +457,27 @@ class TestRetrieval:
         ds = tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=2, frames_per_tracklet=13, seed=6)
         model = tt.ToyModel(small_spec(use_attention=use_attention), Rng(5).child(0))
         if use_attention:  # a nonzero output projection, so attention shapes the feature
-            model.att_params.w_o = Rng(6).normal(model.att_params.w_o.shape)
+            attention = dict(model.layers)["attention"].params
+            attention.w_o = Rng(6).normal(attention.w_o.shape)
         for tr in ds.tracklets:  # 3 clips of 4 frames; the 13th frame is dropped
             clips = [model.forward(tr.frames[c : c + 4][None], tr.masks[c : c + 4][None], training=False)[1][0]
                      for c in (0, 4, 8)]
             assert np.array_equal(tt.tracklet_feature(model, tr), np.mean(clips, axis=0))
+
+    def test_eval_forward_retains_no_cache(self):
+        # eval mode caches nothing; the layer caches of one tracklet_feature on
+        # the default spec would come to 2.84 MiB
+        track = tt.SyntheticIdentityDataset(num_ids=1, tracklets_per_id=1, seed=3).tracklets[0]
+        model = tt.ToyModel(tt.ToyModelSpec(), Rng(0).child(0))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tt.tracklet_feature(model, track)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024, f"{retained} bytes retained"
 
     def test_untrained_model_no_better_than_modest(self):
         # documented chance region: untrained retrieval stays far from 0.9
