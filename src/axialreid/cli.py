@@ -123,8 +123,7 @@ def cmd_align(args) -> int:
     records = dl.read_candidate_file(args.candidates)
     frames_root = Path(args.frames)
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    n_frames = 0
+    done = []  # every tracklet is aligned before anything is written
     for tid in sorted(records):
         frame_dir = frames_root / str(tid)
         if not frame_dir.is_dir():
@@ -142,14 +141,20 @@ def cmd_align(args) -> int:
                 raise ValidationError(f"tracklet {tid}: candidate frame {cand.frame} out of range")
             by_frame[cand.frame].append(cand)
         log: list[str] = []
-        aligned = dl.process_tracklet(frames, by_frame, alpha=args.alpha, slim_ratio=args.slim_ratio, log=log)
+        try:
+            aligned = dl.process_tracklet(frames, by_frame, alpha=args.alpha, slim_ratio=args.slim_ratio, log=log)
+        except ValidationError as exc:
+            raise ValidationError(f"tracklet {tid}: {exc}") from None
+        done.append((tid, aligned, log))
+    out_root.mkdir(parents=True, exist_ok=True)
+    for tid, aligned, log in done:
         tdir = out_root / str(tid)
-        tdir.mkdir(parents=True, exist_ok=True)
+        tdir.mkdir(exist_ok=True)
         for i, fr in enumerate(aligned):
             save_tensor(tdir / f"image_{i:04d}.aakt", fr.image)
             save_tensor(tdir / f"mask_{i:04d}.aakt", fr.mask)
         (tdir / "provenance.log").write_text("\n".join(log) + "\n")
-        n_frames += len(aligned)
+    n_frames = sum(len(aligned) for _, aligned, _ in done)
     print(f"aligned {len(records)} tracklets ({n_frames} frames) into {out_root}")
     _emit_block([f"tracklets={len(records)}", f"frames={n_frames}", f"out={out_root}"])
     return 0

@@ -96,7 +96,7 @@ def link_frame(state: LinkState, candidates: list[CandidateBox]) -> tuple[Candid
 
 
 def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of (C, H, W), align-corners-false sampling."""
+    """Bilinear resize of (C, H, W), align-corners-false: W pass, then H pass, bitwise equal to the 2-D gather."""
     c, h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img.copy()
@@ -108,9 +108,13 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
     wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
-    bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
-    return top * (1 - wy) + bot * wy
+    cols = np.take(img, x0, axis=2)  # W pass: (C, H, out_w)
+    cols *= 1 - wx
+    cols += np.take(img, x1, axis=2) * wx
+    out = np.take(cols, y0, axis=1)  # H pass: (C, out_h, out_w)
+    out *= 1 - wy
+    out += np.take(cols, y1, axis=1) * wy
+    return out
 
 
 def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATIO) -> AlignedFrame:
@@ -175,27 +179,28 @@ def process_tracklet(
         raise ValidationError("tracklet must have at least one frame")
     if len(frames) != len(candidates_per_frame):
         raise ValidationError(f"{len(frames)} frames but {len(candidates_per_frame)} candidate lists")
+    if not 0.0 <= alpha <= 1.0:  # before the loop, so that its error names no frame
+        raise ValidationError(f"alpha {alpha} outside [0, 1]")
     out: list[AlignedFrame] = []
     state: LinkState | None = None
     for i, (frame, cands) in enumerate(zip(frames, candidates_per_frame)):
-        if not cands:
-            aligned = _passthrough(frame)
-            aligned.provenance.update(frame=i, candidate=None)
-            if log is not None:
-                log.append(f"frame={i} no_detection=1")
-        elif state is None:
-            chosen = select_first_frame(cands)
-            state = LinkState(chosen.feature.copy(), alpha)
-            aligned = normalize_crop(frame, chosen.box, slim_ratio)
-            aligned.provenance.update(frame=i, candidate=cands.index(chosen), n_candidates=len(cands))
-            if log is not None:
-                log.append(f"frame={i} candidate={cands.index(chosen)} rule=max-area")
-        else:
-            chosen, state = link_frame(state, cands)
-            aligned = normalize_crop(frame, chosen.box, slim_ratio)
-            aligned.provenance.update(frame=i, candidate=cands.index(chosen), n_candidates=len(cands))
-            if log is not None:
-                log.append(f"frame={i} candidate={cands.index(chosen)} rule=link")
+        try:
+            if not cands:
+                aligned, entry = _passthrough(frame), "no_detection=1"
+                aligned.provenance.update(frame=i, candidate=None)
+            else:
+                if state is None:
+                    chosen, rule = select_first_frame(cands), "max-area"
+                    state = LinkState(chosen.feature.copy(), alpha)
+                else:
+                    (chosen, state), rule = link_frame(state, cands), "link"
+                aligned = normalize_crop(frame, chosen.box, slim_ratio)
+                aligned.provenance.update(frame=i, candidate=cands.index(chosen), n_candidates=len(cands))
+                entry = f"candidate={cands.index(chosen)} rule={rule}"
+        except ValidationError as exc:
+            raise ValidationError(f"frame {i}: {exc}") from None
+        if log is not None:
+            log.append(f"frame={i} {entry}")
         out.append(aligned)
     return out
 

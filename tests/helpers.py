@@ -1,8 +1,11 @@
-"""Fixture builders for the toy dataset and the candidate file format.
+"""Fixture builders for the toy dataset and the candidate file format, and the
+slow references that optimised library paths are tested against.
 
 The library and the CLI only read candidate files; tests write them here."""
 
 from pathlib import Path
+
+import numpy as np
 
 from axialreid import detect_link as dl
 from axialreid import toytrain as tt
@@ -33,3 +36,22 @@ def write_candidate_file(path, records: dict[int, list[dl.CandidateBox]], dim: i
             feat = "\t".join(repr(float(v)) for v in c.feature)
             lines.append(f"{tid}\t{c.frame}\t{x!r}\t{y!r}\t{w!r}\t{h!r}\t{float(c.confidence)!r}\t{feat}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def resize_bilinear_oracle(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Reference for ``detect_link._resize_bilinear``: the 2-D double fancy
+    index, gathering each of the four neighbours of every output pixel."""
+    c, h, w = img.shape
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
+    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+    top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
+    bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
+    return top * (1 - wy) + bot * wy

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,39 @@ class TestAlign:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}:"), err
         assert not (out_dir / "5").exists()
+
+    @staticmethod
+    def two_tracklets(frames_dir, x6=2):
+        """Tracklets 5 and 6 over the fixture's frames; frame 1 of tracklet 6 has box x ``x6``."""
+        shutil.copytree(frames_dir / "5", frames_dir / "6")
+        records = ["\t".join(map(str, (tid, f, x6 if (tid, f) == (6, 1) else 2, 2, 8, 24, 0.9, 1.0, 0.0)))
+                   for tid in (5, 6) for f in range(4)]
+        cand_file = frames_dir.parent / "two.tsv"
+        cand_file.write_text("D=2\n" + "\n".join(records) + "\n")
+        return cand_file
+
+    def test_bad_frame_in_later_tracklet_writes_nothing(self, capsys, align_fixture):
+        _, frames_dir, out_dir, _ = align_fixture
+        cand_file = self.two_tracklets(frames_dir)
+        bad = frames_dir / "6" / "0002.aakt"
+        pixels = load_tensor(bad)
+        pixels[0, 3, 4] = np.nan
+        save_tensor(bad, pixels)
+        code, _, err = run(capsys, "align", "--candidates", str(cand_file),
+                           "--frames", str(frames_dir), "--out", str(out_dir))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}:"), err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_box_outside_frame_names_tracklet_and_frame(self, capsys, align_fixture):
+        _, frames_dir, out_dir, _ = align_fixture
+        cand_file = self.two_tracklets(frames_dir, x6=100)  # the frames are 30 pixels wide
+        code, _, err = run(capsys, "align", "--candidates", str(cand_file),
+                           "--frames", str(frames_dir), "--out", str(out_dir))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: tracklet 6: frame 1: box "), err
+        assert "degenerate after clipping to 40x30" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_malformed_candidates_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from axialreid import detect_link as dl
 from axialreid.errors import ValidationError
 from axialreid.tensor import Rng
-from helpers import write_candidate_file
+from helpers import resize_bilinear_oracle, write_candidate_file
 
 
 def box(frame=0, b=(0, 0, 10, 20), conf=0.9, feat=(1.0, 0.0)):
@@ -138,6 +140,55 @@ class TestNormalizeCrop:
             dl.normalize_crop(self.frame(), (99.9, 99.9, 0.05, 0.05))
 
 
+extent = st.integers(1, 300)
+same_or_extent = st.one_of(st.none(), extent)  # None: the input's extent (the copy branch)
+
+
+class TestResizeAgainstOracle:
+    """The separable resize, bit for bit against the 2-D gather it replaced."""
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(c=st.integers(1, 3), h=extent, w=extent, out_h=same_or_extent, out_w=same_or_extent,
+           pad=st.tuples(*[st.integers(0, 3)] * 4), seed=st.integers(0, 2**16))
+    @example(c=3, h=1, w=1, out_h=256, out_w=128, pad=(0, 0, 0, 0), seed=0)
+    @example(c=3, h=300, w=300, out_h=1, out_w=1, pad=(1, 2, 3, 0), seed=1)
+    @example(c=3, h=40, w=30, out_h=None, out_w=None, pad=(2, 2, 2, 2), seed=2)
+    @example(c=3, h=1, w=300, out_h=256, out_w=None, pad=(0, 1, 0, 1), seed=3)
+    def test_bitwise_equal_on_drawn_shapes(self, c, h, w, out_h, out_w, pad, seed):
+        out_h, out_w = out_h or h, out_w or w
+        top, left, bottom, right = pad
+        frame = Rng(seed).uniform(-1.0, 1.0, (c, top + h + bottom, left + w + right))
+        crop = frame[:, top : top + h, left : left + w]  # a view, non-contiguous when padded
+        got = dl._resize_bilinear(crop, out_h, out_w)
+        assert got.shape == (c, out_h, out_w)
+        assert np.array_equal(got, resize_bilinear_oracle(crop, out_h, out_w))
+
+    @pytest.mark.parametrize("b, shift", [((1, 0, 16, 80), "right"), ((73.4, 0, 16, 80), "left"),
+                                          ((37, 0, 16, 80), "none"), ((20.6, 5.2, 40.3, 60.7), "none")],
+                             ids=["slim-left", "slim-right", "slim-centred", "wide-centred"])
+    def test_normalize_crop_matches_oracle(self, b, shift):
+        frame = Rng(12).uniform(0.1, 1.0, (3, 80, 90))
+        x0, y0 = round(b[0]), round(b[1])
+        crop = frame[:, y0 : round(b[1] + b[3]), x0 : round(b[0] + b[2])]
+        ch, cw = crop.shape[1:]
+        scale = min(256 / ch, 128 / cw)
+        rh, rw = min(max(round(ch * scale), 1), 256), min(max(round(cw * scale), 1), 128)
+        oy, ox = (256 - rh) // 2, round((128 - rw) * {"right": 0.75, "left": 0.25, "none": 0.5}[shift])
+        image, mask = np.zeros((3, 256, 128)), np.zeros((256, 128))
+        image[:, oy : oy + rh, ox : ox + rw] = resize_bilinear_oracle(crop, rh, rw)
+        mask[oy : oy + rh, ox : ox + rw] = 1.0
+        out = dl.normalize_crop(frame, b)
+        assert out.provenance["shift"] == shift
+        assert np.array_equal(out.image, image) and np.array_equal(out.mask, mask)
+
+    @pytest.mark.parametrize("hw", [(80, 90), (256, 128), (600, 20)])
+    def test_passthrough_matches_oracle(self, hw):
+        frame = Rng(13).uniform(0.1, 1.0, (3, *hw))
+        out = dl._passthrough(frame)
+        assert np.array_equal(out.image, resize_bilinear_oracle(frame, 256, 128))
+        assert np.array_equal(out.mask, np.ones((256, 128)))
+
+
 class TestProcessTracklet:
     def test_single_candidate_per_frame(self):
         rng = Rng(4)
@@ -197,6 +248,17 @@ class TestProcessTracklet:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             dl.process_tracklet([np.ones((3, 4, 4))], [[], []])
+
+    def test_crop_error_names_frame(self):
+        frames = [Rng(10).child(i).uniform(0, 1, (3, 40, 30)) for i in range(3)]
+        cands = [[box(frame=i, b=(100 if i == 2 else 2, 2, 8, 24))] for i in range(3)]
+        with pytest.raises(ValidationError, match=r"^frame 2: box \(100, 2, 8, 24\) degenerate"):
+            dl.process_tracklet(frames, cands)
+
+    @pytest.mark.parametrize("cands", [[[]], [[box(b=(0, 0, 2, 4))]]], ids=["no-detection", "detection"])
+    def test_alpha_checked_before_any_frame(self, cands):
+        with pytest.raises(ValidationError, match=r"^alpha 1.5 outside \[0, 1\]$"):
+            dl.process_tracklet([np.ones((3, 4, 4))], cands, alpha=1.5)
 
 
 class TestSyntheticDetector:
