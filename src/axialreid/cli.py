@@ -52,7 +52,35 @@ def _parse_convention(args) -> flops.CountingConvention:
     )
 
 
+CONVENTION_FLAGS = ("mac", "include_softmax", "include_bn_relu", "include_projections", "positional")
+BENCH_DEFAULTS = dict(frames=6, scales=4, last_stride=1, mac=1, positional="shared")
+
+
+def _check_bench_flags(args) -> None:
+    """Reject a flag that the chosen bench mode does not read, then fill in the
+    defaults of the flags left out (they parse as None)."""
+    if args.calibrate:
+        mode, reads = "--calibrate", ()
+    elif args.preset:
+        mode = f"--preset {args.preset}"
+        reads = ("preset", *CONVENTION_FLAGS, *(("frames",) if args.preset == "models" else ()))
+    elif args.variant:
+        mode = f"--variant {args.variant}"
+        own = {"backbone": ("last_stride",), "cfaa": ("scales",)}.get(args.variant, ())
+        reads = ("variant", "frames", *CONVENTION_FLAGS, *own)
+    else:
+        raise ValidationError("bench needs --preset costs|models or --variant")
+    for dest in ("preset", "variant", "frames", "scales", "last_stride", *CONVENTION_FLAGS):
+        given = getattr(args, dest)
+        if dest not in reads and given is not None and given is not False:  # 0 is a given value
+            raise ValidationError(f"--{dest.replace('_', '-')} has no effect with {mode}")
+    for dest, value in BENCH_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
 def cmd_bench(args) -> int:
+    _check_bench_flags(args)
     conv = _parse_convention(args)
     if args.calibrate:
         ranked = flops.calibrate()
@@ -87,15 +115,13 @@ def cmd_bench(args) -> int:
             block.append(f"{rep.name}_gflops={rep.gflops:.6f}")
         _emit_block(block)
         return 0
-    if args.variant:
-        if args.variant == "backbone":
-            rep = flops.backbone_flops(frames=args.frames, last_stride=args.last_stride, convention=conv)
-        else:
-            rep = flops.attention_flops(args.variant, conv, scales=args.scales, frames=args.frames)
-        print(_fmt_gflops(rep))
-        _emit_block(rep.lines())
-        return 0
-    raise ValidationError("bench needs --preset costs|models or --variant")
+    if args.variant == "backbone":
+        rep = flops.backbone_flops(frames=args.frames, last_stride=args.last_stride, convention=conv)
+    else:
+        rep = flops.attention_flops(args.variant, conv, scales=args.scales, frames=args.frames)
+    print(_fmt_gflops(rep))
+    _emit_block(rep.lines())
+    return 0
 
 
 def cmd_gradcheck(args) -> int:
@@ -119,6 +145,12 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+def _provenance_line(prov: dict) -> str:
+    if prov["candidate"] is None:
+        return f"frame={prov['frame']} no_detection=1\n"
+    return f"frame={prov['frame']} candidate={prov['candidate']} rule={prov['rule']}\n"
+
+
 def cmd_align(args) -> int:
     records = dl.read_candidate_file(args.candidates)
     frames_root = Path(args.frames)
@@ -140,21 +172,20 @@ def cmd_align(args) -> int:
             if not 0 <= cand.frame < len(frames):
                 raise ValidationError(f"tracklet {tid}: candidate frame {cand.frame} out of range")
             by_frame[cand.frame].append(cand)
-        log: list[str] = []
         try:
-            aligned = dl.process_tracklet(frames, by_frame, alpha=args.alpha, slim_ratio=args.slim_ratio, log=log)
+            aligned = dl.process_tracklet(frames, by_frame, alpha=args.alpha, slim_ratio=args.slim_ratio)
         except ValidationError as exc:
             raise ValidationError(f"tracklet {tid}: {exc}") from None
-        done.append((tid, aligned, log))
+        done.append((tid, aligned))
     out_root.mkdir(parents=True, exist_ok=True)
-    for tid, aligned, log in done:
+    for tid, aligned in done:
         tdir = out_root / str(tid)
         tdir.mkdir(exist_ok=True)
         for i, fr in enumerate(aligned):
             save_tensor(tdir / f"image_{i:04d}.aakt", fr.image)
             save_tensor(tdir / f"mask_{i:04d}.aakt", fr.mask)
-        (tdir / "provenance.log").write_text("\n".join(log) + "\n")
-    n_frames = sum(len(aligned) for _, aligned, _ in done)
+        (tdir / "provenance.log").write_text("".join(_provenance_line(fr.provenance) for fr in aligned))
+    n_frames = sum(len(aligned) for _, aligned in done)
     print(f"aligned {len(records)} tracklets ({n_frames} frames) into {out_root}")
     _emit_block([f"tracklets={len(records)}", f"frames={n_frames}", f"out={out_root}"])
     return 0
@@ -192,9 +223,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    attention = {f: v for f, v in (("scales", args.scales), ("heads", args.heads)) if v is not None}
+    if args.no_attention and attention:
+        raise ValidationError(f"--{next(iter(attention))} has no effect with --no-attention")
     dataset = tt.SyntheticIdentityDataset(num_ids=args.ids, seed=args.data_seed)
     spec = tt.ToyModelSpec(num_classes=args.ids, use_attention=not args.no_attention,
-                           attention_scales=args.scales, attention_heads=args.heads)
+                           **{f"attention_{f}": v for f, v in attention.items()})
     model, log = tt.train(spec, dataset, epochs=args.epochs, seed=args.seed, lr=args.lr)
     res = ev.evaluate(tt.retrieve(model, dataset.tracklets), "old")
     block = [f"epochs={args.epochs}", f"seed={args.seed}", f"attention={not args.no_attention}"]
@@ -221,17 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="analytic FLOP reports")
     b.add_argument("--preset", choices=["costs", "models"])
     b.add_argument("--variant", choices=["backbone", *flops.VARIANTS])
-    b.add_argument("--scales", type=int, default=4)
-    b.add_argument("--frames", type=int, default=6)
-    b.add_argument("--last-stride", type=int, default=1)
+    b.add_argument("--scales", type=int, help="CF-AA scale count, --variant cfaa only (default 4)")
+    b.add_argument("--frames", type=int, help="clip length, --preset models or --variant (default 6)")
+    b.add_argument("--last-stride", type=int, help="--variant backbone only (default 1)")
     b.add_argument("--calibrate", action="store_true", help="sweep counting conventions")
-    # counting-convention selection
-    b.add_argument("--mac", type=int, choices=[1, 2], default=1, help="FLOPs per multiply-accumulate")
+    # counting-convention selection; --calibrate sweeps these itself
+    b.add_argument("--mac", type=int, choices=[1, 2], help="FLOPs per multiply-accumulate (default 1)")
     b.add_argument("--include-softmax", action="store_true")
     b.add_argument("--include-bn-relu", action="store_true")
     b.add_argument("--include-projections", action="store_true")
-    b.add_argument("--positional", choices=["shared", "perhead"], default="shared",
-                   help="price positional terms at shared embedding width or per head")
+    b.add_argument("--positional", choices=["shared", "perhead"],
+                   help="price positional terms at shared embedding width or per head (default shared)")
     b.set_defaults(func=cmd_bench)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -263,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=1)
     d.add_argument("--data-seed", type=int, default=7)
     d.add_argument("--lr", type=float, default=0.05)
-    d.add_argument("--scales", type=int, default=4)
-    d.add_argument("--heads", type=int, default=2)
+    d.add_argument("--scales", type=int, help="CF-AA scale count (default 4)")
+    d.add_argument("--heads", type=int, help="CF-AA heads per scale (default 2)")
     d.add_argument("--no-attention", action="store_true")
     d.add_argument("--chance-trials", type=int, default=0)
     d.set_defaults(func=cmd_demo)

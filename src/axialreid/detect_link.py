@@ -16,12 +16,11 @@ floats, tab-separated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import Rng, as_tensor
+from .tensor import Rng, as_tensor, read_text_lines
 
 TARGET_H, TARGET_W = 256, 128
 DEFAULT_ALPHA = 0.9
@@ -172,9 +171,9 @@ def process_tracklet(
     candidates_per_frame: list[list[CandidateBox]],
     alpha: float = DEFAULT_ALPHA,
     slim_ratio: float = DEFAULT_SLIM_RATIO,
-    log=None,
 ) -> list[AlignedFrame]:
-    """Align a tracklet: returns exactly one AlignedFrame per input frame."""
+    """Align a tracklet: returns exactly one AlignedFrame per input frame, whose provenance
+    names the frame and either the chosen candidate and its rule (max-area, link) or no_detection."""
     if len(frames) < 1:
         raise ValidationError("tracklet must have at least one frame")
     if len(frames) != len(candidates_per_frame):
@@ -186,7 +185,7 @@ def process_tracklet(
     for i, (frame, cands) in enumerate(zip(frames, candidates_per_frame)):
         try:
             if not cands:
-                aligned, entry = _passthrough(frame), "no_detection=1"
+                aligned = _passthrough(frame)
                 aligned.provenance.update(frame=i, candidate=None)
             else:
                 if state is None:
@@ -195,12 +194,9 @@ def process_tracklet(
                 else:
                     (chosen, state), rule = link_frame(state, cands), "link"
                 aligned = normalize_crop(frame, chosen.box, slim_ratio)
-                aligned.provenance.update(frame=i, candidate=cands.index(chosen), n_candidates=len(cands))
-                entry = f"candidate={cands.index(chosen)} rule={rule}"
+                aligned.provenance.update(frame=i, candidate=cands.index(chosen), rule=rule, n_candidates=len(cands))
         except ValidationError as exc:
             raise ValidationError(f"frame {i}: {exc}") from None
-        if log is not None:
-            log.append(f"frame={i} {entry}")
         out.append(aligned)
     return out
 
@@ -249,13 +245,15 @@ def synthetic_detector(script: list[ScriptedIdentity], num_frames: int, rng: Rng
 
 def read_candidate_file(path) -> dict[int, list[CandidateBox]]:
     """Parse a candidate file; raises ValidationError with the offending line number."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_text_lines(path)
     if not lines or not lines[0].startswith("D="):
         raise ValidationError(f"{path}:1: expected header 'D=<dim>'")
     try:
         dim = int(lines[0][2:])
     except ValueError:
         raise ValidationError(f"{path}:1: bad feature dim {lines[0][2:]!r}") from None
+    if dim < 0:
+        raise ValidationError(f"{path}:1: negative feature dim {dim}")
     out: dict[int, list[CandidateBox]] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():

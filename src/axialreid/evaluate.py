@@ -23,12 +23,11 @@ argsort of each row, so tied distances keep gallery order;
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .tensor import as_tensor, load_tensor
+from .tensor import as_tensor, load_tensor, read_text_lines
 
 DISTRACTOR_ID = 0
 PROTOCOLS = ("old", "new")
@@ -55,13 +54,18 @@ class LabelCorrections:
     duplicate_pairs: set[frozenset[int]] = field(default_factory=set)
     version: int | None = None
 
+    def conflicts(self, tid: int) -> list[str]:
+        """What is wrong with tracklet tid's relabel, if it has one."""
+        new_id = self.relabels.get(tid)
+        out = []
+        if new_id is not None and new_id < 0:
+            out.append(f"RELABEL {tid} -> invalid identity {new_id}")
+        if new_id in self.ambiguities.get(tid, ()):
+            out.append(f"tracklet {tid}: relabel target {new_id} also in its ambiguity set")
+        return out
+
     def validate(self):
-        conflicts = []
-        for tid, new_id in self.relabels.items():
-            if new_id < 0:
-                conflicts.append(f"RELABEL {tid} -> invalid identity {new_id}")
-            if new_id in self.ambiguities.get(tid, ()):
-                conflicts.append(f"tracklet {tid}: relabel target {new_id} also in its ambiguity set")
+        conflicts = [c for tid in self.relabels for c in self.conflicts(tid)]
         for pair in self.duplicate_pairs:
             if len(pair) != 2:
                 conflicts.append(f"DUPDIST pair {sorted(pair)} is not two distinct tracklets")
@@ -274,7 +278,7 @@ def read_metadata_file(path) -> tuple[list[TrackletMeta], list[TrackletMeta]]:
     A tid appears at most once per role."""
     queries, gallery = [], []
     first_line: dict[tuple[str, int], int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_text_lines(path), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -288,12 +292,12 @@ def read_metadata_file(path) -> tuple[list[TrackletMeta], list[TrackletMeta]]:
             ambiguous = frozenset(
                 int(v) for v in parts[4].split(",") if v.strip()
             ) if len(parts) == 5 and parts[4] != "-" else frozenset()
-        except ValueError as exc:
+            meta = TrackletMeta(tid=tid, identity=identity, camera=camera, ambiguous_ids=ambiguous)
+        except ValueError as exc:  # a ValidationError from TrackletMeta included
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         if (role, tid) in first_line:
             raise ValidationError(f"{path}:{lineno}: {role} tid {tid} repeats line {first_line[role, tid]}")
         first_line[role, tid] = lineno
-        meta = TrackletMeta(tid=tid, identity=identity, camera=camera, ambiguous_ids=ambiguous)
         (queries if role == "query" else gallery).append(meta)
     return queries, gallery
 
@@ -302,7 +306,7 @@ def read_corrections_file(path) -> LabelCorrections:
     """Records: RELABEL old_tid new_id | AMBIG tid id | DUPDIST tid_a tid_b.
     Lines starting with # are comments; 'VERSION n' records a revision number."""
     out = LabelCorrections()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_text_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -314,20 +318,21 @@ def read_corrections_file(path) -> LabelCorrections:
             elif kind == "RELABEL" and len(parts) == 3:
                 tid, new_id = int(parts[1]), int(parts[2])
                 if tid in out.relabels and out.relabels[tid] != new_id:
-                    raise ValidationError(
-                        f"{path}:{lineno}: tracklet {tid} relabeled to both {out.relabels[tid]} and {new_id}"
-                    )
+                    raise ValidationError(f"tracklet {tid} relabeled to both {out.relabels[tid]} and {new_id}")
                 out.relabels[tid] = new_id
             elif kind == "AMBIG" and len(parts) == 3:
-                out.ambiguities.setdefault(int(parts[1]), set()).add(int(parts[2]))
+                tid = int(parts[1])
+                out.ambiguities.setdefault(tid, set()).add(int(parts[2]))
             elif kind == "DUPDIST" and len(parts) == 3:
                 a, b = int(parts[1]), int(parts[2])
                 if a == b:
-                    raise ValidationError(f"{path}:{lineno}: DUPDIST pair must name two tracklets")
+                    raise ValidationError("DUPDIST pair must name two tracklets")
                 out.duplicate_pairs.add(frozenset((a, b)))
             else:
-                raise ValidationError(f"{path}:{lineno}: unrecognized record {line!r}")
-        except ValueError as exc:
+                raise ValidationError(f"unrecognized record {line!r}")
+            if kind in ("RELABEL", "AMBIG") and out.conflicts(tid):
+                raise ValidationError("; ".join(out.conflicts(tid)))
+        except ValueError as exc:  # the ValidationErrors above included
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
     out.validate()
     return out

@@ -182,7 +182,7 @@ def _module_ops(variant: str, cfg: att.AttentionConfig, convention: CountingConv
 
 
 def attention_flops(variant: str, convention: CountingConvention = CountingConvention(),
-                    scales: int = 1, frames: int = 6, insertions=INSERTIONS) -> FlopReport:
+                    scales: int = 1, frames: int = 6) -> FlopReport:
     """Cost of inserting the given attention variant at the standard points
     (2 modules on the 32x16 stage, 3 on the 16x8 stage for the 256x128 input)."""
     if variant not in _VARIANT_SHAPES:
@@ -191,7 +191,7 @@ def attention_flops(variant: str, convention: CountingConvention = CountingConve
     scales = fixed_scales or scales
     heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // max(scales, 1), 1)  # the config rejects scales < 1
     layers = []
-    for c, h, w, count in insertions:
+    for c, h, w, count in INSERTIONS:
         cfg = att.AttentionConfig.default(c, (frames, h, w), heads, scales, encoding)
         layers.append(LayerSpec(f"{variant}@c{c}_{h}x{w}(x{count})",
                                 count * _module_ops(variant, cfg, convention)))

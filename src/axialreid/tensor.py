@@ -27,6 +27,22 @@ def as_tensor(x, name: str = "tensor") -> np.ndarray:
     return arr
 
 
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, split at line feeds only (a trailing
+    carriage return dropped), so that line i is the i-th line an editor shows.
+    Bytes that are not UTF-8 raise ValidationError naming their line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
 def check_finite(arr: np.ndarray, name: str = "result") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericalError(f"{name} contains non-finite values")

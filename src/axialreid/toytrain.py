@@ -17,6 +17,10 @@ from . import evaluate as ev
 from .errors import ConfigurationError, DimensionError, ValidationError
 from .tensor import Rng
 
+SGD_MOMENTUM = 0.9
+TRIPLET_MARGIN = 0.3
+LR_DECAY_AFTER = 0.75  # fraction of the epochs after which the learning rate drops 10x
+
 # ---------------------------------------------------------------------------
 # layers for the toy backbone
 
@@ -88,12 +92,12 @@ class BatchNorm(Layer):
 
     PARAMS = ("gamma", "beta")
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, dim: int, momentum: float = 0.1):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.eps, self.momentum = eps, momentum
+        self.eps, self.momentum = 1e-5, momentum
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
@@ -266,20 +270,16 @@ class SyntheticIdentityDataset:
 class ToyModelSpec:
     channels: tuple[int, ...] = (32, 64, 64)
     strides: tuple[int, ...] = (2, 2, 1)
-    kernel: int = 3
     frame_hw: tuple[int, int] = (32, 16)
     clip_len: int = 4
     num_classes: int = 20
     use_attention: bool = True
-    attention_after_block: int = 0
     attention_scales: int = 4
     attention_heads: int = 2
 
     def attention_config(self) -> att.AttentionConfig:
-        h, w = self.frame_hw
-        for s in self.strides[: self.attention_after_block + 1]:
-            h, w = h // s, w // s
-        c = self.channels[self.attention_after_block]
+        h, w = (n // self.strides[0] for n in self.frame_hw)  # CF-AA follows block 0
+        c = self.channels[0]
         return att.AttentionConfig(
             c_in=c, c_qk=c // 2, c_out=c,
             heads=self.attention_heads, scales=self.attention_scales,
@@ -288,17 +288,17 @@ class ToyModelSpec:
 
 
 class ToyModel:
-    """Backbone: (name, layer) pairs, conv/BN/ReLU per block and CF-AA after block
-    spec.attention_after_block. Head: masked pooling, temporal mean, bn_feat, classifier."""
+    """Backbone: (name, layer) pairs, 3x3 conv/BN/ReLU per block and CF-AA after
+    block 0. Head: masked pooling, temporal mean, bn_feat, classifier."""
 
     def __init__(self, spec: ToyModelSpec, rng: Rng):
         self.spec = spec
         self.layers: list[tuple[str, Layer]] = []
         c_prev = 3
         for i, (c, s) in enumerate(zip(spec.channels, spec.strides)):
-            self.layers += [(f"conv{i}", Conv2d(c_prev, c, spec.kernel, s, rng.child(0, i))),
+            self.layers += [(f"conv{i}", Conv2d(c_prev, c, 3, s, rng.child(0, i))),
                             (f"bn{i}", BatchNorm(c)), (f"relu{i}", ReLU())]
-            if spec.use_attention and i == spec.attention_after_block:
+            if spec.use_attention and i == 0:
                 self.layers.append(("attention", CfaaLayer(spec.attention_config(), rng.child(1))))
             c_prev = c
         self.bn_feat = BatchNorm(spec.channels[-1])
@@ -351,26 +351,22 @@ class ToyModel:
 @dataclass
 class TrainLog:
     epoch_losses: list[float] = field(default_factory=list)
-    flip_records: list[list[bool]] = field(default_factory=list)  # per tracklet, per-frame flags
 
 
-def _sample_clip(track: Tracklet, clip_len: int, rng: Rng, flip: bool, log: TrainLog | None):
+def _sample_clip(track: Tracklet, clip_len: int, rng: Rng, flip: bool):
     f = track.frames.shape[0]
     start = int(rng.integers(0, f - clip_len + 1)) if f > clip_len else 0
     frames = track.frames[start : start + clip_len]
     masks = track.masks[start : start + clip_len]
     if flip:  # synchronized: every frame of the clip flips
         frames, masks = frames[..., ::-1], masks[..., ::-1]
-    if log is not None:
-        log.flip_records.append([flip] * clip_len)
     return frames.copy(), masks.copy()
 
 
 def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, seed: int,
-          lr: float = 0.05, momentum: float = 0.9, p_ids: int = 4, k_tracks: int = 2,
-          margin: float = 0.3, decay_after: float = 0.75) -> tuple[ToyModel, TrainLog]:
-    """SGD with momentum on cross-entropy + batch-hard triplet; deterministic per
-    seed. The learning rate drops by 10x after decay_after of the epochs."""
+          lr: float = 0.05, p_ids: int = 4, k_tracks: int = 2) -> tuple[ToyModel, TrainLog]:
+    """SGD with momentum on cross-entropy + batch-hard triplet over p_ids x k_tracks
+    batches; deterministic per seed. The learning rate drops 10x after LR_DECAY_AFTER."""
     if dataset.num_ids < p_ids or dataset.tracklets_per_id < k_tracks:
         raise ValidationError(
             f"cannot build {p_ids}x{k_tracks} batches from {dataset.num_ids} ids "
@@ -392,7 +388,7 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
     velocity = {name: np.zeros_like(p) for name, p in model.named_params()}
     log = TrainLog()
     for epoch in range(epochs):
-        epoch_lr = lr * (0.1 if epochs > 1 and epoch >= decay_after * epochs else 1.0)
+        epoch_lr = lr * (0.1 if epochs > 1 and epoch >= LR_DECAY_AFTER * epochs else 1.0)
         erng = rng.child(1, epoch)
         id_order = erng.child(0).permutation(dataset.num_ids)
         epoch_loss, n_batches = 0.0, 0
@@ -405,7 +401,7 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
                 for j, pick in enumerate(picks):
                     tr = tracks[int(pick)]
                     flip = bool(brng.child(10 + slot, j).uniform(0, 1) < 0.5)
-                    frames, masks = _sample_clip(tr, spec.clip_len, brng.child(20 + slot, j), flip, log)
+                    frames, masks = _sample_clip(tr, spec.clip_len, brng.child(20 + slot, j), flip)
                     batch.append((frames, masks))
                     labels.append(tr.identity)
             frames = np.stack([f for f, _ in batch])
@@ -415,14 +411,14 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
             f_pre, _, logits = model.forward(frames, masks, training=True)
             ce_loss, d_logits = agg.cross_entropy(logits, labels)
             if use_triplet:
-                tri_loss, d_f_pre = agg.batch_hard_triplet(f_pre, labels, margin=margin)
+                tri_loss, d_f_pre = agg.batch_hard_triplet(f_pre, labels, margin=TRIPLET_MARGIN)
             else:
                 tri_loss, d_f_pre = 0.0, np.zeros_like(f_pre)
             grads = model.backward(d_f_pre, d_logits)
             if lr != 0.0:
                 for name, param in model.named_params():
                     v = velocity[name]
-                    v *= momentum
+                    v *= SGD_MOMENTUM
                     v += grads[name]
                     param -= epoch_lr * v
             epoch_loss += ce_loss + tri_loss
@@ -444,11 +440,11 @@ def tracklet_feature(model: ToyModel, track: Tracklet) -> np.ndarray:
     return f_post.mean(axis=0)
 
 
-def retrieve(model: ToyModel, tracklets: list[Tracklet], query_camera: int = 0) -> ev.EvalDataset:
+def retrieve(model: ToyModel, tracklets: list[Tracklet]) -> ev.EvalDataset:
     """Features per tracklet, Euclidean query x gallery distances; queries are
-    the tracklets under query_camera, gallery is everything else."""
-    queries = [t for t in tracklets if t.camera == query_camera]
-    gallery = [t for t in tracklets if t.camera != query_camera]
+    the tracklets under camera 0, gallery is everything else."""
+    queries = [t for t in tracklets if t.camera == 0]
+    gallery = [t for t in tracklets if t.camera != 0]
     if not queries or not gallery:
         raise ValidationError("retrieval needs tracklets under at least two cameras")
     qf = np.stack([tracklet_feature(model, t) for t in queries])

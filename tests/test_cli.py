@@ -67,6 +67,28 @@ class TestBench:
         assert code == 1
         assert "error:" in err
 
+    # each flag is one the chosen mode does not read: the run would print what it prints without it
+    @pytest.mark.parametrize("flag, argv", [
+        ("--frames", ["--preset", "costs", "--frames", "4"]),
+        ("--frames", ["--calibrate", "--frames", "6"]),
+        ("--scales", ["--variant", "axial+relative", "--scales", "4"]),
+        ("--scales", ["--variant", "backbone", "--scales", "2"]),
+        ("--scales", ["--preset", "models", "--scales", "2"]),
+        ("--last-stride", ["--variant", "cfaa", "--last-stride", "2"]),
+        ("--last-stride", ["--preset", "models", "--last-stride", "1"]),
+        ("--variant", ["--preset", "costs", "--variant", "cfaa"]),
+        ("--variant", ["--preset", "models", "--variant", "backbone"]),
+        ("--mac", ["--calibrate", "--mac", "2"]),
+        ("--include-softmax", ["--calibrate", "--include-softmax"]),
+        ("--include-bn-relu", ["--calibrate", "--include-bn-relu"]),
+        ("--include-projections", ["--calibrate", "--include-projections"]),
+        ("--positional", ["--calibrate", "--positional", "perhead"]),
+    ])
+    def test_flag_without_effect_exits_one(self, capsys, flag, argv):
+        code, out, err = run(capsys, "bench", *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} has no effect with "), err
+
 
 class TestGradcheck:
     def test_default_run_passes(self, capsys):
@@ -312,6 +334,12 @@ class TestDemo:
         kv = kv_block(out)
         assert float(kv["rank1"]) <= 0.8
         assert "chance_rank1_mean" in kv
+
+    @pytest.mark.parametrize("flag", ["--scales", "--heads"])
+    def test_attention_flag_with_no_attention_exits_one(self, capsys, flag):
+        code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "0", "--no-attention", flag, "2")
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} has no effect with --no-attention\n"
 
     def test_diverging_run_exits_one_without_traceback(self, capsys):
         code, _, err = run(capsys, "demo", "--ids", "4", "--epochs", "3", "--lr", "1e8")

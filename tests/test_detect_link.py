@@ -216,23 +216,23 @@ class TestProcessTracklet:
                                        boxes={f: (10, 0, 14, 36) for f in (2, 3, 4)})
         cands, truth = dl.synthetic_detector([target, occluder], 6, rng, noise_scale=0.05)
         frames = [rng.child(100 + i).uniform(0, 1, (3, 40, 30)) for i in range(6)]
-        log: list[str] = []
-        out = dl.process_tracklet(frames, cands, log=log)
+        out = dl.process_tracklet(frames, cands)
         assert len(out) == 6
         for f in range(6):
             chosen_idx = out[f].provenance["candidate"]
             assert truth[f][chosen_idx] == 0, f"frame {f} followed the occluder"
+            assert out[f].provenance["rule"] == ("max-area" if f == 0 else "link")
 
     def test_no_detection_passthrough(self):
         rng = Rng(7)
         frames = [rng.child(i).uniform(0, 1, (3, 40, 30)) for i in range(3)]
         cands = [[box(frame=0, b=(2, 2, 10, 30))], [], [box(frame=2, b=(2, 2, 10, 30))]]
-        log: list[str] = []
-        out = dl.process_tracklet(frames, cands, log=log)
+        out = dl.process_tracklet(frames, cands)
         assert len(out) == 3
         assert out[1].provenance.get("no_detection")
+        assert out[1].provenance["candidate"] is None and "rule" not in out[1].provenance
         assert np.all(out[1].mask == 1.0)
-        assert any("no_detection=1" in l for l in log)
+        assert out[2].provenance["rule"] == "link"  # frame 0 already started the link
 
     def test_deterministic(self):
         rng = Rng(8)

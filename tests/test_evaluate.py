@@ -1,9 +1,12 @@
 import copy
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axialreid import evaluate as ev
 from axialreid.errors import DimensionError, ValidationError
@@ -354,6 +357,57 @@ class TestAgainstOracle:
             assert got.per_query_ap == want.per_query_ap
             assert got.mAP == want.mAP and got.excluded == want.excluded
             assert np.array_equal(got.cmc, want.cmc)
+
+
+@st.composite
+def drawn_instance(draw):
+    """Few identities and cameras on a 0.5 grid of distances, so ties, excluded
+    queries (every positive under the query's camera) and same-camera distractor
+    duplicates are common; ambiguity sets on both sides; DUPDIST pairs within
+    and across cameras, in either order, some naming a tid in neither list.
+    Hypothesis draws the sizes and a seed; the seed draws the rest."""
+    nq, ng = draw(st.integers(1, 10)), draw(st.integers(1, 14))
+    n_ids, n_cams = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def metas(n, first_tid):
+        out = []
+        for i in range(n):
+            ident = int(rng.integers(0, n_ids + 1))  # 0 = distractor
+            amb = {int(a) for a in rng.integers(0, n_ids + 2, rng.integers(0, 3))} - {ident}
+            out.append(ev.TrackletMeta(tid=first_tid + i, identity=ident, camera=int(rng.integers(0, n_cams)),
+                                       ambiguous_ids=frozenset(amb)))
+        return out
+
+    queries, gallery = metas(nq, 0), metas(ng, 1000)
+    tids = [m.tid for m in queries + gallery] + [99999]
+    pairs = {frozenset(p) for p in rng.choice(tids, (rng.integers(0, 7), 2)).tolist() if p[0] != p[1]}
+    dist = rng.integers(0, 4, (nq, ng)) * 0.5
+    return ev.EvalDataset(queries, gallery, dist, duplicate_pairs=pairs)
+
+
+class TestDrawnAgainstOracle:
+    """``evaluate`` against ``brute_force_scores`` on drawn instances, at the
+    tolerances of TestAgainstOracle: AP within 1e-12, CMC and exclusions exact."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(dataset=drawn_instance(), protocol=st.sampled_from(ev.PROTOCOLS), extra_rank=st.integers(0, 5),
+           data=st.data())
+    def test_matches_brute_force(self, dataset, protocol, extra_rank, data):
+        ng = len(dataset.gallery)
+        max_rank = data.draw(st.integers(1, ng + extra_rank))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's mean over no scored query
+            aps, cmc, excluded = brute_force_scores(dataset, protocol, max_rank)
+        if excluded == len(aps):
+            with pytest.raises(ValidationError, match="every query lost all its positives"):
+                ev.evaluate(dataset, protocol, max_rank)
+            return
+        res = ev.evaluate(dataset, protocol, max_rank)
+        assert [a is None for a in res.per_query_ap] == [a is None for a in aps]
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(res.per_query_ap, aps) if a is not None)
+        assert res.excluded == excluded
+        assert res.cmc.shape == (min(max_rank, ng),) and np.array_equal(res.cmc, cmc)
 
 
 class TestDuplicateTids:

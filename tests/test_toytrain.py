@@ -344,16 +344,23 @@ class TestTraining:
         _, log = tt.train(spec, ds, epochs=2, seed=3, p_ids=1, k_tracks=2, lr=0.01)
         assert len(log.epoch_losses) == 2  # runs without a triplet error
 
-    def test_flip_augmentation_synchronized(self):
-        ds = small_dataset()
-        spec = small_spec()
-        _, log = tt.train(spec, ds, epochs=2, seed=7, p_ids=2, k_tracks=2)
-        assert log.flip_records
-        flipped_any = False
-        for flags in log.flip_records:
-            assert len(set(flags)) == 1, "frames of one tracklet flipped inconsistently"
-            flipped_any |= flags[0]
-        assert flipped_any
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_sampled_clip_is_source_clip_mirrored_when_flipped(self, flip):
+        # a tracklet whose frames and masks are both asymmetric in W, so a missed flip shows
+        track = next(t for t in small_dataset().tracklets if not np.array_equal(t.masks, t.masks[..., ::-1]))
+        assert not np.array_equal(track.frames, track.frames[..., ::-1])
+        clip_len, f = 4, track.frames.shape[0]
+        starts = set()
+        for seed in range(8):
+            frames, masks = tt._sample_clip(track, clip_len, Rng(seed), flip)
+            start = int(Rng(seed).integers(0, f - clip_len + 1))  # the draw _sample_clip makes
+            starts.add(start)
+            want_frames, want_masks = track.frames[start : start + clip_len], track.masks[start : start + clip_len]
+            if flip:  # every frame of the clip, image and mask alike
+                want_frames, want_masks = want_frames[..., ::-1], want_masks[..., ::-1]
+            assert np.array_equal(frames, want_frames) and np.array_equal(masks, want_masks)
+            assert not np.shares_memory(frames, track.frames) and not np.shares_memory(masks, track.masks)
+        assert len(starts) > 1
 
     def test_infeasible_batch_structure_rejected(self):
         ds = small_dataset()
