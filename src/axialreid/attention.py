@@ -119,11 +119,6 @@ class AttentionConfig:
         if h < min_hw or w < min_hw:
             raise ConfigurationError(f"H={h}, W={w} must each be >= {min_hw} for scales={self.scales}")
 
-    @staticmethod
-    def default(c_in: int, axis_lengths, heads: int = 1, scales: int = 1, encoding: str = "none") -> "AttentionConfig":
-        # q/k width = c_in/2, value/output width = c_in (see flops model notes)
-        return AttentionConfig(c_in, c_in // 2, c_in, heads, scales, encoding, tuple(axis_lengths))
-
     def scale_extents(self, s: int) -> tuple[int, int, int]:
         """(T, H_s, W_s) for scale index s (0-based), ceiling division."""
         t, h, w = self.axis_lengths
@@ -455,13 +450,18 @@ def _residual_backward(d_out, w_o: np.ndarray, cache: dict):
     return d_out, np.moveaxis(d_z, -4, 0), d_wo
 
 
+def check_nonlocal_config(cfg: AttentionConfig) -> None:
+    """Reject a config the 3D kernel does not run, and the FLOP model does not price."""
+    if cfg.heads != 1 or cfg.encoding != "none" or cfg.scales != 1:
+        raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
+
+
 def nonlocal_3d_forward(x, params: NonlocalParams, cfg: AttentionConfig, want_cache: bool = False):
     """3D self-attention: the axial core along one line through all T*H*W
     positions, then output projection and residual add."""
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
-    if cfg.heads != 1 or cfg.encoding != "none" or cfg.scales != 1:
-        raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
+    check_nonlocal_config(cfg)
     line = AxialLayerParams(params.w_q, params.w_k, params.w_v)
     y, core_cache = _axial_core_forward(x.reshape(x.shape[0], 1, 1, -1), line, "W", 1, "none")
     out, cache = _residual_forward(x, y, params.w_o, "3D attention output")

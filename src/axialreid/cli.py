@@ -36,19 +36,17 @@ def _emit_block(lines: list[str]) -> None:
     print("---")
 
 
-def _fmt_gflops(report: flops.FlopReport, ref: float | None = None) -> str:
-    err = "" if ref is None else f"  (reference {ref:.3f}, {report.gflops / ref - 1.0:+.2%})"
-    return f"{report.name:<18} {report.gflops:10.3f} GFLOPs{err}"
+def _fmt_gflops(report: flops.FlopReport) -> str:
+    return f"{report.name:<18} {report.gflops:10.3f} GFLOPs"
 
 
 def _parse_convention(args) -> flops.CountingConvention:
-    shared = None if args.positional == "perhead" else flops.TOTAL_HEADS
     return flops.CountingConvention(
         macs_per_flop=args.mac,
         include_softmax_exp=args.include_softmax,
         include_bn_relu=args.include_bn_relu,
         include_projections=args.include_projections,
-        positional_shared_heads=shared,
+        positional_per_head=args.positional == "perhead",
     )
 
 
@@ -91,28 +89,16 @@ def cmd_bench(args) -> int:
         print(f"best fit: {best.tag()}")
         _emit_block([f"best_convention={best.tag()}", f"best_worst_error={ranked[0][1]:.6f}"])
         return 0
-    if args.preset == "costs":
-        rows = flops.table_rows(conv)
-        print(f"cost column reproduction (convention {conv.tag()}):")
-        block = [f"convention={conv.tag()}"]
-        for name, rep in rows.items():
-            ref = flops.REFERENCE_COSTS[name]
-            err = rep.gflops / ref - 1.0
-            print(f"  {name:<18} {rep.gflops:10.3f} GFLOPs  (reference {ref:.3f}, {err:+.2%})")
-            block.append(f"{name}_gflops={rep.gflops:.6f}")
-            block.append(f"{name}_reference={ref}")
-        _emit_block(block)
-        return 0
-    if args.preset == "models":
-        reports = flops.model_table(convention=conv, frames=args.frames)
-        refs = {"baseline": flops.REFERENCE_COSTS["baseline"],
-                "nonlocal": flops.REFERENCE_COSTS["nonlocal_total"],
-                "cfaa_net": flops.REFERENCE_COSTS["cfaa_net_total"]}
-        print("full-model totals:")
-        block = []
+    if args.preset:
+        costs = args.preset == "costs"
+        reports = list(flops.table_rows(conv).values()) if costs else flops.model_table(conv, args.frames)
+        print(f"cost column reproduction (convention {conv.tag()}):" if costs else "full-model totals:")
+        block = [f"convention={conv.tag()}"] if costs else []
         for rep in reports:
-            print("  " + _fmt_gflops(rep, refs[rep.name]))
+            ref = flops.REFERENCE_COSTS[rep.name]
+            print(f"  {_fmt_gflops(rep)}  (reference {ref:.3f}, {rep.gflops / ref - 1.0:+.2%})")
             block.append(f"{rep.name}_gflops={rep.gflops:.6f}")
+            block += [f"{rep.name}_reference={ref}"] if costs else []
         _emit_block(block)
         return 0
     if args.variant == "backbone":
@@ -124,7 +110,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _check_minimums(args, **minimums) -> None:
+    """Reject an integer flag (a count or a seed) below its minimum."""
+    for dest, low in minimums.items():
+        value = getattr(args, dest)
+        if value < low:
+            raise ValidationError(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def cmd_gradcheck(args) -> int:
+    _check_minimums(args, seed=0, trials=1)
     seeds = range(args.seed, args.seed + args.trials)
     results = gc.run_gradient_checks(seeds=seeds, perturb=args.perturb_analytic)
     worst = max(results, key=lambda r: r.worst_rel_err)
@@ -169,7 +164,7 @@ def cmd_align(args) -> int:
                 raise ValidationError(f"{path}: frame container holds non-finite pixel values")
         by_frame: list[list[dl.CandidateBox]] = [[] for _ in frames]
         for cand in records[tid]:
-            if not 0 <= cand.frame < len(frames):
+            if cand.frame >= len(frames):
                 raise ValidationError(f"tracklet {tid}: candidate frame {cand.frame} out of range")
             by_frame[cand.frame].append(cand)
         try:
@@ -223,6 +218,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    _check_minimums(args, ids=1, epochs=0, seed=0, data_seed=0, chance_trials=0)
     attention = {f: v for f, v in (("scales", args.scales), ("heads", args.heads)) if v is not None}
     if args.no_attention and attention:
         raise ValidationError(f"--{next(iter(attention))} has no effect with --no-attention")

@@ -40,6 +40,8 @@ class CandidateBox:
             raise ValidationError(
                 f"non-finite box {self.box}, confidence {self.confidence} or feature in frame {self.frame}"
             )
+        if self.frame < 0:
+            raise ValidationError(f"negative frame index {self.frame}")
         x, y, w, h = self.box
         if w <= 0 or h <= 0:
             raise ValidationError(f"degenerate box {self.box} in frame {self.frame}")

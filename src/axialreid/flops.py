@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import attention as att
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .tensor import Rng
 
-# published cost column used for calibration (GFLOPs)
+# published cost column used for calibration (GFLOPs), keyed by report name
 REFERENCE_COSTS = {
     "baseline": 24.520,
     "nonlocal3d": 17.213,
@@ -24,8 +24,8 @@ REFERENCE_COSTS = {
     "axial+relative": 0.424,
     "cfaa2": 0.245,
     "cfaa4": 0.126,
-    "nonlocal_total": 41.733,
-    "cfaa_net_total": 24.646,
+    "nonlocal": 41.733,
+    "cfaa_net": 24.646,
 }
 
 # variant -> (encoding, fixed scale count or None for the caller's)
@@ -47,19 +47,19 @@ TOTAL_HEADS = 8
 class CountingConvention:
     """Accounting rules for a report; recorded in every FlopReport.
 
-    positional_shared_heads: divisor applied to embedding widths when counting
-    q/k/v positional contractions once per pair (None counts them per head at
-    full width, matching what the kernels actually execute).
+    positional_per_head: count the q/k/v positional contractions per head at
+    full width, as the kernels execute them, instead of once per pair at the
+    shared embedding width (width / TOTAL_HEADS).
     """
 
     macs_per_flop: int = 1
     include_softmax_exp: bool = False
     include_bn_relu: bool = False
     include_projections: bool = False
-    positional_shared_heads: int | None = TOTAL_HEADS
+    positional_per_head: bool = False
 
     def tag(self) -> str:
-        ps = "perhead" if self.positional_shared_heads is None else f"shared{self.positional_shared_heads}"
+        ps = "perhead" if self.positional_per_head else f"shared{TOTAL_HEADS}"
         return (
             f"mac{self.macs_per_flop}"
             f"{'+softmax' if self.include_softmax_exp else ''}"
@@ -69,7 +69,7 @@ class CountingConvention:
         )
 
 
-KERNEL_EXACT = CountingConvention(positional_shared_heads=None)
+KERNEL_EXACT = CountingConvention(positional_per_head=True)
 
 
 @dataclass
@@ -104,10 +104,11 @@ def _conv(cin, cout, k, ho, wo) -> int:
     return k * k * cin * cout * ho * wo
 
 
-def backbone_flops(frames: int = 6, height: int = 256, width: int = 128, last_stride: int = 1,
+def backbone_flops(frames: int = 6, width: int = 128, last_stride: int = 1,
                    convention: CountingConvention = CountingConvention()) -> FlopReport:
-    """50-layer residual backbone (bottleneck blocks, stride on the 3x3 conv),
-    per-frame 2D convolutions multiplied by the number of frames."""
+    """50-layer residual backbone (bottleneck blocks, stride on the 3x3 conv) on
+    a 256-pixel-tall input, per-frame 2D convolutions multiplied by the number
+    of frames."""
     if last_stride not in (1, 2):
         raise ValidationError(f"last_stride must be 1 or 2, got {last_stride}")
     layers: list[LayerSpec] = []
@@ -118,7 +119,7 @@ def backbone_flops(frames: int = 6, height: int = 256, width: int = 128, last_st
         layers.append(LayerSpec(name, frames * _conv(cin, cout, k, ho, wo)))
         act_elems += frames * cout * ho * wo
 
-    h, w = (height + 1) // 2, (width + 1) // 2
+    h, w = 128, (width + 1) // 2  # conv1 is 7x7/2
     add("conv1", 3, 64, 7, h, w)
     h, w = (h + 1) // 2, (w + 1) // 2  # 3x3/2 max pool
     cin = 64
@@ -144,8 +145,7 @@ def _attention_layers(variant: str, cfg: att.AttentionConfig):
     one module: the single 3D layer, or AA^H, AA^W, AA^T at every scale."""
     t, h, w = cfg.axis_lengths
     if variant == "nonlocal3d":
-        if (cfg.heads, cfg.scales, cfg.encoding) != (1, 1, "none"):
-            raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
+        att.check_nonlocal_config(cfg)
         return [(t * h * w, t * h * w, cfg.c_in)]
     c_in, c_out = cfg.c_in // cfg.scales, cfg.c_out // cfg.scales
     layers = []
@@ -163,12 +163,12 @@ def _module_ops(variant: str, cfg: att.AttentionConfig, convention: CountingConv
         raise ValidationError(f"unknown attention variant {variant!r}")
     t, h, w = cfg.axis_lengths
     cqk, cout = cfg.c_qk // cfg.scales, cfg.c_out // cfg.scales
-    shared = convention.positional_shared_heads
+    per_head = convention.positional_per_head
     per_pair = cqk + cout
     if cfg.encoding == "relative":
-        per_pair += 2 * cqk + cout if shared is None else 2 * (cqk // shared) + cout // shared
-    elif cfg.encoding == "sinusoidal" and shared is not None:
-        per_pair += cqk // shared  # per head the encodings are added to q/k: no contraction
+        per_pair += 2 * cqk + cout if per_head else 2 * (cqk // TOTAL_HEADS) + cout // TOTAL_HEADS
+    elif cfg.encoding == "sinusoidal" and not per_head:
+        per_pair += cqk // TOTAL_HEADS  # per head the encodings are added to q/k: no contraction
     if convention.include_softmax_exp:
         per_pair += 4 * cfg.heads
     ops = 0
@@ -192,7 +192,8 @@ def attention_flops(variant: str, convention: CountingConvention = CountingConve
     heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // max(scales, 1), 1)  # the config rejects scales < 1
     layers = []
     for c, h, w, count in INSERTIONS:
-        cfg = att.AttentionConfig.default(c, (frames, h, w), heads, scales, encoding)
+        # q/k width = c/2, value/output width = c
+        cfg = att.AttentionConfig(c, c // 2, c, heads, scales, encoding, (frames, h, w))
         layers.append(LayerSpec(f"{variant}@c{c}_{h}x{w}(x{count})",
                                 count * _module_ops(variant, cfg, convention)))
     return FlopReport(variant if variant != "cfaa" else f"cfaa{scales}", layers, convention)
@@ -220,38 +221,22 @@ def count_oracle_multiplies(variant: str, cfg: att.AttentionConfig, seed: int = 
     return counter.total
 
 
-PRESETS = ("baseline", "nonlocal", "cfaa_net")
-
-
-def model_table(presets=PRESETS, convention: CountingConvention = CountingConvention(),
-                frames: int = 6) -> list[FlopReport]:
-    """Full-model totals for the named architecture presets."""
-    base = backbone_flops(frames=frames, convention=convention)
-    out = []
-    for preset in presets:
-        if preset == "baseline":
-            out.append(FlopReport("baseline", list(base.layers), convention))
-        elif preset == "nonlocal":
-            extra = attention_flops("nonlocal3d", convention, frames=frames)
-            out.append(FlopReport("nonlocal", base.layers + extra.layers, convention))
-        elif preset == "cfaa_net":
-            extra = attention_flops("cfaa", convention, scales=4, frames=frames)
-            out.append(FlopReport("cfaa_net", base.layers + extra.layers, convention))
-        else:
-            raise ValidationError(f"unknown preset {preset!r}")
-    return out
+def model_table(convention: CountingConvention = CountingConvention(), frames: int = 6) -> list[FlopReport]:
+    """Full-model totals: the backbone alone, with the 3D non-local block, and
+    with 4-scale CF-AA, each the backbone's layers plus the attention's."""
+    base = backbone_flops(frames=frames, convention=convention).layers
+    extras = {"baseline": [],
+              "nonlocal": attention_flops("nonlocal3d", convention, frames=frames).layers,
+              "cfaa_net": attention_flops("cfaa", convention, scales=4, frames=frames).layers}
+    return [FlopReport(name, base + layers, convention) for name, layers in extras.items()]
 
 
 def table_rows(convention: CountingConvention = CountingConvention()) -> dict[str, FlopReport]:
-    """The cost-column rows: backbone plus each attention variant's delta."""
-    rows = {"baseline": backbone_flops(convention=convention)}
-    rows["nonlocal3d"] = attention_flops("nonlocal3d", convention)
-    rows["axial"] = attention_flops("axial", convention)
-    rows["axial+sinusoidal"] = attention_flops("axial+sinusoidal", convention)
-    rows["axial+relative"] = attention_flops("axial+relative", convention)
-    rows["cfaa2"] = attention_flops("cfaa", convention, scales=2)
-    rows["cfaa4"] = attention_flops("cfaa", convention, scales=4)
-    return rows
+    """The cost-column rows by report name: backbone plus each attention variant's delta."""
+    reports = [FlopReport("baseline", backbone_flops(convention=convention).layers, convention),
+               *(attention_flops(v, convention) for v in VARIANTS if v != "cfaa"),
+               *(attention_flops("cfaa", convention, scales=s) for s in (2, 4))]
+    return {rep.name: rep for rep in reports}
 
 
 def row_errors(convention: CountingConvention) -> dict[str, float]:
@@ -266,8 +251,8 @@ def convention_grid() -> list[CountingConvention]:
         for soft in (False, True):
             for bn in (False, True):
                 for proj in (False, True):
-                    for shared in (TOTAL_HEADS, None):
-                        grid.append(CountingConvention(mac, soft, bn, proj, shared))
+                    for per_head in (False, True):
+                        grid.append(CountingConvention(mac, soft, bn, proj, per_head))
     return grid
 
 

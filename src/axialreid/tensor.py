@@ -126,6 +126,8 @@ class Rng:
 
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         self._keys = _keys
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, *_keys])))
 

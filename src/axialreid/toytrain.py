@@ -20,6 +20,7 @@ from .tensor import Rng
 SGD_MOMENTUM = 0.9
 TRIPLET_MARGIN = 0.3
 LR_DECAY_AFTER = 0.75  # fraction of the epochs after which the learning rate drops 10x
+FRAME_HW = (32, 16)  # synthetic frame size; the drawn figure is 18 pixels tall
 
 # ---------------------------------------------------------------------------
 # layers for the toy backbone
@@ -194,12 +195,13 @@ class SyntheticIdentityDataset:
     num_ids: int = 20
     tracklets_per_id: int = 4
     frames_per_tracklet: int = 8
-    hw: tuple[int, int] = (32, 16)
     seed: int = 0
-    tracklets: list[Tracklet] = field(default_factory=list)
+    tracklets: list[Tracklet] = field(init=False)
     palette: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.num_ids < 1:
+            raise ValidationError(f"num_ids must be at least 1, got {self.num_ids}")
         rng = Rng(self.seed)
         if self.palette is None:
             self.palette = self._stratified_palette(rng.child(0))
@@ -226,7 +228,7 @@ class SyntheticIdentityDataset:
         return np.clip(palette + rng.child(2).uniform(-0.04, 0.04, palette.shape), 0.0, 1.0)
 
     def _make_tracklet(self, ident: int, camera: int, tid: int, rng: Rng) -> Tracklet:
-        h, w = self.hw
+        h, w = FRAME_HW
         f = self.frames_per_tracklet
         color = self.palette[ident]
         frames = np.empty((f, 3, h, w))
@@ -270,7 +272,7 @@ class SyntheticIdentityDataset:
 class ToyModelSpec:
     channels: tuple[int, ...] = (32, 64, 64)
     strides: tuple[int, ...] = (2, 2, 1)
-    frame_hw: tuple[int, int] = (32, 16)
+    frame_hw: tuple[int, int] = FRAME_HW
     clip_len: int = 4
     num_classes: int = 20
     use_attention: bool = True

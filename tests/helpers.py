@@ -18,7 +18,6 @@ def fresh_split(dataset: tt.SyntheticIdentityDataset, seed: int) -> tt.Synthetic
         num_ids=dataset.num_ids,
         tracklets_per_id=dataset.tracklets_per_id,
         frames_per_tracklet=dataset.frames_per_tracklet,
-        hw=dataset.hw,
         seed=seed,
         palette=dataset.palette,
     )

@@ -17,6 +17,47 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# full stdout of `bench --preset costs` and `bench --preset models --frames 8`
+PRESET_COSTS_TEXT = """\
+cost column reproduction (convention mac1+shared8):
+  baseline               24.320 GFLOPs  (reference 24.520, -0.82%)
+  nonlocal3d             17.213 GFLOPs  (reference 17.213, +0.00%)
+  axial                   0.361 GFLOPs  (reference 0.361, -0.01%)
+  axial+sinusoidal        0.376 GFLOPs  (reference 0.377, -0.26%)
+  axial+relative          0.421 GFLOPs  (reference 0.424, -0.68%)
+  cfaa2                   0.241 GFLOPs  (reference 0.245, -1.84%)
+  cfaa4                   0.123 GFLOPs  (reference 0.126, -2.40%)
+---
+convention=mac1+shared8
+baseline_gflops=24.319623
+baseline_reference=24.52
+nonlocal3d_gflops=17.213424
+nonlocal3d_reference=17.213
+axial_gflops=0.360972
+axial_reference=0.361
+axial+sinusoidal_gflops=0.376013
+axial+sinusoidal_reference=0.377
+axial+relative_gflops=0.421134
+axial+relative_reference=0.424
+cfaa2_gflops=0.240501
+cfaa2_reference=0.245
+cfaa4_gflops=0.122976
+cfaa4_reference=0.126
+---
+"""
+PRESET_MODELS_FRAMES_8_TEXT = """\
+full-model totals:
+  baseline               32.426 GFLOPs  (reference 24.520, +32.24%)
+  nonlocal               63.028 GFLOPs  (reference 41.733, +51.03%)
+  cfaa_net               32.599 GFLOPs  (reference 24.646, +32.27%)
+---
+baseline_gflops=32.426164
+nonlocal_gflops=63.027806
+cfaa_net_gflops=32.598662
+---
+"""
+
+
 def kv_block(out: str) -> dict:
     inside, block = False, {}
     for line in out.splitlines():
@@ -38,6 +79,13 @@ class TestBench:
             got = float(kv[f"{name}_gflops"])
             tol = 0.05 if name == "baseline" else 0.10
             assert abs(got / ref - 1.0) < tol, name
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--preset", "costs"], PRESET_COSTS_TEXT),
+        (["--preset", "models", "--frames", "8"], PRESET_MODELS_FRAMES_8_TEXT),
+    ], ids=["costs", "models-frames-8"])
+    def test_preset_text_unchanged(self, capsys, argv, text):
+        assert run(capsys, "bench", *argv) == (0, text, "")
 
     def test_cfaa_scale1_equals_axial_relative(self, capsys):
         _, out1, _ = run(capsys, "bench", "--variant", "cfaa", "--scales", "1")
@@ -106,6 +154,12 @@ class TestGradcheck:
         _, out1, _ = run(capsys, "gradcheck", "--seed", "7", "--trials", "1")
         _, out2, _ = run(capsys, "gradcheck", "--seed", "7", "--trials", "1")
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag, value, low", [("--trials", "0", 1), ("--trials", "-2", 1), ("--seed", "-1", 0)])
+    def test_integer_flag_below_minimum_exits_one(self, capsys, flag, value, low):
+        code, out, err = run(capsys, "gradcheck", flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be at least {low}, got {value}\n"
 
 
 @pytest.fixture
@@ -220,6 +274,16 @@ class TestAlign:
         assert len(err.splitlines()) == 1 and err.startswith("error: tracklet 6: frame 1: box "), err
         assert "degenerate after clipping to 40x30" in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_candidate_past_last_frame_names_tracklet(self, capsys, align_fixture):
+        # a negative frame is rejected at parse time; the frame count is known only here
+        _, frames_dir, out_dir, _ = align_fixture
+        cand_file = frames_dir.parent / "late.tsv"
+        cand_file.write_text("D=2\n5\t4\t2\t2\t8\t24\t0.9\t1.0\t0.0\n")  # the fixture has frames 0-3
+        code, _, err = run(capsys, "align", "--candidates", str(cand_file),
+                           "--frames", str(frames_dir), "--out", str(out_dir))
+        assert code == 1
+        assert err == "error: tracklet 5: candidate frame 4 out of range\n"
 
     def test_malformed_candidates_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -340,6 +404,15 @@ class TestDemo:
         code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "0", "--no-attention", flag, "2")
         assert code == 1 and out == ""
         assert err == f"error: {flag} has no effect with --no-attention\n"
+
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--seed", "-1", 0), ("--data-seed", "-1", 0), ("--ids", "0", 1), ("--chance-trials", "-1", 0),
+        ("--epochs", "-1", 0),
+    ])
+    def test_integer_flag_below_minimum_exits_one(self, capsys, flag, value, low):
+        code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "0", flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be at least {low}, got {value}\n"
 
     def test_diverging_run_exits_one_without_traceback(self, capsys):
         code, _, err = run(capsys, "demo", "--ids", "4", "--epochs", "3", "--lr", "1e8")

@@ -82,17 +82,13 @@ class TestReferenceRows:
 class TestModelTable:
     def test_totals_within_tolerance(self):
         reports = {r.name: r for r in flops.model_table()}
-        assert reports["nonlocal"].gflops == pytest.approx(flops.REFERENCE_COSTS["nonlocal_total"], rel=0.05)
-        assert reports["cfaa_net"].gflops == pytest.approx(flops.REFERENCE_COSTS["cfaa_net_total"], rel=0.05)
+        assert reports["nonlocal"].gflops == pytest.approx(flops.REFERENCE_COSTS["nonlocal"], rel=0.05)
+        assert reports["cfaa_net"].gflops == pytest.approx(flops.REFERENCE_COSTS["cfaa_net"], rel=0.05)
 
     def test_cfaa_net_delta_equals_attention_flops_exactly(self):
         reports = {r.name: r for r in flops.model_table()}
         delta = reports["cfaa_net"].total - reports["baseline"].total
         assert delta == flops.attention_flops("cfaa", scales=4).total
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValidationError):
-            flops.model_table(presets=("resnet200",))
 
 
 class TestKernelAgreement:

@@ -265,7 +265,8 @@ def candidate_lines(draw) -> list[str]:
 @st.composite
 def malformed_candidate(draw) -> bytes | str:
     fields = ["3", "1", "2.0", "2.0", "8.0", "24.0", "0.9", "1.0", "0.0"]
-    kind = draw(st.sampled_from(["count", "number", "integer", "non-finite", "degenerate", "confidence", "utf8"]))
+    kind = draw(st.sampled_from(["count", "number", "integer", "frame", "non-finite", "degenerate", "confidence",
+                                 "utf8"]))
     if kind == "count":
         n = draw(st.integers(1, 12).filter(lambda n: n != 7 + DIM))
         fields = (fields + draw(st.lists(field_text, min_size=3, max_size=3)))[:n]
@@ -273,6 +274,8 @@ def malformed_candidate(draw) -> bytes | str:
         fields[draw(st.integers(0, 6 + DIM))] = draw(non_float)
     elif kind == "integer":  # tid and frame are integers
         fields[draw(st.integers(0, 1))] = repr(draw(finite.filter(lambda v: v != int(v))))
+    elif kind == "frame":  # frame indices start at 0; the upper bound is the frame count, known at align
+        fields[1] = str(draw(negative))
     elif kind == "non-finite":
         fields[draw(st.integers(2, 6 + DIM))] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
     elif kind == "degenerate":

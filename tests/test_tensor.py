@@ -190,6 +190,10 @@ class TestRng:
         draws = Rng(2).uniform_init((1000,), 4)
         assert np.max(np.abs(draws)) <= 0.5
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+            Rng(-1)
+
 
 class TestContainer:
     def test_roundtrip(self, tmp_path):

@@ -55,6 +55,10 @@ class TestDataset:
         assert np.array_equal(ds.palette, other.palette)
         assert not np.array_equal(ds.tracklets[0].frames, other.tracklets[0].frames)
 
+    def test_no_identities_rejected(self):
+        with pytest.raises(ValidationError, match="num_ids must be at least 1, got 0"):
+            tt.SyntheticIdentityDataset(num_ids=0)
+
     def test_palette_separation(self):
         ds = tt.SyntheticIdentityDataset(num_ids=20, seed=0)
         dists = [
