@@ -79,6 +79,7 @@ def _check_bench_flags(args) -> None:
 
 def cmd_bench(args) -> int:
     _check_bench_flags(args)
+    _check_minimums(args, frames=1, scales=1)
     conv = _parse_convention(args)
     if args.calibrate:
         ranked = flops.calibrate()
@@ -219,6 +220,8 @@ def cmd_eval(args) -> int:
 
 def cmd_demo(args) -> int:
     _check_minimums(args, ids=1, epochs=0, seed=0, data_seed=0, chance_trials=0)
+    if not args.lr > 0:  # nan included
+        raise ValidationError(f"--lr must be positive, got {args.lr}")
     attention = {f: v for f, v in (("scales", args.scales), ("heads", args.heads)) if v is not None}
     if args.no_attention and attention:
         raise ValidationError(f"--{next(iter(attention))} has no effect with --no-attention")

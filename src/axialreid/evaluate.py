@@ -11,13 +11,14 @@ A gallery entry counts as correct iff its identity equals the query identity
 or lies in either side's ambiguity set. Queries with no remaining positive are
 excluded from the mAP / CMC denominators and reported.
 
-Scoring works on blocks of query rows. Each block's drop and match masks are
-built from integer identity and camera arrays, the ambiguity sets and DUPDIST
-pairs are set in them as sparse (query, gallery) exceptions, and the masks are
-gathered into rank order. APs come from cumulative counts of hits and kept
-entries, and the CMC from a count of first-hit ranks. The ranking is a stable
-argsort of each row, so tied distances keep gallery order;
-``protocol_delta_report`` sorts once for its three evaluations.
+The ranking is an int32 (Q, G) array: per block of query rows a quicksort
+argsort and, where a row holds ties, a sort of the integer key ``run * |G| +
+index`` over its numbered runs of equal values, so ties keep gallery order.
+Scoring works on the same blocks: match and drop masks from identity and camera
+arrays, with ambiguity sets and DUPDIST pairs set as sparse (query, gallery)
+exceptions, are packed into one byte per entry and gathered into rank order
+once. A hit's rank among kept entries is its position less the drops before it
+in its row. ``protocol_delta_report`` ranks once for its three evaluations.
 """
 
 from __future__ import annotations
@@ -148,7 +149,21 @@ _BLOCK = 128  # query rows scored together; bounds the (rows, |G|) temporaries
 
 
 def _rank(distances: np.ndarray) -> np.ndarray:
-    return np.argsort(distances, axis=1, kind="stable")  # ties keep gallery index order
+    """Each row's gallery indices by ascending distance, ties in gallery order, as int32."""
+    nq, ng = distances.shape
+    key_type = np.int32 if ng * ng < 2**31 else np.int64  # keys reach ng * ng - 1
+    order = np.empty((nq, ng), dtype=np.int32)
+    for start in range(0, nq, _BLOCK):
+        block = distances[start:start + _BLOCK]
+        values, index = np.sort(block, axis=1), np.argsort(block, axis=1)  # quicksort: ties in any order
+        new_run = values[:, 1:] != values[:, :-1]
+        if not new_run.all():  # sorting run * ng + index puts each run of ties back in gallery order
+            run = np.zeros(values.shape, dtype=key_type)
+            np.cumsum(new_run, axis=1, out=run[:, 1:])
+            run *= ng
+            index = np.sort(run + index.astype(key_type), axis=1) - run  # runs stay in place
+        order[start:start + _BLOCK] = index
+    return order
 
 
 def _expand(rows: np.ndarray, keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,16 +224,19 @@ def _score(dataset: EvalDataset, protocol: str, max_rank: int, order: np.ndarray
         dropped = match & (q_cam[rows, None] == g_cam)
         _mark(match, also_match, start)
         _mark(dropped, also_drop, start)
-        kept = ~np.take_along_axis(dropped, order[rows], axis=1)
-        hit = np.take_along_axis(match, order[rows], axis=1) & kept
-        n_hit = np.cumsum(hit, axis=1)
-        ranks = np.cumsum(kept, axis=1)[hit]  # 1-based rank among kept entries, hits in row order
-        per_row = n_hit[:, -1]
+        row_start = np.arange(len(match)) * ng  # flat index of each row's first entry
+        flags = np.take(match | dropped.view(np.uint8) << 1, order[rows] + row_start[:, None])
+        hits, drops = np.flatnonzero(flags == 1), np.flatnonzero(flags >= 2)  # flat, in rank order
+        row = hits // ng
+        kept_before = row_start - np.searchsorted(drops, row_start)  # kept entries in earlier rows
+        ranks = hits + 1 - np.searchsorted(drops, hits) - kept_before[row]  # 1-based rank among kept entries
+        per_row = np.bincount(row, minlength=len(match))
         scored = np.flatnonzero(per_row)
         if not len(scored):
             continue
         bounds = np.cumsum(per_row[scored]) - per_row[scored]
-        ap = np.add.reduceat(n_hit[hit] / ranks, bounds) / per_row[scored]
+        n_hit = np.arange(1, len(hits) + 1) - np.repeat(bounds, per_row[scored])
+        ap = np.add.reduceat(n_hit / ranks, bounds) / per_row[scored]
         for q, a in zip((scored + start).tolist(), ap.tolist()):
             aps[q] = a
         firsts.append(ranks[bounds] - 1)

@@ -19,8 +19,8 @@ FORMAT_VERSION = 1
 
 
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
-    """Coerce to a C-contiguous float64 array and validate extents."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
+    """Coerce to a C-contiguous float64 array of the same rank and validate extents."""
+    arr = np.asarray(x, dtype=np.float64, order="C")  # ascontiguousarray would make a scalar 1-d
     for ext in arr.shape:
         if ext <= 0:
             raise DimensionError(f"{name} has non-positive extent in shape {arr.shape}")
@@ -187,5 +187,4 @@ def load_tensor(path) -> np.ndarray:
     payload = blob[header_end:]
     if len(payload) != 8 * count:
         raise ValidationError(f"{path}: payload size {len(payload)} does not match shape {shape}")
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-    return np.ascontiguousarray(arr)
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)  # a fresh C-order copy

@@ -54,3 +54,9 @@ def resize_bilinear_oracle(img: np.ndarray, out_h: int, out_w: int) -> np.ndarra
     top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
     bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
     return top * (1 - wy) + bot * wy
+
+
+def rank_oracle(distances: np.ndarray) -> np.ndarray:
+    """Reference for ``evaluate._rank``: a stable argsort of each row, so
+    tied distances keep gallery order."""
+    return np.argsort(distances, axis=1, kind="stable")

@@ -137,6 +137,19 @@ class TestBench:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} has no effect with "), err
 
+    @pytest.mark.parametrize("flag, value, argv", [
+        ("--frames", "0", ["--variant", "backbone"]),
+        ("--frames", "-2", ["--variant", "backbone"]),
+        ("--frames", "0", ["--variant", "cfaa"]),
+        ("--frames", "0", ["--preset", "models"]),
+        ("--scales", "0", ["--variant", "cfaa"]),
+        ("--scales", "-1", ["--variant", "cfaa"]),
+    ])
+    def test_integer_flag_below_minimum_exits_one(self, capsys, flag, value, argv):
+        code, out, err = run(capsys, "bench", *argv, flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
+
 
 class TestGradcheck:
     def test_default_run_passes(self, capsys):
@@ -413,6 +426,12 @@ class TestDemo:
         code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "0", flag, value)
         assert code == 1 and out == ""
         assert err == f"error: {flag} must be at least {low}, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-0.05", "nan"])
+    def test_non_positive_lr_exits_one(self, capsys, value):
+        code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "1", "--lr", value)
+        assert code == 1 and out == ""
+        assert err == f"error: --lr must be positive, got {float(value)}\n"
 
     def test_diverging_run_exits_one_without_traceback(self, capsys):
         code, _, err = run(capsys, "demo", "--ids", "4", "--epochs", "3", "--lr", "1e8")

@@ -12,6 +12,7 @@ from axialreid import evaluate as ev
 from axialreid.errors import DimensionError, ValidationError
 from axialreid.tensor import Rng, save_tensor
 from eval_files import write_metadata_file
+from helpers import rank_oracle
 
 
 def brute_force_eval(dataset, protocol, max_rank=50):
@@ -165,6 +166,18 @@ def duke_shape_instance(seed=6):
         duplicate_pairs={frozenset((int(i), nq + int(rng.choice(distractors)))) for i in range(0, nq, 10)},
     )
     return ev.EvalDataset(queries=queries, gallery=gallery, distances=dist), corrections
+
+
+def dense_match_instance(seed=6):
+    """The Duke test shape with every query and gallery entry identity 1 over 8
+    cameras: each row is all hits but for its same-camera drops."""
+    rng = np.random.default_rng(seed)
+    nq, ng, n_cams = 702, 2636, 8
+    queries = [ev.TrackletMeta(tid=i, identity=1, camera=int(c)) for i, c in enumerate(rng.integers(0, n_cams, nq))]
+    gallery = [ev.TrackletMeta(tid=nq + j, identity=1, camera=int(c))
+               for j, c in enumerate(rng.integers(0, n_cams, ng))]
+    dist = np.round(rng.uniform(0.0, 2.0, (nq, ng)) / 0.05) * 0.05
+    return ev.EvalDataset(queries=queries, gallery=gallery, distances=dist)
 
 
 class TestApplyCorrections:
@@ -410,6 +423,112 @@ class TestDrawnAgainstOracle:
         assert res.cmc.shape == (min(max_rank, ng),) and np.array_equal(res.cmc, cmc)
 
 
+@st.composite
+def distance_matrix(draw):
+    """Row counts on both sides of ``_BLOCK``, 1-300 columns, and values that
+    are continuous, quantised to a few levels (heavy ties) or a mix of the two
+    by row; negative values, and -0.0 next to 0.0."""
+    nq = draw(st.one_of(st.integers(1, 4), st.integers(ev._BLOCK - 1, ev._BLOCK + 1), st.just(2 * ev._BLOCK + 3)))
+    ng = draw(st.integers(1, 300))
+    levels = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 1.0, (nq, ng))
+    tied = rng.random(nq) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    values[tied] = rng.integers(-(levels // 2), levels - levels // 2, (tied.sum(), ng)) * 0.25
+    return np.where(values == 0.0, rng.choice([-0.0, 0.0], (nq, ng)), values)
+
+
+class TestRankAgainstOracle:
+    """``_rank`` (quicksort, then ties put back in gallery order) against the
+    stable argsort, bitwise."""
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(distances=distance_matrix())
+    def test_matches_stable_argsort(self, distances):
+        assert np.array_equal(ev._rank(distances), rank_oracle(distances))
+
+    # the key run * ng + index is int32 up to ng = 46340 and int64 from 46341;
+    # at 70000 an int32 key would wrap
+    @pytest.mark.parametrize("ng", [46340, 46341, 70000])
+    def test_wide_row_with_ties(self, ng):
+        rng = np.random.default_rng(ng)
+        distances = rng.normal(0.0, 1.0, (1, ng))
+        distances[0, ::997] = distances[0, 5]  # a long run of ties amid distinct values
+        distances[0, rng.integers(0, ng, 9)] = -0.0
+        distances[0, rng.integers(0, ng, 9)] = 0.0
+        assert np.array_equal(ev._rank(distances), rank_oracle(distances))
+
+
+def outcome(dataset, protocol, max_rank=50):
+    """Everything ``evaluate`` reports, or the message of the ValidationError it raises."""
+    try:
+        res = ev.evaluate(dataset, protocol, max_rank)
+    except ValidationError as exc:
+        return str(exc)
+    return res.mAP, res.cmc.tolist(), res.per_query_ap, res.excluded
+
+
+class TestMetamorphic:
+    """Relations that hold without an oracle: changes to the input that must
+    leave mAP, per-query AP, CMC and the excluded count exactly as they were."""
+
+    SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+    @SETTINGS
+    @given(dataset=drawn_instance(), protocol=st.sampled_from(ev.PROTOCOLS),
+           transform=st.sampled_from([np.exp, np.arctan, lambda d: d**3, lambda d: 3.0 * d - 2.0]))
+    def test_strictly_increasing_transform(self, dataset, protocol, transform):
+        moved = replace(dataset, distances=transform(dataset.distances))
+        assert outcome(moved, protocol) == outcome(dataset, protocol)
+
+    @SETTINGS
+    @given(dataset=drawn_instance(), protocol=st.sampled_from(ev.PROTOCOLS), data=st.data())
+    def test_query_permutation(self, dataset, protocol, data):
+        perm = data.draw(st.permutations(range(len(dataset.queries))))
+        moved = replace(dataset, queries=[dataset.queries[i] for i in perm], distances=dataset.distances[perm])
+        want, got = outcome(dataset, protocol), outcome(moved, protocol)
+        if isinstance(want, str):
+            assert got == want
+            return
+        m_ap, cmc, aps, excluded = got
+        assert cmc == want[1] and aps == [want[2][i] for i in perm] and excluded == want[3]
+        assert m_ap == pytest.approx(want[0], rel=0, abs=1e-15)  # the mean sums the APs in another order
+
+    @SETTINGS
+    @given(dataset=drawn_instance(), protocol=st.sampled_from(ev.PROTOCOLS))
+    def test_block_size(self, dataset, protocol):
+        want = outcome(dataset, protocol)
+        for block in (1, 7, 1000):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ev, "_BLOCK", block)
+                assert outcome(dataset, protocol) == want, block
+
+    @SETTINGS
+    @given(dataset=drawn_instance(), protocol=st.sampled_from(ev.PROTOCOLS), data=st.data())
+    def test_gallery_permutation_when_untied(self, dataset, protocol, data):
+        nq, ng = dataset.distances.shape
+        untied = np.argsort(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((nq, ng)), axis=1)
+        dataset = replace(dataset, distances=untied * 0.5)
+        perm = data.draw(st.permutations(range(ng)))
+        moved = replace(dataset, gallery=[dataset.gallery[j] for j in perm], distances=dataset.distances[:, perm])
+        assert outcome(moved, protocol) == outcome(dataset, protocol)
+
+    @SETTINGS
+    @given(dataset=drawn_instance(), protocol=st.sampled_from(ev.PROTOCOLS), data=st.data())
+    def test_added_entry_under_the_querys_identity_and_camera(self, dataset, protocol, data):
+        q = data.draw(st.sampled_from(dataset.queries))
+        rows = [i for i, m in enumerate(dataset.queries) if (m.identity, m.camera) == (q.identity, q.camera)]
+        base = replace(dataset, queries=[dataset.queries[i] for i in rows], distances=dataset.distances[rows])
+        at = data.draw(st.integers(0, len(dataset.gallery)))
+        column = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+                                             min_size=len(rows), max_size=len(rows))))
+        extra = ev.TrackletMeta(tid=5000, identity=q.identity, camera=q.camera)
+        bigger = replace(base, gallery=base.gallery[:at] + [extra] + base.gallery[at:],
+                         distances=np.insert(base.distances, at, column, axis=1))
+        ng = len(base.gallery)  # the CMC has min(max_rank, |G|) entries
+        assert outcome(bigger, protocol, ng) == outcome(base, protocol, ng)
+
+
 class TestDuplicateTids:
     @pytest.mark.parametrize("role", ["query", "gallery"])
     def test_repeated_tid_in_one_role_rejected_with_both_indices(self, role):
@@ -451,6 +570,19 @@ class TestMemory:
         tracemalloc.start()
         try:
             report = ev.protocol_delta_report(dataset, corrections)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.old_raw.excluded < len(dataset.queries)
+        assert peak <= 2.2 * dataset.distances.nbytes, peak / dataset.distances.nbytes
+
+
+    def test_delta_report_peak_memory_when_every_entry_matches(self):
+        # each block's hits fill its rows instead of a few entries per row
+        dataset = dense_match_instance()
+        tracemalloc.start()
+        try:
+            report = ev.protocol_delta_report(dataset, ev.LabelCorrections())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,13 @@ class TestContainer:
         p = tmp_path / "t.aakt"
         save_tensor(p, x)
         assert np.array_equal(load_tensor(p), x)
+
+    def test_rank0_roundtrip_keeps_shape(self, tmp_path):
+        p = tmp_path / "t.aakt"
+        save_tensor(p, np.float64(2.5))
+        assert p.read_bytes() == b"AAKT" + struct.pack("<II", 1, 0) + struct.pack("<d", 2.5)
+        x = load_tensor(p)
+        assert x.shape == () and x == 2.5 and x.flags.c_contiguous and x.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.aakt"
