@@ -12,8 +12,9 @@ or lies in either side's ambiguity set. Queries with no remaining positive are
 excluded from the mAP / CMC denominators and reported.
 
 The ranking is an int32 (Q, G) array: per block of query rows a quicksort
-argsort and, where a row holds ties, a sort of the integer key ``run * |G| +
-index`` over its numbered runs of equal values, so ties keep gallery order.
+argsort, the sorted values read through it in one flat gather, and, where a row
+holds ties, a sort of the integer key ``run * |G| + index`` over its numbered
+runs of equal values, so ties keep gallery order.
 Scoring works on the same blocks: match and drop masks from identity and camera
 arrays, with ambiguity sets and DUPDIST pairs set as sparse (query, gallery)
 exceptions, are packed into one byte per entry and gathered into rank order
@@ -112,10 +113,11 @@ def apply_corrections(dataset: EvalDataset, corrections: LabelCorrections) -> Ev
     corrections.validate()
 
     def fix(meta: TrackletMeta) -> TrackletMeta:
+        if meta.tid not in corrections.relabels and meta.tid not in corrections.ambiguities:
+            return meta  # frozen, and equal to what replace would build
         identity = corrections.relabels.get(meta.tid, meta.identity)
-        extra = corrections.ambiguities.get(meta.tid, set())
-        ambiguous = (meta.ambiguous_ids | set(extra)) - {identity}
-        return replace(meta, identity=identity, ambiguous_ids=frozenset(ambiguous))
+        ambiguous = meta.ambiguous_ids.union(corrections.ambiguities.get(meta.tid, ())) - {identity}
+        return replace(meta, identity=identity, ambiguous_ids=ambiguous)
 
     distances = dataset.distances.view()
     distances.flags.writeable = False
@@ -133,8 +135,12 @@ class EvalResult:
     cmc: np.ndarray  # cmc[k-1] = CMC(k)
     per_query_ap: list[float | None]  # None = excluded
     excluded: int
+    gallery_size: int  # a CMC this long covers every rank
 
     def cmc_at(self, k: int) -> float:
+        """CMC(k); past the end of a curve that covers the whole gallery, its last entry."""
+        if k < 1 or (k > len(self.cmc) and len(self.cmc) < self.gallery_size):
+            raise ValidationError(f"CMC rank {k} is not among the curve's ranks 1..{len(self.cmc)}")
         return float(self.cmc[min(k, len(self.cmc)) - 1])
 
 
@@ -155,7 +161,8 @@ def _rank(distances: np.ndarray) -> np.ndarray:
     order = np.empty((nq, ng), dtype=np.int32)
     for start in range(0, nq, _BLOCK):
         block = distances[start:start + _BLOCK]
-        values, index = np.sort(block, axis=1), np.argsort(block, axis=1)  # quicksort: ties in any order
+        index = np.argsort(block, axis=1)  # quicksort: ties in any order
+        values = np.take(block, index + np.arange(len(block))[:, None] * ng)  # np.sort's values, one gather
         new_run = values[:, 1:] != values[:, :-1]
         if not new_run.all():  # sorting run * ng + index puts each run of ties back in gallery order
             run = np.zeros(values.shape, dtype=key_type)
@@ -196,6 +203,8 @@ def _mark(mask: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], start: int) ->
 
 def _score(dataset: EvalDataset, protocol: str, max_rank: int, order: np.ndarray) -> EvalResult:
     """``evaluate`` on a precomputed ranking ``order`` of ``dataset.distances``."""
+    if max_rank < 1:
+        raise ValidationError(f"max_rank must be at least 1, got {max_rank}")
     nq, ng = dataset.distances.shape
     max_rank = min(max_rank, ng)
     q_id = np.array([m.identity for m in dataset.queries])
@@ -245,7 +254,7 @@ def _score(dataset: EvalDataset, protocol: str, max_rank: int, order: np.ndarray
     firsts = np.concatenate(firsts)
     m_ap = float(np.mean([a for a in aps if a is not None]))
     cmc = np.cumsum(np.bincount(firsts[firsts < max_rank], minlength=max_rank)) / len(firsts)
-    return EvalResult(mAP=m_ap, cmc=cmc, per_query_ap=aps, excluded=nq - len(firsts))
+    return EvalResult(mAP=m_ap, cmc=cmc, per_query_ap=aps, excluded=nq - len(firsts), gallery_size=ng)
 
 
 @dataclass

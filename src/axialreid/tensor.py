@@ -7,6 +7,8 @@ operation validates its inputs and guarantees a finite result.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -167,24 +169,27 @@ def save_tensor(path, x) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read a tensor container written by save_tensor."""
+    """Read a tensor container written by save_tensor. Its header is checked
+    against the file size first; the payload is read once, into the result."""
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 12 or blob[:4] != MAGIC:
-        raise ValidationError(f"{path}: not a tensor container (bad magic)")
-    version, rank = struct.unpack_from("<II", blob, 4)
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"{path}: unsupported container version {version}")
-    header_end = 12 + 8 * rank
-    if len(blob) < header_end:
-        raise ValidationError(f"{path}: truncated header")
-    shape = struct.unpack_from(f"<{rank}Q", blob, 12)
-    count = 1
-    for ext in shape:
-        if ext == 0:
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if len(head) < 12 or head[:4] != MAGIC:
+            raise ValidationError(f"{path}: not a tensor container (bad magic)")
+        version, rank = struct.unpack_from("<II", head, 4)
+        if version != FORMAT_VERSION:
+            raise ValidationError(f"{path}: unsupported container version {version}")
+        header_end = 12 + 8 * rank
+        extents = f.read(8 * rank) if size >= header_end else b""
+        if len(extents) < 8 * rank:
+            raise ValidationError(f"{path}: truncated header")
+        shape = struct.unpack(f"<{rank}Q", extents)
+        if 0 in shape:
             raise ValidationError(f"{path}: zero extent in shape {shape}")
-        count *= ext
-    payload = blob[header_end:]
-    if len(payload) != 8 * count:
-        raise ValidationError(f"{path}: payload size {len(payload)} does not match shape {shape}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)  # a fresh C-order copy
+        if size - header_end != 8 * math.prod(shape):
+            raise ValidationError(f"{path}: payload size {size - header_end} does not match shape {shape}")
+        out = np.empty(shape, dtype="<f8")
+        if f.readinto(memoryview(out).cast("B")) != out.nbytes:  # the file shrank since fstat
+            raise ValidationError(f"{path}: payload ended early while being read")
+    return out

@@ -208,6 +208,14 @@ class TestApplyCorrections:
         out = ev.apply_corrections(dataset, ev.LabelCorrections(ambiguities={3: {322}}))
         assert out.gallery[0].ambiguous_ids == frozenset({322})
 
+    def test_only_tracklets_with_a_record_are_rebuilt(self):
+        dataset, corrections = duke_shape_instance()
+        out = ev.apply_corrections(dataset, corrections)
+        listed = corrections.relabels.keys() | corrections.ambiguities.keys()
+        for before, after in zip(dataset.queries + dataset.gallery, out.queries + out.gallery):
+            assert (after is before) == (before.tid not in listed), before.tid
+        assert 0 < sum(m.tid in listed for m in dataset.gallery) < len(dataset.gallery)
+
     def test_conflicting_corrections_listed(self):
         c = ev.LabelCorrections(relabels={5: 9}, ambiguities={5: {9}})
         with pytest.raises(ValidationError, match="5"):
@@ -325,6 +333,43 @@ class TestEvaluate:
                 gallery=[ev.TrackletMeta(tid=3 + i, identity=1 + i, camera=1) for i in range(3)],
                 distances=distances,
             )
+
+
+def second_rank_hit_instance():
+    """One query, two cross-camera gallery entries; the hit ranks second, so
+    CMC(1) = 0 and CMC(2) = 1."""
+    return ev.EvalDataset(
+        queries=[ev.TrackletMeta(tid=1, identity=5, camera=0)],
+        gallery=[ev.TrackletMeta(tid=2, identity=6, camera=1), ev.TrackletMeta(tid=3, identity=5, camera=1)],
+        distances=np.array([[0.1, 0.2]]),
+    )
+
+
+class TestRankRange:
+    @pytest.mark.parametrize("max_rank", [0, -1])
+    def test_max_rank_below_one_rejected(self, max_rank):
+        dataset = second_rank_hit_instance()
+        with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
+            ev.evaluate(dataset, "old", max_rank)
+        with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
+            ev.protocol_delta_report(dataset, ev.LabelCorrections(), max_rank)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cmc_at_below_one_rejected(self, k):
+        res = ev.evaluate(second_rank_hit_instance(), "old")
+        with pytest.raises(ValidationError, match=rf"CMC rank {k} is not among the curve's ranks 1\.\.2"):
+            res.cmc_at(k)
+
+    def test_cmc_at_past_a_curve_cut_short_rejected(self):
+        res = ev.evaluate(second_rank_hit_instance(), "old", max_rank=1)
+        assert res.cmc_at(1) == 0.0
+        with pytest.raises(ValidationError, match=r"CMC rank 2 is not among the curve's ranks 1\.\.1"):
+            res.cmc_at(2)
+
+    def test_cmc_at_past_a_curve_over_the_whole_gallery_reads_its_last_entry(self):
+        res = ev.evaluate(second_rank_hit_instance(), "old")
+        assert len(res.cmc) == 2
+        assert (res.cmc_at(1), res.cmc_at(2), res.cmc_at(10)) == (0.0, 1.0, 1.0)
 
 
 class TestAgainstOracle:
@@ -564,7 +609,7 @@ class TestMemory:
         assert dataset.duplicate_pairs == before.duplicate_pairs
 
     def test_delta_report_peak_memory_near_one_ranking(self):
-        # one (Q, G) int64 ranking plus per-block temporaries; a corrected
+        # one (Q, G) int32 ranking plus per-block temporaries; a corrected
         # copy of the matrix on top of the ranking reads about 3x
         dataset, corrections = duke_shape_instance()
         tracemalloc.start()

@@ -1,10 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axialreid.errors import DimensionError, ValidationError
 from axialreid.tensor import (
+    MAGIC,
     Rng,
     avg_pool_2d,
     avg_pool_2d_adjoint,
@@ -223,3 +227,71 @@ class TestContainer:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(ValidationError, match="payload"):
             load_tensor(p)
+
+    def test_peak_memory_is_one_payload(self, tmp_path):
+        # Duke-shape distances (702 x 2636); reading the file and copying the
+        # payload out of it reads 3x
+        x = np.random.default_rng(0).uniform(0.0, 2.0, (702, 2636))
+        p = tmp_path / "dist.aakt"
+        save_tensor(p, x)
+        tracemalloc.start()
+        try:
+            y = load_tensor(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(y, x)
+        assert peak <= 1.25 * x.nbytes, peak / x.nbytes
+
+
+@st.composite
+def container(draw):
+    """The bytes of a valid container of rank 0-3, written from the format's
+    description, not by save_tensor."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    values = draw(st.lists(st.floats(allow_nan=False, width=64), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    header = MAGIC + struct.pack(f"<II{len(shape)}Q", 1, len(shape), *shape)
+    return header + np.array(values, dtype="<f8").tobytes()
+
+
+def load_or_reject(path):
+    """load_tensor's array, checked to write back to the same bytes, or None
+    when it raises ValidationError; any other exception escapes."""
+    try:
+        x = load_tensor(path)
+    except ValidationError:
+        return None
+    assert x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable and x.flags.owndata
+    blob = path.read_bytes()
+    save_tensor(path, x)
+    assert path.read_bytes() == blob
+    return x
+
+
+class TestContainerRobustness:
+    """Truncated, padded and rewritten containers load to what their bytes say
+    or raise ValidationError; nothing else escapes the reader."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(blob=container(), extra=st.binary(min_size=1, max_size=16), magic=st.binary(min_size=4, max_size=4),
+           version=st.integers(0, 2**32 - 1), rank=st.one_of(st.integers(0, 5), st.integers(0, 2**32 - 1)),
+           extents=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**63)), min_size=3, max_size=3))
+    def test_every_cut_and_rewrite(self, tmp_path_factory, blob, extra, magic, version, rank, extents):
+        p = tmp_path_factory.mktemp("aakt") / "t.aakt"
+        p.write_bytes(blob)
+        assert load_or_reject(p) is not None
+        for cut in range(len(blob)):
+            p.write_bytes(blob[:cut])
+            assert load_or_reject(p) is None, cut
+        p.write_bytes(blob + extra)
+        assert load_or_reject(p) is None
+        p.write_bytes(magic + blob[4:])
+        assert (load_or_reject(p) is None) == (magic != MAGIC)
+        p.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        assert (load_or_reject(p) is None) == (version != 1)
+        p.write_bytes(blob[:8] + struct.pack("<I", rank) + blob[12:])
+        load_or_reject(p)
+        old_rank = struct.unpack_from("<I", blob, 8)[0]
+        p.write_bytes(blob[:12] + struct.pack(f"<{old_rank}Q", *extents[:old_rank]) + blob[12 + 8 * old_rank:])
+        load_or_reject(p)
