@@ -27,6 +27,13 @@ score/value contraction, relative positional terms included, is one stacked
   projection is one matmul per volume. Axial attention and 3D self-attention
   take one volume.
 
+The softmax subtracts each row's max, exponentiates and normalises in place.
+The row max is a fold of the L key columns with ``np.maximum``, one ufunc
+call per key, where a max reduction has a fixed cost per row whatever L
+(about 85 ns with numpy 2.4 on a 2-core x86 VM). The max is exact either way
+(where 0.0 ties -0.0, either zero gives the same exp(x - m)) and the row sums
+stay one numpy sum over the last axis, so the bits are those of the reduction.
+
 Projections are per-position linear maps (1x1x1 convolutions) without bias.
 All math is float64 numpy; multiply counts of the score/value contractions can
 be instrumented via ``count_multiplies`` for cost-model cross-checks.
@@ -290,6 +297,18 @@ def _per_query(a: np.ndarray) -> np.ndarray:
     return a.transpose(2, 0, 1, 3).reshape(a.shape[2], -1, a.shape[3])
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of finite logits, in place; returns logits.
+    The row max is a fold of the key columns (see the module docstring)."""
+    m = logits[..., :1].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(m, logits[..., j : j + 1], out=m)
+    logits -= m
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
 # matmul warns on overflow where einsum did not; the check_finite calls on the
 # logits and the output report a diverging run instead
 @np.errstate(over="ignore", invalid="ignore")
@@ -349,10 +368,7 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
         logits += (k.swapaxes(1, 2) @ rk.transpose(1, 2, 0)).transpose(0, 2, 3, 1)
         _count(heads * b * length * length * dq)
 
-    check_finite(logits, "attention logits")
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = _softmax(check_finite(logits, "attention logits"))
 
     y = attn @ v  # (heads, b, L, dv)
     _count(heads * b * length * length * dv)

@@ -148,7 +148,14 @@ def evaluate(dataset: EvalDataset, protocol: str = "old", max_rank: int = 50) ->
     """Rank the gallery per query, drop ignored entries, score AP and CMC."""
     if protocol not in PROTOCOLS:
         raise ValidationError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
+    _check_max_rank(max_rank)
     return _score(dataset, protocol, max_rank, _rank(dataset.distances))
+
+
+def _check_max_rank(max_rank: int) -> None:
+    """Reject a CMC cut below rank 1 before any ranking work."""
+    if max_rank < 1:
+        raise ValidationError(f"max_rank must be at least 1, got {max_rank}")
 
 
 _BLOCK = 128  # query rows scored together; bounds the (rows, |G|) temporaries
@@ -202,9 +209,8 @@ def _mark(mask: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], start: int) ->
 
 
 def _score(dataset: EvalDataset, protocol: str, max_rank: int, order: np.ndarray) -> EvalResult:
-    """``evaluate`` on a precomputed ranking ``order`` of ``dataset.distances``."""
-    if max_rank < 1:
-        raise ValidationError(f"max_rank must be at least 1, got {max_rank}")
+    """``evaluate`` on a precomputed ranking ``order`` of ``dataset.distances``;
+    the caller has checked ``max_rank``."""
     nq, ng = dataset.distances.shape
     max_rank = min(max_rank, ng)
     q_id = np.array([m.identity for m in dataset.queries])
@@ -286,6 +292,7 @@ class DeltaReport:
 
 
 def protocol_delta_report(dataset: EvalDataset, corrections: LabelCorrections, max_rank: int = 50) -> DeltaReport:
+    _check_max_rank(max_rank)
     corrected = apply_corrections(dataset, corrections)
     order = _rank(dataset.distances)  # the corrected dataset ranks the same matrix
     return DeltaReport(

@@ -43,8 +43,11 @@ class Layer:
 
 class Conv2d(Layer):
     """3x3 / 1x1 convolution without bias, stride s, zero padding. Each of the
-    k*k taps is one stacked per-frame matmul, weight[:, :, di, dj] (O, C) times
-    the tap's strided window of the padded input (B, C, Ho*Wo)."""
+    k*k taps is one stacked per-frame matmul, the tap's (O, C) weight times the
+    tap's strided window of the padded input (B, C, Ho*Wo). The taps come from
+    one contiguous (k, k, O, C) copy of the weight per call, and backward's
+    d_x from a (k, k, C, O) copy: the strided weight[:, :, di, dj] gives the
+    same bits but made each tap's matmul 1.7-2x slower."""
 
     PARAMS = ("weight",)
 
@@ -58,14 +61,16 @@ class Conv2d(Layer):
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         b, c, h, w = x.shape
         k, s, p = self.weight.shape[2], self.stride, self.pad
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x
         ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
         o = self.weight.shape[0]
+        taps = np.ascontiguousarray(self.weight.transpose(2, 3, 0, 1))  # (k, k, O, C)
         out = np.zeros((b, o, ho * wo))
         for di in range(k):
             for dj in range(k):
                 xs = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s].reshape(b, c, ho * wo)
-                out += self.weight[:, :, di, dj] @ xs
+                out += taps[di, dj] @ xs
         self._cache = (xp, x.shape, ho, wo) if training else None
         return out.reshape(b, o, ho, wo)
 
@@ -76,12 +81,13 @@ class Conv2d(Layer):
         g = dy.reshape(b, o, ho * wo)
         d_w = self.d_weight = np.zeros_like(self.weight)
         d_xp = np.zeros_like(xp)
+        taps_t = np.ascontiguousarray(self.weight.transpose(2, 3, 1, 0))  # (k, k, C, O)
         for di in range(k):
             for dj in range(k):
                 tap = (slice(None), slice(None), slice(di, di + s * ho, s), slice(dj, dj + s * wo, s))
                 xs = xp[tap].reshape(b, c, ho * wo)
                 d_w[:, :, di, dj] = (g @ xs.transpose(0, 2, 1)).sum(0)
-                d_xp[tap] += (self.weight[:, :, di, dj].T @ g).reshape(b, c, ho, wo)
+                d_xp[tap] += (taps_t[di, dj] @ g).reshape(b, c, ho, wo)
         return d_xp[:, :, p : p + x_shape[2], p : p + x_shape[3]] if p else d_xp
 
 

@@ -1,5 +1,6 @@
 """Fixture builders for the toy dataset and the candidate file format, and the
-slow references that optimised library paths are tested against.
+slow references that optimised library paths are tested against (each one
+the code that the optimised path replaced, so tests compare bit for bit).
 
 The library and the CLI only read candidate files; tests write them here."""
 
@@ -60,3 +61,47 @@ def rank_oracle(distances: np.ndarray) -> np.ndarray:
     """Reference for ``evaluate._rank``: a stable argsort of each row, so
     tied distances keep gallery order."""
     return np.argsort(distances, axis=1, kind="stable")
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """Reference for ``attention._softmax``: one max reduction per row, then
+    exp and normalise into new arrays, leaving logits as they are."""
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_conv_forward(conv: tt.Conv2d, x: np.ndarray, training: bool) -> np.ndarray:
+    """Reference for ``toytrain.Conv2d.forward`` with the same signature and
+    cache: ``np.pad``, and each tap's weight read as the strided
+    ``weight[:, :, di, dj]``."""
+    b, c, h, w = x.shape
+    k, s, p = conv.weight.shape[2], conv.stride, conv.pad
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    o = conv.weight.shape[0]
+    out = np.zeros((b, o, ho * wo))
+    for di in range(k):
+        for dj in range(k):
+            xs = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s].reshape(b, c, ho * wo)
+            out += conv.weight[:, :, di, dj] @ xs
+    conv._cache = (xp, x.shape, ho, wo) if training else None
+    return out.reshape(b, o, ho, wo)
+
+
+def reference_conv_backward(conv: tt.Conv2d, dy: np.ndarray) -> np.ndarray:
+    """Reference for ``toytrain.Conv2d.backward`` after ``reference_conv_forward``:
+    d_x from the strided, transposed ``weight[:, :, di, dj].T``."""
+    xp, x_shape, ho, wo = conv._cache
+    k, s, p = conv.weight.shape[2], conv.stride, conv.pad
+    (o, c), b = conv.weight.shape[:2], x_shape[0]
+    g = dy.reshape(b, o, ho * wo)
+    d_w = conv.d_weight = np.zeros_like(conv.weight)
+    d_xp = np.zeros_like(xp)
+    for di in range(k):
+        for dj in range(k):
+            tap = (slice(None), slice(None), slice(di, di + s * ho, s), slice(dj, dj + s * wo, s))
+            xs = xp[tap].reshape(b, c, ho * wo)
+            d_w[:, :, di, dj] = (g @ xs.transpose(0, 2, 1)).sum(0)
+            d_xp[tap] += (conv.weight[:, :, di, dj].T @ g).reshape(b, c, ho, wo)
+    return d_xp[:, :, p : p + x_shape[2], p : p + x_shape[3]] if p else d_xp

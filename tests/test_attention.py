@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axialreid import attention as att
 from axialreid.errors import ConfigurationError, DimensionError
 from axialreid.tensor import Rng
+from helpers import reference_softmax
 
 
 def softmax_1d(v):
@@ -419,6 +422,27 @@ class TestSoftmax:
         _, nl_cache = att.nonlocal_3d_forward(x, att.init_nonlocal_params(cfg, rng.child(2)), cfg, want_cache=True)
         for attn in (cache["attn"], nl_cache["attn"]):
             assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_row_max_reference(self, data):
+        # (heads, b, L, L) logits with b on both sides of L (CF-AA lines have
+        # b >= L, the 3D self-attention line b = 1); values drawn from a small
+        # pool tie, and the pool reaches 1e300 and can hold 0.0 next to -0.0
+        length = data.draw(st.integers(1, 40), label="L")
+        few_lines = length > 1 and data.draw(st.booleans(), label="b < L")
+        lines = data.draw(st.integers(1, length - 1) if few_lines else st.integers(length, length + 3), label="b")
+        heads = data.draw(st.integers(1, 2), label="heads")
+        pool = data.draw(st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=6), label="pool")
+        if data.draw(st.booleans(), label="signed zeros"):
+            pool += [0.0, -0.0]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (heads, lines, length, length)
+        scale = data.draw(st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]), label="scale")
+        logits = np.where(rng.random(shape) < data.draw(st.floats(0.0, 1.0), label="pool fraction"),
+                          rng.choice(np.array(pool), shape), scale * rng.standard_normal(shape))
+        ref = reference_softmax(logits)
+        assert np.array_equal(att._softmax(logits.copy()), ref)
 
     def test_empty_axis_rejected(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(1, 1, 1))

@@ -354,6 +354,18 @@ class TestRankRange:
         with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
             ev.protocol_delta_report(dataset, ev.LabelCorrections(), max_rank)
 
+    @pytest.mark.parametrize("max_rank", [0, -1])
+    def test_max_rank_checked_before_ranking(self, max_rank, monkeypatch):
+        def no_ranking(distances):
+            raise AssertionError("ranked before max_rank was checked")
+
+        monkeypatch.setattr(ev, "_rank", no_ranking)
+        dataset = second_rank_hit_instance()
+        with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
+            ev.evaluate(dataset, "old", max_rank)
+        with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
+            ev.protocol_delta_report(dataset, ev.LabelCorrections(), max_rank)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_cmc_at_below_one_rejected(self, k):
         res = ev.evaluate(second_rank_hit_instance(), "old")

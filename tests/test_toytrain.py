@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from axialreid import attention as att
 from axialreid import evaluate as ev
 from axialreid import toytrain as tt
 from axialreid.errors import ConfigurationError, DimensionError, ValidationError
 from axialreid.gradcheck import fd_gradient, rel_error
 from axialreid.tensor import Rng
-from helpers import fresh_split
+from helpers import fresh_split, reference_conv_backward, reference_conv_forward, reference_softmax
 
 
 def small_dataset(seed=3, num_ids=4):
@@ -109,7 +111,6 @@ class TestLayers:
 
     def test_one_attention_call_per_batch(self, monkeypatch):
         from axialreid import aggregation as agg
-        from axialreid import attention as att
 
         calls = []
 
@@ -247,6 +248,19 @@ class TestConvOracle:
         assert d_x.shape == x.shape and d_w.shape == conv.weight.shape
         assert scaled_error(d_x, ref_dx) < 1e-12
         assert scaled_error(d_w, ref_dw) < 1e-12
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_bitwise_equal_to_strided_tap_reference(self, shape, batch):
+        c_in, c_out, k, s, h, w = shape
+        rng = Rng(37)
+        conv, ref = (tt.Conv2d(c_in, c_out, k, s, rng.child(0)) for _ in range(2))
+        x = rng.child(1).normal((batch, c_in, h, w))
+        out = conv.forward(x, training=True)
+        assert np.array_equal(out, reference_conv_forward(ref, x, training=True))
+        g = rng.child(2).normal(out.shape)
+        assert np.array_equal(conv.backward(g), reference_conv_backward(ref, g))
+        assert np.array_equal(conv.d_weight, ref.d_weight)
 
     @pytest.mark.parametrize("shape", CONV_SHAPES[:4], ids=lambda s: "x".join(map(str, s)))
     def test_empty_batch_keeps_shape(self, shape):
@@ -416,8 +430,28 @@ def test_training_bitwise_equal_across_blas_thread_counts():
     assert len(one) == 64 and one == two
 
 
-# One CF-AA training epoch at the default spec, timed after a warm-up epoch;
-# prints process CPU seconds and wall seconds.
+def test_kernels_bitwise_equal_to_reference_kernels(monkeypatch):
+    # one CF-AA epoch at the default channel widths plus retrieve, once on the
+    # library's kernels and once on the references they replaced
+    def digest():
+        ds = small_dataset()
+        model, log = tt.train(tt.ToyModelSpec(num_classes=ds.num_ids), ds, epochs=1, seed=5)
+        h = hashlib.sha256(repr(log.epoch_losses).encode())
+        for _, param in model.named_params():
+            h.update(param.tobytes())
+        h.update(tt.retrieve(model, ds.tracklets).distances.tobytes())
+        return h.hexdigest()
+
+    fast = digest()
+    monkeypatch.setattr(att, "_softmax", reference_softmax)
+    monkeypatch.setattr(tt.Conv2d, "forward", reference_conv_forward)
+    monkeypatch.setattr(tt.Conv2d, "backward", reference_conv_backward)
+    assert digest() == fast
+
+
+# One CF-AA training epoch at the default spec, timed after a warm-up epoch,
+# then one retrieve over the dataset (eval-mode conv and attention) timed on
+# its own; prints process CPU seconds and wall seconds for each window.
 TRAIN_CPU_WALL = """
 import time
 from axialreid import toytrain as tt
@@ -425,7 +459,10 @@ ds = tt.SyntheticIdentityDataset(num_ids=8, seed=3)
 spec = tt.ToyModelSpec(num_classes=8)
 tt.train(spec, ds, epochs=1, seed=0)
 wall, cpu = time.perf_counter(), time.process_time()
-tt.train(spec, ds, epochs=1, seed=1)
+model, _ = tt.train(spec, ds, epochs=1, seed=1)
+print(time.process_time() - cpu, time.perf_counter() - wall)
+wall, cpu = time.perf_counter(), time.process_time()
+tt.retrieve(model, ds.tracklets)
 print(time.process_time() - cpu, time.perf_counter() - wall)
 """
 
@@ -439,8 +476,10 @@ def test_training_keeps_blas_helper_threads_idle():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", TRAIN_CPU_WALL], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    cpu, wall = map(float, run.stdout.split())
-    assert cpu <= 1.3 * wall, f"process CPU {cpu:.2f} s for {wall:.2f} s of wall time"
+    windows = [tuple(map(float, line.split())) for line in run.stdout.splitlines()]
+    assert len(windows) == 2, run.stdout
+    for name, (cpu, wall) in zip(("training", "retrieve"), windows):
+        assert cpu <= 1.3 * wall, f"{name}: process CPU {cpu:.2f} s for {wall:.2f} s of wall time"
 
 
 class TestRetrieval:
