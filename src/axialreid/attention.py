@@ -122,6 +122,9 @@ class AttentionConfig:
                 f"per-scale c_qk={self.c_qk // self.scales} / c_out={self.c_out // self.scales} "
                 f"not divisible by heads={self.heads}"
             )
+        dq = self.c_qk // self.scales // self.heads
+        if self.encoding == "sinusoidal" and dq % 2:
+            raise ConfigurationError(f"sinusoidal encoding needs an even per-head q/k width, got {dq}")
         min_hw = 2 ** (self.scales - 1)
         if h < min_hw or w < min_hw:
             raise ConfigurationError(f"H={h}, W={w} must each be >= {min_hw} for scales={self.scales}")

@@ -2,7 +2,10 @@
 
 Subcommands:
   bench      analytic FLOP reports for the backbone and attention variants
-  gradcheck  finite-difference verification of every analytic backward pass
+  gradcheck  finite-difference check of the analytic backward passes, one row
+             each: conv2d, batchnorm, relu, masked_avg_pool, cfaa (through
+             CfaaLayer), nonlocal_3d, axial, axial_ps, triplet, cross_entropy;
+             the whole-model backward is checked by the tests
   align      run re-detect-and-link over a candidate file + frame containers
   eval       CMC / mAP evaluation with optional corrections and protocols
   demo       desk-scale training + retrieval demonstration
@@ -125,7 +128,7 @@ def cmd_gradcheck(args) -> int:
     results = gc.run_gradient_checks(seeds=seeds, perturb=args.perturb_analytic)
     worst = max(results, key=lambda r: r.worst_rel_err)
     for r in results:
-        print(f"{r.op:<14} seed={r.seed} worst={r.worst_param:<12} rel_err={r.worst_rel_err:.3e} "
+        print(f"{r.op:<17} seed={r.seed} worst={r.worst_param:<12} rel_err={r.worst_rel_err:.3e} "
               f"{'PASS' if r.passed else 'FAIL'}")
     ok = all(r.passed for r in results)
     _emit_block([
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--trials", type=int, default=5, help="seeds per operation")
+    g.add_argument("--trials", type=int, default=5, help="seeds per row")
     g.add_argument("--perturb-analytic", action="store_true",
                    help="fault injection: corrupt analytic gradients (must FAIL)")
     g.set_defaults(func=cmd_gradcheck)

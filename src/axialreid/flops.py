@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from . import attention as att
 from .errors import ValidationError
-from .tensor import Rng
 
 # published cost column used for calibration (GFLOPs), keyed by report name
 REFERENCE_COSTS = {
@@ -203,22 +202,6 @@ def attention_contraction_count(variant: str, cfg: att.AttentionConfig) -> int:
     """Exact multiply count of the score/value contractions the kernels execute
     for one module at the given config (the analytic side of the kernel check)."""
     return _module_ops(variant, cfg, KERNEL_EXACT)
-
-
-def count_oracle_multiplies(variant: str, cfg: att.AttentionConfig, seed: int = 0) -> int:
-    """Execute the attention kernels at the given config with an instrumented
-    multiply counter; returns the measured score/value contraction multiplies."""
-    rng = Rng(seed)
-    x = rng.child(0).normal((cfg.c_in, *cfg.axis_lengths))
-    if variant == "nonlocal3d":
-        params = att.init_nonlocal_params(cfg, rng.child(1))
-        with att.count_multiplies() as counter:
-            att.nonlocal_3d_forward(x, params, cfg)
-        return counter.total
-    params = att.init_cfaa_params(cfg, rng.child(1))
-    with att.count_multiplies() as counter:
-        att.cfaa_forward(x, params, cfg)
-    return counter.total
 
 
 def model_table(convention: CountingConvention = CountingConvention(), frames: int = 6) -> list[FlopReport]:

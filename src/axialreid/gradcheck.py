@@ -1,10 +1,22 @@
 """Central finite-difference verification of the analytic backward passes.
 
-Each registered op builds its inputs from a seed and hands one comparison a
-scalar probe and the analytic gradient of every tensor the probe reads. For
-attention ops the probe is sum(g * f(x, params)) for a fixed random upstream
-g, so its analytic gradient is exactly what backward(g, params, cache)
-returns; for losses the probe is the loss itself.
+Every row builds its inputs from ``Rng(seed)`` and returns (op label,
+tensors, forward, backward): the tensors that the finite differences perturb
+in place, by name; ``forward()``, which runs the op on them; and
+``backward(g)``, which returns the analytic gradient of sum(g * forward())
+for every tensor by name. ``check`` draws g, shaped like the output, from
+child 2 of the seed's stream, so a row draws only from children 0 and 1. A
+loss is a row whose forward() is a scalar.
+
+The rows:
+  conv2d, batchnorm, relu, cfaa  toytrain layers through the layer protocol
+      (forward(x, training=True), backward, named_params, named_grads); the
+      cfaa row is a CfaaLayer over 2 clips with a non-zero w_o
+  masked_avg_pool                the head's masked pooling
+  nonlocal_3d, axial, axial_ps   the functional attention ops on one volume
+  triplet, cross_entropy         the two training losses
+What stays under tests: the whole ToyModel backward (as a row it takes 1-2 s
+per seed even on a 500-parameter spec) and the canonical 2x3x4x2 axial case.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import numpy as np
 
 from . import attention as att
 from . import aggregation as agg
+from . import toytrain as tt
 from .tensor import Rng
 
 FD_STEP = 1e-5
@@ -41,39 +54,84 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def fd_gradient(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of scalar f at x, elementwise."""
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central finite differences of scalar f at x, elementwise, with step FD_STEP."""
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         hi = f()
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         lo = f()
         flat[i] = orig
-        gf[i] = (hi - lo) / (2 * step)
+        gf[i] = (hi - lo) / (2 * FD_STEP)
     return g
 
 
-def _attention_case(forward, backward, params, x: np.ndarray, g: np.ndarray):
-    """Probe sum(g * forward(x)) of an attention op; ``forward(want_cache)``
-    runs the op on x and params, which the finite differences perturb in place."""
-    _, cache = forward(True)
-    d_x, grads = backward(g, params, cache)
-    tensors = {"x": x, **dict(params.named())}
-    analytic = {"x": d_x, **dict(grads.named())}
-    return tensors, lambda: float(np.sum(g * forward(False))), analytic
+def _layer(op: str, layer: tt.Layer, x: np.ndarray):
+    """A toytrain layer on input x, through the layer protocol; its parameters
+    are named under the op label without the bracketed variant."""
+    prefix = op.partition("[")[0]
+
+    def backward(g):
+        return {"x": layer.backward(g), **dict(layer.named_grads(prefix))}
+
+    return op, {"x": x, **dict(layer.named_params(prefix))}, lambda: layer.forward(x, training=True), backward
+
+
+def _conv2d(rng: Rng):
+    stride = 1 + rng.seed % 2
+    return _layer(f"conv2d[s{stride}]", tt.Conv2d(2, 3, 3, stride, rng.child(0)), rng.child(1).normal((2, 2, 6, 4)))
+
+
+def _batchnorm(rng: Rng):
+    shape = (6, 4) if rng.seed % 2 else (3, 4, 4, 2)
+    bn = tt.BatchNorm(4)
+    bn.gamma = rng.child(0).uniform(0.5, 1.5, (4,))
+    bn.beta = rng.child(0, 1).normal((4,))
+    return _layer(f"batchnorm[{len(shape)}d]", bn, rng.child(1).normal(shape))
+
+
+def _cfaa(rng: Rng):
+    encoding = att.ENCODINGS[rng.seed % 3]
+    cfg = att.AttentionConfig(c_in=4, c_qk=8, c_out=4, heads=2, scales=2, encoding=encoding, axis_lengths=(2, 4, 2))
+    layer = tt.CfaaLayer(cfg, rng.child(0))
+    layer.params.w_o = rng.child(0, 1).uniform_init(layer.params.w_o.shape, cfg.c_out)  # zero w_o hides the branch
+    return _layer(f"cfaa[{encoding}]", layer, rng.child(1).normal((2 * 2, 4, 4, 2)))
+
+
+def _masked_avg_pool(rng: Rng):
+    f = rng.child(0).normal((2, 3, 2, 2))
+    m = (rng.child(1).uniform(0, 1, (2, 2, 2)) < 0.7).astype(np.float64)
+    m[:, 0, 0] = 1.0  # no fully invalid frame
+    return ("masked_avg_pool", {"x": f}, lambda: agg.masked_avg_pool(f, m),
+            lambda g: {"x": agg.masked_avg_pool_backward(g, m)})
+
+
+def _op(op: str, forward, backward, params, x: np.ndarray):
+    """A functional attention op: forward(want_cache) runs it on x and params,
+    and backward(g, params, cache) returns (d_x, gradients like params)."""
+    cache = {}
+
+    def run():
+        out, cache["last"] = forward(True)
+        return out
+
+    def back(g):
+        d_x, grads = backward(g, params, cache["last"])
+        return {"x": d_x, **dict(grads.named())}
+
+    return op, {"x": x, **dict(params.named())}, run, back
 
 
 def _nonlocal(rng: Rng):
     cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=3, axis_lengths=(2, 2, 2))
     params = att.init_nonlocal_params(cfg, rng.child(0))
     x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    return "nonlocal_3d", _attention_case(
-        lambda want_cache: att.nonlocal_3d_forward(x, params, cfg, want_cache),
-        att.nonlocal_3d_backward, params, x, rng.child(2).normal(x.shape))
+    return _op("nonlocal_3d", lambda want_cache: att.nonlocal_3d_forward(x, params, cfg, want_cache),
+               att.nonlocal_3d_backward, params, x)
 
 
 def _axial(rng: Rng, encoding: str):
@@ -81,58 +139,52 @@ def _axial(rng: Rng, encoding: str):
     axis = ("H", "W", "T")[rng.seed % 3]
     params = att.init_axial_layer(cfg, cfg.c_in, dict(T=2, H=3, W=2)[axis], rng.child(0))
     x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    return f"axial[{encoding}]", _attention_case(
-        lambda want_cache: att.axial_forward(x, params, axis, cfg, want_cache),
-        att.axial_backward, params, x, rng.child(2).normal((cfg.c_out, *cfg.axis_lengths)))
-
-
-def _cfaa(rng: Rng):
-    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=1, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
-    params = att.init_cfaa_params(cfg, rng.child(0))
-    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    return "cfaa", _attention_case(
-        lambda want_cache: att.cfaa_forward(x, params, cfg, want_cache),
-        att.cfaa_backward, params, x, rng.child(2).normal(x.shape))
-
-
-def _loss_case(loss, x: np.ndarray):
-    """Probe the loss itself; ``loss()`` returns (value, d_x) on the current x."""
-    return {"x": x}, lambda: loss()[0], {"x": loss()[1]}
+    return _op(f"axial[{encoding}]", lambda want_cache: att.axial_forward(x, params, axis, cfg, want_cache),
+               att.axial_backward, params, x)
 
 
 def _triplet(rng: Rng):
     feats = rng.child(0).normal((8, 5))
     labels = np.repeat(np.arange(4), 2)
-    return "triplet", _loss_case(lambda: agg.batch_hard_triplet(feats, labels, margin=0.3), feats)
+    return ("triplet", {"x": feats}, lambda: agg.batch_hard_triplet(feats, labels, margin=0.3)[0],
+            lambda g: {"x": g * agg.batch_hard_triplet(feats, labels, margin=0.3)[1]})
 
 
 def _cross_entropy(rng: Rng):
     logits = rng.child(0).normal((6, 5))
     labels = rng.child(1).integers(0, 5, (6,))
-    return "cross_entropy", _loss_case(lambda: agg.cross_entropy(logits, labels), logits)
+    return ("cross_entropy", {"x": logits}, lambda: agg.cross_entropy(logits, labels)[0],
+            lambda g: {"x": g * agg.cross_entropy(logits, labels)[1]})
 
 
-# name -> builder: Rng -> (op label, (tensors, probe, analytic gradients))
+# name -> row: Rng -> (op label, tensors, forward, backward)
 ALL_CHECKS = {
+    "conv2d": _conv2d,
+    "batchnorm": _batchnorm,
+    "relu": lambda rng: _layer("relu", tt.ReLU(), rng.child(0).normal((2, 3, 4, 2))),
+    "masked_avg_pool": _masked_avg_pool,
+    "cfaa": _cfaa,
     "nonlocal_3d": _nonlocal,
     "axial": lambda rng: _axial(rng, "sinusoidal" if rng.seed % 2 else "none"),
     "axial_ps": lambda rng: _axial(rng, "relative"),
-    "cfaa": _cfaa,
     "triplet": _triplet,
     "cross_entropy": _cross_entropy,
 }
 
 
 def check(name: str, seed: int, perturb: bool = False) -> CheckResult:
-    """Compare the analytic gradients of a registered op against finite
-    differences for every tensor; ``perturb`` corrupts the analytic side."""
-    op, (tensors, probe, analytic) = ALL_CHECKS[name](Rng(seed))
+    """Compare backward(g) of a registered row against the finite differences
+    of sum(g * forward()) for every tensor; ``perturb`` corrupts the analytic side."""
+    rng = Rng(seed)
+    op, tensors, forward, backward = ALL_CHECKS[name](rng)
+    g = rng.child(2).normal(np.shape(forward()))
+    analytic = backward(g)
     worst_name, worst = "", 0.0
     for pname, arr in tensors.items():
         a = analytic[pname]
         if perturb:
             a = a + 1e-2 * (np.abs(a).max() + 1.0)
-        err = rel_error(a, fd_gradient(probe, arr))
+        err = rel_error(a, fd_gradient(lambda: float(np.sum(g * forward())), arr))
         if err > worst:
             worst_name, worst = pname, err
     return CheckResult(op=op, seed=seed, worst_param=worst_name, worst_rel_err=worst)

@@ -1,6 +1,7 @@
-"""Fixture builders for the toy dataset and the candidate file format, and the
+"""Fixture builders for the toy dataset and the candidate file format, the
 slow references that optimised library paths are tested against (each one
-the code that the optimised path replaced, so tests compare bit for bit).
+the code that the optimised path replaced, so tests compare bit for bit),
+and the multiply-count oracle that the FLOP model is tested against.
 
 The library and the CLI only read candidate files; tests write them here."""
 
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
+from axialreid import attention as att
 from axialreid import detect_link as dl
 from axialreid import toytrain as tt
 from axialreid.errors import ValidationError
+from axialreid.tensor import Rng
 
 
 def fresh_split(dataset: tt.SyntheticIdentityDataset, seed: int) -> tt.SyntheticIdentityDataset:
@@ -105,3 +108,20 @@ def reference_conv_backward(conv: tt.Conv2d, dy: np.ndarray) -> np.ndarray:
             d_w[:, :, di, dj] = (g @ xs.transpose(0, 2, 1)).sum(0)
             d_xp[tap] += (conv.weight[:, :, di, dj].T @ g).reshape(b, c, ho, wo)
     return d_xp[:, :, p : p + x_shape[2], p : p + x_shape[3]] if p else d_xp
+
+
+def count_oracle_multiplies(variant: str, cfg: att.AttentionConfig, seed: int = 0) -> int:
+    """Execute the attention kernels at the given config with an instrumented
+    multiply counter; returns the measured score/value contraction multiplies,
+    the measured side of ``flops.attention_contraction_count``."""
+    rng = Rng(seed)
+    x = rng.child(0).normal((cfg.c_in, *cfg.axis_lengths))
+    if variant == "nonlocal3d":
+        params = att.init_nonlocal_params(cfg, rng.child(1))
+        with att.count_multiplies() as counter:
+            att.nonlocal_3d_forward(x, params, cfg)
+        return counter.total
+    params = att.init_cfaa_params(cfg, rng.child(1))
+    with att.count_multiplies() as counter:
+        att.cfaa_forward(x, params, cfg)
+    return counter.total

@@ -19,6 +19,7 @@ from axialreid import gradcheck as gc
 from axialreid import toytrain as tt
 from axialreid.tensor import Rng
 
+from helpers import count_oracle_multiplies
 from test_evaluate import brute_force_eval, distractor_duplicate_instance, random_instance
 
 
@@ -87,7 +88,7 @@ def test_criterion_4_kernel_model_agreement():
     ]
     for variant, cfg in cases:
         analytic = flops.attention_contraction_count(variant, cfg)
-        measured = flops.count_oracle_multiplies(variant, cfg, seed=1)
+        measured = count_oracle_multiplies(variant, cfg, seed=1)
         assert measured == analytic, f"{variant} {cfg.axis_lengths}: {measured} != {analytic}"
     report(4, time.time() - t0, 10.0, f"{len(cases)} variant configs, integer-exact")
 

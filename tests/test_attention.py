@@ -151,6 +151,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             att.AttentionConfig(c_in=2, c_qk=2, c_out=2, encoding="learned", axis_lengths=(1, 1, 1))
 
+    def test_odd_per_head_width_rejected_with_sinusoidal(self):
+        # c_qk 4 over 2 scales and 2 heads leaves 1 q/k channel per head, too few for sin/cos pairs
+        with pytest.raises(ConfigurationError, match="even per-head q/k width, got 1"):
+            att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="sinusoidal", axis_lengths=(2, 4, 2))
+        att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
+
 
 class TestSinusoidal:
     def test_position_zero_pattern(self):
