@@ -13,6 +13,8 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .tensor import as_tensor
 
+TRIPLET_MARGIN = 0.3  # the batch-hard recipe's margin (Hermans et al., arXiv 1703.07737)
+
 
 def mask_downsample(mask, target_hw: tuple[int, int]) -> np.ndarray:
     """Downsample a (T, H, W) 0/1 validity mask to (T, H', W').
@@ -71,18 +73,16 @@ def validate_pk_labels(labels: np.ndarray) -> tuple[int, int]:
     return len(ids), int(counts[0])
 
 
-def batch_hard_triplet(features, labels, margin: float = 0.3):
+def batch_hard_triplet(features, labels):
     """Batch-hard triplet loss with Euclidean distances.
 
-    Per anchor: max(0, margin + hardest-positive distance - hardest-negative
-    distance), averaged over anchors. Returns (loss, d_features).
+    Per anchor: max(0, TRIPLET_MARGIN + hardest-positive distance -
+    hardest-negative distance), averaged over anchors. Returns (loss, d_features).
     """
     features = as_tensor(features, "features")
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise DimensionError(f"features {features.shape} vs labels {labels.shape}")
-    if margin < 0:
-        raise ValidationError(f"margin must be >= 0, got {margin}")
     validate_pk_labels(labels)
     b = features.shape[0]
     diff = features[:, None, :] - features[None, :, :]
@@ -98,7 +98,7 @@ def batch_hard_triplet(features, labels, margin: float = 0.3):
         neg_mask = ~same[a]
         pos_idx = int(np.flatnonzero(pos_mask)[np.argmax(dist[a][pos_mask])])
         neg_idx = int(np.flatnonzero(neg_mask)[np.argmin(dist[a][neg_mask])])
-        hinge = margin + dist[a, pos_idx] - dist[a, neg_idx]
+        hinge = TRIPLET_MARGIN + dist[a, pos_idx] - dist[a, neg_idx]
         if hinge > 0:
             loss += hinge
             dp = max(dist[a, pos_idx], 1e-12)

@@ -243,9 +243,7 @@ def init_nonlocal_params(cfg: AttentionConfig, rng: Rng) -> NonlocalParams:
     )
 
 
-def init_cfaa_params(cfg: AttentionConfig, rng: Rng, zero_output_proj: bool = False) -> CfaaParams:
-    """zero_output_proj starts the module as an identity (the usual trick when
-    inserting an attention residual into a network trained from scratch)."""
+def init_cfaa_params(cfg: AttentionConfig, rng: Rng) -> CfaaParams:
     per_in = cfg.c_in // cfg.scales
     per_out = cfg.c_out // cfg.scales
     scales = []
@@ -259,11 +257,7 @@ def init_cfaa_params(cfg: AttentionConfig, rng: Rng, zero_output_proj: bool = Fa
                 aa_t=init_axial_layer(cfg, per_out, t, srng.child(2)),
             )
         )
-    if zero_output_proj:
-        w_o = np.zeros((cfg.c_in, cfg.c_out))
-    else:
-        w_o = rng.child(9).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out)
-    return CfaaParams(scales, w_o)
+    return CfaaParams(scales, rng.child(9).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,13 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+def _check_frame(frame) -> np.ndarray:
+    frame = as_tensor(frame, "frame")
+    if frame.ndim != 3 or frame.shape[0] != 3:
+        raise ValidationError(f"frame must be (3, H, W), got {frame.shape}")
+    return frame
+
+
 def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATIO) -> AlignedFrame:
     """Crop the box, aspect-preserving resize into 256x128, zero-pad the rest.
 
@@ -125,9 +132,7 @@ def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATI
     of the source frame are anchored right (left) of center, so the padding
     lands on the side the content came from.
     """
-    frame = as_tensor(frame, "frame")
-    if frame.ndim != 3 or frame.shape[0] != 3:
-        raise ValidationError(f"frame must be (3, H, W), got {frame.shape}")
+    frame = _check_frame(frame)
     fh, fw = frame.shape[1:]
     x, y, w, h = box
     x0, y0 = max(int(round(x)), 0), max(int(round(y)), 0)
@@ -162,8 +167,8 @@ def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATI
 
 
 def _passthrough(frame: np.ndarray) -> AlignedFrame:
-    """No-detection fallback: stretch the whole frame to target size, all-valid mask."""
-    image = _resize_bilinear(as_tensor(frame, "frame"), TARGET_H, TARGET_W)
+    """No-detection fallback: stretch the whole (3, H, W) frame to target size, all-valid mask."""
+    image = _resize_bilinear(frame, TARGET_H, TARGET_W)
     mask = np.ones((TARGET_H, TARGET_W), dtype=np.float64)
     return AlignedFrame(image=image, mask=mask, provenance=dict(shift="none", no_detection=True))
 
@@ -186,6 +191,7 @@ def process_tracklet(
     state: LinkState | None = None
     for i, (frame, cands) in enumerate(zip(frames, candidates_per_frame)):
         try:
+            frame = _check_frame(frame)  # on both branches: the passthrough reads any shape
             if not cands:
                 aligned = _passthrough(frame)
                 aligned.provenance.update(frame=i, candidate=None)

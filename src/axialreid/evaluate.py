@@ -148,14 +148,9 @@ def evaluate(dataset: EvalDataset, protocol: str = "old", max_rank: int = 50) ->
     """Rank the gallery per query, drop ignored entries, score AP and CMC."""
     if protocol not in PROTOCOLS:
         raise ValidationError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
-    _check_max_rank(max_rank)
-    return _score(dataset, protocol, max_rank, _rank(dataset.distances))
-
-
-def _check_max_rank(max_rank: int) -> None:
-    """Reject a CMC cut below rank 1 before any ranking work."""
-    if max_rank < 1:
+    if max_rank < 1:  # before any ranking work
         raise ValidationError(f"max_rank must be at least 1, got {max_rank}")
+    return _score(dataset, protocol, max_rank, _rank(dataset.distances))
 
 
 _BLOCK = 128  # query rows scored together; bounds the (rows, |G|) temporaries
@@ -291,14 +286,14 @@ class DeltaReport:
         return out
 
 
-def protocol_delta_report(dataset: EvalDataset, corrections: LabelCorrections, max_rank: int = 50) -> DeltaReport:
-    _check_max_rank(max_rank)
+def protocol_delta_report(dataset: EvalDataset, corrections: LabelCorrections) -> DeltaReport:
+    """The old protocol before and after the corrections, and the new one after, with CMC to rank 50."""
     corrected = apply_corrections(dataset, corrections)
     order = _rank(dataset.distances)  # the corrected dataset ranks the same matrix
     return DeltaReport(
-        old_raw=_score(dataset, "old", max_rank, order),
-        old_corrected=_score(corrected, "old", max_rank, order),
-        new_corrected=_score(corrected, "new", max_rank, order),
+        old_raw=_score(dataset, "old", 50, order),
+        old_corrected=_score(corrected, "old", 50, order),
+        new_corrected=_score(corrected, "new", 50, order),
     )
 
 

@@ -1,6 +1,7 @@
 """Analytic operation counts for the backbone and attention variants.
 
-All counts are exact integers; GFLOP figures are derived at display time.
+All counts are exact integers, and a FlopReport carries only its total;
+GFLOP figures are derived at display time.
 The default convention (one multiply-accumulate = one FLOP, attention cost =
 score/value contractions only, positional-embedding terms at the shared
 embedding width) is the calibrated best fit for the published cost column;
@@ -72,24 +73,14 @@ KERNEL_EXACT = CountingConvention(positional_per_head=True)
 
 
 @dataclass
-class LayerSpec:
-    name: str
-    ops: int  # raw MAC / op count before the macs_per_flop factor
-
-    def __post_init__(self):
-        if self.ops < 0:
-            raise ValidationError(f"negative op count in layer {self.name}")
-
-
-@dataclass
 class FlopReport:
     name: str
-    layers: list[LayerSpec]
+    ops: int  # raw MAC / op count before the macs_per_flop factor
     convention: CountingConvention
 
     @property
     def total(self) -> int:
-        return sum(l.ops for l in self.layers) * self.convention.macs_per_flop
+        return self.ops * self.convention.macs_per_flop
 
     @property
     def gflops(self) -> float:
@@ -99,44 +90,40 @@ class FlopReport:
         return [f"report={self.name}", f"convention={self.convention.tag()}", f"total_flops={self.total}", f"gflops={self.gflops:.6f}"]
 
 
-def _conv(cin, cout, k, ho, wo) -> int:
-    return k * k * cin * cout * ho * wo
-
-
-def backbone_flops(frames: int = 6, width: int = 128, last_stride: int = 1,
+def backbone_flops(frames: int = 6, last_stride: int = 1,
                    convention: CountingConvention = CountingConvention()) -> FlopReport:
     """50-layer residual backbone (bottleneck blocks, stride on the 3x3 conv) on
-    a 256-pixel-tall input, per-frame 2D convolutions multiplied by the number
-    of frames."""
+    a 256x128 input, per-frame 2D convolutions multiplied by the number of
+    frames; with include_bn_relu, 3 ops per conv output element on top."""
+    if frames < 1:
+        raise ValidationError(f"frames must be at least 1, got {frames}")
     if last_stride not in (1, 2):
         raise ValidationError(f"last_stride must be 1 or 2, got {last_stride}")
-    layers: list[LayerSpec] = []
-    act_elems = 0  # conv output elements, for the bn/relu option
+    ops = act_elems = 0  # act_elems: conv output elements, for the bn/relu option
 
-    def add(name, cin, cout, k, ho, wo):
-        nonlocal act_elems
-        layers.append(LayerSpec(name, frames * _conv(cin, cout, k, ho, wo)))
+    def add(cin, cout, k, ho, wo):
+        nonlocal ops, act_elems
+        ops += frames * k * k * cin * cout * ho * wo
         act_elems += frames * cout * ho * wo
 
-    h, w = 128, (width + 1) // 2  # conv1 is 7x7/2
-    add("conv1", 3, 64, 7, h, w)
+    h, w = 128, 64  # conv1 is 7x7/2
+    add(3, 64, 7, h, w)
     h, w = (h + 1) // 2, (w + 1) // 2  # 3x3/2 max pool
     cin = 64
-    stages = [(3, 64, 1, "conv2"), (4, 128, 2, "conv3"), (6, 256, 2, "conv4"), (3, 512, last_stride, "conv5")]
-    for blocks, width_s, stride, tag in stages:
+    for blocks, width, stride in ((3, 64, 1), (4, 128, 2), (6, 256, 2), (3, 512, last_stride)):
         for b in range(blocks):
             s = stride if b == 0 else 1
             ho, wo = h // s, w // s
-            add(f"{tag}_{b + 1}.reduce", cin, width_s, 1, h, w)
-            add(f"{tag}_{b + 1}.conv3x3", width_s, width_s, 3, ho, wo)
-            add(f"{tag}_{b + 1}.expand", width_s, width_s * 4, 1, ho, wo)
+            add(cin, width, 1, h, w)  # reduce
+            add(width, width, 3, ho, wo)
+            add(width, width * 4, 1, ho, wo)  # expand
             if b == 0:
-                add(f"{tag}_{b + 1}.downsample", cin, width_s * 4, 1, ho, wo)
-            cin = width_s * 4
+                add(cin, width * 4, 1, ho, wo)  # downsample
+            cin = width * 4
             h, w = ho, wo
     if convention.include_bn_relu:
-        layers.append(LayerSpec("bn+relu", 3 * act_elems))
-    return FlopReport("backbone", layers, convention)
+        ops += 3 * act_elems
+    return FlopReport("backbone", ops, convention)
 
 
 def _attention_layers(variant: str, cfg: att.AttentionConfig):
@@ -189,13 +176,12 @@ def attention_flops(variant: str, convention: CountingConvention = CountingConve
     encoding, fixed_scales = _VARIANT_SHAPES[variant]
     scales = fixed_scales or scales
     heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // max(scales, 1), 1)  # the config rejects scales < 1
-    layers = []
+    ops = 0
     for c, h, w, count in INSERTIONS:
         # q/k width = c/2, value/output width = c
         cfg = att.AttentionConfig(c, c // 2, c, heads, scales, encoding, (frames, h, w))
-        layers.append(LayerSpec(f"{variant}@c{c}_{h}x{w}(x{count})",
-                                count * _module_ops(variant, cfg, convention)))
-    return FlopReport(variant if variant != "cfaa" else f"cfaa{scales}", layers, convention)
+        ops += count * _module_ops(variant, cfg, convention)
+    return FlopReport(variant if variant != "cfaa" else f"cfaa{scales}", ops, convention)
 
 
 def attention_contraction_count(variant: str, cfg: att.AttentionConfig) -> int:
@@ -206,17 +192,17 @@ def attention_contraction_count(variant: str, cfg: att.AttentionConfig) -> int:
 
 def model_table(convention: CountingConvention = CountingConvention(), frames: int = 6) -> list[FlopReport]:
     """Full-model totals: the backbone alone, with the 3D non-local block, and
-    with 4-scale CF-AA, each the backbone's layers plus the attention's."""
-    base = backbone_flops(frames=frames, convention=convention).layers
-    extras = {"baseline": [],
-              "nonlocal": attention_flops("nonlocal3d", convention, frames=frames).layers,
-              "cfaa_net": attention_flops("cfaa", convention, scales=4, frames=frames).layers}
-    return [FlopReport(name, base + layers, convention) for name, layers in extras.items()]
+    with 4-scale CF-AA, each the backbone's ops plus the attention's."""
+    base = backbone_flops(frames=frames, convention=convention).ops
+    extras = {"baseline": 0,
+              "nonlocal": attention_flops("nonlocal3d", convention, frames=frames).ops,
+              "cfaa_net": attention_flops("cfaa", convention, scales=4, frames=frames).ops}
+    return [FlopReport(name, base + ops, convention) for name, ops in extras.items()]
 
 
 def table_rows(convention: CountingConvention = CountingConvention()) -> dict[str, FlopReport]:
     """The cost-column rows by report name: backbone plus each attention variant's delta."""
-    reports = [FlopReport("baseline", backbone_flops(convention=convention).layers, convention),
+    reports = [FlopReport("baseline", backbone_flops(convention=convention).ops, convention),
                *(attention_flops(v, convention) for v in VARIANTS if v != "cfaa"),
                *(attention_flops("cfaa", convention, scales=s) for s in (2, 4))]
     return {rep.name: rep for rep in reports}

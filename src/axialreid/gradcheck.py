@@ -83,7 +83,7 @@ def _layer(op: str, layer: tt.Layer, x: np.ndarray):
 
 def _conv2d(rng: Rng):
     stride = 1 + rng.seed % 2
-    return _layer(f"conv2d[s{stride}]", tt.Conv2d(2, 3, 3, stride, rng.child(0)), rng.child(1).normal((2, 2, 6, 4)))
+    return _layer(f"conv2d[s{stride}]", tt.Conv2d(2, 3, stride, rng.child(0)), rng.child(1).normal((2, 2, 6, 4)))
 
 
 def _batchnorm(rng: Rng):
@@ -146,8 +146,8 @@ def _axial(rng: Rng, encoding: str):
 def _triplet(rng: Rng):
     feats = rng.child(0).normal((8, 5))
     labels = np.repeat(np.arange(4), 2)
-    return ("triplet", {"x": feats}, lambda: agg.batch_hard_triplet(feats, labels, margin=0.3)[0],
-            lambda g: {"x": g * agg.batch_hard_triplet(feats, labels, margin=0.3)[1]})
+    return ("triplet", {"x": feats}, lambda: agg.batch_hard_triplet(feats, labels)[0],
+            lambda g: {"x": g * agg.batch_hard_triplet(feats, labels)[1]})
 
 
 def _cross_entropy(rng: Rng):

@@ -88,22 +88,20 @@ def avg_pool_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np.ndarray
     return np.ascontiguousarray(np.repeat(np.repeat(cells, factor, axis=-2), factor, axis=-1)[..., :h, :w])
 
 
-def upsample_nearest_2d(x, factor: int, target_hw: tuple[int, int] | None = None) -> np.ndarray:
+def upsample_nearest_2d(x, factor: int, target_hw: tuple[int, int]) -> np.ndarray:
     """Nearest-neighbor upsampling of the trailing two axes of a tensor of any
-    leading shape, optionally cropped to target extents (used when the fine
-    scale has odd size)."""
+    leading shape, cropped to the target extents (smaller than factor times
+    the input's where the fine scale has odd size)."""
     x = as_tensor(x, "x")
     if x.ndim < 2:
         raise DimensionError(f"upsample_nearest_2d expects (..., H, W) input, got shape {x.shape}")
     if factor < 1:
         raise DimensionError(f"upsampling factor must be >= 1, got {factor}")
     out = np.repeat(np.repeat(x, factor, axis=-2), factor, axis=-1)
-    if target_hw is not None:
-        th, tw = target_hw
-        if th > out.shape[-2] or tw > out.shape[-1]:
-            raise DimensionError(f"target {target_hw} exceeds upsampled extents {out.shape[-2:]}")
-        out = out[..., :th, :tw]
-    return np.ascontiguousarray(out)
+    th, tw = target_hw
+    if th > out.shape[-2] or tw > out.shape[-1]:
+        raise DimensionError(f"target {target_hw} exceeds upsampled extents {out.shape[-2:]}")
+    return np.ascontiguousarray(out[..., :th, :tw])
 
 
 def upsample_nearest_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np.ndarray:
@@ -153,8 +151,8 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        return self._gen.choice(n, size=size, replace=False)
 
 
 def save_tensor(path, x) -> None:
@@ -170,26 +168,31 @@ def save_tensor(path, x) -> None:
 
 def load_tensor(path) -> np.ndarray:
     """Read a tensor container written by save_tensor. Its header is checked
-    against the file size first; the payload is read once, into the result."""
+    against the file size first; the payload is read once, into the result.
+    Each rejection names the byte offset at which the file departs from the format."""
     path = Path(path)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(12)
-        if len(head) < 12 or head[:4] != MAGIC:
-            raise ValidationError(f"{path}: not a tensor container (bad magic)")
+        if head[:4] != MAGIC:
+            raise ValidationError(f"{path}: not a tensor container (bad magic at byte 0)")
+        if len(head) < 12:
+            raise ValidationError(f"{path}: truncated header at byte {len(head)}")
         version, rank = struct.unpack_from("<II", head, 4)
         if version != FORMAT_VERSION:
-            raise ValidationError(f"{path}: unsupported container version {version}")
+            raise ValidationError(f"{path}: unsupported container version {version} at byte 4")
         header_end = 12 + 8 * rank
         extents = f.read(8 * rank) if size >= header_end else b""
         if len(extents) < 8 * rank:
-            raise ValidationError(f"{path}: truncated header")
+            raise ValidationError(f"{path}: truncated header at byte {size}: rank {rank} needs {header_end} bytes")
         shape = struct.unpack(f"<{rank}Q", extents)
         if 0 in shape:
-            raise ValidationError(f"{path}: zero extent in shape {shape}")
+            raise ValidationError(f"{path}: zero extent in shape {shape} at byte {12 + 8 * shape.index(0)}")
         if size - header_end != 8 * math.prod(shape):
-            raise ValidationError(f"{path}: payload size {size - header_end} does not match shape {shape}")
+            raise ValidationError(
+                f"{path}: payload size {size - header_end} at byte {header_end} does not match shape {shape}")
         out = np.empty(shape, dtype="<f8")
-        if f.readinto(memoryview(out).cast("B")) != out.nbytes:  # the file shrank since fstat
-            raise ValidationError(f"{path}: payload ended early while being read")
+        got = f.readinto(memoryview(out).cast("B"))
+        if got != out.nbytes:  # the file shrank since fstat
+            raise ValidationError(f"{path}: payload ended early at byte {header_end + got} while being read")
     return out

@@ -18,7 +18,7 @@ from .errors import ConfigurationError, DimensionError, ValidationError
 from .tensor import Rng
 
 SGD_MOMENTUM = 0.9
-TRIPLET_MARGIN = 0.3
+BN_MOMENTUM = 0.1  # weight of the batch statistics in BatchNorm's running estimates
 LR_DECAY_AFTER = 0.75  # fraction of the epochs after which the learning rate drops 10x
 FRAME_HW = (32, 16)  # synthetic frame size; the drawn figure is 18 pixels tall
 
@@ -42,33 +42,31 @@ class Layer:
 
 
 class Conv2d(Layer):
-    """3x3 / 1x1 convolution without bias, stride s, zero padding. Each of the
-    k*k taps is one stacked per-frame matmul, the tap's (O, C) weight times the
+    """3x3 convolution without bias, stride s, zero padding 1. Each of the 9
+    taps is one stacked per-frame matmul, the tap's (O, C) weight times the
     tap's strided window of the padded input (B, C, Ho*Wo). The taps come from
-    one contiguous (k, k, O, C) copy of the weight per call, and backward's
-    d_x from a (k, k, C, O) copy: the strided weight[:, :, di, dj] gives the
+    one contiguous (3, 3, O, C) copy of the weight per call, and backward's
+    d_x from a (3, 3, C, O) copy: the strided weight[:, :, di, dj] gives the
     same bits but made each tap's matmul 1.7-2x slower."""
 
     PARAMS = ("weight",)
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, rng: Rng):
-        fan_in = c_in * kernel * kernel
-        self.weight = rng.uniform_init((c_out, c_in, kernel, kernel), fan_in)
+    def __init__(self, c_in: int, c_out: int, stride: int, rng: Rng):
+        self.weight = rng.uniform_init((c_out, c_in, 3, 3), c_in * 9)
         self.stride = stride
-        self.pad = kernel // 2
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         b, c, h, w = x.shape
-        k, s, p = self.weight.shape[2], self.stride, self.pad
-        xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p : p + h, p : p + w] = x
-        ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        s = self.stride
+        xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+        xp[:, :, 1 : 1 + h, 1 : 1 + w] = x
+        ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
         o = self.weight.shape[0]
-        taps = np.ascontiguousarray(self.weight.transpose(2, 3, 0, 1))  # (k, k, O, C)
+        taps = np.ascontiguousarray(self.weight.transpose(2, 3, 0, 1))  # (3, 3, O, C)
         out = np.zeros((b, o, ho * wo))
-        for di in range(k):
-            for dj in range(k):
+        for di in range(3):
+            for dj in range(3):
                 xs = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s].reshape(b, c, ho * wo)
                 out += taps[di, dj] @ xs
         self._cache = (xp, x.shape, ho, wo) if training else None
@@ -76,19 +74,19 @@ class Conv2d(Layer):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xp, x_shape, ho, wo = self._cache
-        k, s, p = self.weight.shape[2], self.stride, self.pad
+        s = self.stride
         (o, c), b = self.weight.shape[:2], x_shape[0]
         g = dy.reshape(b, o, ho * wo)
         d_w = self.d_weight = np.zeros_like(self.weight)
         d_xp = np.zeros_like(xp)
-        taps_t = np.ascontiguousarray(self.weight.transpose(2, 3, 1, 0))  # (k, k, C, O)
-        for di in range(k):
-            for dj in range(k):
+        taps_t = np.ascontiguousarray(self.weight.transpose(2, 3, 1, 0))  # (3, 3, C, O)
+        for di in range(3):
+            for dj in range(3):
                 tap = (slice(None), slice(None), slice(di, di + s * ho, s), slice(dj, dj + s * wo, s))
                 xs = xp[tap].reshape(b, c, ho * wo)
                 d_w[:, :, di, dj] = (g @ xs.transpose(0, 2, 1)).sum(0)
                 d_xp[tap] += (taps_t[di, dj] @ g).reshape(b, c, ho, wo)
-        return d_xp[:, :, p : p + x_shape[2], p : p + x_shape[3]] if p else d_xp
+        return d_xp[:, :, 1 : 1 + x_shape[2], 1 : 1 + x_shape[3]]
 
 
 class BatchNorm(Layer):
@@ -99,12 +97,12 @@ class BatchNorm(Layer):
 
     PARAMS = ("gamma", "beta")
 
-    def __init__(self, dim: int, momentum: float = 0.1):
+    def __init__(self, dim: int):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.eps, self.momentum = 1e-5, momentum
+        self.eps = 1e-5
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
@@ -113,8 +111,8 @@ class BatchNorm(Layer):
         if training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:
             mean, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
@@ -152,11 +150,13 @@ class ReLU(Layer):
 class CfaaLayer(Layer):
     """Coarse-to-fine axial attention on (B*T, C, H, W) frame maps: each clip's
     T = cfg.axis_lengths[0] frames form one (C, T, H, W) volume, and the batch is
-    one att.cfaa_forward call. A zero output projection makes it start as the identity."""
+    one att.cfaa_forward call. It zeroes the output projection w_o that
+    att.init_cfaa_params draws, so that it starts as the identity."""
 
     def __init__(self, cfg: att.AttentionConfig, rng: Rng):
         self.cfg = cfg
-        self.params = att.init_cfaa_params(cfg, rng, zero_output_proj=True)
+        self.params = att.init_cfaa_params(cfg, rng)
+        self.params.w_o = np.zeros_like(self.params.w_o)
         self._cache = None
 
     def named_params(self, prefix: str):
@@ -304,7 +304,7 @@ class ToyModel:
         self.layers: list[tuple[str, Layer]] = []
         c_prev = 3
         for i, (c, s) in enumerate(zip(spec.channels, spec.strides)):
-            self.layers += [(f"conv{i}", Conv2d(c_prev, c, 3, s, rng.child(0, i))),
+            self.layers += [(f"conv{i}", Conv2d(c_prev, c, s, rng.child(0, i))),
                             (f"bn{i}", BatchNorm(c)), (f"relu{i}", ReLU())]
             if spec.use_attention and i == 0:
                 self.layers.append(("attention", CfaaLayer(spec.attention_config(), rng.child(1))))
@@ -362,8 +362,7 @@ class TrainLog:
 
 
 def _sample_clip(track: Tracklet, clip_len: int, rng: Rng, flip: bool):
-    f = track.frames.shape[0]
-    start = int(rng.integers(0, f - clip_len + 1)) if f > clip_len else 0
+    start = int(rng.integers(0, track.frames.shape[0] - clip_len + 1))
     frames = track.frames[start : start + clip_len]
     masks = track.masks[start : start + clip_len]
     if flip:  # synchronized: every frame of the clip flips
@@ -375,6 +374,8 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
           lr: float = 0.05, p_ids: int = 4, k_tracks: int = 2) -> tuple[ToyModel, TrainLog]:
     """SGD with momentum on cross-entropy + batch-hard triplet over p_ids x k_tracks
     batches; deterministic per seed. The learning rate drops 10x after LR_DECAY_AFTER."""
+    if p_ids < 2:
+        raise ValidationError(f"p_ids must be at least 2 (a one-identity batch has no negatives), got {p_ids}")
     if dataset.num_ids < p_ids or dataset.tracklets_per_id < k_tracks:
         raise ValidationError(
             f"cannot build {p_ids}x{k_tracks} batches from {dataset.num_ids} ids "
@@ -384,7 +385,6 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
         raise ValidationError(
             f"tracklets of {dataset.frames_per_tracklet} frames are shorter than clip_len={spec.clip_len}"
         )
-    use_triplet = p_ids >= 2  # a single-identity batch has no negatives: CE only
     if spec.num_classes != dataset.num_ids:
         raise ConfigurationError(f"classifier width {spec.num_classes} != {dataset.num_ids} identities")
     rng = Rng(seed)
@@ -396,7 +396,7 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
     velocity = {name: np.zeros_like(p) for name, p in model.named_params()}
     log = TrainLog()
     for epoch in range(epochs):
-        epoch_lr = lr * (0.1 if epochs > 1 and epoch >= LR_DECAY_AFTER * epochs else 1.0)
+        epoch_lr = lr * (0.1 if epoch >= LR_DECAY_AFTER * epochs else 1.0)
         erng = rng.child(1, epoch)
         id_order = erng.child(0).permutation(dataset.num_ids)
         epoch_loss, n_batches = 0.0, 0
@@ -405,7 +405,7 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
             batch, labels = [], []
             for slot, ident in enumerate(id_order[start : start + p_ids]):
                 tracks = by_id[int(ident)]
-                picks = brng.child(slot).choice(len(tracks), k_tracks, replace=False)
+                picks = brng.child(slot).choice(len(tracks), k_tracks)
                 for j, pick in enumerate(picks):
                     tr = tracks[int(pick)]
                     flip = bool(brng.child(10 + slot, j).uniform(0, 1) < 0.5)
@@ -418,20 +418,16 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
 
             f_pre, _, logits = model.forward(frames, masks, training=True)
             ce_loss, d_logits = agg.cross_entropy(logits, labels)
-            if use_triplet:
-                tri_loss, d_f_pre = agg.batch_hard_triplet(f_pre, labels, margin=TRIPLET_MARGIN)
-            else:
-                tri_loss, d_f_pre = 0.0, np.zeros_like(f_pre)
+            tri_loss, d_f_pre = agg.batch_hard_triplet(f_pre, labels)
             grads = model.backward(d_f_pre, d_logits)
-            if lr != 0.0:
-                for name, param in model.named_params():
-                    v = velocity[name]
-                    v *= SGD_MOMENTUM
-                    v += grads[name]
-                    param -= epoch_lr * v
+            for name, param in model.named_params():
+                v = velocity[name]
+                v *= SGD_MOMENTUM
+                v += grads[name]
+                param -= epoch_lr * v
             epoch_loss += ce_loss + tri_loss
             n_batches += 1
-        log.epoch_losses.append(epoch_loss / max(n_batches, 1))
+        log.epoch_losses.append(epoch_loss / n_batches)
     return model, log
 
 

@@ -79,13 +79,13 @@ def reference_conv_forward(conv: tt.Conv2d, x: np.ndarray, training: bool) -> np
     cache: ``np.pad``, and each tap's weight read as the strided
     ``weight[:, :, di, dj]``."""
     b, c, h, w = x.shape
-    k, s, p = conv.weight.shape[2], conv.stride, conv.pad
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    s = conv.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
     o = conv.weight.shape[0]
     out = np.zeros((b, o, ho * wo))
-    for di in range(k):
-        for dj in range(k):
+    for di in range(3):
+        for dj in range(3):
             xs = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s].reshape(b, c, ho * wo)
             out += conv.weight[:, :, di, dj] @ xs
     conv._cache = (xp, x.shape, ho, wo) if training else None
@@ -96,18 +96,18 @@ def reference_conv_backward(conv: tt.Conv2d, dy: np.ndarray) -> np.ndarray:
     """Reference for ``toytrain.Conv2d.backward`` after ``reference_conv_forward``:
     d_x from the strided, transposed ``weight[:, :, di, dj].T``."""
     xp, x_shape, ho, wo = conv._cache
-    k, s, p = conv.weight.shape[2], conv.stride, conv.pad
+    s = conv.stride
     (o, c), b = conv.weight.shape[:2], x_shape[0]
     g = dy.reshape(b, o, ho * wo)
     d_w = conv.d_weight = np.zeros_like(conv.weight)
     d_xp = np.zeros_like(xp)
-    for di in range(k):
-        for dj in range(k):
+    for di in range(3):
+        for dj in range(3):
             tap = (slice(None), slice(None), slice(di, di + s * ho, s), slice(dj, dj + s * wo, s))
             xs = xp[tap].reshape(b, c, ho * wo)
             d_w[:, :, di, dj] = (g @ xs.transpose(0, 2, 1)).sum(0)
             d_xp[tap] += (conv.weight[:, :, di, dj].T @ g).reshape(b, c, ho, wo)
-    return d_xp[:, :, p : p + x_shape[2], p : p + x_shape[3]] if p else d_xp
+    return d_xp[:, :, 1 : 1 + x_shape[2], 1 : 1 + x_shape[3]]
 
 
 def count_oracle_multiplies(variant: str, cfg: att.AttentionConfig, seed: int = 0) -> int:

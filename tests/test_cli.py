@@ -288,6 +288,19 @@ class TestAlign:
         assert "degenerate after clipping to 40x30" in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    @pytest.mark.parametrize("shape", [(1, 40, 30), (40, 30)], ids=["one-channel", "two-axes"])
+    def test_bad_frame_shape_without_detection_exits_one(self, capsys, align_fixture, shape):
+        # frame 1 has no candidate, so it takes the no-detection path
+        _, frames_dir, out_dir, _ = align_fixture
+        cand_file = frames_dir.parent / "first.tsv"
+        cand_file.write_text("D=2\n5\t0\t2\t2\t8\t24\t0.9\t1.0\t0.0\n")
+        save_tensor(frames_dir / "5" / "0001.aakt", np.ones(shape))
+        code, _, err = run(capsys, "align", "--candidates", str(cand_file),
+                           "--frames", str(frames_dir), "--out", str(out_dir))
+        assert code == 1
+        assert err == f"error: tracklet 5: frame 1: frame must be (3, H, W), got {shape}\n"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_candidate_past_last_frame_names_tracklet(self, capsys, align_fixture):
         # a negative frame is rejected at parse time; the frame count is known only here
         _, frames_dir, out_dir, _ = align_fixture

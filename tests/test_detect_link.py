@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -255,10 +257,63 @@ class TestProcessTracklet:
         with pytest.raises(ValidationError, match=r"^frame 2: box \(100, 2, 8, 24\) degenerate"):
             dl.process_tracklet(frames, cands)
 
+    @pytest.mark.parametrize("shape", [(1, 40, 30), (40, 30)], ids=["one-channel", "two-axes"])
+    @pytest.mark.parametrize("detected", [False, True], ids=["no-detection", "detection"])
+    def test_frame_shape_checked_on_both_branches(self, shape, detected):
+        frames = [np.ones((3, 40, 30)), np.ones(shape)]
+        cands = [[box(b=(2, 2, 8, 24))], [box(frame=1, b=(2, 2, 8, 24))] if detected else []]
+        with pytest.raises(ValidationError, match=rf"^frame 1: frame must be \(3, H, W\), got {re.escape(str(shape))}$"):
+            dl.process_tracklet(frames, cands)
+
     @pytest.mark.parametrize("cands", [[[]], [[box(b=(0, 0, 2, 4))]]], ids=["no-detection", "detection"])
     def test_alpha_checked_before_any_frame(self, cands):
         with pytest.raises(ValidationError, match=r"^alpha 1.5 outside \[0, 1\]$"):
             dl.process_tracklet([np.ones((3, 4, 4))], cands, alpha=1.5)
+
+
+@st.composite
+def linked_scene(draw):
+    """Per-frame candidate lists (some frames empty) whose choices no index
+    tie-break decides: the first detected frame has distinct (area, confidence)
+    pairs, and every later candidate sits at a distinct integer distance from
+    the global feature that linking holds when it reaches that frame."""
+    n_frames = draw(st.integers(1, 4))
+    cands: list[list[dl.CandidateBox]] = []
+    state = None
+    for f in range(n_frames):
+        n = draw(st.integers(0, 3))
+        if not n:
+            cands.append([])
+            continue
+        xy = draw(st.lists(st.tuples(st.integers(0, 18), st.integers(0, 18)), min_size=n, max_size=n))
+        if state is None:
+            whc = draw(st.lists(st.tuples(st.integers(2, 10), st.integers(2, 20), st.sampled_from([0.5, 0.7, 0.9])),
+                                min_size=n, max_size=n, unique_by=lambda t: (t[0] * t[1], t[2])))
+            feats = draw(st.lists(st.tuples(*[st.floats(-4, 4)] * 2), min_size=n, max_size=n))
+            row = [dl.CandidateBox(f, (x, y, w, h), c, np.array(v)) for (x, y), (w, h, c), v in zip(xy, whc, feats)]
+            state = dl.LinkState(dl.select_first_frame(row).feature.copy())
+        else:
+            radii = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n, unique=True))
+            axes = draw(st.lists(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]), min_size=n, max_size=n))
+            row = [dl.CandidateBox(f, (x, y, 6, 12), 0.9, state.f_g + r * np.array(a, dtype=float))
+                   for (x, y), r, a in zip(xy, radii, axes)]
+            state = dl.link_frame(state, row)[1]
+        cands.append(row)
+    return cands
+
+
+class TestCandidateOrder:
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(scene=linked_scene(), data=st.data())
+    def test_permuting_candidates_permutes_only_the_provenance(self, scene, data):
+        frames = [Rng(14).child(f).uniform(0, 1, (3, 40, 30)) for f in range(len(scene))]
+        perms = [data.draw(st.permutations(range(len(row)))) for row in scene]
+        shuffled = [[row[j] for j in perm] for row, perm in zip(scene, perms)]
+        base, moved = dl.process_tracklet(frames, scene), dl.process_tracklet(frames, shuffled)
+        for a, b, perm in zip(base, moved, perms):
+            assert np.array_equal(a.image, b.image) and np.array_equal(a.mask, b.mask)
+            want = None if a.provenance["candidate"] is None else perm.index(a.provenance["candidate"])
+            assert b.provenance["candidate"] == want
 
 
 class TestSyntheticDetector:

@@ -351,8 +351,6 @@ class TestRankRange:
         dataset = second_rank_hit_instance()
         with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
             ev.evaluate(dataset, "old", max_rank)
-        with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
-            ev.protocol_delta_report(dataset, ev.LabelCorrections(), max_rank)
 
     @pytest.mark.parametrize("max_rank", [0, -1])
     def test_max_rank_checked_before_ranking(self, max_rank, monkeypatch):
@@ -363,8 +361,6 @@ class TestRankRange:
         dataset = second_rank_hit_instance()
         with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
             ev.evaluate(dataset, "old", max_rank)
-        with pytest.raises(ValidationError, match=f"max_rank must be at least 1, got {max_rank}"):
-            ev.protocol_delta_report(dataset, ev.LabelCorrections(), max_rank)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_cmc_at_below_one_rejected(self, k):
@@ -419,11 +415,11 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_delta_report_bitwise_equals_three_evaluations(self, seed):
         dataset, corrections = tied_instance(seed)
-        report = ev.protocol_delta_report(dataset, corrections, max_rank=6)
+        report = ev.protocol_delta_report(dataset, corrections)
         corrected = ev.apply_corrections(dataset, corrections)
-        for got, want in ((report.old_raw, ev.evaluate(dataset, "old", 6)),
-                          (report.old_corrected, ev.evaluate(corrected, "old", 6)),
-                          (report.new_corrected, ev.evaluate(corrected, "new", 6))):
+        for got, want in ((report.old_raw, ev.evaluate(dataset, "old")),
+                          (report.old_corrected, ev.evaluate(corrected, "old")),
+                          (report.new_corrected, ev.evaluate(corrected, "new"))):
             assert got.per_query_ap == want.per_query_ap
             assert got.mAP == want.mAP and got.excluded == want.excluded
             assert np.array_equal(got.cmc, want.cmc)

@@ -26,7 +26,7 @@ def test_row_matches_finite_differences(name, seed):
 
 
 # analytic backward passes that no row reaches -> the test that checks them against finite differences
-COVERED_BY_TEST = {tt.ToyModel.backward: test_toytrain.TestLayers.test_model_backward_matches_fd_on_conv1}
+COVERED_BY_TEST = {tt.ToyModel.backward: test_toytrain.TestLayers.test_model_backward_matches_fd_on_conv0}
 
 
 def test_every_backward_has_a_row_or_a_test():

@@ -31,13 +31,13 @@ class TestPooling:
     def test_factor_one_identity(self):
         x = Rng(0).normal((2, 2, 3, 5))
         assert np.array_equal(avg_pool_2d(x, 1), x)
-        assert np.array_equal(upsample_nearest_2d(x, 1), x)
+        assert np.array_equal(upsample_nearest_2d(x, 1, (3, 5)), x)
 
     def test_factor_zero_rejected(self):
         with pytest.raises(DimensionError):
             avg_pool_2d(np.ones((1, 1, 2, 2)), 0)
         with pytest.raises(DimensionError):
-            upsample_nearest_2d(np.ones((1, 1, 2, 2)), 0)
+            upsample_nearest_2d(np.ones((1, 1, 2, 2)), 0, (2, 2))
 
     def test_partial_edge_windows(self):
         x = np.arange(6, dtype=np.float64).reshape(1, 1, 2, 3)
@@ -46,7 +46,7 @@ class TestPooling:
         np.testing.assert_allclose(out.ravel(), [(0 + 1 + 3 + 4) / 4, (2 + 5) / 2])
 
     def test_upsample_replication(self):
-        out = upsample_nearest_2d(np.array([[5.0]]).reshape(1, 1, 1, 1), 2)
+        out = upsample_nearest_2d(np.array([[5.0]]).reshape(1, 1, 1, 1), 2, (2, 2))
         assert out.reshape(2, 2).tolist() == [[5, 5], [5, 5]]
 
     def test_down_up_constant_roundtrip(self):
@@ -228,6 +228,20 @@ class TestContainer:
         with pytest.raises(ValidationError, match="payload"):
             load_tensor(p)
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"NOPE" + bytes(16), r"bad magic at byte 0"),
+        (MAGIC + b"\x01\x00", r"truncated header at byte 6$"),
+        (MAGIC + struct.pack("<II", 2, 0), r"unsupported container version 2 at byte 4$"),
+        (MAGIC + struct.pack("<IIQ", 1, 2, 3), r"truncated header at byte 20: rank 2 needs 28 bytes$"),
+        (MAGIC + struct.pack("<II2Q", 1, 2, 3, 0), r"zero extent in shape \(3, 0\) at byte 20$"),
+        (MAGIC + struct.pack("<II2Q", 1, 2, 2, 2) + bytes(24), r"payload size 24 at byte 28 does not match"),
+    ], ids=["magic", "short-header", "version", "short-extents", "zero-extent", "payload"])
+    def test_rejection_names_its_byte_offset(self, tmp_path, blob, message):
+        p = tmp_path / "bad.aakt"
+        p.write_bytes(blob)
+        with pytest.raises(ValidationError, match=message):
+            load_tensor(p)
+
     def test_peak_memory_is_one_payload(self, tmp_path):
         # Duke-shape distances (702 x 2636); reading the file and copying the
         # payload out of it reads 3x
@@ -257,10 +271,12 @@ def container(draw):
 
 def load_or_reject(path):
     """load_tensor's array, checked to write back to the same bytes, or None
-    when it raises ValidationError; any other exception escapes."""
+    when it raises a ValidationError that names a byte offset; any other
+    exception escapes."""
     try:
         x = load_tensor(path)
-    except ValidationError:
+    except ValidationError as exc:
+        assert "at byte " in str(exc), exc
         return None
     assert x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable and x.flags.owndata
     blob = path.read_bytes()

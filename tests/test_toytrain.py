@@ -71,7 +71,7 @@ class TestDataset:
 
 
 class TestLayers:
-    def test_model_backward_matches_fd_on_conv1(self):
+    def test_model_backward_matches_fd_on_conv0(self):
         # end-to-end analytic gradient through attention, pooling, bn, losses
         from axialreid import aggregation as agg
 
@@ -93,6 +93,13 @@ class TestLayers:
         grads = model.backward(np.zeros_like(f_pre), d_logits)
         num = fd_gradient(loss, dict(model.layers)["conv0"].weight)
         assert rel_error(grads["conv0.weight"], num) < 1e-4
+
+    def test_cfaa_layer_is_init_params_with_zero_output_projection(self):
+        cfg = small_spec().attention_config()
+        layer, drawn = tt.CfaaLayer(cfg, Rng(3)), att.init_cfaa_params(cfg, Rng(3))
+        assert not layer.params.w_o.any() and drawn.w_o.any()
+        for (name, a), (_, b) in zip(layer.params.named("p"), drawn.named("p")):
+            assert name == "p.w_o" or np.array_equal(a, b), name
 
     def test_one_attention_call_per_batch(self, monkeypatch):
         from axialreid import aggregation as agg
@@ -169,35 +176,33 @@ class TestLayerProtocol:
         assert len(set(names)) == len(names)
 
 
-def einsum_conv_forward(weight, stride, x):
-    """Reference convolution: one einsum per kernel tap, no BLAS."""
+def einsum_conv_forward(weight, s, x):
+    """Reference 3x3 convolution: one einsum per kernel tap, no BLAS."""
     b, c, h, w = x.shape
-    k, s, p = weight.shape[2], stride, weight.shape[2] // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
     out = np.zeros((b, weight.shape[0], ho, wo))
-    for di in range(k):
-        for dj in range(k):
+    for di in range(3):
+        for dj in range(3):
             sl = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s]
             out += np.einsum("oc,bchw->bohw", weight[:, :, di, dj], sl)
     return out
 
 
-def einsum_conv_backward(weight, stride, x, grad):
+def einsum_conv_backward(weight, s, x, grad):
     """Reference (d_x, d_w) for einsum_conv_forward."""
-    k, s, p = weight.shape[2], stride, weight.shape[2] // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     ho, wo = grad.shape[2:]
     d_w = np.zeros_like(weight)
     d_xp = np.zeros_like(xp)
-    for di in range(k):
-        for dj in range(k):
+    for di in range(3):
+        for dj in range(3):
             sl = xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s]
             d_w[:, :, di, dj] = np.einsum("bohw,bchw->oc", grad, sl)
             d_xp[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += np.einsum(
                 "oc,bohw->bchw", weight[:, :, di, dj], grad
             )
-    return d_xp[:, :, p : p + x.shape[2], p : p + x.shape[3]], d_w
+    return d_xp[:, :, 1 : 1 + x.shape[2], 1 : 1 + x.shape[3]], d_w
 
 
 def scaled_error(a, ref):
@@ -207,21 +212,26 @@ def scaled_error(a, ref):
     return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
 
 
-# (c_in, c_out, kernel, stride, h, w): small odd/even cases, then the three
-# convs of the default ToyModelSpec at its 32x16 frames
+# (c_in, c_out, stride, h, w): small odd/even cases, then the three convs of
+# the default ToyModelSpec at its 32x16 frames
 CONV_SHAPES = [
-    (2, 3, 1, 1, 7, 5), (2, 3, 1, 2, 7, 5), (2, 3, 3, 1, 7, 5), (2, 3, 3, 2, 7, 5),
-    (3, 4, 3, 2, 6, 4), (3, 32, 3, 2, 32, 16), (32, 64, 3, 2, 16, 8), (64, 64, 3, 1, 8, 4),
+    (2, 3, 1, 7, 5), (2, 3, 2, 7, 5), (3, 4, 2, 6, 4),
+    (3, 32, 2, 32, 16), (32, 64, 2, 16, 8), (64, 64, 1, 8, 4),
 ]
+
+
+def conv_id(shape):
+    c_in, c_out, s, h, w = shape
+    return f"{c_in}x{c_out}x3x{s}x{h}x{w}"  # the 3 names the kernel
 
 
 class TestConvOracle:
     @pytest.mark.parametrize("batch", [1, 5])
-    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=conv_id)
     def test_matches_einsum_reference(self, shape, batch):
-        c_in, c_out, k, s, h, w = shape
+        c_in, c_out, s, h, w = shape
         rng = Rng(31)
-        conv = tt.Conv2d(c_in, c_out, k, s, rng.child(0))
+        conv = tt.Conv2d(c_in, c_out, s, rng.child(0))
         x = rng.child(1).normal((batch, c_in, h, w))
         out = conv.forward(x, training=True)
         ref = einsum_conv_forward(conv.weight, s, x)
@@ -235,11 +245,11 @@ class TestConvOracle:
         assert scaled_error(d_w, ref_dw) < 1e-12
 
     @pytest.mark.parametrize("batch", [1, 5])
-    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=conv_id)
     def test_bitwise_equal_to_strided_tap_reference(self, shape, batch):
-        c_in, c_out, k, s, h, w = shape
+        c_in, c_out, s, h, w = shape
         rng = Rng(37)
-        conv, ref = (tt.Conv2d(c_in, c_out, k, s, rng.child(0)) for _ in range(2))
+        conv, ref = (tt.Conv2d(c_in, c_out, s, rng.child(0)) for _ in range(2))
         x = rng.child(1).normal((batch, c_in, h, w))
         out = conv.forward(x, training=True)
         assert np.array_equal(out, reference_conv_forward(ref, x, training=True))
@@ -247,10 +257,10 @@ class TestConvOracle:
         assert np.array_equal(conv.backward(g), reference_conv_backward(ref, g))
         assert np.array_equal(conv.d_weight, ref.d_weight)
 
-    @pytest.mark.parametrize("shape", CONV_SHAPES[:4], ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("shape", CONV_SHAPES[:2], ids=conv_id)
     def test_empty_batch_keeps_shape(self, shape):
-        c_in, c_out, k, s, h, w = shape
-        conv = tt.Conv2d(c_in, c_out, k, s, Rng(0))
+        c_in, c_out, s, h, w = shape
+        conv = tt.Conv2d(c_in, c_out, s, Rng(0))
         out = conv.forward(np.zeros((0, c_in, h, w)), training=True)
         assert out.shape == (0, c_out, (h - 1) // s + 1, (w - 1) // s + 1)
 
@@ -263,7 +273,7 @@ class TestBatchNorm:
     def test_running_stats_converge_in_eval(self, layout):
         rng = Rng(9)
         shape = (32, 3) + LAYOUTS[layout][2:]
-        bn = tt.BatchNorm(3, momentum=0.5)
+        bn = tt.BatchNorm(3)
         for i in range(50):
             bn.forward(rng.child(i).normal(shape) * 2.0 + 1.0, training=True)
         out = bn.forward(np.ones((1,) + shape[1:]), training=False)
@@ -314,11 +324,10 @@ class TestTraining:
             losses.append(loss)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])), losses
 
-    def test_triplet_skipped_when_batches_hold_one_identity(self):
+    def test_single_identity_batches_rejected(self):
         ds = tt.SyntheticIdentityDataset(num_ids=2, tracklets_per_id=4, frames_per_tracklet=8, seed=6)
-        spec = small_spec(num_ids=2)
-        _, log = tt.train(spec, ds, epochs=2, seed=3, p_ids=1, k_tracks=2, lr=0.01)
-        assert len(log.epoch_losses) == 2  # runs without a triplet error
+        with pytest.raises(ValidationError, match=r"p_ids must be at least 2 .*, got 1"):
+            tt.train(small_spec(num_ids=2), ds, epochs=2, seed=3, p_ids=1, k_tracks=2, lr=0.01)
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_sampled_clip_is_source_clip_mirrored_when_flipped(self, flip):
