@@ -21,7 +21,9 @@ def mask_downsample(mask, target_hw: tuple[int, int]) -> np.ndarray:
 
     An output cell is valid iff strictly more than half of its covered input
     pixels are valid. A frame whose downsampled mask is all zero falls back to
-    all ones (so later pooling never divides by zero).
+    all ones (so later pooling never divides by zero). A value other than 0
+    or 1, NaN included, raises ValidationError naming its frame. The counts are
+    exact integers, so strided adds of rows, then of columns, give their bits.
     """
     mask = np.asarray(mask)
     if mask.ndim != 3 or not mask.size:
@@ -30,10 +32,13 @@ def mask_downsample(mask, target_hw: tuple[int, int]) -> np.ndarray:
     th, tw = target_hw
     if th > h or tw > w or h % th or w % tw:
         raise DimensionError(f"target {target_hw} is not an integer pooling of ({h}, {w})")
+    bad = ((mask != 0) & (mask != 1)).reshape(t, -1).any(axis=1)
+    if bad.any():
+        raise ValidationError(f"mask frame {int(bad.argmax())} holds a value other than 0 or 1")
     fh, fw = h // th, w // tw
-    window = float(fh * fw)
-    counts = mask.reshape(t, th, fh, tw, fw).sum(axis=(2, 4))
-    out = (counts > window / 2.0).astype(np.float64)
+    rows = sum((mask[:, i::fh] for i in range(1, fh)), mask[:, ::fh].astype(np.float64))
+    counts = sum((rows[:, :, j::fw] for j in range(1, fw)), rows[:, :, ::fw])
+    out = (counts > fh * fw / 2.0).astype(np.float64)
     dead = out.reshape(t, -1).sum(axis=1) == 0
     out[dead] = 1.0
     return out

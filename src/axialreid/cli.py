@@ -222,7 +222,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    _check_minimums(args, ids=1, epochs=0, seed=0, data_seed=0, chance_trials=0)
+    _check_minimums(args, ids=tt.P_IDS, epochs=0, seed=0, data_seed=0, chance_trials=0)
     if not args.lr > 0:  # nan included
         raise ValidationError(f"--lr must be positive, got {args.lr}")
     attention = {f: v for f, v in (("scales", args.scales), ("heads", args.heads)) if v is not None}

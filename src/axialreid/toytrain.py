@@ -21,6 +21,8 @@ SGD_MOMENTUM = 0.9
 BN_MOMENTUM = 0.1  # weight of the batch statistics in BatchNorm's running estimates
 LR_DECAY_AFTER = 0.75  # fraction of the epochs after which the learning rate drops 10x
 FRAME_HW = (32, 16)  # synthetic frame size; the drawn figure is 18 pixels tall
+P_IDS, K_TRACKS = 4, 2  # the default training batch: P identities x K tracklets, one clip each
+FORWARD_CLIPS = P_IDS * K_TRACKS  # most clips per eval-mode forward: a training batch, whose GEMMs use one core
 
 # ---------------------------------------------------------------------------
 # layers for the toy backbone
@@ -371,7 +373,7 @@ def _sample_clip(track: Tracklet, clip_len: int, rng: Rng, flip: bool):
 
 
 def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, seed: int,
-          lr: float = 0.05, p_ids: int = 4, k_tracks: int = 2) -> tuple[ToyModel, TrainLog]:
+          lr: float = 0.05, p_ids: int = P_IDS, k_tracks: int = K_TRACKS) -> tuple[ToyModel, TrainLog]:
     """SGD with momentum on cross-entropy + batch-hard triplet over p_ids x k_tracks
     batches; deterministic per seed. The learning rate drops 10x after LR_DECAY_AFTER."""
     if p_ids < 2:
@@ -431,17 +433,44 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
     return model, log
 
 
-def tracklet_feature(model: ToyModel, track: Tracklet) -> np.ndarray:
-    """Clip-split-and-average representation (post-BN feature, eval mode)."""
+def tracklet_features(model: ToyModel, tracks: list[Tracklet]) -> np.ndarray:
+    """Clip-split-and-average representation (post-BN feature, eval mode) of
+    each tracklet, (n, C), with the bits of the tracklet's own forward. Runs
+    of tracklets with the same frame and mask shapes share a forward of at
+    most FORWARD_CLIPS clips, and a longer tracklet runs alone. A failing run
+    retries its tracklets one by one, so the error raised is the first bad
+    tracklet's own."""
     clip = model.spec.clip_len
-    f = track.frames.shape[0]
-    if f < clip:
-        raise ValidationError(f"tracklet {track.tid} has {f} frames, fewer than clip_len={clip}")
-    used = f // clip * clip  # every clip of the tracklet in one eval-mode forward
-    frames = track.frames[:used].reshape(-1, clip, *track.frames.shape[1:])
-    masks = track.masks[:used].reshape(-1, clip, *track.masks.shape[1:])
-    _, f_post, _ = model.forward(frames, masks, training=False)
-    return f_post.mean(axis=0)
+
+    def forward(run: list[Tracklet]) -> list[np.ndarray]:
+        parts = []
+        for tr in run:
+            f = tr.frames.shape[0]
+            if f < clip:
+                raise ValidationError(f"tracklet {tr.tid} has {f} frames, fewer than clip_len={clip}")
+            parts.append([a[: f // clip * clip].reshape(-1, clip, *a.shape[1:]) for a in (tr.frames, tr.masks)])
+        frames, masks = (np.concatenate(arrays) for arrays in zip(*parts))
+        _, f_post, _ = model.forward(frames, masks, training=False)
+        ends = np.cumsum([len(clips) for clips, _ in parts])
+        return [f_post[start:end].mean(axis=0) for start, end in zip([0, *ends], ends)]
+
+    runs: list[list[Tracklet]] = []
+    for tr in tracks:
+        last = runs[-1] if runs else []
+        if (last and (tr.frames.shape[1:], tr.masks.shape[1:]) == (last[0].frames.shape[1:], last[0].masks.shape[1:])
+                and sum(t.frames.shape[0] // clip for t in [*last, tr]) <= FORWARD_CLIPS):
+            last.append(tr)
+        else:
+            runs.append([tr])
+    feats = []
+    for run in runs:
+        try:
+            feats += forward(run)
+        except Exception:
+            for tr in run:
+                forward([tr])
+            raise
+    return np.stack(feats)
 
 
 def retrieve(model: ToyModel, tracklets: list[Tracklet]) -> ev.EvalDataset:
@@ -451,8 +480,7 @@ def retrieve(model: ToyModel, tracklets: list[Tracklet]) -> ev.EvalDataset:
     gallery = [t for t in tracklets if t.camera != 0]
     if not queries or not gallery:
         raise ValidationError("retrieval needs tracklets under at least two cameras")
-    qf = np.stack([tracklet_feature(model, t) for t in queries])
-    gf = np.stack([tracklet_feature(model, t) for t in gallery])
+    qf, gf = tracklet_features(model, queries), tracklet_features(model, gallery)
     dist = np.sqrt(np.maximum(
         (qf**2).sum(1)[:, None] + (gf**2).sum(1)[None, :] - 2.0 * qf @ gf.T, 0.0
     ))

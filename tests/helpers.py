@@ -110,6 +110,36 @@ def reference_conv_backward(conv: tt.Conv2d, dy: np.ndarray) -> np.ndarray:
     return d_xp[:, :, 1 : 1 + x_shape[2], 1 : 1 + x_shape[3]]
 
 
+def reference_tracklet_feature(model: tt.ToyModel, track: tt.Tracklet) -> np.ndarray:
+    """Reference for one row of ``toytrain.tracklet_features``: every clip of
+    the one tracklet in its own eval-mode forward, and the mean of the post-BN
+    features."""
+    clip = model.spec.clip_len
+    f = track.frames.shape[0]
+    if f < clip:
+        raise ValidationError(f"tracklet {track.tid} has {f} frames, fewer than clip_len={clip}")
+    used = f // clip * clip
+    frames = track.frames[:used].reshape(-1, clip, *track.frames.shape[1:])
+    masks = track.masks[:used].reshape(-1, clip, *track.masks.shape[1:])
+    _, f_post, _ = model.forward(frames, masks, training=False)
+    return f_post.mean(axis=0)
+
+
+def reference_mask_downsample(mask, target_hw: tuple[int, int]) -> np.ndarray:
+    """Reference for ``aggregation.mask_downsample`` on 0/1 masks that pool
+    to target_hw: the counts as one reshape and sum over the window axes."""
+    mask = np.asarray(mask)
+    t, h, w = mask.shape
+    th, tw = target_hw
+    fh, fw = h // th, w // tw
+    window = float(fh * fw)
+    counts = mask.reshape(t, th, fh, tw, fw).sum(axis=(2, 4))
+    out = (counts > window / 2.0).astype(np.float64)
+    dead = out.reshape(t, -1).sum(axis=1) == 0
+    out[dead] = 1.0
+    return out
+
+
 def count_oracle_multiplies(variant: str, cfg: att.AttentionConfig, seed: int = 0) -> int:
     """Execute the attention kernels at the given config with an instrumented
     multiply counter; returns the measured score/value contraction multiplies,

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axialreid import aggregation as agg
 from axialreid import toytrain as tt
 from axialreid.errors import DimensionError, ValidationError
 from axialreid.tensor import Rng
+from helpers import reference_mask_downsample
 
 
 class TestMaskDownsample:
@@ -41,6 +44,25 @@ class TestMaskDownsample:
     def test_non_integer_ratio_rejected(self):
         with pytest.raises(DimensionError):
             agg.mask_downsample(np.ones((1, 6, 4)), (4, 2))
+
+    @pytest.mark.parametrize("value", [np.nan, 0.5, 2.0])
+    def test_value_other_than_zero_or_one_rejected(self, value):
+        m = np.ones((4, 8, 4))
+        m[3, 0, 0] = m[2, 5, 1] = value
+        with pytest.raises(ValidationError, match=r"^mask frame 2 holds a value other than 0 or 1$"):
+            agg.mask_downsample(m, (4, 2))
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(t=st.integers(1, 4), factors=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           cells=st.tuples(st.integers(1, 3), st.integers(1, 3)), density=st.floats(0.0, 1.0),
+           dead=st.lists(st.booleans(), min_size=4, max_size=4), as_bool=st.booleans(), seed=st.integers(0, 2**16))
+    def test_equals_reshape_sum_reference(self, t, factors, cells, density, dead, as_bool, seed):
+        (fh, fw), (th, tw) = factors, cells
+        m = np.random.default_rng(seed).random((t, th * fh, tw * fw)) < density
+        m[np.array(dead[:t])] = False  # all-zero frames fall back to all ones
+        m = m if as_bool else m.astype(np.float64)
+        got, want = agg.mask_downsample(m, (th, tw)), reference_mask_downsample(m, (th, tw))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestMaskedAvgPool:

@@ -432,13 +432,21 @@ class TestDemo:
         assert err == f"error: {flag} has no effect with --no-attention\n"
 
     @pytest.mark.parametrize("flag, value, low", [
-        ("--seed", "-1", 0), ("--data-seed", "-1", 0), ("--ids", "0", 1), ("--chance-trials", "-1", 0),
+        ("--seed", "-1", 0), ("--data-seed", "-1", 0), ("--ids", "0", 4), ("--chance-trials", "-1", 0),
         ("--epochs", "-1", 0),
     ])
     def test_integer_flag_below_minimum_exits_one(self, capsys, flag, value, low):
         code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "0", flag, value)
         assert code == 1 and out == ""
         assert err == f"error: {flag} must be at least {low}, got {value}\n"
+
+    @pytest.mark.parametrize("epochs", ["0", "1"])
+    def test_fewer_ids_than_one_training_batch_exits_one(self, capsys, epochs):
+        # training draws 4 identities per batch, and builds no batch at --epochs 0
+        # only after checking that it could
+        code, out, err = run(capsys, "demo", "--ids", "3", "--epochs", epochs)
+        assert code == 1 and out == ""
+        assert err == "error: --ids must be at least 4, got 3\n"
 
     @pytest.mark.parametrize("value", ["0", "-0.05", "nan"])
     def test_non_positive_lr_exits_one(self, capsys, value):

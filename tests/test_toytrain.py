@@ -9,13 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from axialreid import aggregation as agg
 from axialreid import attention as att
 from axialreid import evaluate as ev
 from axialreid import toytrain as tt
 from axialreid.errors import ConfigurationError, DimensionError, ValidationError
 from axialreid.gradcheck import fd_gradient, rel_error
 from axialreid.tensor import Rng
-from helpers import fresh_split, reference_conv_backward, reference_conv_forward, reference_softmax
+from helpers import (fresh_split, reference_conv_backward, reference_conv_forward, reference_mask_downsample,
+                     reference_softmax, reference_tracklet_feature)
 
 
 def small_dataset(seed=3, num_ids=4):
@@ -27,6 +29,31 @@ def small_dataset(seed=3, num_ids=4):
 def small_spec(num_ids=4, use_attention=True):
     return tt.ToyModelSpec(channels=(8, 16, 16), num_classes=num_ids, use_attention=use_attention,
                            attention_scales=2, attention_heads=2)
+
+
+def eval_model(use_attention, seed=5):
+    """An untrained small model; with attention, a nonzero output projection
+    makes CF-AA shape the feature."""
+    model = tt.ToyModel(small_spec(use_attention=use_attention), Rng(seed).child(0))
+    if use_attention:
+        attention = dict(model.layers)["attention"].params
+        attention.w_o = Rng(seed + 1).normal(attention.w_o.shape)
+    return model
+
+
+def mixed_length_tracklets():
+    """Four tracklets each of 4, 7, 8, 13 and 40 frames (1, 1, 2, 3 and 10
+    clips of 4), under both cameras, with distinct tids."""
+    tracks = []
+    for n in (4, 7, 8, 13, 40):
+        tracks += tt.SyntheticIdentityDataset(num_ids=2, tracklets_per_id=2, frames_per_tracklet=n, seed=n).tracklets
+    for tid, tr in enumerate(tracks):
+        tr.tid = tid
+    return tracks
+
+
+def reference_features(model, tracks):
+    return np.stack([reference_tracklet_feature(model, tr) for tr in tracks])
 
 
 class TestDataset:
@@ -410,6 +437,8 @@ def test_kernels_bitwise_equal_to_reference_kernels(monkeypatch):
         return h.hexdigest()
 
     fast = digest()
+    monkeypatch.setattr(tt, "tracklet_features", reference_features)
+    monkeypatch.setattr(agg, "mask_downsample", reference_mask_downsample)
     monkeypatch.setattr(att, "_softmax", reference_softmax)
     monkeypatch.setattr(tt.Conv2d, "forward", reference_conv_forward)
     monkeypatch.setattr(tt.Conv2d, "backward", reference_conv_backward)
@@ -465,31 +494,95 @@ class TestRetrieval:
         ds = small_dataset()
         model = tt.ToyModel(small_spec(use_attention=False), Rng(1).child(0))
         tr = ds.tracklets[0]  # 8 frames = 2 clips of clip_len 4
-        clipped = tt.tracklet_feature(model, tr)
+        clipped = tt.tracklet_features(model, [tr])[0]
         _, whole, _ = model.forward(tr.frames[None], tr.masks[None], training=False)
         np.testing.assert_allclose(clipped, whole[0], atol=1e-10)
 
     @pytest.mark.parametrize("use_attention", [True, False])
     def test_one_forward_per_tracklet_equals_clip_loop(self, use_attention):
         ds = tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=2, frames_per_tracklet=13, seed=6)
-        model = tt.ToyModel(small_spec(use_attention=use_attention), Rng(5).child(0))
-        if use_attention:  # a nonzero output projection, so attention shapes the feature
-            attention = dict(model.layers)["attention"].params
-            attention.w_o = Rng(6).normal(attention.w_o.shape)
-        for tr in ds.tracklets:  # 3 clips of 4 frames; the 13th frame is dropped
-            clips = [model.forward(tr.frames[c : c + 4][None], tr.masks[c : c + 4][None], training=False)[1][0]
-                     for c in (0, 4, 8)]
-            assert np.array_equal(tt.tracklet_feature(model, tr), np.mean(clips, axis=0))
+        model = eval_model(use_attention)
+        # 3 clips of 4 frames per tracklet, the 13th frame dropped; two
+        # tracklets share each forward
+        want = [np.mean([model.forward(tr.frames[c : c + 4][None], tr.masks[c : c + 4][None], training=False)[1][0]
+                         for c in (0, 4, 8)], axis=0) for tr in ds.tracklets]
+        assert np.array_equal(tt.tracklet_features(model, ds.tracklets), np.stack(want))
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_features_bitwise_equal_to_per_tracklet_reference(self, use_attention):
+        # runs of 1, 1, 2 and 3 clips fill forwards of up to FORWARD_CLIPS
+        # clips; a 40-frame tracklet (10 clips) runs alone
+        model = eval_model(use_attention)
+        tracks = mixed_length_tracklets()
+        assert np.array_equal(tt.tracklet_features(model, tracks), reference_features(model, tracks))
+        order = Rng(3).permutation(len(tracks))  # other neighbours, other groups
+        shuffled = [tracks[i] for i in order]
+        assert np.array_equal(tt.tracklet_features(model, shuffled), reference_features(model, shuffled))
+
+    def test_runs_fill_forwards_of_at_most_forward_clips(self, monkeypatch):
+        model = eval_model(use_attention=True)
+        clips, forward = [], model.forward
+
+        def recording(frames, masks, training):
+            clips.append(frames.shape[0])
+            return forward(frames, masks, training)
+
+        monkeypatch.setattr(model, "forward", recording)
+        tt.tracklet_features(model, mixed_length_tracklets())
+        # eight 1-clip tracklets, four of 2 clips, two runs of two 3-clip
+        # tracklets, then each 10-clip tracklet alone
+        assert tt.FORWARD_CLIPS == 8 and clips == [8, 8, 6, 6, 10, 10, 10, 10]
+
+    def test_mixed_frame_sizes_bitwise_equal_to_reference(self):
+        # without attention any frame size whose masks pool to the feature
+        # map runs; a 16x8 tracklet never shares a forward with a 32x16 one
+        model = eval_model(use_attention=False)
+        tracks = small_dataset().tracklets
+        for tr in tracks[1::3]:
+            tr.frames, tr.masks = tr.frames[..., ::2, ::2].copy(), tr.masks[..., ::2, ::2].copy()
+        assert np.array_equal(tt.tracklet_features(model, tracks), reference_features(model, tracks))
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_permuting_tracklets_permutes_distances(self, use_attention):
+        model = eval_model(use_attention)
+        tracks = mixed_length_tracklets()
+        base = tt.retrieve(model, tracks)
+        shuffled = tt.retrieve(model, [tracks[i] for i in Rng(4).permutation(len(tracks))])
+        rows, cols = ({m.tid: i for i, m in enumerate(side)} for side in (base.queries, base.gallery))
+        picked = base.distances[np.ix_([rows[m.tid] for m in shuffled.queries], [cols[m.tid] for m in shuffled.gallery])]
+        assert np.array_equal(shuffled.distances, picked)
+
+    def test_short_tracklet_inside_a_group_named_as_alone(self):
+        model = eval_model(use_attention=True)
+        tracks = small_dataset().tracklets[:4]
+        tracks[1].frames, tracks[1].masks = tracks[1].frames[:3], tracks[1].masks[:3]
+        with pytest.raises(ValidationError) as want:
+            reference_features(model, tracks)
+        with pytest.raises(ValidationError, match=r"^tracklet 1 has 3 frames, fewer than clip_len=4$") as got:
+            tt.tracklet_features(model, tracks)
+        assert str(got.value) == str(want.value)
+
+    def test_bad_mask_inside_a_group_reported_as_alone(self):
+        # the frame index is the one within the failing tracklet, not within
+        # the shared forward
+        model = eval_model(use_attention=False)
+        tracks = small_dataset().tracklets[:4]
+        tracks[2].masks[5, 0, 0] = 0.5
+        with pytest.raises(ValidationError) as want:
+            reference_features(model, tracks)
+        with pytest.raises(ValidationError, match=r"^mask frame 5 ") as got:
+            tt.tracklet_features(model, tracks)
+        assert str(got.value) == str(want.value)
 
     def test_eval_forward_retains_no_cache(self):
-        # eval mode caches nothing; the layer caches of one tracklet_feature on
-        # the default spec would come to 2.84 MiB
+        # eval mode caches nothing; the layer caches of one tracklet's
+        # features on the default spec would come to 2.84 MiB
         track = tt.SyntheticIdentityDataset(num_ids=1, tracklets_per_id=1, seed=3).tracklets[0]
         model = tt.ToyModel(tt.ToyModelSpec(), Rng(0).child(0))
         gc.collect()
         tracemalloc.start()
         try:
-            tt.tracklet_feature(model, track)
+            tt.tracklet_features(model, [track])
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
