@@ -2,7 +2,7 @@
 
 Three ops, each with a forward pass and an analytic backward pass; every
 backward takes ``(d_out, params, cache)`` and returns ``(d_x, grads)`` with
-grads in the params container's type. All three run on one attention core
+gradients named like params. All three run on one attention core
 (one softmax, one analytic backward, one place that counts multiplies and
 checks the logits). The core treats every axis but the channel axis and the
 attended one as a batch axis and keeps queries, keys, values and attention
@@ -42,7 +42,7 @@ be instrumented via ``count_multiplies`` for cost-model cross-checks.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,110 +154,72 @@ def sinusoidal_encode(axis_length: int, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# parameters: name -> array dicts
+
+_TABLES = ("r_q", "r_k", "r_v")
+_LAYER_KEYS = {e: ("w_q", "w_k", "w_v", *(_TABLES if e == "relative" else ())) for e in ENCODINGS}
+_CHAIN = (("aa_h", "H"), ("aa_w", "W"), ("aa_t", "T"))  # one CF-AA scale's layers, in the order applied
 
 
-@dataclass
-class AxialLayerParams:
-    """One axial attention layer: projections plus optional relative tables.
-
-    Relative tables hold one vector per offset -(L-1)..L-1 (2L-1 rows) with
-    per-head width c_qk/heads (r_q, r_k) or c_out/heads (r_v), shared across heads.
-    """
-
-    w_q: np.ndarray  # (c_qk, c_x)
-    w_k: np.ndarray  # (c_qk, c_x)
-    w_v: np.ndarray  # (c_out, c_x)
-    r_q: np.ndarray | None = None  # (2L-1, c_qk/heads)
-    r_k: np.ndarray | None = None
-    r_v: np.ndarray | None = None  # (2L-1, c_out/heads)
-
-    def named(self, prefix: str = "axial"):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                yield f"{prefix}.{f.name}", v
+def _sub(params: dict, prefix: str) -> dict:
+    """The entries of params whose names start with prefix, with it stripped."""
+    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
 
-@dataclass
-class NonlocalParams:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray  # (c_in, c_out)
-
-    def named(self, prefix: str = "nonlocal"):
-        for f in fields(self):
-            yield f"{prefix}.{f.name}", getattr(self, f.name)
-
-
-@dataclass
-class ScaleParams:
-    """Per-scale parameters of the coarse-to-fine module: one axial layer per axis,
-    applied in H, W, T order."""
-
-    aa_h: AxialLayerParams
-    aa_w: AxialLayerParams
-    aa_t: AxialLayerParams
-
-    def named(self, prefix: str):
-        for axis in ("aa_h", "aa_w", "aa_t"):
-            yield from getattr(self, axis).named(f"{prefix}.{axis}")
+def _check_keys(params: dict, want: list[str], encoding: str) -> None:
+    """Reject params whose names are not exactly want, naming the first stray or missing one."""
+    known = set(want)
+    for key in [k for k in params if k not in known] + [k for k in want if k not in params]:
+        table = key.rpartition(".")[2] in _TABLES
+        if key not in known:
+            raise ConfigurationError(f"relative tables r_q/r_k/r_v need encoding 'relative', got {encoding!r}"
+                                     if table and encoding != "relative" else f"unknown parameter {key!r}")
+        raise ConfigurationError(f"relative encoding requires table {key}" if table else f"missing parameter {key!r}")
 
 
-@dataclass
-class CfaaParams:
-    scales: list[ScaleParams]
-    w_o: np.ndarray  # (c_in, c_out)
-
-    def named(self, prefix: str = "cfaa"):
-        for s, sp in enumerate(self.scales):
-            yield from sp.named(f"{prefix}.scale{s}")
-        yield f"{prefix}.w_o", self.w_o
-
-
-def init_axial_layer(cfg: AttentionConfig, c_x: int, axis_len: int, rng: Rng) -> AxialLayerParams:
+def init_axial_layer(cfg: AttentionConfig, c_x: int, axis_len: int, rng: Rng) -> dict[str, np.ndarray]:
+    """One axial attention layer: projections w_q, w_k (c_qk, c_x) and w_v
+    (c_out, c_x) per scale and, with relative encoding, tables holding one
+    vector per offset -(L-1)..L-1 (2L-1 rows) with per-head width c_qk/heads
+    (r_q, r_k) or c_out/heads (r_v), shared across heads."""
     cqk = cfg.c_qk // cfg.scales
     cout = cfg.c_out // cfg.scales
-    p = AxialLayerParams(
-        w_q=rng.child(0).uniform_init((cqk, c_x), c_x),
-        w_k=rng.child(1).uniform_init((cqk, c_x), c_x),
-        w_v=rng.child(2).uniform_init((cout, c_x), c_x),
-    )
+    p = {
+        "w_q": rng.child(0).uniform_init((cqk, c_x), c_x),
+        "w_k": rng.child(1).uniform_init((cqk, c_x), c_x),
+        "w_v": rng.child(2).uniform_init((cout, c_x), c_x),
+    }
     if cfg.encoding == "relative":
-        dq = cqk // cfg.heads
-        dv = cout // cfg.heads
-        n = 2 * axis_len - 1
-        p.r_q = rng.child(3).uniform_init((n, dq), dq)
-        p.r_k = rng.child(4).uniform_init((n, dq), dq)
-        p.r_v = rng.child(5).uniform_init((n, dv), dv)
+        dq, dv, n = cqk // cfg.heads, cout // cfg.heads, 2 * axis_len - 1
+        p["r_q"] = rng.child(3).uniform_init((n, dq), dq)
+        p["r_k"] = rng.child(4).uniform_init((n, dq), dq)
+        p["r_v"] = rng.child(5).uniform_init((n, dv), dv)
     return p
 
 
-def init_nonlocal_params(cfg: AttentionConfig, rng: Rng) -> NonlocalParams:
-    return NonlocalParams(
-        w_q=rng.child(0).uniform_init((cfg.c_qk, cfg.c_in), cfg.c_in),
-        w_k=rng.child(1).uniform_init((cfg.c_qk, cfg.c_in), cfg.c_in),
-        w_v=rng.child(2).uniform_init((cfg.c_out, cfg.c_in), cfg.c_in),
-        w_o=rng.child(3).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out),
-    )
+def init_nonlocal_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
+    return {
+        "w_q": rng.child(0).uniform_init((cfg.c_qk, cfg.c_in), cfg.c_in),
+        "w_k": rng.child(1).uniform_init((cfg.c_qk, cfg.c_in), cfg.c_in),
+        "w_v": rng.child(2).uniform_init((cfg.c_out, cfg.c_in), cfg.c_in),
+        "w_o": rng.child(3).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out),  # (c_in, c_out)
+    }
 
 
-def init_cfaa_params(cfg: AttentionConfig, rng: Rng) -> CfaaParams:
+def init_cfaa_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
+    """One axial layer per axis and scale, named scale<s>.aa_<axis>.<key>,
+    then the output projection w_o (c_in, c_out)."""
     per_in = cfg.c_in // cfg.scales
     per_out = cfg.c_out // cfg.scales
-    scales = []
+    params = {}
     for s in range(cfg.scales):
-        t, hs, ws = cfg.scale_extents(s)
+        extents = dict(zip(AXES, cfg.scale_extents(s)))
         srng = rng.child(10 + s)
-        scales.append(
-            ScaleParams(
-                aa_h=init_axial_layer(cfg, per_in, hs, srng.child(0)),
-                aa_w=init_axial_layer(cfg, per_out, ws, srng.child(1)),
-                aa_t=init_axial_layer(cfg, per_out, t, srng.child(2)),
-            )
-        )
-    return CfaaParams(scales, rng.child(9).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out))
+        for i, (name, axis) in enumerate(_CHAIN):
+            layer = init_axial_layer(cfg, per_out if i else per_in, extents[axis], srng.child(i))
+            params.update({f"scale{s}.{name}.{k}": v for k, v in layer.items()})
+    params["w_o"] = rng.child(9).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +271,23 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 # matmul warns on overflow where einsum did not; the check_finite calls on the
 # logits and the output report a diverging run instead
 @np.errstate(over="ignore", invalid="ignore")
-def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: int, encoding: str):
+def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding: str):
     """Single-layer axial attention on x (c_x, ..., T, H, W); returns (out, cache).
 
     Every axis but the channel axis and the attended one is a batch axis, so a
     (c_x, N, T, H, W) stack of volumes runs in one call. out has c_out channels
     and x's other extents. q, k, v and attn are kept as (heads, b, L, d) and
-    each projection and score/value contraction is one stacked matmul.
+    each projection and score/value contraction is one stacked matmul. p holds
+    at least the names _LAYER_KEYS[encoding] lists; the public ops check that.
     """
     if axis not in _AXIS_INDEX:
         raise DimensionError(f"unknown axis {axis!r}, expected one of {AXES}")
     c_x = x.shape[0]
-    if p.w_q.shape[1] != c_x:
-        raise DimensionError(f"projection expects {p.w_q.shape[1]} channels, input has {c_x}")
-    cqk, cout = p.w_q.shape[0], p.w_v.shape[0]
+    if p["w_q"].shape[1] != c_x:
+        raise DimensionError(f"projection expects {p['w_q'].shape[1]} channels, input has {c_x}")
+    cqk, cout = p["w_q"].shape[0], p["w_v"].shape[0]
     if cqk % heads or cout % heads:
         raise DimensionError(f"c_qk={cqk}, c_out={cout} must divide heads={heads}")
-    if encoding != "relative" and any(t is not None for t in (p.r_q, p.r_k, p.r_v)):
-        raise ConfigurationError(f"relative tables r_q/r_k/r_v need encoding 'relative', got {encoding!r}")
     ax = _AXIS_INDEX[axis]
     lines = np.moveaxis(x, ax, -1)  # (c_x, ..., L)
     length = lines.shape[-1]
@@ -335,7 +296,7 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
 
     dq, dv = cqk // heads, cout // heads
     q, k, v = (
-        (xp @ _per_head(w, heads).swapaxes(1, 2)).reshape(heads, b, length, -1) for w in (p.w_q, p.w_k, p.w_v)
+        (xp @ _per_head(p[n], heads).swapaxes(1, 2)).reshape(heads, b, length, -1) for n in ("w_q", "w_k", "w_v")
     )
 
     if encoding == "sinusoidal":
@@ -345,16 +306,12 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
 
     rq = rk = rv = None
     if encoding == "relative":
-        for name, tab, want in (("r_q", p.r_q, dq), ("r_k", p.r_k, dq), ("r_v", p.r_v, dv)):
-            if tab is None:
-                raise ConfigurationError(f"relative encoding requires table {name}")
-            if tab.shape != (2 * length - 1, want):
+        for name, want in zip(_TABLES, (dq, dq, dv)):
+            if p[name].shape != (2 * length - 1, want):
                 raise ConfigurationError(
-                    f"{name} has shape {tab.shape}, expected {(2 * length - 1, want)} for axis length {length}"
+                    f"{name} has shape {p[name].shape}, expected {(2 * length - 1, want)} for axis length {length}"
                 )
-        rq = _gather_offsets(p.r_q, length)  # (L, L, dq)
-        rk = _gather_offsets(p.r_k, length)
-        rv = _gather_offsets(p.r_v, length)  # (L, L, dv)
+        rq, rk, rv = (_gather_offsets(p[name], length) for name in _TABLES)  # (L, L, dq|dq|dv)
 
     logits = q @ k.swapaxes(-1, -2)  # (heads, b, L, L)
     _count(heads * b * length * length * dq)
@@ -379,8 +336,8 @@ def _axial_core_forward(x: np.ndarray, p: AxialLayerParams, axis: str, heads: in
     return check_finite(np.ascontiguousarray(out), "axial attention output"), cache
 
 
-def _axial_core_backward(d_out: np.ndarray, p: AxialLayerParams, cache: dict):
-    """Backward of _axial_core_forward. Returns (d_x, grads: AxialLayerParams)."""
+def _axial_core_backward(d_out: np.ndarray, p: dict, cache: dict):
+    """Backward of _axial_core_forward. Returns (d_x, gradients named like p)."""
     ax, heads, xp = cache["axis"], cache["heads"], cache["xp"]
     q, k, v, attn = cache["q"], cache["k"], cache["v"], cache["attn"]
     rq, rk, rv = cache["rq"], cache["rk"], cache["rv"]
@@ -408,15 +365,13 @@ def _axial_core_backward(d_out: np.ndarray, p: AxialLayerParams, cache: dict):
         d_rk_full = (_per_query(d_logits.swapaxes(2, 3)).swapaxes(1, 2) @ _per_query(k)).swapaxes(0, 1)
 
     # sinusoidal encodings are constants: d_q/d_k pass through unchanged
-    pairs = [(g.reshape(heads, b * length, -1), w) for g, w in ((d_q, p.w_q), (d_k, p.w_k), (d_v, p.w_v))]
-    grads = AxialLayerParams(*((g.swapaxes(1, 2) @ xp).reshape(w.shape) for g, w in pairs))
+    pairs = [(g.reshape(heads, b * length, -1), p[n]) for g, n in ((d_q, "w_q"), (d_k, "w_k"), (d_v, "w_v"))]
+    grads = {n: (g.swapaxes(1, 2) @ xp).reshape(w.shape) for n, (g, w) in zip(("w_q", "w_k", "w_v"), pairs)}
     d_xp = sum(g @ _per_head(w, heads) for g, w in pairs).sum(axis=0)  # (b*L, c_x)
     d_x = np.moveaxis(d_xp.T.reshape(-1, *cache["lines"]), -1, ax)
 
     if rq is not None:
-        grads.r_q = _scatter_offsets(d_rq_full, length)
-        grads.r_k = _scatter_offsets(d_rk_full, length)
-        grads.r_v = _scatter_offsets(d_rv_full, length)
+        grads.update(zip(_TABLES, (_scatter_offsets(g, length) for g in (d_rq_full, d_rk_full, d_rv_full))))
     return np.ascontiguousarray(d_x), grads
 
 
@@ -424,18 +379,19 @@ def _axial_core_backward(d_out: np.ndarray, p: AxialLayerParams, cache: dict):
 # public forward/backward ops
 
 
-def axial_forward(x, params: AxialLayerParams, axis: str, cfg: AttentionConfig, want_cache: bool = False):
+def axial_forward(x, params: dict, axis: str, cfg: AttentionConfig, want_cache: bool = False):
     """Axial attention along one axis with cfg.encoding (none, sinusoidal or
     relative); returns the concatenated multi-head output stream (c_out channels)."""
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
+    _check_keys(params, _LAYER_KEYS[cfg.encoding], cfg.encoding)
     out, cache = _axial_core_forward(x, params, axis, cfg.heads, cfg.encoding)
     return (out, cache) if want_cache else out
 
 
-def axial_backward(d_out, params: AxialLayerParams, cache: dict):
+def axial_backward(d_out, params: dict, cache: dict):
     d_out = as_tensor(d_out, "upstream gradient")
-    if d_out.shape[0] != params.w_v.shape[0] or d_out.shape[1:] != cache["ext"][1:]:
+    if d_out.shape[0] != params["w_v"].shape[0] or d_out.shape[1:] != cache["ext"][1:]:
         raise DimensionError(f"upstream gradient shape {d_out.shape} does not match forward output")
     return _axial_core_backward(d_out, params, cache)
 
@@ -469,50 +425,53 @@ def check_nonlocal_config(cfg: AttentionConfig) -> None:
         raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
 
 
-def nonlocal_3d_forward(x, params: NonlocalParams, cfg: AttentionConfig, want_cache: bool = False):
+def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False):
     """3D self-attention: the axial core along one line through all T*H*W
     positions, then output projection and residual add."""
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
     check_nonlocal_config(cfg)
-    line = AxialLayerParams(params.w_q, params.w_k, params.w_v)
-    y, core_cache = _axial_core_forward(x.reshape(x.shape[0], 1, 1, -1), line, "W", 1, "none")
-    out, cache = _residual_forward(x, y, params.w_o, "3D attention output")
+    _check_keys(params, ["w_q", "w_k", "w_v", "w_o"], cfg.encoding)
+    y, core_cache = _axial_core_forward(x.reshape(x.shape[0], 1, 1, -1), params, "W", 1, "none")
+    out, cache = _residual_forward(x, y, params["w_o"], "3D attention output")
     return (out, {**core_cache, **cache}) if want_cache else out
 
 
-def nonlocal_3d_backward(d_out, params: NonlocalParams, cache: dict):
-    """Returns (d_x, NonlocalParams gradients)."""
-    d_out, d_y, d_wo = _residual_backward(d_out, params.w_o, cache)
-    line = AxialLayerParams(params.w_q, params.w_k, params.w_v)
-    d_line, g = _axial_core_backward(d_y, line, cache)
-    return d_line.reshape(d_out.shape) + d_out, NonlocalParams(g.w_q, g.w_k, g.w_v, d_wo)
+def nonlocal_3d_backward(d_out, params: dict, cache: dict):
+    """Returns (d_x, gradients named like params)."""
+    d_out, d_y, d_wo = _residual_backward(d_out, params["w_o"], cache)
+    d_line, grads = _axial_core_backward(d_y, params, cache)
+    return d_line.reshape(d_out.shape) + d_out, {**grads, "w_o": d_wo}
 
 
-def _chain_forward(x, sp: ScaleParams, cfg: AttentionConfig):
-    """AA^H then AA^W then AA^T on x; returns (out, caches)."""
-    h_out, c_h = _axial_core_forward(x, sp.aa_h, "H", cfg.heads, cfg.encoding)
-    w_out, c_w = _axial_core_forward(h_out, sp.aa_w, "W", cfg.heads, cfg.encoding)
-    t_out, c_t = _axial_core_forward(w_out, sp.aa_t, "T", cfg.heads, cfg.encoding)
-    return t_out, (c_h, c_w, c_t)
+def _chain_forward(x, sp: dict, cfg: AttentionConfig):
+    """AA^H then AA^W then AA^T on x with one scale's params; returns (out, caches)."""
+    caches = []
+    for name, axis in _CHAIN:
+        x, cache = _axial_core_forward(x, _sub(sp, f"{name}."), axis, cfg.heads, cfg.encoding)
+        caches.append(cache)
+    return x, caches
 
 
-def _chain_backward(d_out, sp: ScaleParams, caches):
-    c_h, c_w, c_t = caches
-    d_w, g_t = _axial_core_backward(d_out, sp.aa_t, c_t)
-    d_h, g_w = _axial_core_backward(d_w, sp.aa_w, c_w)
-    d_x, g_h = _axial_core_backward(d_h, sp.aa_h, c_h)
-    return d_x, ScaleParams(aa_h=g_h, aa_w=g_w, aa_t=g_t)
+def _chain_backward(d_out, sp: dict, caches):
+    grads = {}
+    for (name, _), cache in reversed(list(zip(_CHAIN, caches))):
+        d_out, g = _axial_core_backward(d_out, _sub(sp, f"{name}."), cache)
+        grads.update((f"{name}.{k}", v) for k, v in g.items())
+    return d_out, grads
 
 
-def cfaa_forward(x, params: CfaaParams, cfg: AttentionConfig, want_cache: bool = False):
+def cfaa_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False):
     """Coarse-to-fine module on one (C, T, H, W) volume or a batch
     (N, C, T, H, W): channel split, per-scale pooled axial attention (H, W, T
     in sequence), upsample, concat, project to C_in, residual add."""
     x = as_tensor(x, "x")
     _check_extents(x, cfg, batched=True)
-    if len(params.scales) != cfg.scales:
-        raise ConfigurationError(f"params carry {len(params.scales)} scales, config says {cfg.scales}")
+    carried = len({k.partition(".")[0] for k in params if k.startswith("scale")})
+    if carried != cfg.scales:
+        raise ConfigurationError(f"params carry {carried} scales, config says {cfg.scales}")
+    layers = [f"scale{s}.{n}.{k}" for s in range(cfg.scales) for n, _ in _CHAIN for k in _LAYER_KEYS[cfg.encoding]]
+    _check_keys(params, layers + ["w_o"], cfg.encoding)
     xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
     h, w = x.shape[-2:]
     per_in = cfg.c_in // cfg.scales
@@ -520,29 +479,29 @@ def cfaa_forward(x, params: CfaaParams, cfg: AttentionConfig, want_cache: bool =
     for s in range(cfg.scales):
         factor = 2**s
         pooled = avg_pool_2d(xc[s * per_in : (s + 1) * per_in], factor)
-        chained, chain_cache = _chain_forward(pooled, params.scales[s], cfg)
+        chained, chain_cache = _chain_forward(pooled, _sub(params, f"scale{s}."), cfg)
         outs.append(upsample_nearest_2d(chained, factor, target_hw=(h, w)))
         caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[-2:], extents=pooled.shape))
     z = np.concatenate(outs, axis=0)  # (c_out, [N,] T, H, W)
-    out, cache = _residual_forward(x, z, params.w_o, "coarse-to-fine output")
+    out, cache = _residual_forward(x, z, params["w_o"], "coarse-to-fine output")
     return (out, dict(scale_caches=caches, **cache)) if want_cache else out
 
 
-def cfaa_backward(d_out, params: CfaaParams, cache: dict):
-    """Returns (d_x, CfaaParams gradients)."""
-    d_out, d_z, d_wo = _residual_backward(d_out, params.w_o, cache)
-    scales = len(params.scales)
+def cfaa_backward(d_out, params: dict, cache: dict):
+    """Returns (d_x, gradients named like params)."""
+    d_out, d_z, d_wo = _residual_backward(d_out, params["w_o"], cache)
+    scales = len(cache["scale_caches"])
     per_in, per_out = d_out.shape[-4] // scales, d_z.shape[0] // scales
     d_x = d_out.copy()
     d_xc = np.moveaxis(d_x, -4, 0)  # a channels-first view of d_x
-    scale_grads = []
+    grads = {"w_o": d_wo}
     for s in range(scales):
         sc = cache["scale_caches"][s]
         d_chained = upsample_nearest_2d_adjoint(d_z[s * per_out : (s + 1) * per_out], sc["factor"], sc["pooled_hw"])
-        d_pooled, g_scale = _chain_backward(d_chained, params.scales[s], sc["chain"])
+        d_pooled, g_scale = _chain_backward(d_chained, _sub(params, f"scale{s}."), sc["chain"])
         d_xc[s * per_in : (s + 1) * per_in] += avg_pool_2d_adjoint(d_pooled, sc["factor"], d_out.shape[-2:])
-        scale_grads.append(g_scale)
-    return d_x, CfaaParams(scales=scale_grads, w_o=d_wo)
+        grads.update((f"scale{s}.{k}", g) for k, g in g_scale.items())
+    return d_x, {k: grads[k] for k in params}
 
 
 def _check_extents(x: np.ndarray, cfg: AttentionConfig, batched: bool = False):

@@ -228,6 +228,7 @@ def cmd_demo(args) -> int:
     attention = {f: v for f, v in (("scales", args.scales), ("heads", args.heads)) if v is not None}
     if args.no_attention and attention:
         raise ValidationError(f"--{next(iter(attention))} has no effect with --no-attention")
+    _check_minimums(args, **{f: 1 for f in attention})
     dataset = tt.SyntheticIdentityDataset(num_ids=args.ids, seed=args.data_seed)
     spec = tt.ToyModelSpec(num_classes=args.ids, use_attention=not args.no_attention,
                            **{f"attention_{f}": v for f, v in attention.items()})

@@ -187,6 +187,8 @@ def process_tracklet(
         raise ValidationError(f"{len(frames)} frames but {len(candidates_per_frame)} candidate lists")
     if not 0.0 <= alpha <= 1.0:  # before the loop, so that its error names no frame
         raise ValidationError(f"alpha {alpha} outside [0, 1]")
+    if not slim_ratio > 0:  # nan included; inf shifts no box
+        raise ValidationError(f"slim ratio {slim_ratio} must be positive")
     out: list[AlignedFrame] = []
     state: LinkState | None = None
     for i, (frame, cands) in enumerate(zip(frames, candidates_per_frame)):

@@ -98,7 +98,7 @@ def _cfaa(rng: Rng):
     encoding = att.ENCODINGS[rng.seed % 3]
     cfg = att.AttentionConfig(c_in=4, c_qk=8, c_out=4, heads=2, scales=2, encoding=encoding, axis_lengths=(2, 4, 2))
     layer = tt.CfaaLayer(cfg, rng.child(0))
-    layer.params.w_o = rng.child(0, 1).uniform_init(layer.params.w_o.shape, cfg.c_out)  # zero w_o hides the branch
+    layer.params["w_o"] = rng.child(0, 1).uniform_init(layer.params["w_o"].shape, cfg.c_out)  # zero w_o hides the branch
     return _layer(f"cfaa[{encoding}]", layer, rng.child(1).normal((2 * 2, 4, 4, 2)))
 
 
@@ -110,9 +110,10 @@ def _masked_avg_pool(rng: Rng):
             lambda g: {"x": agg.masked_avg_pool_backward(g, m)})
 
 
-def _op(op: str, forward, backward, params, x: np.ndarray):
+def _op(op: str, prefix: str, forward, backward, params: dict, x: np.ndarray):
     """A functional attention op: forward(want_cache) runs it on x and params,
-    and backward(g, params, cache) returns (d_x, gradients like params)."""
+    and backward(g, params, cache) returns (d_x, gradients named like params);
+    the parameters are named under prefix."""
     cache = {}
 
     def run():
@@ -121,16 +122,16 @@ def _op(op: str, forward, backward, params, x: np.ndarray):
 
     def back(g):
         d_x, grads = backward(g, params, cache["last"])
-        return {"x": d_x, **dict(grads.named())}
+        return {"x": d_x, **{f"{prefix}.{k}": v for k, v in grads.items()}}
 
-    return op, {"x": x, **dict(params.named())}, run, back
+    return op, {"x": x, **{f"{prefix}.{k}": v for k, v in params.items()}}, run, back
 
 
 def _nonlocal(rng: Rng):
     cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=3, axis_lengths=(2, 2, 2))
     params = att.init_nonlocal_params(cfg, rng.child(0))
     x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    return _op("nonlocal_3d", lambda want_cache: att.nonlocal_3d_forward(x, params, cfg, want_cache),
+    return _op("nonlocal_3d", "nonlocal", lambda want_cache: att.nonlocal_3d_forward(x, params, cfg, want_cache),
                att.nonlocal_3d_backward, params, x)
 
 
@@ -139,7 +140,7 @@ def _axial(rng: Rng, encoding: str):
     axis = ("H", "W", "T")[rng.seed % 3]
     params = att.init_axial_layer(cfg, cfg.c_in, dict(T=2, H=3, W=2)[axis], rng.child(0))
     x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    return _op(f"axial[{encoding}]", lambda want_cache: att.axial_forward(x, params, axis, cfg, want_cache),
+    return _op(f"axial[{encoding}]", "axial", lambda want_cache: att.axial_forward(x, params, axis, cfg, want_cache),
                att.axial_backward, params, x)
 
 

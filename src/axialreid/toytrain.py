@@ -158,14 +158,14 @@ class CfaaLayer(Layer):
     def __init__(self, cfg: att.AttentionConfig, rng: Rng):
         self.cfg = cfg
         self.params = att.init_cfaa_params(cfg, rng)
-        self.params.w_o = np.zeros_like(self.params.w_o)
+        self.params["w_o"] = np.zeros_like(self.params["w_o"])
         self._cache = None
 
     def named_params(self, prefix: str):
-        return self.params.named(prefix)
+        return ((f"{prefix}.{k}", v) for k, v in self.params.items())
 
     def named_grads(self, prefix: str):
-        return self.d_params.named(prefix)
+        return ((f"{prefix}.{k}", v) for k, v in self.d_params.items())
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         t = self.cfg.axis_lengths[0]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,15 +20,15 @@ def nonlocal_oracle(x, params):
     """Brute force: loop over every output position, attend to every position."""
     c, t, h, w = x.shape
     positions = [(a, b, d) for a in range(t) for b in range(h) for d in range(w)]
-    q = {p: params.w_q @ x[:, p[0], p[1], p[2]] for p in positions}
-    k = {p: params.w_k @ x[:, p[0], p[1], p[2]] for p in positions}
-    v = {p: params.w_v @ x[:, p[0], p[1], p[2]] for p in positions}
+    q = {p: params["w_q"] @ x[:, p[0], p[1], p[2]] for p in positions}
+    k = {p: params["w_k"] @ x[:, p[0], p[1], p[2]] for p in positions}
+    v = {p: params["w_v"] @ x[:, p[0], p[1], p[2]] for p in positions}
     out = np.zeros_like(x)
     for o in positions:
         logits = np.array([q[o] @ k[p] for p in positions])
         attn = softmax_1d(logits)
         y = sum(attn[i] * v[p] for i, p in enumerate(positions))
-        out[:, o[0], o[1], o[2]] = x[:, o[0], o[1], o[2]] + params.w_o @ y
+        out[:, o[0], o[1], o[2]] = x[:, o[0], o[1], o[2]] + params["w_o"] @ y
     return out
 
 
@@ -75,11 +77,11 @@ def einsum_core_forward(x, p, axis, heads, encoding):
     length = ext[ax]
     xl = np.moveaxis(x, ax, -1).reshape(c_x, -1, length)
     b = xl.shape[1]
-    cqk, cout = p.w_q.shape[0], p.w_v.shape[0]
+    cqk, cout = p["w_q"].shape[0], p["w_v"].shape[0]
     dq, dv = cqk // heads, cout // heads
-    q = np.einsum("ac,cbl->abl", p.w_q, xl).reshape(heads, dq, b, length)
-    k = np.einsum("ac,cbl->abl", p.w_k, xl).reshape(heads, dq, b, length)
-    v = np.einsum("ac,cbl->abl", p.w_v, xl).reshape(heads, dv, b, length)
+    q = np.einsum("ac,cbl->abl", p["w_q"], xl).reshape(heads, dq, b, length)
+    k = np.einsum("ac,cbl->abl", p["w_k"], xl).reshape(heads, dq, b, length)
+    v = np.einsum("ac,cbl->abl", p["w_v"], xl).reshape(heads, dv, b, length)
     if encoding == "sinusoidal":
         enc = att.sinusoidal_encode(length, dq).T
         q = q + enc[None, :, None, :]
@@ -87,7 +89,7 @@ def einsum_core_forward(x, p, axis, heads, encoding):
     logits = np.einsum("mdbi,mdbj->mbij", q, k)
     rq = rk = rv = None
     if encoding == "relative":
-        rq, rk, rv = (att._gather_offsets(t, length) for t in (p.r_q, p.r_k, p.r_v))
+        rq, rk, rv = (att._gather_offsets(p[t], length) for t in ("r_q", "r_k", "r_v"))
         logits = logits + np.einsum("mdbi,ijd->mbij", q, rq) + np.einsum("mdbj,ijd->mbij", k, rk)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
@@ -101,11 +103,11 @@ def einsum_core_forward(x, p, axis, heads, encoding):
 
 
 def einsum_core_backward(d_out, p, cache):
-    """Backward of einsum_core_forward: (d_x, AxialLayerParams gradients)."""
+    """Backward of einsum_core_forward: (d_x, gradients named like p)."""
     ax, length, b, heads, ext = cache["axis"], cache["length"], cache["b"], cache["heads"], cache["ext"]
     xl, q, k, v, attn = cache["xl"], cache["q"], cache["k"], cache["v"], cache["attn"]
     rq, rk, rv = cache["rq"], cache["rk"], cache["rv"]
-    cqk, cout, dv = p.w_q.shape[0], p.w_v.shape[0], v.shape[1]
+    cqk, cout, dv = p["w_q"].shape[0], p["w_v"].shape[0], v.shape[1]
     dy = np.moveaxis(d_out, ax, -1).reshape(cout, b, length).reshape(heads, dv, b, length)
     d_attn = np.einsum("mebi,mebj->mbij", dy, v)
     if rv is not None:
@@ -114,16 +116,17 @@ def einsum_core_backward(d_out, p, cache):
     d_logits = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
     d_q = np.einsum("mbij,mdbj->mdbi", d_logits, k)
     d_k = np.einsum("mbij,mdbi->mdbj", d_logits, q)
-    grads = att.AxialLayerParams(w_q=None, w_k=None, w_v=None)
+    tables = {}
     if rq is not None:
         d_q = d_q + np.einsum("mbij,ijd->mdbi", d_logits, rq)
         d_k = d_k + np.einsum("mbij,ijd->mdbj", d_logits, rk)
-        grads.r_q = att._scatter_offsets(np.einsum("mbij,mdbi->ijd", d_logits, q), length)
-        grads.r_k = att._scatter_offsets(np.einsum("mbij,mdbj->ijd", d_logits, k), length)
-        grads.r_v = att._scatter_offsets(np.einsum("mbij,mebi->ije", attn, dy), length)
+        tables["r_q"] = att._scatter_offsets(np.einsum("mbij,mdbi->ijd", d_logits, q), length)
+        tables["r_k"] = att._scatter_offsets(np.einsum("mbij,mdbj->ijd", d_logits, k), length)
+        tables["r_v"] = att._scatter_offsets(np.einsum("mbij,mebi->ije", attn, dy), length)
     d_q, d_k, d_v = d_q.reshape(cqk, b, length), d_k.reshape(cqk, b, length), d_v.reshape(cout, b, length)
-    grads.w_q, grads.w_k, grads.w_v = (np.einsum("abl,cbl->ac", d, xl) for d in (d_q, d_k, d_v))
-    d_xl = sum(np.einsum("ac,abl->cbl", w, d) for w, d in ((p.w_q, d_q), (p.w_k, d_k), (p.w_v, d_v)))
+    grads = {n: np.einsum("abl,cbl->ac", d, xl) for n, d in (("w_q", d_q), ("w_k", d_k), ("w_v", d_v))}
+    grads.update(tables)
+    d_xl = sum(np.einsum("ac,abl->cbl", p[n], d) for n, d in (("w_q", d_q), ("w_k", d_k), ("w_v", d_v)))
     d_x = np.moveaxis(d_xl.reshape([xl.shape[0]] + [ext[i] for i in range(1, 4) if i != ax] + [length]), -1, ax)
     return np.ascontiguousarray(d_x), grads
 
@@ -186,7 +189,7 @@ class TestNonlocal3d:
         params = att.init_nonlocal_params(cfg, Rng(0))
         x = Rng(1).normal((3, 1, 1, 1))
         out = att.nonlocal_3d_forward(x, params, cfg)
-        expected = x[:, 0, 0, 0] + params.w_o @ (params.w_v @ x[:, 0, 0, 0])
+        expected = x[:, 0, 0, 0] + params["w_o"] @ (params["w_v"] @ x[:, 0, 0, 0])
         np.testing.assert_allclose(out[:, 0, 0, 0], expected, atol=1e-15)
 
     def test_permutation_equivariance(self):
@@ -225,7 +228,7 @@ class TestAxial:
         params = att.init_axial_layer(cfg, 3, 1, Rng(0))
         x = Rng(1).normal((3, 1, 2, 2))
         out = att.axial_forward(x, params, "T", cfg)
-        expected = np.einsum("oc,cthw->othw", params.w_v, x)
+        expected = np.einsum("oc,cthw->othw", params["w_v"], x)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_lines_are_independent_batches(self):
@@ -243,7 +246,7 @@ class TestAxial:
         params = att.init_axial_layer(cfg, 3, 3, Rng(6))
         x = Rng(7).normal((3, 1, 3, 1))
         out = att.axial_forward(x, params, "H", cfg)
-        oracle = dense_line_attention_oracle(x[:, 0, :, 0], params.w_q, params.w_k, params.w_v)
+        oracle = dense_line_attention_oracle(x[:, 0, :, 0], params["w_q"], params["w_k"], params["w_v"])
         assert np.max(np.abs(out[:, 0, :, 0] - oracle)) < 1e-12
 
     def test_unknown_axis(self):
@@ -283,7 +286,7 @@ class TestAxial:
         params = att.init_axial_layer(cfg1, 4, 3, Rng(22))
         x = Rng(23).normal((4, 1, 3, 1))
         out = att.axial_forward(x, params, "H", cfg1)
-        oracle = dense_line_attention_oracle(x[:, 0, :, 0], params.w_q, params.w_k, params.w_v)
+        oracle = dense_line_attention_oracle(x[:, 0, :, 0], params["w_q"], params["w_k"], params["w_v"])
         assert np.max(np.abs(out[:, 0, :, 0] - oracle)) < 1e-12
 
     def test_forward_is_pure(self):
@@ -306,11 +309,7 @@ class TestAxial:
         cfg1 = att.AttentionConfig(c_in=4, c_qk=2, c_out=2, heads=1, axis_lengths=(1, 3, 1))
         pieces = []
         for m in range(2):
-            sub = att.AxialLayerParams(
-                w_q=params.w_q[2 * m : 2 * m + 2],
-                w_k=params.w_k[2 * m : 2 * m + 2],
-                w_v=params.w_v[2 * m : 2 * m + 2],
-            )
+            sub = {name: w[2 * m : 2 * m + 2] for name, w in params.items()}
             pieces.append(att.axial_forward(x, sub, "H", cfg1))
         np.testing.assert_array_equal(out, np.concatenate(pieces, axis=0))
 
@@ -327,37 +326,37 @@ class TestAxialPositionSensitive:
     def test_zero_tables_match_plain_axial_bitwise(self):
         cfg, params = self.make(length=3, seed=1)
         for tab in ("r_q", "r_k", "r_v"):
-            setattr(params, tab, np.zeros_like(getattr(params, tab)))
+            params[tab] = np.zeros_like(params[tab])
         x = Rng(2).normal((3, 1, 3, 1))
         out_ps = att.axial_forward(x, params, "H", cfg)
         cfg_plain = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, axis_lengths=(1, 3, 1))
-        plain = att.AxialLayerParams(params.w_q, params.w_k, params.w_v)
+        plain = {name: params[name] for name in ("w_q", "w_k", "w_v")}
         out_plain = att.axial_forward(x, plain, "H", cfg_plain)
         assert np.array_equal(out_ps, out_plain)
 
     def test_singleton_axis_zero_tables(self):
         cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, encoding="relative", axis_lengths=(1, 2, 1))
         params = att.init_axial_layer(cfg, 3, 2, Rng(3))
-        params.r_q = np.zeros((1, 2))
-        params.r_k = np.zeros((1, 2))
-        params.r_v = np.zeros((1, 2))
+        params["r_q"] = np.zeros((1, 2))
+        params["r_k"] = np.zeros((1, 2))
+        params["r_v"] = np.zeros((1, 2))
         cfg1 = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, encoding="relative", axis_lengths=(1, 1, 1))
         x = Rng(4).normal((3, 1, 1, 1))
         out = att.axial_forward(x, params, "W", cfg1)
-        np.testing.assert_allclose(out[:, 0, 0, 0], params.w_v @ x[:, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(out[:, 0, 0, 0], params["w_v"] @ x[:, 0, 0, 0], atol=1e-15)
 
     def test_length2_line_against_expanded_oracle(self):
         cfg, params = self.make(length=2, seed=5)
         x = Rng(6).normal((3, 1, 2, 1))
         out = att.axial_forward(x, params, "H", cfg)
         oracle = dense_line_attention_oracle(
-            x[:, 0, :, 0], params.w_q, params.w_k, params.w_v, params.r_q, params.r_k, params.r_v
+            x[:, 0, :, 0], *(params[n] for n in ("w_q", "w_k", "w_v", "r_q", "r_k", "r_v"))
         )
         assert np.max(np.abs(out[:, 0, :, 0] - oracle)) < 1e-12
 
     def test_wrong_table_length_rejected(self):
         cfg, params = self.make(length=3, seed=7)
-        params.r_q = params.r_q[:-1]
+        params["r_q"] = params["r_q"][:-1]
         x = Rng(8).normal((3, 1, 3, 1))
         with pytest.raises(ConfigurationError, match="r_q"):
             att.axial_forward(x, params, "H", cfg)
@@ -366,7 +365,8 @@ class TestAxialPositionSensitive:
     def test_tables_without_relative_encoding_rejected(self, encoding):
         _, params = self.make(length=3, seed=11)
         cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, encoding=encoding, axis_lengths=(1, 3, 1))
-        with pytest.raises(ConfigurationError, match="relative"):
+        with pytest.raises(ConfigurationError, match=f"^relative tables r_q/r_k/r_v need encoding 'relative', "
+                                                     f"got '{encoding}'$"):
             att.axial_forward(Rng(12).normal((3, 1, 3, 1)), params, "H", cfg)
 
     @pytest.mark.parametrize("length", range(1, 17))
@@ -379,12 +379,20 @@ class TestAxialPositionSensitive:
         np.testing.assert_allclose(np.sum(att._gather_offsets(table, length) * grad_full),
                                    np.sum(table * scattered), rtol=1e-12)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(length=st.integers(1, 24), width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]))
+    def test_scatter_matches_loop_oracle_property(self, length, width, seed, scale):
+        # np.add.at adds the (i, j) entries of one offset row in the loop's i-major order
+        grad_full = scale * np.random.default_rng(seed).standard_normal((length, length, width))
+        assert np.array_equal(att._scatter_offsets(grad_full, length), scatter_offsets_oracle(grad_full, length))
+
     def test_translation_equivariance_with_periodic_tables(self):
         # test-only construction: tables made periodic (offset d == d - L) so a
         # circular shift of the line circularly shifts the output
         length = 4
         cfg, params = self.make(length=length, seed=9)
-        for tab in (params.r_q, params.r_k, params.r_v):
+        for tab in (params["r_q"], params["r_k"], params["r_v"]):
             for delta in range(1, length):
                 tab[delta + length - 1] = tab[delta - 1]
         x = Rng(10).normal((3, 1, length, 1))
@@ -400,7 +408,7 @@ class TestSoftmax:
     def line_attention(values, w_qk=1.0):
         # one channel, one head, one H line: logits[i, j] = w_qk^2 * values[i] * values[j]
         cfg = att.AttentionConfig(c_in=1, c_qk=1, c_out=1, axis_lengths=(1, len(values), 1))
-        params = att.AxialLayerParams(w_q=np.array([[w_qk]]), w_k=np.array([[w_qk]]), w_v=np.array([[1.0]]))
+        params = {"w_q": np.array([[w_qk]]), "w_k": np.array([[w_qk]]), "w_v": np.array([[1.0]])}
         x = np.asarray(values, dtype=np.float64).reshape(1, 1, -1, 1)
         out, cache = att.axial_forward(x, params, "H", cfg, want_cache=True)
         return out, cache["attn"][0, 0]  # (L, L) rows over keys
@@ -478,17 +486,16 @@ class TestCfaa:
         params = att.init_cfaa_params(cfg, Rng(2))
         x = Rng(3).normal((8, 2, 8, 4))
         out = att.cfaa_forward(x, params, cfg)
-        sp = params.scales[0]
-        h1, _ = att._axial_core_forward(x, sp.aa_h, "H", cfg.heads, cfg.encoding)
-        h2, _ = att._axial_core_forward(h1, sp.aa_w, "W", cfg.heads, cfg.encoding)
-        h3, _ = att._axial_core_forward(h2, sp.aa_t, "T", cfg.heads, cfg.encoding)
-        expected = x + np.einsum("co,othw->cthw", params.w_o, h3)
+        h1, _ = att._axial_core_forward(x, att._sub(params, "scale0.aa_h."), "H", cfg.heads, cfg.encoding)
+        h2, _ = att._axial_core_forward(h1, att._sub(params, "scale0.aa_w."), "W", cfg.heads, cfg.encoding)
+        h3, _ = att._axial_core_forward(h2, att._sub(params, "scale0.aa_t."), "T", cfg.heads, cfg.encoding)
+        expected = x + np.einsum("co,othw->cthw", params["w_o"], h3)
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_zero_output_projection_is_identity(self):
         cfg = self.cfg()
         params = att.init_cfaa_params(cfg, Rng(4))
-        params.w_o = np.zeros_like(params.w_o)
+        params["w_o"] = np.zeros_like(params["w_o"])
         x = Rng(5).normal((8, 2, 8, 4))
         assert np.array_equal(att.cfaa_forward(x, params, cfg), x)
 
@@ -510,9 +517,57 @@ class TestCfaa:
     def test_param_scale_count_validated(self):
         cfg = self.cfg(scales=2)
         params = att.init_cfaa_params(cfg, Rng(6))
-        params.scales = params.scales[:1]
-        with pytest.raises(ConfigurationError):
+        params = {name: p for name, p in params.items() if not name.startswith("scale1.")}
+        with pytest.raises(ConfigurationError, match="^params carry 1 scales, config says 2$"):
             att.cfaa_forward(np.ones((8, 2, 8, 4)), params, cfg)
+
+
+# op -> (config, params for it, forward(x, params, cfg)); every config draws relative tables where it can
+PARAM_OPS = {
+    "axial": (att.AttentionConfig(c_in=2, c_qk=2, c_out=2, encoding="relative", axis_lengths=(2, 4, 2)),
+              lambda cfg: att.init_axial_layer(cfg, 2, 4, Rng(0)), lambda x, p, cfg: att.axial_forward(x, p, "H", cfg)),
+    "nonlocal_3d": (att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(2, 4, 2)),
+                    lambda cfg: att.init_nonlocal_params(cfg, Rng(0)), att.nonlocal_3d_forward),
+    "cfaa": (att.AttentionConfig(c_in=4, c_qk=4, c_out=4, scales=2, encoding="relative", axis_lengths=(2, 4, 2)),
+             lambda cfg: att.init_cfaa_params(cfg, Rng(0)), att.cfaa_forward),
+}
+
+
+class TestParamNames:
+    """Every op takes its parameters as a name -> array dict with exactly the
+    names the init function draws, and names any other or missing one."""
+
+    @pytest.mark.parametrize("op", list(PARAM_OPS))
+    def test_each_missing_name_rejected_by_name(self, op):
+        cfg, init, forward = PARAM_OPS[op]
+        params, x = init(cfg), np.ones((cfg.c_in, *cfg.axis_lengths))
+        forward(x, params, cfg)
+        for name in params:
+            table = name.rpartition(".")[2] in ("r_q", "r_k", "r_v")
+            want = f"relative encoding requires table {name}" if table else f"missing parameter '{name}'"
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(want)}$"):
+                forward(x, {k: v for k, v in params.items() if k != name}, cfg)
+
+    @pytest.mark.parametrize("extra", ["w_x", "bias", "scale0.aa_h.w_o", "scale0.aa_x.w_q"])
+    @pytest.mark.parametrize("op", list(PARAM_OPS))
+    def test_unknown_name_rejected_by_name(self, op, extra):
+        cfg, init, forward = PARAM_OPS[op]
+        params = {**init(cfg), extra: np.zeros((1, 1))}
+        with pytest.raises(ConfigurationError, match=f"^unknown parameter '{re.escape(extra)}'$"):
+            forward(np.ones((cfg.c_in, *cfg.axis_lengths)), params, cfg)
+
+    @pytest.mark.parametrize("encoding", ["none", "sinusoidal"])
+    @pytest.mark.parametrize("op", ["cfaa", "nonlocal_3d"])  # axial: TestAxialPositionSensitive
+    def test_tables_without_relative_encoding_rejected(self, op, encoding):
+        cfg, init, forward = PARAM_OPS[op]
+        params = init(cfg)
+        if op == "nonlocal_3d":  # the 3D op runs with no encoding only, and draws no tables
+            params["r_k"], encoding = np.zeros((1, 1)), "none"
+        cfg = att.AttentionConfig(c_in=cfg.c_in, c_qk=2 * cfg.scales, c_out=cfg.c_out, scales=cfg.scales,
+                                  encoding=encoding, axis_lengths=cfg.axis_lengths)
+        with pytest.raises(ConfigurationError, match=f"^relative tables r_q/r_k/r_v need encoding 'relative', "
+                                                     f"got '{encoding}'$"):
+            forward(np.ones((cfg.c_in, *cfg.axis_lengths)), params, cfg)
 
 
 def batch_case(encoding, scales, heads, seed):
@@ -548,9 +603,9 @@ class TestBatchedMatmulCore:
             ref_dx, ref_grads = einsum_core_backward(d_out[:, n], p, ref_cache)
             assert scaled_error(out[:, n], ref) < 1e-12
             assert scaled_error(d_x[:, n], ref_dx) < 1e-12
-            named = dict(ref_grads.named())
-            want_grads = named if want_grads is None else {k: want_grads[k] + v for k, v in named.items()}
-        for name, g in grads.named():
+            want_grads = ref_grads if want_grads is None else {k: want_grads[k] + v for k, v in ref_grads.items()}
+        assert list(grads) == list(p)
+        for name, g in grads.items():
             assert scaled_error(g, want_grads[name]) < 1e-12, name
 
     @pytest.mark.parametrize("encoding,scales,heads", BATCH_CASES)
@@ -570,8 +625,8 @@ class TestBatchedMatmulCore:
                     refs.append((ref, *att.cfaa_backward(g[i], params, ref_cache)))
             assert scaled_error(out, np.stack([r[0] for r in refs])) < 1e-12
             assert scaled_error(d_x, np.stack([r[1] for r in refs])) < 1e-12
-            for name, grad in grads.named():
-                want = sum(dict(r[2].named())[name] for r in refs)
+            for name, grad in grads.items():
+                want = sum(r[2][name] for r in refs)
                 assert scaled_error(grad, want) < 1e-12, (n, name)
 
     @pytest.mark.parametrize("encoding", att.ENCODINGS)
@@ -593,7 +648,7 @@ class TestBatchedMatmulCore:
                 att.cfaa_forward(np.ones(shape), params, cfg)
         # axial attention and 3D self-attention take one volume
         with pytest.raises(DimensionError):
-            att.axial_forward(np.ones((2, cfg.c_in, t, h, w)), params.scales[0].aa_h, "H", cfg)
+            att.axial_forward(np.ones((2, cfg.c_in, t, h, w)), att._sub(params, "scale0.aa_h."), "H", cfg)
         nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 2, 2))
         with pytest.raises(DimensionError):
             att.nonlocal_3d_forward(np.ones((2, 4, 2, 2, 2)), att.init_nonlocal_params(nl_cfg, Rng(0)), nl_cfg)

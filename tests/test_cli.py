@@ -311,6 +311,15 @@ class TestAlign:
         assert code == 1
         assert err == "error: tracklet 5: candidate frame 4 out of range\n"
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_non_positive_slim_ratio_exits_one(self, capsys, align_fixture, value):
+        cand_file, frames_dir, out_dir, _ = align_fixture
+        code, out, err = run(capsys, "align", "--candidates", str(cand_file), "--frames", str(frames_dir),
+                             "--out", str(out_dir), "--slim-ratio", value)
+        assert code == 1 and out == ""
+        assert err == f"error: tracklet 5: slim ratio {float(value)} must be positive\n"
+        assert not out_dir.exists()
+
     def test_malformed_candidates_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("D=2\n1\t0\tx\t0\t5\t5\t0.9\t1\t2\n")
@@ -433,7 +442,7 @@ class TestDemo:
 
     @pytest.mark.parametrize("flag, value, low", [
         ("--seed", "-1", 0), ("--data-seed", "-1", 0), ("--ids", "0", 4), ("--chance-trials", "-1", 0),
-        ("--epochs", "-1", 0),
+        ("--epochs", "-1", 0), ("--scales", "0", 1), ("--heads", "-1", 1),
     ])
     def test_integer_flag_below_minimum_exits_one(self, capsys, flag, value, low):
         code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "0", flag, value)

@@ -270,6 +270,18 @@ class TestProcessTracklet:
         with pytest.raises(ValidationError, match=r"^alpha 1.5 outside \[0, 1\]$"):
             dl.process_tracklet([np.ones((3, 4, 4))], cands, alpha=1.5)
 
+    @pytest.mark.parametrize("slim_ratio", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("cands", [[[]], [[box(b=(0, 0, 8, 40))]]], ids=["no-detection", "detection"])
+    def test_slim_ratio_checked_before_any_frame(self, cands, slim_ratio):
+        with pytest.raises(ValidationError, match=rf"^slim ratio {slim_ratio} must be positive$"):
+            dl.process_tracklet([np.ones((3, 40, 90))], cands, slim_ratio=slim_ratio)
+
+    def test_infinite_slim_ratio_shifts_no_box(self):
+        # an 8x40 box at the left edge of a 90-wide frame is slim at the default 3.0
+        frames, cands = [np.ones((3, 40, 90))], [[box(b=(0, 0, 8, 40))]]
+        assert dl.process_tracklet(frames, cands)[0].provenance["shift"] == "right"
+        assert dl.process_tracklet(frames, cands, slim_ratio=float("inf"))[0].provenance["shift"] == "none"
+
 
 @st.composite
 def linked_scene(draw):

@@ -62,8 +62,8 @@ def test_fd_on_2x3x4x2_input_all_parameters():
 
     _, cache = att.axial_forward(x, params, "H", cfg, want_cache=True)
     d_x, grads = att.axial_backward(g, params, cache)
-    for name, analytic in [("x", d_x), *grads.named("p")]:
-        target = x if name == "x" else dict(params.named("p"))[name]
+    for name, analytic in [("x", d_x), *grads.items()]:
+        target = x if name == "x" else params[name]
         err = gc.rel_error(analytic, gc.fd_gradient(loss, target))
         assert err < 1e-4, f"{name}: {err:.2e}"
 
@@ -77,7 +77,7 @@ def test_zero_upstream_gives_zero_bundle():
     _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
     d_x, grads = att.cfaa_backward(np.zeros_like(x), params, cache)
     assert not d_x.any()
-    for _, g in grads.named():
+    for g in grads.values():
         assert not g.any()
 
 
@@ -87,7 +87,7 @@ def test_frozen_zero_projection_passes_upstream_through():
     rng = Rng(1)
     cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 2, 2))
     params = att.init_cfaa_params(cfg, rng.child(0))
-    params.w_o = np.zeros_like(params.w_o)
+    params["w_o"] = np.zeros_like(params["w_o"])
     x = rng.child(1).normal((4, 2, 2, 2))
     g = rng.child(2).normal(x.shape)
     _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
@@ -111,7 +111,7 @@ def test_fault_injection_is_caught(name):
 
 
 def test_attention_backwards_share_one_signature():
-    # every attention backward is (d_out, params, cache) -> (d_x, grads like params)
+    # every attention backward is (d_out, params, cache) -> (d_x, gradients named like params)
     rng = Rng(3)
     x = rng.child(0).normal((4, 2, 4, 2))
     cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
@@ -127,5 +127,5 @@ def test_attention_backwards_share_one_signature():
     ]
     for (out, cache), backward, params in cases:
         d_x, grads = backward(np.ones_like(out), params, cache)
-        assert d_x.shape == x.shape and type(grads) is type(params)
-        assert [n for n, _ in grads.named()] == [n for n, _ in params.named()]
+        assert d_x.shape == x.shape and list(grads) == list(params)
+        assert all(grads[n].shape == p.shape for n, p in params.items())

@@ -124,6 +124,18 @@ def loop_upsample_nearest_2d_adjoint(grad, factor, in_hw):
 ADJOINT_CASES = [(f, hw) for f in (1, 2, 3, 4, 8) for hw in ((16, 8), (7, 5), (9, 13), (3, 2))]
 
 
+@st.composite
+def pool_case(draw):
+    """A pooling factor, (C, T, H, W) extents with windows that may be cut at
+    either edge or exceed the whole plane, and a generator for the data."""
+    factor = draw(st.integers(1, 9), label="factor")
+    shape = tuple(draw(st.integers(1, n)) for n in (3, 3, 20, 20))
+    return factor, shape, np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+
+PROPERTY = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+
+
 class TestPoolingAdjointOracle:
     @pytest.mark.parametrize("factor,hw", ADJOINT_CASES)
     def test_avg_pool_matches_loop(self, factor, hw):
@@ -171,6 +183,32 @@ class TestPoolingAdjointOracle:
             assert out.shape == (3, 2, h, w)
             np.testing.assert_allclose(out, loop_upsample_nearest_2d_adjoint(g, factor, hw), rtol=1e-14, atol=1e-14)
 
+
+    @PROPERTY
+    @given(case=pool_case())
+    def test_avg_pool_matches_loop_property(self, case):
+        factor, shape, rng = case
+        x = rng.standard_normal(shape)
+        out, ref = avg_pool_2d(x, factor), loop_avg_pool_2d(x, factor)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @PROPERTY
+    @given(case=pool_case())
+    def test_avg_pool_adjoint_bitwise_equals_loop_property(self, case):
+        factor, (c, t, h, w), rng = case
+        g = rng.standard_normal((c, t, -(-h // factor), -(-w // factor)))
+        assert np.array_equal(avg_pool_2d_adjoint(g, factor, (h, w)), loop_avg_pool_2d_adjoint(g, factor, (h, w)))
+
+    @PROPERTY
+    @given(case=pool_case(), data=st.data())
+    def test_upsample_adjoint_matches_loop_property(self, case, data):
+        # any fine grid up to factor times the coarse one: a crop may leave whole coarse cells without gradient
+        factor, (c, t, h, w), rng = case
+        target = data.draw(st.integers(1, h * factor), label="gh"), data.draw(st.integers(1, w * factor), label="gw")
+        g = rng.standard_normal((c, t, *target))
+        np.testing.assert_allclose(upsample_nearest_2d_adjoint(g, factor, (h, w)),
+                                   loop_upsample_nearest_2d_adjoint(g, factor, (h, w)), rtol=1e-14, atol=1e-14)
 
     def test_mismatched_grad_extents_rejected(self):
         with pytest.raises(DimensionError):

@@ -37,7 +37,7 @@ def eval_model(use_attention, seed=5):
     model = tt.ToyModel(small_spec(use_attention=use_attention), Rng(seed).child(0))
     if use_attention:
         attention = dict(model.layers)["attention"].params
-        attention.w_o = Rng(seed + 1).normal(attention.w_o.shape)
+        attention["w_o"] = Rng(seed + 1).normal(attention["w_o"].shape)
     return model
 
 
@@ -124,9 +124,10 @@ class TestLayers:
     def test_cfaa_layer_is_init_params_with_zero_output_projection(self):
         cfg = small_spec().attention_config()
         layer, drawn = tt.CfaaLayer(cfg, Rng(3)), att.init_cfaa_params(cfg, Rng(3))
-        assert not layer.params.w_o.any() and drawn.w_o.any()
-        for (name, a), (_, b) in zip(layer.params.named("p"), drawn.named("p")):
-            assert name == "p.w_o" or np.array_equal(a, b), name
+        assert not layer.params["w_o"].any() and drawn["w_o"].any()
+        assert list(layer.params) == list(drawn)
+        for name, a in layer.params.items():
+            assert name == "w_o" or np.array_equal(a, drawn[name]), name
 
     def test_one_attention_call_per_batch(self, monkeypatch):
         from axialreid import aggregation as agg
@@ -201,6 +202,15 @@ class TestLayerProtocol:
         assert {"attention.scale0.aa_h.w_q", "attention.scale1.aa_t.r_v", "attention.w_o"} <= set(names)
         assert names[-3:] == ["bn_feat.gamma", "bn_feat.beta", "classifier.weight"]
         assert len(set(names)) == len(names)
+
+    def test_default_model_parameter_names_pinned(self):
+        # the names the README lists and perfbench looks up (a name ending in .w_o), in order
+        layer = ("w_q", "w_k", "w_v", "r_q", "r_k", "r_v")
+        attention = [f"attention.scale{s}.{a}.{k}" for s in range(4) for a in ("aa_h", "aa_w", "aa_t") for k in layer]
+        want = ["conv0.weight", "bn0.gamma", "bn0.beta", *attention, "attention.w_o",
+                "conv1.weight", "bn1.gamma", "bn1.beta", "conv2.weight", "bn2.gamma", "bn2.beta",
+                "bn_feat.gamma", "bn_feat.beta", "classifier.weight"]
+        assert [name for name, _ in tt.ToyModel(tt.ToyModelSpec(), Rng(0)).named_params()] == want
 
 
 def einsum_conv_forward(weight, s, x):
