@@ -166,8 +166,10 @@ def _sub(params: dict, prefix: str) -> dict:
     return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
 
-def _check_keys(params: dict, want: list[str], encoding: str) -> None:
-    """Reject params whose names are not exactly want, naming the first stray or missing one."""
+def _check_keys(params: dict, want: list[str] | tuple[str, ...], encoding: str) -> dict:
+    """Reject params whose names are not exactly want, naming the first stray or
+    missing one. Returns the accepted names and encoding as cache entries, so
+    that a backward can check its params against the forward's."""
     known = set(want)
     for key in [k for k in params if k not in known] + [k for k in want if k not in params]:
         table = key.rpartition(".")[2] in _TABLES
@@ -175,6 +177,7 @@ def _check_keys(params: dict, want: list[str], encoding: str) -> None:
             raise ConfigurationError(f"relative tables r_q/r_k/r_v need encoding 'relative', got {encoding!r}"
                                      if table and encoding != "relative" else f"unknown parameter {key!r}")
         raise ConfigurationError(f"relative encoding requires table {key}" if table else f"missing parameter {key!r}")
+    return dict(names=tuple(want), encoding=encoding)
 
 
 def init_axial_layer(cfg: AttentionConfig, c_x: int, axis_len: int, rng: Rng) -> dict[str, np.ndarray]:
@@ -384,12 +387,13 @@ def axial_forward(x, params: dict, axis: str, cfg: AttentionConfig, want_cache: 
     relative); returns the concatenated multi-head output stream (c_out channels)."""
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
-    _check_keys(params, _LAYER_KEYS[cfg.encoding], cfg.encoding)
+    keys = _check_keys(params, _LAYER_KEYS[cfg.encoding], cfg.encoding)
     out, cache = _axial_core_forward(x, params, axis, cfg.heads, cfg.encoding)
-    return (out, cache) if want_cache else out
+    return (out, {**cache, **keys}) if want_cache else out
 
 
 def axial_backward(d_out, params: dict, cache: dict):
+    _check_keys(params, cache["names"], cache["encoding"])
     d_out = as_tensor(d_out, "upstream gradient")
     if d_out.shape[0] != params["w_v"].shape[0] or d_out.shape[1:] != cache["ext"][1:]:
         raise DimensionError(f"upstream gradient shape {d_out.shape} does not match forward output")
@@ -431,14 +435,15 @@ def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool 
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
     check_nonlocal_config(cfg)
-    _check_keys(params, ["w_q", "w_k", "w_v", "w_o"], cfg.encoding)
+    keys = _check_keys(params, ["w_q", "w_k", "w_v", "w_o"], cfg.encoding)
     y, core_cache = _axial_core_forward(x.reshape(x.shape[0], 1, 1, -1), params, "W", 1, "none")
     out, cache = _residual_forward(x, y, params["w_o"], "3D attention output")
-    return (out, {**core_cache, **cache}) if want_cache else out
+    return (out, {**core_cache, **cache, **keys}) if want_cache else out
 
 
 def nonlocal_3d_backward(d_out, params: dict, cache: dict):
     """Returns (d_x, gradients named like params)."""
+    _check_keys(params, cache["names"], cache["encoding"])
     d_out, d_y, d_wo = _residual_backward(d_out, params["w_o"], cache)
     d_line, grads = _axial_core_backward(d_y, params, cache)
     return d_line.reshape(d_out.shape) + d_out, {**grads, "w_o": d_wo}
@@ -471,7 +476,7 @@ def cfaa_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False
     if carried != cfg.scales:
         raise ConfigurationError(f"params carry {carried} scales, config says {cfg.scales}")
     layers = [f"scale{s}.{n}.{k}" for s in range(cfg.scales) for n, _ in _CHAIN for k in _LAYER_KEYS[cfg.encoding]]
-    _check_keys(params, layers + ["w_o"], cfg.encoding)
+    keys = _check_keys(params, layers + ["w_o"], cfg.encoding)
     xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
     h, w = x.shape[-2:]
     per_in = cfg.c_in // cfg.scales
@@ -484,11 +489,12 @@ def cfaa_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False
         caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[-2:], extents=pooled.shape))
     z = np.concatenate(outs, axis=0)  # (c_out, [N,] T, H, W)
     out, cache = _residual_forward(x, z, params["w_o"], "coarse-to-fine output")
-    return (out, dict(scale_caches=caches, **cache)) if want_cache else out
+    return (out, dict(scale_caches=caches, **cache, **keys)) if want_cache else out
 
 
 def cfaa_backward(d_out, params: dict, cache: dict):
     """Returns (d_x, gradients named like params)."""
+    _check_keys(params, cache["names"], cache["encoding"])
     d_out, d_z, d_wo = _residual_backward(d_out, params["w_o"], cache)
     scales = len(cache["scale_caches"])
     per_in, per_out = d_out.shape[-4] // scales, d_z.shape[0] // scales

@@ -125,6 +125,11 @@ def _check_frame(frame) -> np.ndarray:
     return frame
 
 
+def _check_slim_ratio(slim_ratio: float) -> None:
+    if not slim_ratio > 0:  # nan included; inf shifts no box
+        raise ValidationError(f"slim ratio {slim_ratio} must be positive")
+
+
 def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATIO) -> AlignedFrame:
     """Crop the box, aspect-preserving resize into 256x128, zero-pad the rest.
 
@@ -133,6 +138,7 @@ def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATI
     lands on the side the content came from.
     """
     frame = _check_frame(frame)
+    _check_slim_ratio(slim_ratio)
     fh, fw = frame.shape[1:]
     x, y, w, h = box
     x0, y0 = max(int(round(x)), 0), max(int(round(y)), 0)
@@ -187,8 +193,7 @@ def process_tracklet(
         raise ValidationError(f"{len(frames)} frames but {len(candidates_per_frame)} candidate lists")
     if not 0.0 <= alpha <= 1.0:  # before the loop, so that its error names no frame
         raise ValidationError(f"alpha {alpha} outside [0, 1]")
-    if not slim_ratio > 0:  # nan included; inf shifts no box
-        raise ValidationError(f"slim ratio {slim_ratio} must be positive")
+    _check_slim_ratio(slim_ratio)  # before the loop too, so that its error names no frame
     out: list[AlignedFrame] = []
     state: LinkState | None = None
     for i, (frame, cands) in enumerate(zip(frames, candidates_per_frame)):

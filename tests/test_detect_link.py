@@ -124,6 +124,17 @@ class TestNormalizeCrop:
         out = dl.normalize_crop(f, (73, 0, 16, 80))
         assert out.provenance["shift"] == "left"
 
+    @pytest.mark.parametrize("slim_ratio", [float("nan"), 0.0, -1.0])
+    def test_non_positive_or_nan_slim_ratio_rejected(self, slim_ratio):
+        with pytest.raises(ValidationError, match=rf"^slim ratio {slim_ratio} must be positive$"):
+            dl.normalize_crop(np.ones((3, 40, 90)), (0, 0, 8, 40), slim_ratio=slim_ratio)
+
+    def test_infinite_slim_ratio_shifts_no_box(self):
+        # an 8x40 box at the left edge of a 90-wide frame is slim at the default 3.0
+        frame, b = np.ones((3, 40, 90)), (0, 0, 8, 40)
+        assert dl.normalize_crop(frame, b).provenance["shift"] == "right"
+        assert dl.normalize_crop(frame, b, slim_ratio=float("inf")).provenance["shift"] == "none"
+
     def test_mask_pixel_conservation(self):
         f = self.frame(h=50, w=60)
         out = dl.normalize_crop(f, (5, 5, 20, 40))

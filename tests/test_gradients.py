@@ -8,6 +8,7 @@ from axialreid import aggregation as agg
 from axialreid import attention as att
 from axialreid import gradcheck as gc
 from axialreid import toytrain as tt
+from axialreid.errors import ConfigurationError
 from axialreid.tensor import Rng
 
 SEEDS = range(5)
@@ -110,8 +111,8 @@ def test_fault_injection_is_caught(name):
     assert not gc.check(name, 0, perturb=True).passed
 
 
-def test_attention_backwards_share_one_signature():
-    # every attention backward is (d_out, params, cache) -> (d_x, gradients named like params)
+def attention_cases():
+    """op -> ((out, cache) of a valid forward, backward, params) for the three attention ops."""
     rng = Rng(3)
     x = rng.child(0).normal((4, 2, 4, 2))
     cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
@@ -120,12 +121,35 @@ def test_attention_backwards_share_one_signature():
     axial = att.init_axial_layer(ax_cfg, 4, 4, rng.child(2))
     nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 4, 2))
     nl = att.init_nonlocal_params(nl_cfg, rng.child(3))
-    cases = [
-        (att.cfaa_forward(x, cfaa, cfg, want_cache=True), att.cfaa_backward, cfaa),
-        (att.axial_forward(x, axial, "H", ax_cfg, want_cache=True), att.axial_backward, axial),
-        (att.nonlocal_3d_forward(x, nl, nl_cfg, want_cache=True), att.nonlocal_3d_backward, nl),
-    ]
-    for (out, cache), backward, params in cases:
+    return {
+        "cfaa": (att.cfaa_forward(x, cfaa, cfg, want_cache=True), att.cfaa_backward, cfaa),
+        "axial": (att.axial_forward(x, axial, "H", ax_cfg, want_cache=True), att.axial_backward, axial),
+        "nonlocal3d": (att.nonlocal_3d_forward(x, nl, nl_cfg, want_cache=True), att.nonlocal_3d_backward, nl),
+    }
+
+
+def test_attention_backwards_share_one_signature():
+    # every attention backward is (d_out, params, cache) -> (d_x, gradients named like params)
+    for (out, cache), backward, params in attention_cases().values():
         d_x, grads = backward(np.ones_like(out), params, cache)
-        assert d_x.shape == x.shape and list(grads) == list(params)
+        assert d_x.shape == (4, 2, 4, 2) and list(grads) == list(params)
         assert all(grads[n].shape == p.shape for n, p in params.items())
+
+
+# per op, a name its forward checked, left out of the params its backward gets
+DROPPED = {"cfaa": "scale1.aa_t.r_v", "axial": "r_v", "nonlocal3d": "w_o"}
+
+
+@pytest.mark.parametrize("op", list(DROPPED))
+def test_backward_rejects_a_name_the_forward_did_not_check(op):
+    (out, cache), backward, params = attention_cases()[op]
+    with pytest.raises(ConfigurationError, match=r"unknown parameter 'bias'"):
+        backward(np.ones_like(out), {**params, "bias": np.zeros(4)}, cache)
+
+
+@pytest.mark.parametrize("op", list(DROPPED))
+def test_backward_rejects_a_missing_name_the_forward_checked(op):
+    (out, cache), backward, params = attention_cases()[op]
+    short = {k: v for k, v in params.items() if k != DROPPED[op]}
+    with pytest.raises(ConfigurationError, match=rf"\b{DROPPED[op]}\b"):
+        backward(np.ones_like(out), short, cache)
