@@ -22,10 +22,10 @@ score/value contraction, relative positional terms included, is one stacked
 * coarse-to-fine module: the input is split into S channel groups, group s is
   average-pooled by 2^(s-1), passed through height/width/time axial attention
   in sequence, upsampled, concatenated, projected back to C_in and added to
-  the input. It takes one (C, T, H, W) volume or a batch (N, C, T, H, W),
-  which runs channels first as (C, N, T, H, W) in one pass; the output
-  projection is one matmul per volume. Axial attention and 3D self-attention
-  take one volume.
+  the input. It and 3D self-attention take one (C, T, H, W) volume or a batch
+  (N, C, T, H, W), which runs channels first as (C, N, T, H, W) in one pass;
+  the output projection is one matmul per volume. Axial attention takes one
+  volume.
 
 The softmax subtracts each row's max, exponentiates and normalises in place.
 The row max is a fold of the L key columns with ``np.maximum``, one ufunc
@@ -430,13 +430,14 @@ def check_nonlocal_config(cfg: AttentionConfig) -> None:
 
 
 def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False):
-    """3D self-attention: the axial core along one line through all T*H*W
-    positions, then output projection and residual add."""
+    """3D self-attention on one (C, T, H, W) volume or an (N, C, T, H, W) batch: the axial core along
+    one line through each volume's T*H*W positions, then output projection and residual add."""
     x = as_tensor(x, "x")
-    _check_extents(x, cfg)
+    _check_extents(x, cfg, batched=True)
     check_nonlocal_config(cfg)
     keys = _check_keys(params, ["w_q", "w_k", "w_v", "w_o"], cfg.encoding)
-    y, core_cache = _axial_core_forward(x.reshape(x.shape[0], 1, 1, -1), params, "W", 1, "none")
+    xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
+    y, core_cache = _axial_core_forward(xc.reshape(*xc.shape[:-3], 1, 1, -1), params, "W", 1, "none")
     out, cache = _residual_forward(x, y, params["w_o"], "3D attention output")
     return (out, {**core_cache, **cache, **keys}) if want_cache else out
 
@@ -446,7 +447,7 @@ def nonlocal_3d_backward(d_out, params: dict, cache: dict):
     _check_keys(params, cache["names"], cache["encoding"])
     d_out, d_y, d_wo = _residual_backward(d_out, params["w_o"], cache)
     d_line, grads = _axial_core_backward(d_y, params, cache)
-    return d_line.reshape(d_out.shape) + d_out, {**grads, "w_o": d_wo}
+    return np.moveaxis(d_line.reshape(np.moveaxis(d_out, -4, 0).shape), 0, -4) + d_out, {**grads, "w_o": d_wo}
 
 
 def _chain_forward(x, sp: dict, cfg: AttentionConfig):

@@ -4,11 +4,11 @@ Subcommands:
   bench      analytic FLOP reports for the backbone and attention variants
   gradcheck  finite-difference check of the analytic backward passes, one row
              each: conv2d, batchnorm, relu, masked_avg_pool, cfaa (through
-             CfaaLayer), nonlocal_3d, axial, axial_ps, triplet, cross_entropy;
+             AttentionLayer), nonlocal_3d, axial, axial_ps, triplet, cross_entropy;
              the whole-model backward is checked by the tests
   align      run re-detect-and-link over a candidate file + frame containers
   eval       CMC / mAP evaluation with optional corrections and protocols
-  demo       desk-scale training + retrieval demonstration
+  demo       desk-scale training + retrieval demonstration (--attention cfaa|nonlocal3d|none)
 
 Every report ends with a machine-readable key=value block fenced by `---`
 lines. Exit codes: 0 success, 1 invalid input or configuration, or a
@@ -225,16 +225,19 @@ def cmd_demo(args) -> int:
     _check_minimums(args, ids=tt.P_IDS, epochs=0, seed=0, data_seed=0, chance_trials=0)
     if not args.lr > 0:  # nan included
         raise ValidationError(f"--lr must be positive, got {args.lr}")
-    attention = {f: v for f, v in (("scales", args.scales), ("heads", args.heads)) if v is not None}
-    if args.no_attention and attention:
-        raise ValidationError(f"--{next(iter(attention))} has no effect with --no-attention")
-    _check_minimums(args, **{f: 1 for f in attention})
+    if args.lr == np.inf:
+        raise ValidationError("--lr must be finite, got inf")
+    given = {f: v for f, v in (("scales", args.scales), ("heads", args.heads)) if v is not None}
+    if args.attention != "cfaa" and given:
+        raise ValidationError(f"--{next(iter(given))} has no effect with --attention {args.attention}")
+    _check_minimums(args, **{f: 1 for f in given})
+    _, scales, heads = tt.ToyModelSpec.attention  # the defaults
+    cfaa = ("cfaa", given.get("scales", scales), given.get("heads", heads))
     dataset = tt.SyntheticIdentityDataset(num_ids=args.ids, seed=args.data_seed)
-    spec = tt.ToyModelSpec(num_classes=args.ids, use_attention=not args.no_attention,
-                           **{f"attention_{f}": v for f, v in attention.items()})
+    spec = tt.ToyModelSpec(num_classes=args.ids, attention=cfaa if args.attention == "cfaa" else (args.attention,))
     model, log = tt.train(spec, dataset, epochs=args.epochs, seed=args.seed, lr=args.lr)
     res = ev.evaluate(tt.retrieve(model, dataset.tracklets), "old")
-    block = [f"epochs={args.epochs}", f"seed={args.seed}", f"attention={not args.no_attention}"]
+    block = [f"epochs={args.epochs}", f"seed={args.seed}", f"attention={args.attention}"]
     if log.epoch_losses:
         first, last = log.epoch_losses[0], log.epoch_losses[-1]
         print(f"loss: epoch1={first:.4f} final={last:.4f} drop={(1 - last / first):.1%}")
@@ -300,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=1)
     d.add_argument("--data-seed", type=int, default=7)
     d.add_argument("--lr", type=float, default=0.05)
-    d.add_argument("--scales", type=int, help="CF-AA scale count (default 4)")
-    d.add_argument("--heads", type=int, help="CF-AA heads per scale (default 2)")
-    d.add_argument("--no-attention", action="store_true")
+    d.add_argument("--attention", choices=["cfaa", "nonlocal3d", "none"], default="cfaa")
+    d.add_argument("--scales", type=int, help="CF-AA scale count, --attention cfaa only (default 4)")
+    d.add_argument("--heads", type=int, help="CF-AA heads per scale, --attention cfaa only (default 2)")
     d.add_argument("--chance-trials", type=int, default=0)
     d.set_defaults(func=cmd_demo)
     return parser

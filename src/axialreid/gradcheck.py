@@ -11,7 +11,7 @@ loss is a row whose forward() is a scalar.
 The rows:
   conv2d, batchnorm, relu, cfaa  toytrain layers through the layer protocol
       (forward(x, training=True), backward, named_params, named_grads); the
-      cfaa row is a CfaaLayer over 2 clips with a non-zero w_o
+      cfaa row is a CF-AA AttentionLayer over 2 clips with a non-zero w_o
   masked_avg_pool                the head's masked pooling
   nonlocal_3d, axial, axial_ps   the functional attention ops on one volume
   triplet, cross_entropy         the two training losses
@@ -97,7 +97,7 @@ def _batchnorm(rng: Rng):
 def _cfaa(rng: Rng):
     encoding = att.ENCODINGS[rng.seed % 3]
     cfg = att.AttentionConfig(c_in=4, c_qk=8, c_out=4, heads=2, scales=2, encoding=encoding, axis_lengths=(2, 4, 2))
-    layer = tt.CfaaLayer(cfg, rng.child(0))
+    layer = tt.AttentionLayer("cfaa", cfg, rng.child(0))
     layer.params["w_o"] = rng.child(0, 1).uniform_init(layer.params["w_o"].shape, cfg.c_out)  # zero w_o hides the branch
     return _layer(f"cfaa[{encoding}]", layer, rng.child(1).normal((2 * 2, 4, 4, 2)))
 

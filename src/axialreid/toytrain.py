@@ -1,6 +1,7 @@
-"""Desk-scale end-to-end demo: a small conv backbone with coarse-to-fine axial
-attention inserted, trained on a synthetic video-identity dataset with the
-triplet + cross-entropy recipe, then evaluated with the retrieval protocol.
+"""Desk-scale end-to-end demo: a small conv backbone with coarse-to-fine axial,
+3D non-local or no attention after its first block, trained on a synthetic
+video-identity dataset with the triplet + cross-entropy recipe, then evaluated
+with the retrieval protocol.
 
 Everything is seeded; a run is bitwise reproducible at any BLAS thread count.
 """
@@ -14,8 +15,8 @@ import numpy as np
 from . import attention as att
 from . import aggregation as agg
 from . import evaluate as ev
-from .errors import ConfigurationError, DimensionError, ValidationError
-from .tensor import Rng
+from .errors import ConfigurationError, DimensionError, NumericalError, ValidationError
+from .tensor import Rng, check_finite
 
 SGD_MOMENTUM = 0.9
 BN_MOMENTUM = 0.1  # weight of the batch statistics in BatchNorm's running estimates
@@ -163,15 +164,16 @@ class ReLU(Layer):
         return dy * self._mask
 
 
-class CfaaLayer(Layer):
-    """Coarse-to-fine axial attention on (B*T, C, H, W) frame maps: each clip's
+class AttentionLayer(Layer):
+    """CF-AA or 3D non-local attention on (B*T, C, H, W) frame maps: each clip's
     T = cfg.axis_lengths[0] frames form one (C, T, H, W) volume, and the batch is
-    one att.cfaa_forward call. It zeroes the output projection w_o that
-    att.init_cfaa_params draws, so that it starts as the identity."""
+    one call of att.<op>_forward, looked up at each call. It zeroes the output
+    projection w_o that the op's init draws, so that it starts as the identity."""
 
-    def __init__(self, cfg: att.AttentionConfig, rng: Rng):
+    def __init__(self, kind: str, cfg: att.AttentionConfig, rng: Rng):
+        self._op = {"cfaa": "cfaa", "nonlocal3d": "nonlocal_3d"}[kind]
         self.cfg = cfg
-        self.params = att.init_cfaa_params(cfg, rng)
+        self.params = (att.init_cfaa_params if kind == "cfaa" else att.init_nonlocal_params)(cfg, rng)
         self.params["w_o"] = np.zeros_like(self.params["w_o"])
         self._cache = None
 
@@ -184,14 +186,14 @@ class CfaaLayer(Layer):
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         t = self.cfg.axis_lengths[0]
         vols = x.reshape(x.shape[0] // t, t, *x.shape[1:]).transpose(0, 2, 1, 3, 4)  # (B, C, T, H, W)
-        out = att.cfaa_forward(vols, self.params, self.cfg, want_cache=training)
+        out = getattr(att, f"{self._op}_forward")(vols, self.params, self.cfg, want_cache=training)
         out, self._cache = out if training else (out, None)
         return out.transpose(0, 2, 1, 3, 4).reshape(x.shape)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         t = self.cfg.axis_lengths[0]
         d_vols = dy.reshape(dy.shape[0] // t, t, *dy.shape[1:]).transpose(0, 2, 1, 3, 4)
-        d_in, self.d_params = att.cfaa_backward(d_vols, self.params, self._cache)
+        d_in, self.d_params = getattr(att, f"{self._op}_backward")(d_vols, self.params, self._cache)
         return d_in.transpose(0, 2, 1, 3, 4).reshape(dy.shape)
 
 
@@ -297,34 +299,42 @@ class ToyModelSpec:
     frame_hw: tuple[int, int] = FRAME_HW
     clip_len: int = 4
     num_classes: int = 20
-    use_attention: bool = True
-    attention_scales: int = 4
-    attention_heads: int = 2
+    attention: tuple = ("cfaa", 4, 2)  # after block 0: ("cfaa", scales, heads), ("nonlocal3d",) or ("none",)
+
+    def __post_init__(self):
+        if not self.channels or len(self.channels) != len(self.strides):
+            raise ConfigurationError(f"channels and strides must give the same number of blocks, at least one; "
+                                     f"got {len(self.channels)} and {len(self.strides)}")
+        match self.attention:
+            case ("cfaa", int(), int()) | ("nonlocal3d",):
+                self.attention_config()  # rejects scales and heads the widths do not divide
+            case ("none",):
+                pass
+            case _:
+                raise ConfigurationError(f"attention must be ('cfaa', scales, heads), ('nonlocal3d',) "
+                                         f"or ('none',), got {self.attention!r}")
 
     def attention_config(self) -> att.AttentionConfig:
-        h, w = (n // self.strides[0] for n in self.frame_hw)  # CF-AA follows block 0
+        h, w = (n // self.strides[0] for n in self.frame_hw)  # attention follows block 0
         c = self.channels[0]
-        return att.AttentionConfig(
-            c_in=c, c_qk=c // 2, c_out=c,
-            heads=self.attention_heads, scales=self.attention_scales,
-            encoding="relative", axis_lengths=(self.clip_len, h, w),
-        )
+        _, *cfaa = self.attention  # [scales, heads] for CF-AA, with relative encoding
+        scales, heads = cfaa or (1, 1)
+        return att.AttentionConfig(c_in=c, c_qk=c // 2, c_out=c, heads=heads, scales=scales,
+                                   encoding="relative" if cfaa else "none", axis_lengths=(self.clip_len, h, w))
 
 
 class ToyModel:
-    """Backbone: (name, layer) pairs, 3x3 conv/BN/ReLU per block and CF-AA after
-    block 0. Head: masked pooling, temporal mean, bn_feat, classifier."""
+    """Backbone: (name, layer) pairs, 3x3 conv/BN/ReLU per block and the spec's
+    attention after block 0. Head: masked pooling, temporal mean, bn_feat, classifier."""
 
     def __init__(self, spec: ToyModelSpec, rng: Rng):
         self.spec = spec
         self.layers: list[tuple[str, Layer]] = []
-        c_prev = 3
-        for i, (c, s) in enumerate(zip(spec.channels, spec.strides)):
+        for i, (c_prev, c, s) in enumerate(zip((3, *spec.channels), spec.channels, spec.strides)):
             self.layers += [(f"conv{i}", Conv2d(c_prev, c, s, rng.child(0, i))),
                             (f"bn{i}", BatchNorm(c)), (f"relu{i}", ReLU())]
-            if spec.use_attention and i == 0:
-                self.layers.append(("attention", CfaaLayer(spec.attention_config(), rng.child(1))))
-            c_prev = c
+            if i == 0 and (kind := spec.attention[0]) != "none":
+                self.layers.append(("attention", AttentionLayer(kind, spec.attention_config(), rng.child(1))))
         self.bn_feat = BatchNorm(spec.channels[-1])
         self.classifier = rng.child(2).uniform_init((spec.num_classes, spec.channels[-1]), spec.channels[-1])
         self._cache = None
@@ -338,7 +348,7 @@ class ToyModel:
     def forward(self, frames: np.ndarray, masks: np.ndarray, training: bool):
         """frames (B, T, 3, H, W), masks (B, T, H, W) -> (f_pre, f_post, logits)."""
         b, t = frames.shape[:2]
-        if self.spec.use_attention and t != self.spec.clip_len:
+        if self.spec.attention[0] != "none" and t != self.spec.clip_len:
             raise DimensionError(f"clips of T={t} frames, but attention runs on clip_len={self.spec.clip_len}")
         x = frames.reshape(b * t, *frames.shape[2:])
         for _, layer in self.layers:
@@ -386,10 +396,31 @@ def _sample_clip(track: Tracklet, clip_len: int, rng: Rng, flip: bool):
     return frames.copy(), masks.copy()
 
 
+def _sgd_step(model: ToyModel, velocity: dict, frames: np.ndarray, masks: np.ndarray, labels: np.ndarray,
+              lr: float) -> float:
+    """One training-mode forward, backward and momentum update; returns the
+    batch loss. Raises NumericalError on a non-finite loss or parameter."""
+    f_pre, _, logits = model.forward(frames, masks, training=True)
+    ce_loss, d_logits = agg.cross_entropy(logits, labels)
+    tri_loss, d_f_pre = agg.batch_hard_triplet(f_pre, labels)
+    loss = ce_loss + tri_loss
+    if not np.isfinite(loss):
+        raise NumericalError(f"non-finite loss {loss}")
+    grads = model.backward(d_f_pre, d_logits)
+    for name, param in model.named_params():
+        v = velocity[name]
+        v *= SGD_MOMENTUM
+        v += grads[name]
+        param -= lr * v
+        check_finite(param, f"parameter {name}")
+    return loss
+
+
 def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, seed: int,
           lr: float = 0.05, p_ids: int = P_IDS, k_tracks: int = K_TRACKS) -> tuple[ToyModel, TrainLog]:
     """SGD with momentum on cross-entropy + batch-hard triplet over p_ids x k_tracks
-    batches; deterministic per seed. The learning rate drops 10x after LR_DECAY_AFTER."""
+    batches; deterministic per seed. The learning rate drops 10x after LR_DECAY_AFTER.
+    A batch whose loss or updated parameters are not finite raises NumericalError."""
     if p_ids < 2:
         raise ValidationError(f"p_ids must be at least 2 (a one-identity batch has no negatives), got {p_ids}")
     if dataset.num_ids < p_ids or dataset.tracklets_per_id < k_tracks:
@@ -432,16 +463,11 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
             masks = np.stack([m for _, m in batch])
             labels = np.asarray(labels)
 
-            f_pre, _, logits = model.forward(frames, masks, training=True)
-            ce_loss, d_logits = agg.cross_entropy(logits, labels)
-            tri_loss, d_f_pre = agg.batch_hard_triplet(f_pre, labels)
-            grads = model.backward(d_f_pre, d_logits)
-            for name, param in model.named_params():
-                v = velocity[name]
-                v *= SGD_MOMENTUM
-                v += grads[name]
-                param -= epoch_lr * v
-            epoch_loss += ce_loss + tri_loss
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # reported as a NumericalError instead
+                    epoch_loss += _sgd_step(model, velocity, frames, masks, labels, epoch_lr)
+            except NumericalError as exc:
+                raise NumericalError(f"training diverged at epoch {epoch + 1}, batch {n_batches + 1}: {exc}") from None
             n_batches += 1
         log.epoch_losses.append(epoch_loss / n_batches)
     return model, log
@@ -464,7 +490,10 @@ def tracklet_features(model: ToyModel, tracks: list[Tracklet]) -> np.ndarray:
                 raise ValidationError(f"tracklet {tr.tid} has {f} frames, fewer than clip_len={clip}")
             parts.append([a[: f // clip * clip].reshape(-1, clip, *a.shape[1:]) for a in (tr.frames, tr.masks)])
         frames, masks = (np.concatenate(arrays) for arrays in zip(*parts))
-        _, f_post, _ = model.forward(frames, masks, training=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as a NumericalError instead
+            _, f_post, _ = model.forward(frames, masks, training=False)
+        if not np.isfinite(f_post).all():
+            raise NumericalError(f"tracklet {run[0].tid} has non-finite features")
         ends = np.cumsum([len(clips) for clips, _ in parts])
         return [f_post[start:end].mean(axis=0) for start, end in zip([0, *ends], ends)]
 

@@ -189,8 +189,7 @@ def test_criterion_9_toy_end_to_end():
 
     att_r1, base_r1 = [], []
     for seed in seeds:
-        spec = tt.ToyModelSpec(num_classes=20, use_attention=True,
-                               attention_scales=4, attention_heads=2)
+        spec = tt.ToyModelSpec(num_classes=20, attention=("cfaa", 4, 2))
         model, log = tt.train(spec, dataset, epochs=40, seed=seed, lr=0.05)
         drop = 1.0 - log.epoch_losses[-1] / log.epoch_losses[0]
         assert drop >= 0.5, f"seed {seed}: loss dropped only {drop:.0%}"
@@ -200,7 +199,7 @@ def test_criterion_9_toy_end_to_end():
         print(f"  cf-aa seed {seed}: loss {log.epoch_losses[0]:.2f} -> {log.epoch_losses[-1]:.2f} "
               f"({drop:.0%}), rank-1 {res.cmc_at(1):.3f}, mAP {res.mAP:.3f}")
 
-        base = tt.ToyModelSpec(num_classes=20, use_attention=False)
+        base = tt.ToyModelSpec(num_classes=20, attention=("none",))
         bmodel, _ = tt.train(base, dataset, epochs=40, seed=seed, lr=0.05)
         bres = ev.evaluate(tt.retrieve(bmodel, dataset.tracklets), "old")
         base_r1.append(bres.cmc_at(1))

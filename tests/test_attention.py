@@ -629,6 +629,32 @@ class TestBatchedMatmulCore:
                 want = sum(r[2][name] for r in refs)
                 assert scaled_error(grad, want) < 1e-12, (n, name)
 
+    @pytest.mark.parametrize("shape", [(8, 4, 16, 8), (3, 2, 3, 5)])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_batched_nonlocal_matches_per_volume_loop(self, n, shape):
+        # forward and d_x keep the bits of one volume at a time; the weight
+        # gradients sum over the volumes in another order
+        from axialreid import flops
+
+        cfg = att.AttentionConfig(c_in=shape[0], c_qk=2, c_out=shape[0], axis_lengths=shape[1:])
+        rng = Rng(50 + n)
+        params = att.init_nonlocal_params(cfg, rng.child(0))
+        x = rng.child(1).normal((n, *shape))
+        g = rng.child(2).normal(x.shape)
+        with att.count_multiplies() as counter:
+            out, cache = att.nonlocal_3d_forward(x, params, cfg, want_cache=True)
+        d_x, grads = att.nonlocal_3d_backward(g, params, cache)
+        refs = []
+        for i in range(n):
+            ref, ref_cache = att.nonlocal_3d_forward(x[i], params, cfg, want_cache=True)
+            refs.append((ref, *att.nonlocal_3d_backward(g[i], params, ref_cache)))
+        assert np.array_equal(out, np.stack([r[0] for r in refs]))
+        assert np.array_equal(d_x, np.stack([r[1] for r in refs]))
+        assert list(grads) == list(params)
+        for name, grad in grads.items():
+            assert scaled_error(grad, sum(r[2][name] for r in refs)) < 1e-12, name
+        assert counter.total == n * flops.attention_contraction_count("nonlocal3d", cfg)
+
     @pytest.mark.parametrize("encoding", att.ENCODINGS)
     def test_multiplies_count_every_volume(self, encoding):
         from axialreid import flops
@@ -646,12 +672,16 @@ class TestBatchedMatmulCore:
         for shape in ((2, cfg.c_in, t, h, w + 1), (2, cfg.c_in + 1, t, h, w), (1, 2, cfg.c_in, t, h, w)):
             with pytest.raises(DimensionError):
                 att.cfaa_forward(np.ones(shape), params, cfg)
-        # axial attention and 3D self-attention take one volume
+        # axial attention takes one volume
         with pytest.raises(DimensionError):
             att.axial_forward(np.ones((2, cfg.c_in, t, h, w)), att._sub(params, "scale0.aa_h."), "H", cfg)
+        # 3D self-attention takes a batch as well, of volumes of the config's shape
         nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 2, 2))
-        with pytest.raises(DimensionError):
-            att.nonlocal_3d_forward(np.ones((2, 4, 2, 2, 2)), att.init_nonlocal_params(nl_cfg, Rng(0)), nl_cfg)
+        nl_params = att.init_nonlocal_params(nl_cfg, Rng(0))
+        assert att.nonlocal_3d_forward(np.ones((2, 4, 2, 2, 2)), nl_params, nl_cfg).shape == (2, 4, 2, 2, 2)
+        for shape in ((2, 4, 2, 2, 3), (2, 5, 2, 2, 2), (1, 2, 4, 2, 2, 2)):
+            with pytest.raises(DimensionError):
+                att.nonlocal_3d_forward(np.ones(shape), nl_params, nl_cfg)
 
     def test_batched_upstream_shape_mismatch_rejected(self):
         cfg, params, rng = batch_case("relative", 2, 1, 1)

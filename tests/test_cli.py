@@ -434,11 +434,18 @@ class TestDemo:
         assert float(kv["rank1"]) <= 0.8
         assert "chance_rank1_mean" in kv
 
+    @pytest.mark.parametrize("attention", ["nonlocal3d", "none"])
     @pytest.mark.parametrize("flag", ["--scales", "--heads"])
-    def test_attention_flag_with_no_attention_exits_one(self, capsys, flag):
-        code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "0", "--no-attention", flag, "2")
+    def test_cfaa_flag_with_other_attention_exits_one(self, capsys, flag, attention):
+        code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "0", "--attention", attention, flag, "2")
         assert code == 1 and out == ""
-        assert err == f"error: {flag} has no effect with --no-attention\n"
+        assert err == f"error: {flag} has no effect with --attention {attention}\n"
+
+    @pytest.mark.parametrize("attention", ["cfaa", "nonlocal3d", "none"])
+    def test_attention_kind_named_in_block(self, capsys, attention):
+        code, out, _ = run(capsys, "demo", "--ids", "4", "--epochs", "1", "--attention", attention)
+        assert code == 0
+        assert kv_block(out)["attention"] == attention
 
     @pytest.mark.parametrize("flag, value, low", [
         ("--seed", "-1", 0), ("--data-seed", "-1", 0), ("--ids", "0", 4), ("--chance-trials", "-1", 0),
@@ -462,6 +469,22 @@ class TestDemo:
         code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "1", "--lr", value)
         assert code == 1 and out == ""
         assert err == f"error: --lr must be positive, got {float(value)}\n"
+
+    def test_infinite_lr_exits_one(self, capsys):
+        code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", "1", "--lr", "inf")
+        assert code == 1 and out == ""
+        assert err == "error: --lr must be finite, got inf\n"
+
+    @pytest.mark.parametrize("attention", ["cfaa", "nonlocal3d", "none"])
+    @pytest.mark.parametrize("epochs", ["1", "2"])
+    def test_overflowing_lr_exits_one_with_one_error_line(self, capsys, attention, epochs):
+        # one batch per epoch: the first update overflows nothing, so a 1-epoch
+        # run fails in retrieval and a 2-epoch run in its second batch; neither
+        # prints a numpy warning
+        code, out, err = run(capsys, "demo", "--ids", "4", "--epochs", epochs, "--lr", "1e308", "--attention", attention)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "non-finite" in err and len(err.splitlines()) == 1
+        assert err.startswith("error: training diverged at epoch 2, batch 1: ") == (epochs == "2")
 
     def test_diverging_run_exits_one_without_traceback(self, capsys):
         code, _, err = run(capsys, "demo", "--ids", "4", "--epochs", "3", "--lr", "1e8")

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from axialreid import aggregation as agg
 from axialreid import attention as att
 from axialreid import evaluate as ev
 from axialreid import toytrain as tt
-from axialreid.errors import ConfigurationError, DimensionError, ValidationError
+from axialreid.errors import ConfigurationError, DimensionError, NumericalError, ValidationError
 from axialreid.gradcheck import fd_gradient, rel_error
 from axialreid.tensor import Rng
 from helpers import (fresh_split, reference_conv_backward, reference_conv_forward, reference_mask_downsample,
@@ -28,16 +29,20 @@ def small_dataset(seed=3, num_ids=4):
     )
 
 
-def small_spec(num_ids=4, use_attention=True):
-    return tt.ToyModelSpec(channels=(8, 16, 16), num_classes=num_ids, use_attention=use_attention,
-                           attention_scales=2, attention_heads=2)
+CFAA, NONLOCAL, NONE = ("cfaa", 2, 2), ("nonlocal3d",), ("none",)
+# every attention kind, as a parametrize argument named by the kind
+ATTENTION_KINDS = pytest.mark.parametrize("attention", [CFAA, NONLOCAL, NONE], ids=lambda a: a[0])
 
 
-def eval_model(use_attention, seed=5):
+def small_spec(num_ids=4, attention=CFAA):
+    return tt.ToyModelSpec(channels=(8, 16, 16), num_classes=num_ids, attention=attention)
+
+
+def eval_model(attention, seed=5):
     """An untrained small model; with attention, a nonzero output projection
-    makes CF-AA shape the feature."""
-    model = tt.ToyModel(small_spec(use_attention=use_attention), Rng(seed).child(0))
-    if use_attention:
+    makes the attention module shape the feature."""
+    model = tt.ToyModel(small_spec(attention=attention), Rng(seed).child(0))
+    if attention != NONE:
         attention = dict(model.layers)["attention"].params
         attention["w_o"] = Rng(seed + 1).normal(attention["w_o"].shape)
     return model
@@ -99,6 +104,36 @@ class TestDataset:
         assert min(dists) > 0.15
 
 
+class TestSpec:
+    @pytest.mark.parametrize("channels, strides", [((32, 64, 64), (2, 2)), ((32,), (2, 2))])
+    def test_channels_and_strides_of_different_lengths_rejected(self, channels, strides):
+        # zip would build min(len(channels), len(strides)) blocks
+        with pytest.raises(ConfigurationError, match=r"^channels and strides must give the same number of blocks, "
+                                                     rf"at least one; got {len(channels)} and 2$"):
+            tt.ToyModelSpec(channels=channels, strides=strides)
+
+    def test_empty_channels_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^channels and strides must .*; got 0 and 0$"):
+            tt.ToyModelSpec(channels=(), strides=())
+
+    @pytest.mark.parametrize("attention", [("cfaa",), ("cfaa", 4), ("cfaa", 4.0, 2), ("nonlocal",), ("none", 1),
+                                           ("nonlocal3d", 1, 1), "cfaa", (), None])
+    def test_unknown_attention_rejected(self, attention):
+        with pytest.raises(ConfigurationError, match=r"^attention must be \('cfaa', scales, heads\), "
+                                                     rf"\('nonlocal3d',\) or \('none',\), got {re.escape(repr(attention))}$"):
+            tt.ToyModelSpec(attention=attention)
+
+    def test_cfaa_scales_the_widths_do_not_divide_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^c_in=32 not divisible by scales=3$"):
+            tt.ToyModelSpec(attention=("cfaa", 3, 2))
+
+    def test_attention_configs(self):
+        want = dict(c_in=32, c_qk=16, c_out=32, axis_lengths=(4, 16, 8))
+        assert tt.ToyModelSpec().attention_config() == att.AttentionConfig(
+            heads=2, scales=4, encoding="relative", **want)
+        assert tt.ToyModelSpec(attention=("nonlocal3d",)).attention_config() == att.AttentionConfig(**want)
+
+
 class TestLayers:
     def test_model_backward_matches_fd_on_conv0(self):
         # end-to-end analytic gradient through attention, pooling, bn, losses
@@ -123,15 +158,20 @@ class TestLayers:
         num = fd_gradient(loss, dict(model.layers)["conv0"].weight)
         assert rel_error(grads["conv0.weight"], num) < 1e-4
 
-    def test_cfaa_layer_is_init_params_with_zero_output_projection(self):
-        cfg = small_spec().attention_config()
-        layer, drawn = tt.CfaaLayer(cfg, Rng(3)), att.init_cfaa_params(cfg, Rng(3))
+    @pytest.mark.parametrize("attention, init", [(CFAA, att.init_cfaa_params), (NONLOCAL, att.init_nonlocal_params)],
+                             ids=["cfaa", "nonlocal3d"])
+    def test_attention_layer_is_init_params_with_zero_output_projection(self, attention, init):
+        cfg = small_spec(attention=attention).attention_config()
+        layer, drawn = tt.AttentionLayer(attention[0], cfg, Rng(3)), init(cfg, Rng(3))
         assert not layer.params["w_o"].any() and drawn["w_o"].any()
         assert list(layer.params) == list(drawn)
         for name, a in layer.params.items():
             assert name == "w_o" or np.array_equal(a, drawn[name]), name
 
-    def test_one_attention_call_per_batch(self, monkeypatch):
+    @pytest.mark.parametrize("attention, ops", [(CFAA, ("cfaa_forward", "cfaa_backward")),
+                                                (NONLOCAL, ("nonlocal_3d_forward", "nonlocal_3d_backward"))],
+                             ids=["cfaa", "nonlocal3d"])
+    def test_one_attention_call_per_batch(self, monkeypatch, attention, ops):
         from axialreid import aggregation as agg
 
         calls = []
@@ -144,15 +184,29 @@ class TestLayers:
                 return original(x, *args, **kwargs)
             return wrapper
 
-        for name in ("cfaa_forward", "cfaa_backward"):
+        for name in ops:
             monkeypatch.setattr(att, name, recording(name))
         ds = small_dataset()
-        model = tt.ToyModel(small_spec(), Rng(4).child(0))
+        model = tt.ToyModel(small_spec(attention=attention), Rng(4).child(0))
         frames = np.stack([t.frames[:4] for t in ds.tracklets[:6]])
         masks = np.stack([t.masks[:4] for t in ds.tracklets[:6]])
         f_pre, _, logits = model.forward(frames, masks, training=True)
         model.backward(f_pre, agg.cross_entropy(logits, np.arange(6) % 4)[1])
-        assert calls == [("cfaa_forward", (6, 8, 4, 16, 8)), ("cfaa_backward", (6, 8, 4, 16, 8))]
+        assert calls == [(ops[0], (6, 8, 4, 16, 8)), (ops[1], (6, 8, 4, 16, 8))]
+
+    def test_layer_looks_its_op_up_at_call_time(self, monkeypatch):
+        # a profiler may wrap att.cfaa_forward after the model is built; the
+        # wrapper reads cfg by keyword or as the third positional argument
+        model = eval_model(CFAA)
+        configs, original = [], att.cfaa_forward
+
+        def counting(*args, **kwargs):
+            configs.append(kwargs["cfg"] if "cfg" in kwargs else args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(att, "cfaa_forward", counting)
+        tt.retrieve(model, small_dataset().tracklets)
+        assert configs and all(cfg is dict(model.layers)["attention"].cfg for cfg in configs)
 
     def test_clip_length_other_than_clip_len_rejected(self):
         # B=4 clips of T=5 are 20 frames, which would regroup into 5 volumes of 4
@@ -181,9 +235,11 @@ PROTOCOL_MODEL = tt.ToyModel(small_spec(), Rng(7).child(0))
 
 
 class TestLayerProtocol:
-    @pytest.mark.parametrize("name", [name for name, _ in PROTOCOL_MODEL.layers])
-    def test_backward_returns_dx_and_grads_named_like_params(self, name):
-        model = tt.ToyModel(small_spec(), Rng(7).child(0))
+    @pytest.mark.parametrize("attention, name", [(CFAA, name) for name, _ in PROTOCOL_MODEL.layers]
+                             + [(NONLOCAL, "attention")],
+                             ids=[name for name, _ in PROTOCOL_MODEL.layers] + ["nonlocal3d-attention"])
+    def test_backward_returns_dx_and_grads_named_like_params(self, attention, name):
+        model = tt.ToyModel(small_spec(attention=attention), Rng(7).child(0))
         frames = np.stack([t.frames[:4] for t in small_dataset().tracklets[:2]])
         x = frames.reshape(8, *frames.shape[2:])
         for layer_name, layer in model.layers:  # x becomes the named layer's input
@@ -436,23 +492,38 @@ class TestTraining:
         with pytest.raises(ValidationError):
             tt.train(small_spec(), ds, epochs=1, seed=0, p_ids=8, k_tracks=2)
 
-    @pytest.mark.parametrize("use_attention", [True, False])
-    def test_tracklets_shorter_than_clip_rejected(self, use_attention):
+    @ATTENTION_KINDS
+    def test_tracklets_shorter_than_clip_rejected(self, attention):
         ds = tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=4, frames_per_tracklet=3, seed=3)
         with pytest.raises(ValidationError, match=r"\b3 frames.*clip_len=4"):
-            tt.train(small_spec(use_attention=use_attention), ds, epochs=1, seed=0)
+            tt.train(small_spec(attention=attention), ds, epochs=1, seed=0)
+
+    @ATTENTION_KINDS
+    def test_diverging_run_raises_naming_epoch_and_batch(self, attention):
+        # one batch per epoch: the first step's parameters stay finite, and the
+        # second batch's forward overflows; no RuntimeWarning escapes either
+        spec = tt.ToyModelSpec(num_classes=4, attention=attention)
+        with pytest.raises(NumericalError, match=r"^training diverged at epoch 2, batch 1: .*non-finite"):
+            tt.train(spec, tt.SyntheticIdentityDataset(num_ids=4, seed=0), epochs=2, seed=0, lr=1e308)
+
+    def test_non_finite_parameter_raises(self):
+        # the loss of the only batch is finite; its update is not
+        spec = tt.ToyModelSpec(num_classes=4, attention=NONE)
+        with pytest.raises(NumericalError, match=r"^training diverged at epoch 1, batch 1: parameter \S+ contains "):
+            tt.train(spec, tt.SyntheticIdentityDataset(num_ids=4, seed=0), epochs=1, seed=0, lr=np.inf)
 
 
-# Trains with and without CF-AA at the default channel widths, then prints one
-# sha256 over the losses, every parameter and the retrieval distances.
+# Trains with CF-AA, without attention and with non-local attention at the
+# default channel widths, then prints one sha256 over the losses, every
+# parameter and the retrieval distances.
 TRAIN_DIGEST = """
 import hashlib
 from axialreid import toytrain as tt
 from helpers import fresh_split
 h = hashlib.sha256()
 ds = tt.SyntheticIdentityDataset(num_ids=8, seed=3)
-for use_attention in (True, False):
-    spec = tt.ToyModelSpec(num_classes=8, use_attention=use_attention)
+for attention in (tt.ToyModelSpec.attention, ("none",), ("nonlocal3d",)):
+    spec = tt.ToyModelSpec(num_classes=8, attention=attention)
     model, log = tt.train(spec, ds, epochs=2, seed=11)
     h.update(repr(log.epoch_losses).encode())
     for _, param in model.named_params():
@@ -565,27 +636,27 @@ class TestRetrieval:
     def test_clip_average_equals_whole_average_for_framewise_model(self):
         # holds when the model has no cross-frame coupling (no attention)
         ds = small_dataset()
-        model = tt.ToyModel(small_spec(use_attention=False), Rng(1).child(0))
+        model = tt.ToyModel(small_spec(attention=NONE), Rng(1).child(0))
         tr = ds.tracklets[0]  # 8 frames = 2 clips of clip_len 4
         clipped = tt.tracklet_features(model, [tr])[0]
         _, whole, _ = model.forward(tr.frames[None], tr.masks[None], training=False)
         np.testing.assert_allclose(clipped, whole[0], atol=1e-10)
 
-    @pytest.mark.parametrize("use_attention", [True, False])
-    def test_one_forward_per_tracklet_equals_clip_loop(self, use_attention):
+    @ATTENTION_KINDS
+    def test_one_forward_per_tracklet_equals_clip_loop(self, attention):
         ds = tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=2, frames_per_tracklet=13, seed=6)
-        model = eval_model(use_attention)
+        model = eval_model(attention)
         # 3 clips of 4 frames per tracklet, the 13th frame dropped; two
         # tracklets share each forward
         want = [np.mean([model.forward(tr.frames[c : c + 4][None], tr.masks[c : c + 4][None], training=False)[1][0]
                          for c in (0, 4, 8)], axis=0) for tr in ds.tracklets]
         assert np.array_equal(tt.tracklet_features(model, ds.tracklets), np.stack(want))
 
-    @pytest.mark.parametrize("use_attention", [True, False])
-    def test_features_bitwise_equal_to_per_tracklet_reference(self, use_attention):
+    @ATTENTION_KINDS
+    def test_features_bitwise_equal_to_per_tracklet_reference(self, attention):
         # runs of 1, 1, 2 and 3 clips fill forwards of up to FORWARD_CLIPS
         # clips; a 40-frame tracklet (10 clips) runs alone
-        model = eval_model(use_attention)
+        model = eval_model(attention)
         tracks = mixed_length_tracklets()
         assert np.array_equal(tt.tracklet_features(model, tracks), reference_features(model, tracks))
         order = Rng(3).permutation(len(tracks))  # other neighbours, other groups
@@ -593,7 +664,7 @@ class TestRetrieval:
         assert np.array_equal(tt.tracklet_features(model, shuffled), reference_features(model, shuffled))
 
     def test_runs_fill_forwards_of_at_most_forward_clips(self, monkeypatch):
-        model = eval_model(use_attention=True)
+        model = eval_model(CFAA)
         clips, forward = [], model.forward
 
         def recording(frames, masks, training):
@@ -609,15 +680,15 @@ class TestRetrieval:
     def test_mixed_frame_sizes_bitwise_equal_to_reference(self):
         # without attention any frame size whose masks pool to the feature
         # map runs; a 16x8 tracklet never shares a forward with a 32x16 one
-        model = eval_model(use_attention=False)
+        model = eval_model(NONE)
         tracks = small_dataset().tracklets
         for tr in tracks[1::3]:
             tr.frames, tr.masks = tr.frames[..., ::2, ::2].copy(), tr.masks[..., ::2, ::2].copy()
         assert np.array_equal(tt.tracklet_features(model, tracks), reference_features(model, tracks))
 
-    @pytest.mark.parametrize("use_attention", [True, False])
-    def test_permuting_tracklets_permutes_distances(self, use_attention):
-        model = eval_model(use_attention)
+    @ATTENTION_KINDS
+    def test_permuting_tracklets_permutes_distances(self, attention):
+        model = eval_model(attention)
         tracks = mixed_length_tracklets()
         base = tt.retrieve(model, tracks)
         shuffled = tt.retrieve(model, [tracks[i] for i in Rng(4).permutation(len(tracks))])
@@ -626,7 +697,7 @@ class TestRetrieval:
         assert np.array_equal(shuffled.distances, picked)
 
     def test_short_tracklet_inside_a_group_named_as_alone(self):
-        model = eval_model(use_attention=True)
+        model = eval_model(CFAA)
         tracks = small_dataset().tracklets[:4]
         tracks[1].frames, tracks[1].masks = tracks[1].frames[:3], tracks[1].masks[:3]
         with pytest.raises(ValidationError) as want:
@@ -638,7 +709,7 @@ class TestRetrieval:
     def test_bad_mask_inside_a_group_reported_as_alone(self):
         # the frame index is the one within the failing tracklet, not within
         # the shared forward
-        model = eval_model(use_attention=False)
+        model = eval_model(NONE)
         tracks = small_dataset().tracklets[:4]
         tracks[2].masks[5, 0, 0] = 0.5
         with pytest.raises(ValidationError) as want:
@@ -668,12 +739,19 @@ class TestRetrieval:
         levels = tt.chance_baseline(small_spec(), ds, seeds=range(3))
         assert all(0.0 <= r1 <= 0.8 for r1 in levels)
 
-    @pytest.mark.parametrize("use_attention", [True, False])
-    def test_tracklet_shorter_than_clip_rejected(self, use_attention):
+    @ATTENTION_KINDS
+    def test_tracklet_shorter_than_clip_rejected(self, attention):
         ds = tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=4, frames_per_tracklet=3, seed=3)
-        model = tt.ToyModel(small_spec(use_attention=use_attention), Rng(0).child(0))
+        model = tt.ToyModel(small_spec(attention=attention), Rng(0).child(0))
         with pytest.raises(ValidationError, match=r"tracklet 0 has 3 frames.*clip_len=4"):
             tt.retrieve(model, ds.tracklets)
+
+    def test_non_finite_features_raise_naming_the_tracklet(self):
+        model = eval_model(NONE)
+        tracks = small_dataset().tracklets[:4]
+        tracks[2].frames[1] = 1e308  # the first conv overflows
+        with pytest.raises(NumericalError, match=r"^tracklet 2 has non-finite features$"):
+            tt.tracklet_features(model, tracks)
 
     def test_needs_two_cameras(self):
         ds = small_dataset()
