@@ -28,11 +28,29 @@ score/value contraction, relative positional terms included, is one stacked
   volume.
 
 The softmax subtracts each row's max, exponentiates and normalises in place.
-The row max is a fold of the L key columns with ``np.maximum``, one ufunc
-call per key, where a max reduction has a fixed cost per row whatever L
-(about 85 ns with numpy 2.4 on a 2-core x86 VM). The max is exact either way
-(where 0.0 ties -0.0, either zero gives the same exp(x - m)) and the row sums
-stay one numpy sum over the last axis, so the bits are those of the reduction.
+A reduction over the last axis has a fixed cost per row whatever L (about
+85 ns with numpy 2.4 on a 2-core x86 VM), so short rows are reduced by
+column ops instead, one ufunc call per key over every row at once:
+
+* the row max of a row of up to 16 keys is a fold of its key columns with
+  ``np.maximum``. The max is exact either way (where 0.0 ties -0.0, either
+  zero gives the same exp(x - m)). Best of 30 on that VM, the fold took
+  0.25-0.92x the reduction's time at L = 16 (8192 and 512 entries), 0.34-1.23x
+  at L = 24, 1.3-1.8x at L = 32 and 14x at L = 512, the 3D self-attention row
+  of the toy model; longer rows take the reduction;
+* the row sums of the softmax and of its backward are ``_row_sum``: column
+  adds in numpy's own summation order for rows of up to 8 entries, so the
+  bits are those of ``x.sum(-1)``. At (2, 1024, 4, 4) they took 32 us against
+  175 us, at (2, 512, 8, 8) 60 us against 192 us; at L = 16 they were no
+  faster, so longer rows keep the reduction.
+
+Every projection and score/value contraction stays one ``np.matmul``, a BLAS
+call, with the operand transposes it always had. OpenBLAS fuses
+multiply-adds, so an elementwise form of a K=2 product matched its bits in
+only 75% of entries (K=4: 50-62%), and passing ``attn`` transposed into
+``attn @ v`` at L = 16 matched in only 31%. The relative tables are read-only
+strided views of the (2L-1, d) parameters, and the products over them keep
+the bits of those over a gathered copy.
 
 Projections are per-position linear maps (1x1x1 convolutions) without bias.
 All math is float64 numpy; multiply counts of the score/value contractions can
@@ -231,21 +249,24 @@ def init_cfaa_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
 _AXIS_INDEX = {"T": -3, "H": -2, "W": -1}  # from the end, so leading axes are batch axes
 
 
-def _offset_index(length: int) -> np.ndarray:
-    """(L, L) map from a query/key pair [i, j] to the row j - i + L - 1 of a
-    (2L-1, d) offset table."""
-    return np.arange(length)[None, :] - np.arange(length)[:, None] + length - 1
-
-
 def _gather_offsets(table: np.ndarray, length: int) -> np.ndarray:
-    """(2L-1, d) offset table -> (L, L, d) with entry [i, j] = table[j - i + L - 1]."""
-    return table[_offset_index(length)]
+    """(2L-1, d) offset table -> read-only (L, L, d) view with entry [i, j] =
+    table[j - i + L - 1]: it starts at row L-1 and steps one row back per i
+    and one row on per j, so it stays inside the table. Row i is the
+    contiguous block of table rows L-1-i .. 2L-2-i, the matrix that a
+    gathered copy would hand the products."""
+    rows, cols = table.strides
+    return np.lib.stride_tricks.as_strided(table[length - 1 :], (length, length, table.shape[1]),
+                                           (-rows, rows, cols), writeable=False)
 
 
 def _scatter_offsets(grad_full: np.ndarray, length: int) -> np.ndarray:
-    """Adjoint of _gather_offsets: sum (L, L, d) gradients over constant j - i."""
+    """Adjoint of _gather_offsets: sum (L, L, d) gradients over constant j - i.
+    One shifted add per query row i, so each table row sums its entries in
+    increasing i, the order np.add.at takes them in."""
     out = np.zeros((2 * length - 1, grad_full.shape[-1]), dtype=np.float64)
-    np.add.at(out, _offset_index(length), grad_full)
+    for i in range(length):
+        out[length - 1 - i : 2 * length - 1 - i] += grad_full[i]
     return out
 
 
@@ -259,16 +280,50 @@ def _per_query(a: np.ndarray) -> np.ndarray:
     return a.transpose(2, 0, 1, 3).reshape(a.shape[2], -1, a.shape[3])
 
 
+_FOLD_MAX_LENGTH = 16  # longest row whose max is a fold of its key columns
+_COLUMN_SUM_MAX_LENGTH = 8  # longest row summed by column adds
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1, keepdims=True), bit for bit. Rows of up to 8 entries are
+    summed by column adds in numpy's own order: from +0.0 in index order, the
+    8 entries of a row of 8 first combined pairwise. Longer rows take the
+    reduction."""
+    n = x.shape[-1]
+    if n > _COLUMN_SUM_MAX_LENGTH:
+        return x.sum(axis=-1, keepdims=True)
+    c = [x[..., j : j + 1] for j in range(n)]
+    if n == 8:
+        c = [(c[0] + c[1]) + (c[2] + c[3]) + ((c[4] + c[5]) + (c[6] + c[7]))]
+    s = c[0] + 0.0
+    for col in c[1:]:
+        s += col
+    return s
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of finite logits, in place; returns logits.
-    The row max is a fold of the key columns (see the module docstring)."""
-    m = logits[..., :1].copy()
-    for j in range(1, logits.shape[-1]):
-        np.maximum(m, logits[..., j : j + 1], out=m)
+    The row max of a short row is a fold of its key columns (see the module
+    docstring), and the row sum is _row_sum."""
+    if logits.shape[-1] > _FOLD_MAX_LENGTH:
+        m = logits.max(axis=-1, keepdims=True)
+    else:
+        m = logits[..., :1].copy()
+        for j in range(1, logits.shape[-1]):
+            np.maximum(m, logits[..., j : j + 1], out=m)
     logits -= m
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= _row_sum(logits)
     return logits
+
+
+def _softmax_backward(attn: np.ndarray, d_attn: np.ndarray) -> np.ndarray:
+    """Gradient of the logits, per (head, line, query) row, from d_attn, the
+    gradient of the softmax output attn; computed in place in d_attn, which
+    is returned."""
+    d_attn -= _row_sum(attn * d_attn)
+    d_attn *= attn
+    return d_attn
 
 
 # matmul warns on overflow where einsum did not; the check_finite calls on the
@@ -355,9 +410,7 @@ def _axial_core_backward(d_out: np.ndarray, p: dict, cache: dict):
         d_attn += (dy.swapaxes(1, 2) @ rv.swapaxes(1, 2)).swapaxes(1, 2)
         d_rv_full = _per_query(attn).swapaxes(1, 2) @ _per_query(dy)
 
-    # softmax backward per (m, b, i) row
-    inner = (attn * d_attn).sum(axis=-1, keepdims=True)
-    d_logits = attn * (d_attn - inner)
+    d_logits = _softmax_backward(attn, d_attn)
 
     d_q = d_logits @ k
     d_k = d_logits.swapaxes(-1, -2) @ q

@@ -33,7 +33,8 @@ class Layer:
     """forward(x, training) -> y caches what backward reads only when training,
     so an eval-mode forward keeps nothing; backward(dy) -> dx then stores the
     gradient of each parameter attribute p in PARAMS as d_p. named_params and
-    named_grads yield them as ("<prefix>.p", array) pairs."""
+    named_grads yield them as ("<prefix>.p", array) pairs. The model's first
+    layer, conv0, is asked for no dx: its input gradient is not formed."""
 
     PARAMS: tuple[str, ...] = ()
 
@@ -56,13 +57,14 @@ class Conv2d(Layer):
     over all frames doubled a training epoch's CPU time for no wall time
     saved on a 2-vCPU host.
 
-    Backward forms the tap's d_w as (g @ window).sum(0) and its d_x as
-    g^T @ taps[di, dj].T, both on views. OpenBLAS's small-matrix kernels give
-    other bits when handed the transposed problem: contiguous copies of g^T
-    and of the (O, C) tap change conv0's d_x. So written, the bits equal
-    those of the NCHW kernel this replaced on the model's three layer shapes
-    only; on other shapes forward, d_w and d_x may differ in the last bits
-    (at most 1.2e-15 of the largest value over 400 random shapes)."""
+    Backward forms the tap's d_w as (g @ window).sum(0) and, unless asked
+    not to (the model's first layer is), its d_x as g^T @ taps[di, dj].T,
+    both on views. OpenBLAS's small-matrix kernels give other bits when
+    handed the transposed problem: contiguous copies of g^T and of the
+    (O, C) tap change conv0's d_x. So written, the bits equal those of the
+    NCHW kernel this replaced on the model's three layer shapes only; on
+    other shapes forward, d_w and d_x may differ in the last bits (at most
+    1.2e-15 of the largest value over 400 random shapes)."""
 
     PARAMS = ("weight",)
 
@@ -92,25 +94,32 @@ class Conv2d(Layer):
         self._cache = (xp, x.shape, ho, wo) if training else None
         return np.ascontiguousarray(out.reshape(b, ho, wo, o).transpose(0, 3, 1, 2))
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, want_dx: bool = True) -> np.ndarray | None:
+        """d_x, or None when want_dx is False: the first layer's input
+        gradient is the image's, which nothing reads, so the model skips its
+        9 products and adds. d_weight is the same either way."""
         xp, (b, c, h, w), ho, wo = self._cache
         o = self.weight.shape[0]
         g = dy.reshape(b, o, ho * wo)
-        g_t = g.transpose(0, 2, 1)  # (B, Ho*Wo, O) view
         d_w = self.d_weight = np.zeros_like(self.weight)
-        d_xp = np.zeros_like(xp)
-        taps = np.ascontiguousarray(self.weight.transpose(2, 3, 1, 0))  # (3, 3, C, O)
+        if want_dx:
+            g_t = g.transpose(0, 2, 1)  # (B, Ho*Wo, O) view
+            d_xp = np.zeros_like(xp)
+            taps = np.ascontiguousarray(self.weight.transpose(2, 3, 1, 0))  # (3, 3, C, O)
         for (di, dj), window in self._taps(ho, wo):
             d_w[:, :, di, dj] = (g @ xp[window].reshape(b, ho * wo, c)).sum(0)
-            d_xp[window] += (g_t @ taps[di, dj].T).reshape(b, ho, wo, c)
-        return np.ascontiguousarray(d_xp[:, 1 : 1 + h, 1 : 1 + w].transpose(0, 3, 1, 2))
+            if want_dx:
+                d_xp[window] += (g_t @ taps[di, dj].T).reshape(b, ho, wo, c)
+        return np.ascontiguousarray(d_xp[:, 1 : 1 + h, 1 : 1 + w].transpose(0, 3, 1, 2)) if want_dx else None
 
 
 class BatchNorm(Layer):
     """Batch normalization over (N, C) or (N, C, H, W) inputs: statistics per
     channel (axis 1), reduced over every other axis, with learned affine and
     running estimates. Training mode normalizes with batch statistics and
-    updates the running estimates; eval mode uses the running estimates."""
+    updates the running estimates; eval mode uses the running estimates.
+    The input is centred once, into the array that becomes xhat; in training
+    the variance is the mean square of that centred array, as x.var forms it."""
 
     PARAMS = ("gamma", "beta")
 
@@ -127,13 +136,15 @@ class BatchNorm(Layer):
         col = (-1,) + (1,) * (x.ndim - 2)  # a per-channel vector against axis 1
         if training:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mean.reshape(col)
+            var = np.square(xhat).sum(axis=axes) / (x.size // x.shape[1])  # x.var's arithmetic
             self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:
-            mean, var = self.running_mean, self.running_var
+            xhat = x - self.running_mean.reshape(col)
+            var = self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(col)) * inv.reshape(col)
+        xhat *= inv.reshape(col)
         self._cache = (xhat, inv, axes, col) if training else None
         return self.gamma.reshape(col) * xhat + self.beta.reshape(col)
 
@@ -372,8 +383,9 @@ class ToyModel:
         grads.update(self.bn_feat.named_grads("bn_feat"))
         d_pooled = np.repeat(d_f_pre, t, axis=0) / t  # temporal mean, one row per frame
         d_x = agg.masked_avg_pool_backward(d_pooled, self._cache["small_masks"])
-        for name, layer in reversed(self.layers):
-            d_x = layer.backward(d_x)
+        for i in reversed(range(len(self.layers))):
+            name, layer = self.layers[i]
+            d_x = layer.backward(d_x) if i else layer.backward(d_x, want_dx=False)  # conv0: no image gradient
             grads.update(layer.named_grads(name))
         return grads
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from axialreid import aggregation as agg
 from axialreid import attention as att
 from axialreid import detect_link as dl
 from axialreid import toytrain as tt
@@ -72,6 +73,64 @@ def reference_softmax(logits: np.ndarray) -> np.ndarray:
     m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_softmax_backward(attn: np.ndarray, d_attn: np.ndarray) -> np.ndarray:
+    """Reference for ``attention._softmax_backward``: one sum reduction per
+    row, and the logit gradient as a new array, leaving d_attn as it is."""
+    inner = (attn * d_attn).sum(axis=-1, keepdims=True)
+    return attn * (d_attn - inner)
+
+
+def offset_index(length: int) -> np.ndarray:
+    """(L, L) map from a query/key pair [i, j] to the row j - i + L - 1 of a
+    (2L-1, d) offset table."""
+    return np.arange(length)[None, :] - np.arange(length)[:, None] + length - 1
+
+
+def reference_gather_offsets(table: np.ndarray, length: int) -> np.ndarray:
+    """Reference for ``attention._gather_offsets``: a fancy-index copy."""
+    return table[offset_index(length)]
+
+
+def reference_scatter_offsets(grad_full: np.ndarray, length: int) -> np.ndarray:
+    """Reference for ``attention._scatter_offsets``: one ``np.add.at``."""
+    out = np.zeros((2 * length - 1, grad_full.shape[-1]), dtype=np.float64)
+    np.add.at(out, offset_index(length), grad_full)
+    return out
+
+
+def reference_batchnorm_forward(bn: tt.BatchNorm, x: np.ndarray, training: bool) -> np.ndarray:
+    """Reference for ``toytrain.BatchNorm.forward`` with the same signature and
+    cache: the batch variance from ``x.var``, and x centred a second time for
+    xhat."""
+    axes = (0, *range(2, x.ndim))
+    col = (-1,) + (1,) * (x.ndim - 2)
+    if training:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        bn.running_mean = (1 - tt.BN_MOMENTUM) * bn.running_mean + tt.BN_MOMENTUM * mean
+        bn.running_var = (1 - tt.BN_MOMENTUM) * bn.running_var + tt.BN_MOMENTUM * var
+    else:
+        mean, var = bn.running_mean, bn.running_var
+    inv = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (x - mean.reshape(col)) * inv.reshape(col)
+    bn._cache = (xhat, inv, axes, col) if training else None
+    return bn.gamma.reshape(col) * xhat + bn.beta.reshape(col)
+
+
+def reference_model_backward(model: tt.ToyModel, d_f_pre: np.ndarray, d_logits: np.ndarray) -> dict:
+    """Reference for ``toytrain.ToyModel.backward``: every layer's full
+    backward, conv0's input gradient included."""
+    t = model._cache["t"]
+    grads = {"classifier.weight": d_logits.T @ model._cache["f_post"]}
+    d_f_pre = d_f_pre + model.bn_feat.backward(d_logits @ model.classifier)
+    grads.update(model.bn_feat.named_grads("bn_feat"))
+    d_x = agg.masked_avg_pool_backward(np.repeat(d_f_pre, t, axis=0) / t, model._cache["small_masks"])
+    for name, layer in reversed(model.layers):
+        d_x = layer.backward(d_x)
+        grads.update(layer.named_grads(name))
+    return grads
 
 
 def reference_conv_forward(conv: tt.Conv2d, x: np.ndarray, training: bool) -> np.ndarray:

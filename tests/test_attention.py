@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from axialreid import attention as att
 from axialreid.errors import ConfigurationError, DimensionError
 from axialreid.tensor import Rng
-from helpers import reference_softmax
+from helpers import (reference_gather_offsets, reference_scatter_offsets, reference_softmax,
+                     reference_softmax_backward)
 
 
 def softmax_1d(v):
@@ -385,7 +386,18 @@ class TestAxialPositionSensitive:
     def test_scatter_matches_loop_oracle_property(self, length, width, seed, scale):
         # np.add.at adds the (i, j) entries of one offset row in the loop's i-major order
         grad_full = scale * np.random.default_rng(seed).standard_normal((length, length, width))
-        assert np.array_equal(att._scatter_offsets(grad_full, length), scatter_offsets_oracle(grad_full, length))
+        scattered = att._scatter_offsets(grad_full, length)
+        assert np.array_equal(scattered, scatter_offsets_oracle(grad_full, length))
+        assert np.array_equal(scattered, reference_scatter_offsets(grad_full, length))
+
+    @pytest.mark.parametrize("length", range(1, 17))
+    def test_gather_is_read_only_view_equal_to_fancy_index_copy(self, length):
+        table = Rng(30 + length).normal((2 * length - 1, 3))
+        view = att._gather_offsets(table, length)
+        assert np.array_equal(view, reference_gather_offsets(table, length))
+        assert np.shares_memory(view, table) and not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 1.0
 
     def test_translation_equivariance_with_periodic_tables(self):
         # test-only construction: tables made periodic (offset d == d - L) so a
@@ -457,6 +469,37 @@ class TestSoftmax:
                           rng.choice(np.array(pool), shape), scale * rng.standard_normal(shape))
         ref = reference_softmax(logits)
         assert np.array_equal(att._softmax(logits.copy()), ref)
+
+    @staticmethod
+    def spread(rng, shape, zeros):
+        """Values of both signs with magnitudes spread over 1e-3..1e3; a fraction
+        zeros of them are 0.0 or -0.0."""
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        return np.where(rng.random(shape) < zeros, np.copysign(0.0, x), x)
+
+    @pytest.mark.parametrize("length", range(1, 33))
+    @settings(max_examples=6, derandomize=True, database=None, deadline=None)
+    @given(lines=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.3]))
+    def test_row_sum_bitwise_equal_to_reduction(self, length, lines, seed, zeros):
+        # compared as bit patterns, so a +0.0 for -0.0 counts as a difference;
+        # the first line holds rows of -0.0 only, the second of signed zeros only
+        x = self.spread(np.random.default_rng(seed), (2, lines + 2, length, length), zeros)
+        x[0, 0] = -0.0
+        x[0, 1] = np.copysign(0.0, x[0, 1])
+        got, want = att._row_sum(x), x.sum(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(length=st.integers(1, 24), lines=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           zeros=st.sampled_from([0.0, 0.3]))
+    def test_backward_bitwise_equal_to_out_of_place_reference(self, length, lines, seed, zeros):
+        rng = np.random.default_rng(seed)
+        attn = reference_softmax(rng.standard_normal((2, lines, length, length)))
+        d_attn = self.spread(rng, attn.shape, zeros)
+        want = reference_softmax_backward(attn, d_attn)
+        got = att._softmax_backward(attn, d_attn.copy())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_empty_axis_rejected(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(1, 1, 1))
@@ -628,6 +671,37 @@ class TestBatchedMatmulCore:
             for name, grad in grads.items():
                 want = sum(r[2][name] for r in refs)
                 assert scaled_error(grad, want) < 1e-12, (n, name)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_batched_cfaa_matches_per_volume_oracle_loop_property(self, data):
+        scales = data.draw(st.integers(1, 3), label="scales")
+        heads = data.draw(st.integers(1, 2), label="heads")
+        encoding = data.draw(st.sampled_from(att.ENCODINGS), label="encoding")
+        n = data.draw(st.integers(1, 4), label="N")
+        t = data.draw(st.integers(1, 3), label="T")
+        h, w = (data.draw(st.integers(2 ** (scales - 1), 9), label=axis) for axis in "HW")
+        c = 2 * scales * heads * data.draw(st.integers(1, 2), label="width")  # even q/k width per head
+        cfg = att.AttentionConfig(c_in=c, c_qk=c, c_out=c, heads=heads, scales=scales, encoding=encoding,
+                                  axis_lengths=(t, h, w))
+        rng = Rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = att.init_cfaa_params(cfg, rng.child(0))
+        x = rng.child(1).normal((n, c, t, h, w))
+        g = rng.child(2).normal(x.shape)
+        out, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+        d_x, grads = att.cfaa_backward(g, params, cache)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(att, "_axial_core_forward", einsum_core_forward)
+            mp.setattr(att, "_axial_core_backward", einsum_core_backward)
+            refs = []
+            for i in range(n):
+                ref, ref_cache = att.cfaa_forward(x[i], params, cfg, want_cache=True)
+                refs.append((ref, *att.cfaa_backward(g[i], params, ref_cache)))
+        assert scaled_error(out, np.stack([r[0] for r in refs])) < 1e-12
+        assert scaled_error(d_x, np.stack([r[1] for r in refs])) < 1e-12
+        assert list(grads) == list(params)
+        for name, grad in grads.items():
+            assert scaled_error(grad, sum(r[2][name] for r in refs)) < 1e-12, name
 
     @pytest.mark.parametrize("shape", [(8, 4, 16, 8), (3, 2, 3, 5)])
     @pytest.mark.parametrize("n", [1, 3, 8])

@@ -19,8 +19,10 @@ from axialreid import toytrain as tt
 from axialreid.errors import ConfigurationError, DimensionError, NumericalError, ValidationError
 from axialreid.gradcheck import fd_gradient, rel_error
 from axialreid.tensor import Rng
-from helpers import (fresh_split, reference_conv_backward, reference_conv_forward, reference_mask_downsample,
-                     reference_softmax, reference_tracklet_feature)
+from helpers import (fresh_split, reference_batchnorm_forward, reference_conv_backward, reference_conv_forward,
+                     reference_gather_offsets, reference_mask_downsample, reference_model_backward,
+                     reference_scatter_offsets, reference_softmax, reference_softmax_backward,
+                     reference_tracklet_feature)
 
 
 def small_dataset(seed=3, num_ids=4):
@@ -419,6 +421,26 @@ class TestBatchNorm:
         out = bn.forward(np.ones((1,) + shape[1:]), training=False)
         assert np.max(np.abs(out)) < 0.2
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(shape=st.sampled_from([(6, 4), (3, 4, 4, 2), (32, 32, 16, 8), (8, 64, 4, 2), (1, 3, 1, 1)]),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           offset=st.sampled_from([0.0, 1.0, -1e3]))
+    def test_forward_bitwise_equal_to_var_reference(self, shape, seed, scale, offset):
+        # two training steps then an eval step, on the library's layer and on
+        # the reference with the same gamma and beta: outputs, caches and
+        # running statistics keep every bit
+        rng = np.random.default_rng(seed)
+        bn, ref = tt.BatchNorm(shape[1]), tt.BatchNorm(shape[1])
+        bn.gamma = ref.gamma = rng.standard_normal(shape[1])
+        bn.beta = ref.beta = rng.standard_normal(shape[1])
+        for training in (True, True, False):
+            x = offset + scale * rng.standard_normal(shape)
+            assert np.array_equal(bn.forward(x, training), reference_batchnorm_forward(ref, x, training))
+            for got, want in ((bn.running_mean, ref.running_mean), (bn.running_var, ref.running_var)):
+                assert np.array_equal(got, want)
+            if training:
+                assert all(np.array_equal(a, b) for a, b in zip(bn._cache, ref._cache))
+
 
 class TestTraining:
     def test_same_seed_identical_curves(self):
@@ -568,9 +590,33 @@ def test_kernels_bitwise_equal_to_reference_kernels(monkeypatch):
     monkeypatch.setattr(tt, "tracklet_features", reference_features)
     monkeypatch.setattr(agg, "mask_downsample", reference_mask_downsample)
     monkeypatch.setattr(att, "_softmax", reference_softmax)
+    monkeypatch.setattr(att, "_softmax_backward", reference_softmax_backward)
+    monkeypatch.setattr(att, "_gather_offsets", reference_gather_offsets)
+    monkeypatch.setattr(att, "_scatter_offsets", reference_scatter_offsets)
     monkeypatch.setattr(tt.Conv2d, "forward", reference_conv_forward)
     monkeypatch.setattr(tt.Conv2d, "backward", reference_conv_backward)
+    monkeypatch.setattr(tt.BatchNorm, "forward", reference_batchnorm_forward)
+    monkeypatch.setattr(tt.ToyModel, "backward", reference_model_backward)
     assert digest() == fast
+
+
+def test_conv0_weight_gradient_equals_full_backward():
+    # the model skips conv0's input gradient; its weight gradient keeps the bits
+    # of the backward that forms it, and so does every other gradient
+    ds = small_dataset()
+    model = tt.ToyModel(tt.ToyModelSpec(num_classes=ds.num_ids), Rng(4).child(0))
+    frames = np.stack([t.frames[:4] for t in ds.tracklets[:8]])
+    masks = np.stack([t.masks[:4] for t in ds.tracklets[:8]])
+    labels = np.array([t.identity for t in ds.tracklets[:8]])
+    f_pre, _, logits = model.forward(frames, masks, training=True)
+    _, d_logits = agg.cross_entropy(logits, labels)
+    _, d_f_pre = agg.batch_hard_triplet(f_pre, labels)
+    grads = model.backward(d_f_pre, d_logits)
+    full = reference_model_backward(model, d_f_pre, d_logits)  # the layer caches are still the step's
+    assert list(full) == list(grads)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, full[name]), name
+    assert dict(model.layers)["conv0"].backward(np.ones((32, 32, 16, 8)), want_dx=False) is None
 
 
 # One CF-AA training epoch at the default spec, after a warm-up epoch, then one
