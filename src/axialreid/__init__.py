@@ -3,7 +3,6 @@ tracklet re-detect/link alignment, and revised re-id evaluation tooling."""
 
 from .attention import (
     AttentionConfig,
-    axial_forward,
     cfaa_forward,
     nonlocal_3d_forward,
     sinusoidal_encode,
@@ -22,7 +21,6 @@ __all__ = [
     "Rng",
     "TrackletMeta",
     "attention_flops",
-    "axial_forward",
     "backbone_flops",
     "cfaa_forward",
     "load_tensor",

@@ -1,31 +1,31 @@
 """Attention kernels over (C, T, H, W) feature maps.
 
-Three ops, each with a forward pass and an analytic backward pass; every
+Two ops, each with a forward pass and an analytic backward pass; every
 backward takes ``(d_out, params, cache)`` and returns ``(d_x, grads)`` with
-gradients named like params. All three run on one attention core
-(one softmax, one analytic backward, one place that counts multiplies and
-checks the logits). The core treats every axis but the channel axis and the
-attended one as a batch axis and keeps queries, keys, values and attention
-weights as (heads, lines, L, d) stacks, so each projection and each
-score/value contraction, relative positional terms included, is one stacked
-``np.matmul``:
+gradients named like params. Both run on one axial attention core (one
+softmax, one analytic backward, one place that counts multiplies and checks
+the logits): attention restricted to 1-D lines along one axis (height, width
+or time), with every axis but the channel axis and the attended one a batch
+axis. The core keeps queries, keys, values and attention weights as
+(heads, lines, L, d) stacks, so each projection and each score/value
+contraction, relative positional terms included, is one stacked
+``np.matmul``. With ``encoding="relative"`` it is position-sensitive: learned
+relative positional embeddings add q^T r^q and k^T r^k logit terms and a
+value-side r^v term. A layer carries relative tables if and only if the
+encoding is ``"relative"``.
 
-* axial attention: attention restricted to 1-D lines along one axis (height,
-  width or time); all other coordinates are independent batch items. With
-  ``encoding="relative"`` it is position-sensitive: learned relative
-  positional embeddings add q^T r^q and k^T r^k logit terms and a value-side
-  r^v term. A layer carries relative tables if and only if the encoding is
-  ``"relative"``.
-* 3D self-attention: the axial core along one line that holds all T*H*W
+* 3D self-attention: the core along one line that holds all T*H*W
   positions (single head, no positional encoding), then output projection
   and residual add.
 * coarse-to-fine module: the input is split into S channel groups, group s is
   average-pooled by 2^(s-1), passed through height/width/time axial attention
   in sequence, upsampled, concatenated, projected back to C_in and added to
-  the input. It and 3D self-attention take one (C, T, H, W) volume or a batch
-  (N, C, T, H, W), which runs channels first as (C, N, T, H, W) in one pass;
-  the output projection is one matmul per volume. Axial attention takes one
-  volume.
+  the input. At S = 1 it is one axial block (position-sensitive with the
+  relative encoding): the three axes in sequence at full resolution.
+
+Both take one (C, T, H, W) volume or a batch (N, C, T, H, W), which runs
+channels first as (C, N, T, H, W) in one pass; the output projection is one
+matmul per volume.
 
 The softmax subtracts each row's max, exponentiates and normalises in place.
 A reduction over the last axis has a fixed cost per row whatever L (about
@@ -390,7 +390,7 @@ def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding:
 
     out = np.moveaxis(y.transpose(0, 3, 1, 2).reshape(cout, *lines.shape[1:]), -1, ax)
     cache = dict(xp=xp, q=q, k=k, v=v, attn=attn, rq=rq, rk=rk, rv=rv, axis=ax, heads=heads,
-                 lines=lines.shape[1:], ext=x.shape)
+                 lines=lines.shape[1:])
     return check_finite(np.ascontiguousarray(out), "axial attention output"), cache
 
 
@@ -435,24 +435,6 @@ def _axial_core_backward(d_out: np.ndarray, p: dict, cache: dict):
 # public forward/backward ops
 
 
-def axial_forward(x, params: dict, axis: str, cfg: AttentionConfig, want_cache: bool = False):
-    """Axial attention along one axis with cfg.encoding (none, sinusoidal or
-    relative); returns the concatenated multi-head output stream (c_out channels)."""
-    x = as_tensor(x, "x")
-    _check_extents(x, cfg)
-    keys = _check_keys(params, _LAYER_KEYS[cfg.encoding], cfg.encoding)
-    out, cache = _axial_core_forward(x, params, axis, cfg.heads, cfg.encoding)
-    return (out, {**cache, **keys}) if want_cache else out
-
-
-def axial_backward(d_out, params: dict, cache: dict):
-    _check_keys(params, cache["names"], cache["encoding"])
-    d_out = as_tensor(d_out, "upstream gradient")
-    if d_out.shape[0] != params["w_v"].shape[0] or d_out.shape[1:] != cache["ext"][1:]:
-        raise DimensionError(f"upstream gradient shape {d_out.shape} does not match forward output")
-    return _axial_core_backward(d_out, params, cache)
-
-
 def _residual_forward(x: np.ndarray, z: np.ndarray, w_o: np.ndarray, what: str):
     """x + w_o z for x ([N,] C, T, H, W): project the attention output z
     (c_out channels first, then x's other axes) back to x's channels, one
@@ -486,7 +468,7 @@ def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool 
     """3D self-attention on one (C, T, H, W) volume or an (N, C, T, H, W) batch: the axial core along
     one line through each volume's T*H*W positions, then output projection and residual add."""
     x = as_tensor(x, "x")
-    _check_extents(x, cfg, batched=True)
+    _check_extents(x, cfg)
     check_nonlocal_config(cfg)
     keys = _check_keys(params, ["w_q", "w_k", "w_v", "w_o"], cfg.encoding)
     xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
@@ -525,7 +507,7 @@ def cfaa_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False
     (N, C, T, H, W): channel split, per-scale pooled axial attention (H, W, T
     in sequence), upsample, concat, project to C_in, residual add."""
     x = as_tensor(x, "x")
-    _check_extents(x, cfg, batched=True)
+    _check_extents(x, cfg)
     carried = len({k.partition(".")[0] for k in params if k.startswith("scale")})
     if carried != cfg.scales:
         raise ConfigurationError(f"params carry {carried} scales, config says {cfg.scales}")
@@ -564,12 +546,10 @@ def cfaa_backward(d_out, params: dict, cache: dict):
     return d_x, {k: grads[k] for k in params}
 
 
-def _check_extents(x: np.ndarray, cfg: AttentionConfig, batched: bool = False):
-    """x is one (C, T, H, W) volume of cfg's extents or, if batched, also a
-    (N, C, T, H, W) stack of them."""
-    if x.ndim != 4 and not (batched and x.ndim == 5):
-        shapes = "(C, T, H, W) or (N, C, T, H, W)" if batched else "(C, T, H, W)"
-        raise DimensionError(f"expected {shapes} input, got shape {x.shape}")
+def _check_extents(x: np.ndarray, cfg: AttentionConfig):
+    """x is one (C, T, H, W) volume of cfg's extents or an (N, C, T, H, W) stack of them."""
+    if x.ndim not in (4, 5):
+        raise DimensionError(f"expected (C, T, H, W) or (N, C, T, H, W) input, got shape {x.shape}")
     want = (cfg.c_in, *cfg.axis_lengths)
     if x.shape[-4:] != want:
         raise DimensionError(f"input shape {x.shape} does not match config {want}")

@@ -3,9 +3,9 @@
 Subcommands:
   bench      analytic FLOP reports for the backbone and attention variants
   gradcheck  finite-difference check of the analytic backward passes, one row
-             each: conv2d, batchnorm, relu, masked_avg_pool, cfaa (through
-             AttentionLayer), nonlocal_3d, axial, axial_ps, triplet, cross_entropy;
-             the whole-model backward is checked by the tests
+             each: conv2d, batchnorm, relu, masked_avg_pool, cfaa, cfaa1 and
+             nonlocal_3d (all three through AttentionLayer), triplet,
+             cross_entropy; the whole-model backward is checked by the tests
   align      run re-detect-and-link over a candidate file + frame containers
   eval       CMC / mAP evaluation with optional corrections and protocols
   demo       desk-scale training + retrieval demonstration (--attention cfaa|nonlocal3d|none)
@@ -150,6 +150,26 @@ def _provenance_line(prov: dict) -> str:
     return f"frame={prov['frame']} candidate={prov['candidate']} rule={prov['rule']}\n"
 
 
+def _frame_files(frame_dir: Path) -> list[Path]:
+    """frame_dir's <n>.aakt containers in frame order. Each stem is a frame
+    number, a non-negative decimal integer (zero padding allowed), and the
+    numbers run 0..F-1, each once."""
+    numbered: dict[int, Path] = {}
+    for path in sorted(frame_dir.glob("*.aakt")):
+        if not (path.stem.isascii() and path.stem.isdigit()):
+            raise ValidationError(f"{path}: frame container name is not a frame number")
+        n = int(path.stem)
+        if n in numbered:
+            raise ValidationError(f"{path}: frame {n} repeats {numbered[n]}")
+        numbered[n] = path
+    if not numbered:
+        raise ValidationError(f"{frame_dir} holds no frame containers")
+    if max(numbered) >= len(numbered):
+        gap = min(set(range(len(numbered))) - numbered.keys())
+        raise ValidationError(f"{frame_dir}: frame {gap} is missing, frames run to {max(numbered)}")
+    return [numbered[i] for i in range(len(numbered))]
+
+
 def cmd_align(args) -> int:
     records = dl.read_candidate_file(args.candidates)
     frames_root = Path(args.frames)
@@ -159,9 +179,7 @@ def cmd_align(args) -> int:
         frame_dir = frames_root / str(tid)
         if not frame_dir.is_dir():
             raise ValidationError(f"no frame directory {frame_dir} for tracklet {tid}")
-        frame_files = sorted(frame_dir.glob("*.aakt"))
-        if not frame_files:
-            raise ValidationError(f"{frame_dir} holds no frame containers")
+        frame_files = _frame_files(frame_dir)
         frames = [load_tensor(p) for p in frame_files]
         for path, frame in zip(frame_files, frames):
             if not np.isfinite(frame).all():
@@ -191,6 +209,9 @@ def cmd_align(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.compare and args.protocol is not None:
+        raise ValidationError("--protocol has no effect with --compare")
+    args.protocol = args.protocol or "old"
     dataset, corrections = ev.load_eval_dataset(args.meta, args.distances, args.corrections)
     block = []
     if args.compare:
@@ -293,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--meta", required=True)
     e.add_argument("--distances", required=True)
     e.add_argument("--corrections")
-    e.add_argument("--protocol", choices=list(ev.PROTOCOLS), default="old")
+    e.add_argument("--protocol", choices=list(ev.PROTOCOLS), help="without --compare only (default old)")
     e.add_argument("--compare", action="store_true", help="print the protocol delta report")
     e.set_defaults(func=cmd_eval)
 
@@ -316,7 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ConfigurationError, DimensionError, NumericalError, FileNotFoundError) as exc:
+    except (ValidationError, ConfigurationError, DimensionError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

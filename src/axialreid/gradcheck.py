@@ -9,14 +9,18 @@ child 2 of the seed's stream, so a row draws only from children 0 and 1. A
 loss is a row whose forward() is a scalar.
 
 The rows:
-  conv2d, batchnorm, relu, cfaa  toytrain layers through the layer protocol
-      (forward(x, training=True), backward, named_params, named_grads); the
-      cfaa row is a CF-AA AttentionLayer over 2 clips with a non-zero w_o
+  conv2d, batchnorm, relu, cfaa, cfaa1, nonlocal_3d
+      toytrain layers through the layer protocol (forward(x, training=True),
+      backward, named_params, named_grads). The attention rows are
+      AttentionLayers with a non-zero w_o: cfaa is CF-AA at 2 scales over 2
+      clips, cfaa1 CF-AA at one scale (one axial block) on one clip, both
+      with the encoding rotating with the seed, and nonlocal_3d the 3D
+      self-attention on one clip
   masked_avg_pool                the head's masked pooling
-  nonlocal_3d, axial, axial_ps   the functional attention ops on one volume
   triplet, cross_entropy         the two training losses
 What stays under tests: the whole ToyModel backward (as a row it takes 1-2 s
-per seed even on a 500-parameter spec) and the canonical 2x3x4x2 axial case.
+per seed even on a 500-parameter spec) and the canonical 2x3x4x2 case of
+the axial core on one axis.
 """
 
 from __future__ import annotations
@@ -94,12 +98,30 @@ def _batchnorm(rng: Rng):
     return _layer(f"batchnorm[{len(shape)}d]", bn, rng.child(1).normal(shape))
 
 
+def _attention(op: str, kind: str, cfg: att.AttentionConfig, clips: int, rng: Rng):
+    """An AttentionLayer over clips clips, with a non-zero w_o: the zero one the
+    layer starts with would hide the attention branch."""
+    layer = tt.AttentionLayer(kind, cfg, rng.child(0))
+    layer.params["w_o"] = rng.child(0, 1).uniform_init(layer.params["w_o"].shape, cfg.c_out)
+    t, h, w = cfg.axis_lengths
+    return _layer(op, layer, rng.child(1).normal((clips * t, cfg.c_in, h, w)))
+
+
 def _cfaa(rng: Rng):
     encoding = att.ENCODINGS[rng.seed % 3]
     cfg = att.AttentionConfig(c_in=4, c_qk=8, c_out=4, heads=2, scales=2, encoding=encoding, axis_lengths=(2, 4, 2))
-    layer = tt.AttentionLayer("cfaa", cfg, rng.child(0))
-    layer.params["w_o"] = rng.child(0, 1).uniform_init(layer.params["w_o"].shape, cfg.c_out)  # zero w_o hides the branch
-    return _layer(f"cfaa[{encoding}]", layer, rng.child(1).normal((2 * 2, 4, 4, 2)))
+    return _attention(f"cfaa[{encoding}]", "cfaa", cfg, 2, rng)
+
+
+def _cfaa1(rng: Rng):
+    encoding = att.ENCODINGS[rng.seed % 3]
+    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=1, encoding=encoding, axis_lengths=(2, 3, 2))
+    return _attention(f"cfaa1[{encoding}]", "cfaa", cfg, 1, rng)
+
+
+def _nonlocal(rng: Rng):
+    cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=3, axis_lengths=(2, 2, 2))
+    return _attention("nonlocal_3d", "nonlocal3d", cfg, 1, rng)
 
 
 def _masked_avg_pool(rng: Rng):
@@ -108,40 +130,6 @@ def _masked_avg_pool(rng: Rng):
     m[:, 0, 0] = 1.0  # no fully invalid frame
     return ("masked_avg_pool", {"x": f}, lambda: agg.masked_avg_pool(f, m),
             lambda g: {"x": agg.masked_avg_pool_backward(g, m)})
-
-
-def _op(op: str, prefix: str, forward, backward, params: dict, x: np.ndarray):
-    """A functional attention op: forward(want_cache) runs it on x and params,
-    and backward(g, params, cache) returns (d_x, gradients named like params);
-    the parameters are named under prefix."""
-    cache = {}
-
-    def run():
-        out, cache["last"] = forward(True)
-        return out
-
-    def back(g):
-        d_x, grads = backward(g, params, cache["last"])
-        return {"x": d_x, **{f"{prefix}.{k}": v for k, v in grads.items()}}
-
-    return op, {"x": x, **{f"{prefix}.{k}": v for k, v in params.items()}}, run, back
-
-
-def _nonlocal(rng: Rng):
-    cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=3, axis_lengths=(2, 2, 2))
-    params = att.init_nonlocal_params(cfg, rng.child(0))
-    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    return _op("nonlocal_3d", "nonlocal", lambda want_cache: att.nonlocal_3d_forward(x, params, cfg, want_cache),
-               att.nonlocal_3d_backward, params, x)
-
-
-def _axial(rng: Rng, encoding: str):
-    cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, encoding=encoding, axis_lengths=(2, 3, 2))
-    axis = ("H", "W", "T")[rng.seed % 3]
-    params = att.init_axial_layer(cfg, cfg.c_in, dict(T=2, H=3, W=2)[axis], rng.child(0))
-    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
-    return _op(f"axial[{encoding}]", "axial", lambda want_cache: att.axial_forward(x, params, axis, cfg, want_cache),
-               att.axial_backward, params, x)
 
 
 def _triplet(rng: Rng):
@@ -165,9 +153,8 @@ ALL_CHECKS = {
     "relu": lambda rng: _layer("relu", tt.ReLU(), rng.child(0).normal((2, 3, 4, 2))),
     "masked_avg_pool": _masked_avg_pool,
     "cfaa": _cfaa,
+    "cfaa1": _cfaa1,
     "nonlocal_3d": _nonlocal,
-    "axial": lambda rng: _axial(rng, "sinusoidal" if rng.seed % 2 else "none"),
-    "axial_ps": lambda rng: _axial(rng, "relative"),
     "triplet": _triplet,
     "cross_entropy": _cross_entropy,
 }

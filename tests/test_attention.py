@@ -132,6 +132,11 @@ def einsum_core_backward(d_out, p, cache):
     return np.ascontiguousarray(d_x), grads
 
 
+def axial_out(x, params, axis, cfg):
+    """One axial layer on x through the core, with cfg's heads and encoding."""
+    return att._axial_core_forward(x, params, axis, cfg.heads, cfg.encoding)[0]
+
+
 def scaled_error(a, ref):
     """max |a - ref| relative to the largest |ref| (0 when both are all zero):
     the matmul and einsum summation orders differ by ~1e-16 of the scale."""
@@ -228,7 +233,7 @@ class TestAxial:
         cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=4, axis_lengths=(1, 2, 2))
         params = att.init_axial_layer(cfg, 3, 1, Rng(0))
         x = Rng(1).normal((3, 1, 2, 2))
-        out = att.axial_forward(x, params, "T", cfg)
+        out = axial_out(x, params, "T", cfg)
         expected = np.einsum("oc,cthw->othw", params["w_v"], x)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -236,17 +241,17 @@ class TestAxial:
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(3, 4, 2))
         params = att.init_axial_layer(cfg, 2, 4, Rng(2))
         x = Rng(3).normal((2, 3, 4, 2))
-        out = att.axial_forward(x, params, "H", cfg)
+        out = axial_out(x, params, "H", cfg)
         perm_t, perm_w = Rng(4).permutation(3), Rng(5).permutation(2)
         xp = x[:, perm_t][:, :, :, perm_w]
-        outp = att.axial_forward(xp, params, "H", cfg)
+        outp = axial_out(xp, params, "H", cfg)
         np.testing.assert_allclose(outp, out[:, perm_t][:, :, :, perm_w], atol=1e-13)
 
     def test_against_dense_line_oracle(self):
         cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=3, axis_lengths=(1, 3, 1))
         params = att.init_axial_layer(cfg, 3, 3, Rng(6))
         x = Rng(7).normal((3, 1, 3, 1))
-        out = att.axial_forward(x, params, "H", cfg)
+        out = axial_out(x, params, "H", cfg)
         oracle = dense_line_attention_oracle(x[:, 0, :, 0], params["w_q"], params["w_k"], params["w_v"])
         assert np.max(np.abs(out[:, 0, :, 0] - oracle)) < 1e-12
 
@@ -254,16 +259,16 @@ class TestAxial:
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(2, 2, 2))
         params = att.init_axial_layer(cfg, 2, 2, Rng(0))
         with pytest.raises(DimensionError, match="axis"):
-            att.axial_forward(np.ones((2, 2, 2, 2)), params, "Z", cfg)
+            axial_out(np.ones((2, 2, 2, 2)), params, "Z", cfg)
 
     def test_off_axis_perturbation_stays_local(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(3, 2, 3))
         params = att.init_axial_layer(cfg, 2, 2, Rng(8))
         x = Rng(9).normal((2, 3, 2, 3))
-        base = att.axial_forward(x, params, "H", cfg)
+        base = axial_out(x, params, "H", cfg)
         x2 = x.copy()
         x2[:, 1, :, 2] += 1.0
-        out2 = att.axial_forward(x2, params, "H", cfg)
+        out2 = axial_out(x2, params, "H", cfg)
         changed = np.any(np.abs(out2 - base) > 1e-14, axis=(0, 2))
         expected = np.zeros((3, 3), dtype=bool)
         expected[1, 2] = True
@@ -286,7 +291,7 @@ class TestAxial:
         cfg1 = att.AttentionConfig(c_in=4, c_qk=2, c_out=2, heads=1, axis_lengths=(1, 3, 1))
         params = att.init_axial_layer(cfg1, 4, 3, Rng(22))
         x = Rng(23).normal((4, 1, 3, 1))
-        out = att.axial_forward(x, params, "H", cfg1)
+        out = axial_out(x, params, "H", cfg1)
         oracle = dense_line_attention_oracle(x[:, 0, :, 0], params["w_q"], params["w_k"], params["w_v"])
         assert np.max(np.abs(out[:, 0, :, 0] - oracle)) < 1e-12
 
@@ -306,12 +311,12 @@ class TestAxial:
         cfg2 = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, axis_lengths=(1, 3, 1))
         params = att.init_axial_layer(cfg2, 4, 3, Rng(10))
         x = Rng(11).normal((4, 1, 3, 1))
-        out = att.axial_forward(x, params, "H", cfg2)
+        out = axial_out(x, params, "H", cfg2)
         cfg1 = att.AttentionConfig(c_in=4, c_qk=2, c_out=2, heads=1, axis_lengths=(1, 3, 1))
         pieces = []
         for m in range(2):
             sub = {name: w[2 * m : 2 * m + 2] for name, w in params.items()}
-            pieces.append(att.axial_forward(x, sub, "H", cfg1))
+            pieces.append(axial_out(x, sub, "H", cfg1))
         np.testing.assert_array_equal(out, np.concatenate(pieces, axis=0))
 
 
@@ -329,10 +334,10 @@ class TestAxialPositionSensitive:
         for tab in ("r_q", "r_k", "r_v"):
             params[tab] = np.zeros_like(params[tab])
         x = Rng(2).normal((3, 1, 3, 1))
-        out_ps = att.axial_forward(x, params, "H", cfg)
+        out_ps = axial_out(x, params, "H", cfg)
         cfg_plain = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, axis_lengths=(1, 3, 1))
         plain = {name: params[name] for name in ("w_q", "w_k", "w_v")}
-        out_plain = att.axial_forward(x, plain, "H", cfg_plain)
+        out_plain = axial_out(x, plain, "H", cfg_plain)
         assert np.array_equal(out_ps, out_plain)
 
     def test_singleton_axis_zero_tables(self):
@@ -343,13 +348,13 @@ class TestAxialPositionSensitive:
         params["r_v"] = np.zeros((1, 2))
         cfg1 = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, encoding="relative", axis_lengths=(1, 1, 1))
         x = Rng(4).normal((3, 1, 1, 1))
-        out = att.axial_forward(x, params, "W", cfg1)
+        out = axial_out(x, params, "W", cfg1)
         np.testing.assert_allclose(out[:, 0, 0, 0], params["w_v"] @ x[:, 0, 0, 0], atol=1e-15)
 
     def test_length2_line_against_expanded_oracle(self):
         cfg, params = self.make(length=2, seed=5)
         x = Rng(6).normal((3, 1, 2, 1))
-        out = att.axial_forward(x, params, "H", cfg)
+        out = axial_out(x, params, "H", cfg)
         oracle = dense_line_attention_oracle(
             x[:, 0, :, 0], *(params[n] for n in ("w_q", "w_k", "w_v", "r_q", "r_k", "r_v"))
         )
@@ -360,15 +365,7 @@ class TestAxialPositionSensitive:
         params["r_q"] = params["r_q"][:-1]
         x = Rng(8).normal((3, 1, 3, 1))
         with pytest.raises(ConfigurationError, match="r_q"):
-            att.axial_forward(x, params, "H", cfg)
-
-    @pytest.mark.parametrize("encoding", ["none", "sinusoidal"])
-    def test_tables_without_relative_encoding_rejected(self, encoding):
-        _, params = self.make(length=3, seed=11)
-        cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=2, encoding=encoding, axis_lengths=(1, 3, 1))
-        with pytest.raises(ConfigurationError, match=f"^relative tables r_q/r_k/r_v need encoding 'relative', "
-                                                     f"got '{encoding}'$"):
-            att.axial_forward(Rng(12).normal((3, 1, 3, 1)), params, "H", cfg)
+            axial_out(x, params, "H", cfg)
 
     @pytest.mark.parametrize("length", range(1, 17))
     def test_scatter_matches_loop_oracle_and_is_gather_adjoint(self, length):
@@ -408,8 +405,8 @@ class TestAxialPositionSensitive:
             for delta in range(1, length):
                 tab[delta + length - 1] = tab[delta - 1]
         x = Rng(10).normal((3, 1, length, 1))
-        out = att.axial_forward(x, params, "H", cfg)
-        rolled = att.axial_forward(np.roll(x, 1, axis=2), params, "H", cfg)
+        out = axial_out(x, params, "H", cfg)
+        rolled = axial_out(np.roll(x, 1, axis=2), params, "H", cfg)
         np.testing.assert_allclose(rolled, np.roll(out, 1, axis=2), atol=1e-12)
 
 
@@ -422,7 +419,7 @@ class TestSoftmax:
         cfg = att.AttentionConfig(c_in=1, c_qk=1, c_out=1, axis_lengths=(1, len(values), 1))
         params = {"w_q": np.array([[w_qk]]), "w_k": np.array([[w_qk]]), "w_v": np.array([[1.0]])}
         x = np.asarray(values, dtype=np.float64).reshape(1, 1, -1, 1)
-        out, cache = att.axial_forward(x, params, "H", cfg, want_cache=True)
+        out, cache = att._axial_core_forward(x, params, "H", cfg.heads, cfg.encoding)
         return out, cache["attn"][0, 0]  # (L, L) rows over keys
 
     def test_uniform_logits(self):
@@ -444,7 +441,7 @@ class TestSoftmax:
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(2, 13, 3))
         params = att.init_axial_layer(cfg, 2, 13, rng.child(0))
         x = rng.child(1).uniform(-30.0, 30.0, (2, 2, 13, 3))  # logits up to ~1e3
-        _, cache = att.axial_forward(x, params, "H", cfg, want_cache=True)
+        _, cache = att._axial_core_forward(x, params, "H", cfg.heads, cfg.encoding)
         _, nl_cache = att.nonlocal_3d_forward(x, att.init_nonlocal_params(cfg, rng.child(2)), cfg, want_cache=True)
         for attn in (cache["attn"], nl_cache["attn"]):
             assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
@@ -503,9 +500,9 @@ class TestSoftmax:
 
     def test_empty_axis_rejected(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(1, 1, 1))
-        params = att.init_axial_layer(cfg, 2, 1, Rng(0))
+        params = att.init_cfaa_params(cfg, Rng(0))
         with pytest.raises(DimensionError):
-            att.axial_forward(np.empty((2, 1, 0, 1)), params, "H", cfg)
+            att.cfaa_forward(np.empty((2, 1, 0, 1)), params, cfg)
 
 
 class TestCfaa:
@@ -567,8 +564,8 @@ class TestCfaa:
 
 # op -> (config, params for it, forward(x, params, cfg)); every config draws relative tables where it can
 PARAM_OPS = {
-    "axial": (att.AttentionConfig(c_in=2, c_qk=2, c_out=2, encoding="relative", axis_lengths=(2, 4, 2)),
-              lambda cfg: att.init_axial_layer(cfg, 2, 4, Rng(0)), lambda x, p, cfg: att.axial_forward(x, p, "H", cfg)),
+    "cfaa1": (att.AttentionConfig(c_in=2, c_qk=2, c_out=2, encoding="relative", axis_lengths=(2, 4, 2)),
+              lambda cfg: att.init_cfaa_params(cfg, Rng(0)), att.cfaa_forward),
     "nonlocal_3d": (att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(2, 4, 2)),
                     lambda cfg: att.init_nonlocal_params(cfg, Rng(0)), att.nonlocal_3d_forward),
     "cfaa": (att.AttentionConfig(c_in=4, c_qk=4, c_out=4, scales=2, encoding="relative", axis_lengths=(2, 4, 2)),
@@ -600,7 +597,7 @@ class TestParamNames:
             forward(np.ones((cfg.c_in, *cfg.axis_lengths)), params, cfg)
 
     @pytest.mark.parametrize("encoding", ["none", "sinusoidal"])
-    @pytest.mark.parametrize("op", ["cfaa", "nonlocal_3d"])  # axial: TestAxialPositionSensitive
+    @pytest.mark.parametrize("op", list(PARAM_OPS))
     def test_tables_without_relative_encoding_rejected(self, op, encoding):
         cfg, init, forward = PARAM_OPS[op]
         params = init(cfg)
@@ -746,9 +743,6 @@ class TestBatchedMatmulCore:
         for shape in ((2, cfg.c_in, t, h, w + 1), (2, cfg.c_in + 1, t, h, w), (1, 2, cfg.c_in, t, h, w)):
             with pytest.raises(DimensionError):
                 att.cfaa_forward(np.ones(shape), params, cfg)
-        # axial attention takes one volume
-        with pytest.raises(DimensionError):
-            att.axial_forward(np.ones((2, cfg.c_in, t, h, w)), att._sub(params, "scale0.aa_h."), "H", cfg)
         # 3D self-attention takes a batch as well, of volumes of the config's shape
         nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 2, 2))
         nl_params = att.init_nonlocal_params(nl_cfg, Rng(0))

@@ -320,6 +320,42 @@ class TestAlign:
         assert err == f"error: tracklet 5: slim ratio {float(value)} must be positive\n"
         assert not out_dir.exists()
 
+    def test_zero_padding_frame_names_leaves_output_unchanged(self, capsys, tmp_path):
+        # frames 0..10: by name 10.aakt sorts before 2.aakt, by number it follows 9.aakt
+        rng = Rng(22)
+        target = dl.ScriptedIdentity(centroid=np.array([1.0, 0.0]), boxes={f: (2, 2, 8, 24) for f in range(11)})
+        cands, _ = dl.synthetic_detector([target], 11, rng, noise_scale=0.05)
+        cand_file = tmp_path / "cands.tsv"
+        write_candidate_file(cand_file, {5: [c for row in cands for c in row]}, dim=2)
+        outputs = []
+        for width in (1, 4):
+            frames_dir = tmp_path / f"frames{width}"
+            (frames_dir / "5").mkdir(parents=True)
+            for i in range(11):
+                pixels = rng.child(50 + i).uniform(0.1, 1.0, (3, 40, 30))
+                save_tensor(frames_dir / "5" / f"{i:0{width}d}.aakt", pixels)
+            out_dir = tmp_path / f"out{width}"
+            code, _, _ = run(capsys, "align", "--candidates", str(cand_file),
+                             "--frames", str(frames_dir), "--out", str(out_dir))
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted((out_dir / "5").iterdir())})
+        assert len(outputs[0]) == 2 * 11 + 1 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name, message", [
+        ("frame1.aakt", "{dir}/frame1.aakt: frame container name is not a frame number"),
+        ("-1.aakt", "{dir}/-1.aakt: frame container name is not a frame number"),
+        ("0.aakt", "{dir}/0000.aakt: frame 0 repeats {dir}/0.aakt"),
+        ("0004.aakt", "{dir}: frame 1 is missing, frames run to 4"),
+    ], ids=["not-a-number", "negative", "repeat", "gap"])
+    def test_misnumbered_frame_exits_one_naming_path(self, capsys, align_fixture, name, message):
+        cand_file, frames_dir, out_dir, _ = align_fixture
+        (frames_dir / "5" / "0001.aakt").rename(frames_dir / "5" / name)
+        code, out, err = run(capsys, "align", "--candidates", str(cand_file),
+                             "--frames", str(frames_dir), "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == "error: " + message.format(dir=frames_dir / "5") + "\n"
+        assert not out_dir.exists()
+
     def test_malformed_candidates_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("D=2\n1\t0\tx\t0\t5\t5\t0.9\t1\t2\n")
@@ -414,6 +450,75 @@ class TestEval:
         assert code == 1
         assert "mAP" not in out
         assert err.startswith("error: ") and "meta.tsv:7: gallery tid 410 repeats line 4" in err
+
+
+    def test_protocol_defaults_to_old(self, capsys, eval_fixture):
+        meta, dist, corr, _ = eval_fixture
+        _, out_default, _ = run(capsys, "eval", "--meta", str(meta), "--distances", str(dist))
+        _, out_old, _ = run(capsys, "eval", "--meta", str(meta), "--distances", str(dist), "--protocol", "old")
+        assert kv_block(out_default)["protocol"] == "old" and out_default == out_old
+
+    @pytest.mark.parametrize("protocol", ["old", "new"])
+    def test_protocol_with_compare_exits_one(self, capsys, eval_fixture, protocol):
+        meta, dist, corr, _ = eval_fixture
+        code, out, err = run(capsys, "eval", "--meta", str(meta), "--distances", str(dist),
+                             "--corrections", str(corr), "--compare", "--protocol", protocol)
+        assert code == 1 and out == ""
+        assert err == "error: --protocol has no effect with --compare\n"
+
+
+def make_hostile(path, kind):
+    """Put a hostile input of the given kind at path, in place of what is there;
+    "renamed" renames the frame container at path to a name that is not a frame number."""
+    if kind == "renamed":
+        path.rename(path.with_name("frame1.aakt"))
+        return
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "dangling-symlink":
+        path.symlink_to(path.with_name("missing"))
+    else:  # "wrong-rank", a rank-1 container: the wrong rank for a frame or a distance matrix, and not text
+        save_tensor(path, np.ones(4))
+
+
+# flag -> (subcommand, the fixture path it names); "frame" is one frame container under --frames
+HOSTILE_TARGETS = {
+    "--candidates": ("align", "cands.tsv"), "--frames": ("align", "frames"), "--out": ("align", "out"),
+    "frame": ("align", "frames/5/0001.aakt"),
+    "--meta": ("eval", "meta.tsv"), "--distances": ("eval", "dist.aakt"), "--corrections": ("eval", "corr.txt"),
+}
+HOSTILE_KINDS = ("directory", "empty", "wrong-rank", "dangling-symlink")
+HOSTILE_CASES = [(flag, kind) for flag in HOSTILE_TARGETS for kind in HOSTILE_KINDS]
+VALID_HOSTILE = {("--out", "directory"), ("--corrections", "empty")}  # an existing --out; no corrections
+
+
+class TestHostileInputs:
+    """Each file flag of align and eval given a directory, an empty file, a
+    container of the wrong rank or a symlink to a missing file, and a renamed
+    frame container: the run exits 0 or 1, and a failure is one `error:` line
+    (an escaping exception fails the test)."""
+
+    @pytest.mark.parametrize("flag, kind", HOSTILE_CASES + [("frame", "renamed")])
+    def test_exits_zero_or_one_with_one_error_line(self, capsys, align_fixture, eval_fixture, tmp_path, flag, kind):
+        command, name = HOSTILE_TARGETS[flag]
+        make_hostile(tmp_path / name, kind)
+        argv = [a for f, (cmd, path) in HOSTILE_TARGETS.items() if cmd == command and f != "frame"
+                for a in (f, str(tmp_path / path))]
+        code, out, err = run(capsys, command, *argv)
+        assert "Traceback" not in err
+        if (flag, kind) in VALID_HOSTILE:
+            assert code == 0 and err == ""
+            return
+        assert code == 1 and "---" not in out
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        if kind in ("directory", "dangling-symlink"):
+            assert str(tmp_path / name) in err
 
 
 class TestDemo:

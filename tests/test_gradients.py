@@ -51,7 +51,8 @@ def test_every_backward_has_a_row_or_a_test():
 
 
 def test_fd_on_2x3x4x2_input_all_parameters():
-    # the canonical finite-difference case: 2-channel 3x4x2 volume, step 1e-5
+    # the canonical finite-difference case: one relative axial layer of the core
+    # along H on a 2-channel 3x4x2 volume, step 1e-5
     rng = Rng(42)
     cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, encoding="relative", axis_lengths=(3, 4, 2))
     params = att.init_axial_layer(cfg, 2, 4, rng.child(0))
@@ -59,10 +60,10 @@ def test_fd_on_2x3x4x2_input_all_parameters():
     g = rng.child(2).normal((2, 3, 4, 2))
 
     def loss():
-        return float(np.sum(g * att.axial_forward(x, params, "H", cfg)))
+        return float(np.sum(g * att._axial_core_forward(x, params, "H", 1, "relative")[0]))
 
-    _, cache = att.axial_forward(x, params, "H", cfg, want_cache=True)
-    d_x, grads = att.axial_backward(g, params, cache)
+    _, cache = att._axial_core_forward(x, params, "H", 1, "relative")
+    d_x, grads = att._axial_core_backward(g, params, cache)
     for name, analytic in [("x", d_x), *grads.items()]:
         target = x if name == "x" else params[name]
         err = gc.rel_error(analytic, gc.fd_gradient(loss, target))
@@ -112,18 +113,15 @@ def test_fault_injection_is_caught(name):
 
 
 def attention_cases():
-    """op -> ((out, cache) of a valid forward, backward, params) for the three attention ops."""
+    """op -> ((out, cache) of a valid forward, backward, params) for the two attention ops."""
     rng = Rng(3)
     x = rng.child(0).normal((4, 2, 4, 2))
     cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
     cfaa = att.init_cfaa_params(cfg, rng.child(1))
-    ax_cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, encoding="relative", axis_lengths=(2, 4, 2))
-    axial = att.init_axial_layer(ax_cfg, 4, 4, rng.child(2))
     nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 4, 2))
     nl = att.init_nonlocal_params(nl_cfg, rng.child(3))
     return {
         "cfaa": (att.cfaa_forward(x, cfaa, cfg, want_cache=True), att.cfaa_backward, cfaa),
-        "axial": (att.axial_forward(x, axial, "H", ax_cfg, want_cache=True), att.axial_backward, axial),
         "nonlocal3d": (att.nonlocal_3d_forward(x, nl, nl_cfg, want_cache=True), att.nonlocal_3d_backward, nl),
     }
 
@@ -137,7 +135,7 @@ def test_attention_backwards_share_one_signature():
 
 
 # per op, a name its forward checked, left out of the params its backward gets
-DROPPED = {"cfaa": "scale1.aa_t.r_v", "axial": "r_v", "nonlocal3d": "w_o"}
+DROPPED = {"cfaa": "scale1.aa_t.r_v", "nonlocal3d": "w_o"}
 
 
 @pytest.mark.parametrize("op", list(DROPPED))
