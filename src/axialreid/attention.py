@@ -1,6 +1,7 @@
 """Attention kernels over (C, T, H, W) feature maps.
 
 Two ops, each with a forward pass and an analytic backward pass; every
+forward takes ``(x, params, cfg)`` and returns ``(out, cache)``, and every
 backward takes ``(d_out, params, cache)`` and returns ``(d_x, grads)`` with
 gradients named like params. Both run on one axial attention core (one
 softmax, one analytic backward, one place that counts multiplies and checks
@@ -28,29 +29,24 @@ channels first as (C, N, T, H, W) in one pass; the output projection is one
 matmul per volume.
 
 The softmax subtracts each row's max, exponentiates and normalises in place.
-A reduction over the last axis has a fixed cost per row whatever L (about
-85 ns with numpy 2.4 on a 2-core x86 VM), so short rows are reduced by
-column ops instead, one ufunc call per key over every row at once:
+A reduction over the last axis costs about the same per row whatever L, so
+short rows are reduced by column ops instead, one ufunc call per key over
+every row at once:
 
 * the row max of a row of up to 16 keys is a fold of its key columns with
   ``np.maximum``. The max is exact either way (where 0.0 ties -0.0, either
-  zero gives the same exp(x - m)). Best of 30 on that VM, the fold took
-  0.25-0.92x the reduction's time at L = 16 (8192 and 512 entries), 0.34-1.23x
-  at L = 24, 1.3-1.8x at L = 32 and 14x at L = 512, the 3D self-attention row
-  of the toy model; longer rows take the reduction;
+  zero gives the same exp(x - m)); longer rows take the reduction;
 * the row sums of the softmax and of its backward are ``_row_sum``: column
   adds in numpy's own summation order for rows of up to 8 entries, so the
-  bits are those of ``x.sum(-1)``. At (2, 1024, 4, 4) they took 32 us against
-  175 us, at (2, 512, 8, 8) 60 us against 192 us; at L = 16 they were no
-  faster, so longer rows keep the reduction.
+  bits are those of ``x.sum(-1)``; longer rows keep the reduction.
 
 Every projection and score/value contraction stays one ``np.matmul``, a BLAS
-call, with the operand transposes it always had. OpenBLAS fuses
-multiply-adds, so an elementwise form of a K=2 product matched its bits in
-only 75% of entries (K=4: 50-62%), and passing ``attn`` transposed into
-``attn @ v`` at L = 16 matched in only 31%. The relative tables are read-only
-strided views of the (2L-1, d) parameters, and the products over them keep
-the bits of those over a gathered copy.
+call, with the operand transposes it always had: OpenBLAS fuses
+multiply-adds, so an elementwise form of a short product, or a product
+handed a transposed operand, gives other bits. The relative tables are
+read-only strided views of the (2L-1, d) parameters, and the products over
+them keep the bits of those over a gathered copy. CHANGES.md holds the
+timings behind these choices.
 
 Projections are per-position linear maps (1x1x1 convolutions) without bias.
 All math is float64 numpy; multiply counts of the score/value contractions can
@@ -59,6 +55,7 @@ be instrumented via ``count_multiplies`` for cost-model cross-checks.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -219,12 +216,10 @@ def init_axial_layer(cfg: AttentionConfig, c_x: int, axis_len: int, rng: Rng) ->
 
 
 def init_nonlocal_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
-    return {
-        "w_q": rng.child(0).uniform_init((cfg.c_qk, cfg.c_in), cfg.c_in),
-        "w_k": rng.child(1).uniform_init((cfg.c_qk, cfg.c_in), cfg.c_in),
-        "w_v": rng.child(2).uniform_init((cfg.c_out, cfg.c_in), cfg.c_in),
-        "w_o": rng.child(3).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out),  # (c_in, c_out)
-    }
+    """One axial layer along the T*H*W line, then the output projection w_o (c_in, c_out)."""
+    params = init_axial_layer(cfg, cfg.c_in, math.prod(cfg.axis_lengths), rng)
+    params["w_o"] = rng.child(3).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out)
+    return params
 
 
 def init_cfaa_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
@@ -464,7 +459,7 @@ def check_nonlocal_config(cfg: AttentionConfig) -> None:
         raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
 
 
-def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False):
+def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig):
     """3D self-attention on one (C, T, H, W) volume or an (N, C, T, H, W) batch: the axial core along
     one line through each volume's T*H*W positions, then output projection and residual add."""
     x = as_tensor(x, "x")
@@ -474,7 +469,7 @@ def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool 
     xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
     y, core_cache = _axial_core_forward(xc.reshape(*xc.shape[:-3], 1, 1, -1), params, "W", 1, "none")
     out, cache = _residual_forward(x, y, params["w_o"], "3D attention output")
-    return (out, {**core_cache, **cache, **keys}) if want_cache else out
+    return out, {**core_cache, **cache, **keys}
 
 
 def nonlocal_3d_backward(d_out, params: dict, cache: dict):
@@ -502,7 +497,7 @@ def _chain_backward(d_out, sp: dict, caches):
     return d_out, grads
 
 
-def cfaa_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False):
+def cfaa_forward(x, params: dict, cfg: AttentionConfig):
     """Coarse-to-fine module on one (C, T, H, W) volume or a batch
     (N, C, T, H, W): channel split, per-scale pooled axial attention (H, W, T
     in sequence), upsample, concat, project to C_in, residual add."""
@@ -525,7 +520,7 @@ def cfaa_forward(x, params: dict, cfg: AttentionConfig, want_cache: bool = False
         caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[-2:], extents=pooled.shape))
     z = np.concatenate(outs, axis=0)  # (c_out, [N,] T, H, W)
     out, cache = _residual_forward(x, z, params["w_o"], "coarse-to-fine output")
-    return (out, dict(scale_caches=caches, **cache, **keys)) if want_cache else out
+    return out, dict(scale_caches=caches, **cache, **keys)
 
 
 def cfaa_backward(d_out, params: dict, cache: dict):

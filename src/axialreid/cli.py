@@ -182,6 +182,8 @@ def cmd_align(args) -> int:
         frame_files = _frame_files(frame_dir)
         frames = [load_tensor(p) for p in frame_files]
         for path, frame in zip(frame_files, frames):
+            if frame.ndim != 3 or frame.shape[0] != 3:
+                raise ValidationError(f"{path}: frame must be (3, H, W), got {frame.shape}")
             if not np.isfinite(frame).all():
                 raise ValidationError(f"{path}: frame container holds non-finite pixel values")
         by_frame: list[list[dl.CandidateBox]] = [[] for _ in frames]

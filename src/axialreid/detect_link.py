@@ -15,6 +15,7 @@ floats, tab-separated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ DEFAULT_ALPHA = 0.9
 DEFAULT_SLIM_RATIO = 3.0
 
 
-@dataclass
+@dataclass(eq=False)  # candidates are told apart by identity: two may share a box
 class CandidateBox:
     frame: int
     box: tuple[float, float, float, float]  # x, y, w, h in pixels
@@ -132,6 +133,8 @@ def _check_slim_ratio(slim_ratio: float) -> None:
 
 def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATIO) -> AlignedFrame:
     """Crop the box, aspect-preserving resize into 256x128, zero-pad the rest.
+    Box edges round half up, so shifting the box by whole pixels shifts the crop
+    by as many.
 
     Slim boxes (h/w > slim_ratio) whose center sits in the left (right) third
     of the source frame are anchored right (left) of center, so the padding
@@ -141,8 +144,8 @@ def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATI
     _check_slim_ratio(slim_ratio)
     fh, fw = frame.shape[1:]
     x, y, w, h = box
-    x0, y0 = max(int(round(x)), 0), max(int(round(y)), 0)
-    x1, y1 = min(int(round(x + w)), fw), min(int(round(y + h)), fh)
+    x0, y0 = max(math.floor(x + 0.5), 0), max(math.floor(y + 0.5), 0)
+    x1, y1 = min(math.floor(x + w + 0.5), fw), min(math.floor(y + h + 0.5), fh)
     if x1 - x0 < 1 or y1 - y0 < 1:
         raise ValidationError(f"box {box} degenerate after clipping to {fh}x{fw}")
     crop = frame[:, y0:y1, x0:x1]

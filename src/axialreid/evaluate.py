@@ -369,10 +369,13 @@ def read_corrections_file(path) -> LabelCorrections:
 
 def load_eval_dataset(meta_path, distances_path, corrections_path=None) -> tuple[EvalDataset, LabelCorrections | None]:
     queries, gallery = read_metadata_file(meta_path)
+    if not queries or not gallery:
+        raise ValidationError(f"{meta_path}: metadata needs a query and a gallery line, "
+                              f"got {len(queries)} queries and {len(gallery)} gallery")
     distances = load_tensor(distances_path)
     if distances.ndim != 2 or distances.shape != (len(queries), len(gallery)):
         raise DimensionError(
-            f"distance matrix {distances.shape} does not match metadata "
+            f"{distances_path}: distance matrix {distances.shape} does not match metadata "
             f"({len(queries)} queries x {len(gallery)} gallery)"
         )
     dataset = EvalDataset(queries=queries, gallery=gallery, distances=distances)

@@ -22,6 +22,7 @@ SGD_MOMENTUM = 0.9
 BN_MOMENTUM = 0.1  # weight of the batch statistics in BatchNorm's running estimates
 LR_DECAY_AFTER = 0.75  # fraction of the epochs after which the learning rate drops 10x
 FRAME_HW = (32, 16)  # synthetic frame size; the drawn figure is 18 pixels tall
+CLIP_LEN = 4  # frames per clip, in training, retrieval and the attention volume
 P_IDS, K_TRACKS = 4, 2  # the default training batch: P identities x K tracklets, one clip each
 FORWARD_CLIPS = P_IDS * K_TRACKS  # most clips per eval-mode forward: a training batch, whose GEMMs use one core
 
@@ -197,8 +198,9 @@ class AttentionLayer(Layer):
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         t = self.cfg.axis_lengths[0]
         vols = x.reshape(x.shape[0] // t, t, *x.shape[1:]).transpose(0, 2, 1, 3, 4)  # (B, C, T, H, W)
-        out = getattr(att, f"{self._op}_forward")(vols, self.params, self.cfg, want_cache=training)
-        out, self._cache = out if training else (out, None)
+        out, self._cache = getattr(att, f"{self._op}_forward")(vols, self.params, self.cfg)
+        if not training:
+            self._cache = None  # freed before the output's copy, as an eval-mode forward keeps nothing
         return out.transpose(0, 2, 1, 3, 4).reshape(x.shape)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -307,8 +309,6 @@ class SyntheticIdentityDataset:
 class ToyModelSpec:
     channels: tuple[int, ...] = (32, 64, 64)
     strides: tuple[int, ...] = (2, 2, 1)
-    frame_hw: tuple[int, int] = FRAME_HW
-    clip_len: int = 4
     num_classes: int = 20
     attention: tuple = ("cfaa", 4, 2)  # after block 0: ("cfaa", scales, heads), ("nonlocal3d",) or ("none",)
 
@@ -326,12 +326,12 @@ class ToyModelSpec:
                                          f"or ('none',), got {self.attention!r}")
 
     def attention_config(self) -> att.AttentionConfig:
-        h, w = (n // self.strides[0] for n in self.frame_hw)  # attention follows block 0
+        h, w = (n // self.strides[0] for n in FRAME_HW)  # attention follows block 0
         c = self.channels[0]
         _, *cfaa = self.attention  # [scales, heads] for CF-AA, with relative encoding
         scales, heads = cfaa or (1, 1)
         return att.AttentionConfig(c_in=c, c_qk=c // 2, c_out=c, heads=heads, scales=scales,
-                                   encoding="relative" if cfaa else "none", axis_lengths=(self.clip_len, h, w))
+                                   encoding="relative" if cfaa else "none", axis_lengths=(CLIP_LEN, h, w))
 
 
 class ToyModel:
@@ -359,8 +359,8 @@ class ToyModel:
     def forward(self, frames: np.ndarray, masks: np.ndarray, training: bool):
         """frames (B, T, 3, H, W), masks (B, T, H, W) -> (f_pre, f_post, logits)."""
         b, t = frames.shape[:2]
-        if self.spec.attention[0] != "none" and t != self.spec.clip_len:
-            raise DimensionError(f"clips of T={t} frames, but attention runs on clip_len={self.spec.clip_len}")
+        if self.spec.attention[0] != "none" and t != CLIP_LEN:
+            raise DimensionError(f"clips of T={t} frames, but attention runs on clip_len={CLIP_LEN}")
         x = frames.reshape(b * t, *frames.shape[2:])
         for _, layer in self.layers:
             x = layer.forward(x, training)
@@ -399,10 +399,10 @@ class TrainLog:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-def _sample_clip(track: Tracklet, clip_len: int, rng: Rng, flip: bool):
-    start = int(rng.integers(0, track.frames.shape[0] - clip_len + 1))
-    frames = track.frames[start : start + clip_len]
-    masks = track.masks[start : start + clip_len]
+def _sample_clip(track: Tracklet, rng: Rng, flip: bool):
+    start = int(rng.integers(0, track.frames.shape[0] - CLIP_LEN + 1))
+    frames = track.frames[start : start + CLIP_LEN]
+    masks = track.masks[start : start + CLIP_LEN]
     if flip:  # synchronized: every frame of the clip flips
         frames, masks = frames[..., ::-1], masks[..., ::-1]
     return frames.copy(), masks.copy()
@@ -440,10 +440,8 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
             f"cannot build {p_ids}x{k_tracks} batches from {dataset.num_ids} ids "
             f"x {dataset.tracklets_per_id} tracklets"
         )
-    if dataset.frames_per_tracklet < spec.clip_len:
-        raise ValidationError(
-            f"tracklets of {dataset.frames_per_tracklet} frames are shorter than clip_len={spec.clip_len}"
-        )
+    if dataset.frames_per_tracklet < CLIP_LEN:
+        raise ValidationError(f"tracklets of {dataset.frames_per_tracklet} frames are shorter than clip_len={CLIP_LEN}")
     if spec.num_classes != dataset.num_ids:
         raise ConfigurationError(f"classifier width {spec.num_classes} != {dataset.num_ids} identities")
     rng = Rng(seed)
@@ -468,7 +466,7 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
                 for j, pick in enumerate(picks):
                     tr = tracks[int(pick)]
                     flip = bool(brng.child(10 + slot, j).uniform(0, 1) < 0.5)
-                    frames, masks = _sample_clip(tr, spec.clip_len, brng.child(20 + slot, j), flip)
+                    frames, masks = _sample_clip(tr, brng.child(20 + slot, j), flip)
                     batch.append((frames, masks))
                     labels.append(tr.identity)
             frames = np.stack([f for f, _ in batch])
@@ -492,15 +490,15 @@ def tracklet_features(model: ToyModel, tracks: list[Tracklet]) -> np.ndarray:
     most FORWARD_CLIPS clips, and a longer tracklet runs alone. A failing run
     retries its tracklets one by one, so the error raised is the first bad
     tracklet's own."""
-    clip = model.spec.clip_len
 
     def forward(run: list[Tracklet]) -> list[np.ndarray]:
         parts = []
         for tr in run:
             f = tr.frames.shape[0]
-            if f < clip:
-                raise ValidationError(f"tracklet {tr.tid} has {f} frames, fewer than clip_len={clip}")
-            parts.append([a[: f // clip * clip].reshape(-1, clip, *a.shape[1:]) for a in (tr.frames, tr.masks)])
+            if f < CLIP_LEN:
+                raise ValidationError(f"tracklet {tr.tid} has {f} frames, fewer than clip_len={CLIP_LEN}")
+            n = f // CLIP_LEN
+            parts.append([a[: n * CLIP_LEN].reshape(n, CLIP_LEN, *a.shape[1:]) for a in (tr.frames, tr.masks)])
         frames, masks = (np.concatenate(arrays) for arrays in zip(*parts))
         with np.errstate(over="ignore", invalid="ignore"):  # reported as a NumericalError instead
             _, f_post, _ = model.forward(frames, masks, training=False)
@@ -513,7 +511,7 @@ def tracklet_features(model: ToyModel, tracks: list[Tracklet]) -> np.ndarray:
     for tr in tracks:
         last = runs[-1] if runs else []
         if (last and (tr.frames.shape[1:], tr.masks.shape[1:]) == (last[0].frames.shape[1:], last[0].masks.shape[1:])
-                and sum(t.frames.shape[0] // clip for t in [*last, tr]) <= FORWARD_CLIPS):
+                and sum(t.frames.shape[0] // CLIP_LEN for t in [*last, tr]) <= FORWARD_CLIPS):
             last.append(tr)
         else:
             runs.append([tr])

@@ -173,7 +173,7 @@ def reference_tracklet_feature(model: tt.ToyModel, track: tt.Tracklet) -> np.nda
     """Reference for one row of ``toytrain.tracklet_features``: every clip of
     the one tracklet in its own eval-mode forward, and the mean of the post-BN
     features."""
-    clip = model.spec.clip_len
+    clip = tt.CLIP_LEN
     f = track.frames.shape[0]
     if f < clip:
         raise ValidationError(f"tracklet {track.tid} has {f} frames, fewer than clip_len={clip}")
@@ -182,6 +182,17 @@ def reference_tracklet_feature(model: tt.ToyModel, track: tt.Tracklet) -> np.nda
     masks = track.masks[:used].reshape(-1, clip, *track.masks.shape[1:])
     _, f_post, _ = model.forward(frames, masks, training=False)
     return f_post.mean(axis=0)
+
+
+def reference_nonlocal_params(cfg: att.AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
+    """Reference for ``attention.init_nonlocal_params``: the four projections
+    drawn one by one from children 0-3."""
+    return {
+        "w_q": rng.child(0).uniform_init((cfg.c_qk, cfg.c_in), cfg.c_in),
+        "w_k": rng.child(1).uniform_init((cfg.c_qk, cfg.c_in), cfg.c_in),
+        "w_v": rng.child(2).uniform_init((cfg.c_out, cfg.c_in), cfg.c_in),
+        "w_o": rng.child(3).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out),
+    }
 
 
 def reference_mask_downsample(mask, target_hw: tuple[int, int]) -> np.ndarray:

@@ -100,7 +100,7 @@ class TestAggregate:
 
     @staticmethod
     def model():
-        spec = tt.ToyModelSpec(channels=(4, 6), strides=(2, 2), frame_hw=(8, 4), num_classes=2, attention=("none",))
+        spec = tt.ToyModelSpec(channels=(4, 6), strides=(2, 2), num_classes=2, attention=("none",))
         return tt.ToyModel(spec, Rng(0))
 
     @staticmethod

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from axialreid import attention as att
 from axialreid.errors import ConfigurationError, DimensionError
 from axialreid.tensor import Rng
-from helpers import (reference_gather_offsets, reference_scatter_offsets, reference_softmax,
-                     reference_softmax_backward)
+from helpers import (reference_gather_offsets, reference_nonlocal_params, reference_scatter_offsets,
+                     reference_softmax, reference_softmax_backward)
 
 
 def softmax_1d(v):
@@ -194,7 +194,7 @@ class TestNonlocal3d:
         cfg = self.cfg(1, 1, 1)
         params = att.init_nonlocal_params(cfg, Rng(0))
         x = Rng(1).normal((3, 1, 1, 1))
-        out = att.nonlocal_3d_forward(x, params, cfg)
+        out, _ = att.nonlocal_3d_forward(x, params, cfg)
         expected = x[:, 0, 0, 0] + params["w_o"] @ (params["w_v"] @ x[:, 0, 0, 0])
         np.testing.assert_allclose(out[:, 0, 0, 0], expected, atol=1e-15)
 
@@ -204,16 +204,27 @@ class TestNonlocal3d:
         x = Rng(3).normal((3, 2, 2, 2))
         perm = Rng(4).permutation(8)
         xp = x.reshape(3, 8)[:, perm].reshape(x.shape)
-        out = att.nonlocal_3d_forward(x, params, cfg).reshape(3, 8)
-        outp = att.nonlocal_3d_forward(xp, params, cfg).reshape(3, 8)
+        out = att.nonlocal_3d_forward(x, params, cfg)[0].reshape(3, 8)
+        outp = att.nonlocal_3d_forward(xp, params, cfg)[0].reshape(3, 8)
         np.testing.assert_allclose(outp, out[:, perm], atol=1e-12)
 
     def test_against_pairwise_oracle(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(2, 2, 2))
         params = att.init_nonlocal_params(cfg, Rng(5))
         x = Rng(6).normal((2, 2, 2, 2))
-        out = att.nonlocal_3d_forward(x, params, cfg)
+        out, _ = att.nonlocal_3d_forward(x, params, cfg)
         assert np.max(np.abs(out - nonlocal_oracle(x, params))) < 1e-12
+
+    @pytest.mark.parametrize("c_in, c_qk, c_out, extents, seed", [
+        (3, 2, 3, (2, 2, 2), 0), (32, 16, 32, (4, 16, 8), 7), (4, 6, 2, (1, 3, 5), 11), (2, 2, 2, (1, 1, 1), 3),
+    ])
+    def test_init_is_one_axial_layer_plus_output_projection(self, c_in, c_qk, c_out, extents, seed):
+        # the draw of each projection from its own child stream, bit for bit
+        cfg = att.AttentionConfig(c_in=c_in, c_qk=c_qk, c_out=c_out, axis_lengths=extents)
+        params, want = att.init_nonlocal_params(cfg, Rng(seed)), reference_nonlocal_params(cfg, Rng(seed))
+        assert list(params) == list(want)
+        for name, a in params.items():
+            assert a.shape == want[name].shape and np.array_equal(a, want[name]), name
 
     def test_multihead_rejected(self):
         cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, axis_lengths=(1, 1, 1))
@@ -279,7 +290,7 @@ class TestAxial:
                                   encoding="relative", axis_lengths=(2, 4, 2))
         params = att.init_cfaa_params(cfg, Rng(20))
         x = Rng(21).normal((4, 2, 4, 2))
-        _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+        _, cache = att.cfaa_forward(x, params, cfg)
         for sc in cache["scale_caches"]:
             for layer_cache in sc["chain"]:
                 sums = layer_cache["attn"].sum(axis=-1)
@@ -300,8 +311,8 @@ class TestAxial:
         params = att.init_nonlocal_params(cfg, Rng(24))
         x = Rng(25).normal((4, 2, 2, 2))
         x_copy = x.copy()
-        a = att.nonlocal_3d_forward(x, params, cfg)
-        b = att.nonlocal_3d_forward(x, params, cfg)
+        a, _ = att.nonlocal_3d_forward(x, params, cfg)
+        b, _ = att.nonlocal_3d_forward(x, params, cfg)
         assert np.array_equal(a, b)
         assert np.array_equal(x, x_copy)
 
@@ -442,7 +453,7 @@ class TestSoftmax:
         params = att.init_axial_layer(cfg, 2, 13, rng.child(0))
         x = rng.child(1).uniform(-30.0, 30.0, (2, 2, 13, 3))  # logits up to ~1e3
         _, cache = att._axial_core_forward(x, params, "H", cfg.heads, cfg.encoding)
-        _, nl_cache = att.nonlocal_3d_forward(x, att.init_nonlocal_params(cfg, rng.child(2)), cfg, want_cache=True)
+        _, nl_cache = att.nonlocal_3d_forward(x, att.init_nonlocal_params(cfg, rng.child(2)), cfg)
         for attn in (cache["attn"], nl_cache["attn"]):
             assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
 
@@ -517,7 +528,7 @@ class TestCfaa:
                                   encoding="relative", axis_lengths=(6, 32, 16))
         params = att.init_cfaa_params(cfg, Rng(0))
         x = Rng(1).normal((256, 6, 32, 16))
-        _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+        _, cache = att.cfaa_forward(x, params, cfg)
         assert cache["scale_caches"][0]["extents"] == (128, 6, 32, 16)
         assert cache["scale_caches"][1]["extents"] == (128, 6, 16, 8)
 
@@ -525,7 +536,7 @@ class TestCfaa:
         cfg = self.cfg(scales=1)
         params = att.init_cfaa_params(cfg, Rng(2))
         x = Rng(3).normal((8, 2, 8, 4))
-        out = att.cfaa_forward(x, params, cfg)
+        out, _ = att.cfaa_forward(x, params, cfg)
         h1, _ = att._axial_core_forward(x, att._sub(params, "scale0.aa_h."), "H", cfg.heads, cfg.encoding)
         h2, _ = att._axial_core_forward(h1, att._sub(params, "scale0.aa_w."), "W", cfg.heads, cfg.encoding)
         h3, _ = att._axial_core_forward(h2, att._sub(params, "scale0.aa_t."), "T", cfg.heads, cfg.encoding)
@@ -537,7 +548,7 @@ class TestCfaa:
         params = att.init_cfaa_params(cfg, Rng(4))
         params["w_o"] = np.zeros_like(params["w_o"])
         x = Rng(5).normal((8, 2, 8, 4))
-        assert np.array_equal(att.cfaa_forward(x, params, cfg), x)
+        assert np.array_equal(att.cfaa_forward(x, params, cfg)[0], x)
 
     def test_shape_preserved_on_random_configs(self):
         for trial in range(5):
@@ -552,7 +563,7 @@ class TestCfaa:
                                       scales=scales, encoding="relative", axis_lengths=(t, h, w))
             params = att.init_cfaa_params(cfg, rng.child(3))
             x = rng.child(4).normal((c_in, t, h, w))
-            assert att.cfaa_forward(x, params, cfg).shape == x.shape
+            assert att.cfaa_forward(x, params, cfg)[0].shape == x.shape
 
     def test_param_scale_count_validated(self):
         cfg = self.cfg(scales=2)
@@ -654,14 +665,14 @@ class TestBatchedMatmulCore:
             cfg, params, rng = batch_case(encoding, scales, heads, 10 * n + scales)
             x = rng.child(1).normal((n, cfg.c_in, *cfg.axis_lengths))
             g = rng.child(2).normal(x.shape)
-            out, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+            out, cache = att.cfaa_forward(x, params, cfg)
             d_x, grads = att.cfaa_backward(g, params, cache)
             with monkeypatch.context() as mp:
                 mp.setattr(att, "_axial_core_forward", einsum_core_forward)
                 mp.setattr(att, "_axial_core_backward", einsum_core_backward)
                 refs = []
                 for i in range(n):
-                    ref, ref_cache = att.cfaa_forward(x[i], params, cfg, want_cache=True)
+                    ref, ref_cache = att.cfaa_forward(x[i], params, cfg)
                     refs.append((ref, *att.cfaa_backward(g[i], params, ref_cache)))
             assert scaled_error(out, np.stack([r[0] for r in refs])) < 1e-12
             assert scaled_error(d_x, np.stack([r[1] for r in refs])) < 1e-12
@@ -685,14 +696,14 @@ class TestBatchedMatmulCore:
         params = att.init_cfaa_params(cfg, rng.child(0))
         x = rng.child(1).normal((n, c, t, h, w))
         g = rng.child(2).normal(x.shape)
-        out, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+        out, cache = att.cfaa_forward(x, params, cfg)
         d_x, grads = att.cfaa_backward(g, params, cache)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(att, "_axial_core_forward", einsum_core_forward)
             mp.setattr(att, "_axial_core_backward", einsum_core_backward)
             refs = []
             for i in range(n):
-                ref, ref_cache = att.cfaa_forward(x[i], params, cfg, want_cache=True)
+                ref, ref_cache = att.cfaa_forward(x[i], params, cfg)
                 refs.append((ref, *att.cfaa_backward(g[i], params, ref_cache)))
         assert scaled_error(out, np.stack([r[0] for r in refs])) < 1e-12
         assert scaled_error(d_x, np.stack([r[1] for r in refs])) < 1e-12
@@ -713,11 +724,11 @@ class TestBatchedMatmulCore:
         x = rng.child(1).normal((n, *shape))
         g = rng.child(2).normal(x.shape)
         with att.count_multiplies() as counter:
-            out, cache = att.nonlocal_3d_forward(x, params, cfg, want_cache=True)
+            out, cache = att.nonlocal_3d_forward(x, params, cfg)
         d_x, grads = att.nonlocal_3d_backward(g, params, cache)
         refs = []
         for i in range(n):
-            ref, ref_cache = att.nonlocal_3d_forward(x[i], params, cfg, want_cache=True)
+            ref, ref_cache = att.nonlocal_3d_forward(x[i], params, cfg)
             refs.append((ref, *att.nonlocal_3d_backward(g[i], params, ref_cache)))
         assert np.array_equal(out, np.stack([r[0] for r in refs]))
         assert np.array_equal(d_x, np.stack([r[1] for r in refs]))
@@ -746,7 +757,7 @@ class TestBatchedMatmulCore:
         # 3D self-attention takes a batch as well, of volumes of the config's shape
         nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 2, 2))
         nl_params = att.init_nonlocal_params(nl_cfg, Rng(0))
-        assert att.nonlocal_3d_forward(np.ones((2, 4, 2, 2, 2)), nl_params, nl_cfg).shape == (2, 4, 2, 2, 2)
+        assert att.nonlocal_3d_forward(np.ones((2, 4, 2, 2, 2)), nl_params, nl_cfg)[0].shape == (2, 4, 2, 2, 2)
         for shape in ((2, 4, 2, 2, 3), (2, 5, 2, 2, 2), (1, 2, 4, 2, 2, 2)):
             with pytest.raises(DimensionError):
                 att.nonlocal_3d_forward(np.ones(shape), nl_params, nl_cfg)
@@ -754,7 +765,7 @@ class TestBatchedMatmulCore:
     def test_batched_upstream_shape_mismatch_rejected(self):
         cfg, params, rng = batch_case("relative", 2, 1, 1)
         x = rng.child(1).normal((3, cfg.c_in, *cfg.axis_lengths))
-        _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+        _, cache = att.cfaa_forward(x, params, cfg)
         for shape in ((2, *x.shape[1:]), x.shape[1:]):
             with pytest.raises(DimensionError, match="shape"):
                 att.cfaa_backward(np.ones(shape), params, cache)

@@ -290,7 +290,7 @@ class TestAlign:
 
     @pytest.mark.parametrize("shape", [(1, 40, 30), (40, 30)], ids=["one-channel", "two-axes"])
     def test_bad_frame_shape_without_detection_exits_one(self, capsys, align_fixture, shape):
-        # frame 1 has no candidate, so it takes the no-detection path
+        # frame 1 has no candidate, so the no-detection path would read any shape
         _, frames_dir, out_dir, _ = align_fixture
         cand_file = frames_dir.parent / "first.tsv"
         cand_file.write_text("D=2\n5\t0\t2\t2\t8\t24\t0.9\t1.0\t0.0\n")
@@ -298,7 +298,7 @@ class TestAlign:
         code, _, err = run(capsys, "align", "--candidates", str(cand_file),
                            "--frames", str(frames_dir), "--out", str(out_dir))
         assert code == 1
-        assert err == f"error: tracklet 5: frame 1: frame must be (3, H, W), got {shape}\n"
+        assert err == f"error: {frames_dir / '5' / '0001.aakt'}: frame must be (3, H, W), got {shape}\n"
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_candidate_past_last_frame_names_tracklet(self, capsys, align_fixture):
@@ -468,11 +468,11 @@ class TestEval:
 
 
 def make_hostile(path, kind):
-    """Put a hostile input of the given kind at path, in place of what is there;
-    "renamed" renames the frame container at path to a name that is not a frame number."""
+    """Put a hostile input of the given kind at path, in place of what is there,
+    and return its path; "renamed" renames the frame container at path to a
+    name that is not a frame number."""
     if kind == "renamed":
-        path.rename(path.with_name("frame1.aakt"))
-        return
+        return path.rename(path.with_name("frame1.aakt"))
     if path.is_dir():
         shutil.rmtree(path)
     elif path.exists():
@@ -485,6 +485,7 @@ def make_hostile(path, kind):
         path.symlink_to(path.with_name("missing"))
     else:  # "wrong-rank", a rank-1 container: the wrong rank for a frame or a distance matrix, and not text
         save_tensor(path, np.ones(4))
+    return path
 
 
 # flag -> (subcommand, the fixture path it names); "frame" is one frame container under --frames
@@ -502,12 +503,12 @@ class TestHostileInputs:
     """Each file flag of align and eval given a directory, an empty file, a
     container of the wrong rank or a symlink to a missing file, and a renamed
     frame container: the run exits 0 or 1, and a failure is one `error:` line
-    (an escaping exception fails the test)."""
+    that names the hostile path (an escaping exception fails the test)."""
 
     @pytest.mark.parametrize("flag, kind", HOSTILE_CASES + [("frame", "renamed")])
     def test_exits_zero_or_one_with_one_error_line(self, capsys, align_fixture, eval_fixture, tmp_path, flag, kind):
         command, name = HOSTILE_TARGETS[flag]
-        make_hostile(tmp_path / name, kind)
+        hostile = make_hostile(tmp_path / name, kind)
         argv = [a for f, (cmd, path) in HOSTILE_TARGETS.items() if cmd == command and f != "frame"
                 for a in (f, str(tmp_path / path))]
         code, out, err = run(capsys, command, *argv)
@@ -517,8 +518,7 @@ class TestHostileInputs:
             return
         assert code == 1 and "---" not in out
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-        if kind in ("directory", "dangling-symlink"):
-            assert str(tmp_path / name) in err
+        assert str(hostile) in err, err
 
 
 class TestDemo:

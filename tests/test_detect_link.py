@@ -219,6 +219,13 @@ class TestProcessTracklet:
         out = dl.process_tracklet([f], cands)
         assert out[0].provenance["candidate"] == 1  # larger area, despite features
 
+    def test_candidates_sharing_a_box_told_apart(self):
+        # the second of two same-box, same-confidence candidates is the nearer one
+        frames = [np.ones((3, 40, 30))] * 2
+        twins = [box(frame=1, feat=(5.0, 5.0)), box(frame=1, feat=(1.0, 0.0))]
+        out = dl.process_tracklet(frames, [[box()], twins])
+        assert out[1].provenance["candidate"] == 1
+
     def test_occluder_scenario_follows_frame1_identity(self):
         # a second identity appears in frames 2-4 with LARGER boxes; linking by
         # feature keeps following the frame-1 identity
@@ -337,6 +344,42 @@ class TestCandidateOrder:
             assert np.array_equal(a.image, b.image) and np.array_equal(a.mask, b.mask)
             want = None if a.provenance["candidate"] is None else perm.index(a.provenance["candidate"])
             assert b.provenance["candidate"] == want
+
+
+@st.composite
+def quarter_pixel_box(draw, h: int, w: int):
+    """An (x, y, w, h) box inside an h x w frame, at least a pixel wide and
+    tall, with its edges on the quarter-pixel grid (half-integers included):
+    there, adding an integer offset to an edge is exact in float64."""
+    qx, qy = draw(st.integers(0, 4 * w - 4)), draw(st.integers(0, 4 * h - 4))
+    return qx / 4, qy / 4, draw(st.integers(4, 4 * w - qx)) / 4, draw(st.integers(4, 4 * h - qy)) / 4
+
+
+class TestTranslation:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_embedding_in_a_larger_canvas_shifts_only_the_provenance_box(self, data):
+        # slim_ratio=inf: the slim shift compares the box centre with the
+        # frame's thirds, which a larger canvas legitimately moves
+        h, w = data.draw(st.integers(1, 24), label="H"), data.draw(st.integers(1, 24), label="W")
+        oy, ox = data.draw(st.integers(0, 9), label="oy"), data.draw(st.integers(0, 9), label="ox")
+        below, right = data.draw(st.integers(0, 5), label="below"), data.draw(st.integers(0, 5), label="right")
+        frames, canvases, cands, moved = [], [], [], []
+        for f in range(data.draw(st.integers(1, 3), label="frames")):
+            frames.append(Rng(15).child(f).uniform(0, 1, (3, h, w)))
+            canvases.append(np.zeros((3, oy + h + below, ox + w + right)))
+            canvases[-1][:, oy : oy + h, ox : ox + w] = frames[-1]
+            boxes = data.draw(st.lists(quarter_pixel_box(h, w), min_size=1, max_size=3), label=f"boxes {f}")
+            feats = [Rng(16).child(f, i).normal((2,)) for i in range(len(boxes))]
+            cands.append([dl.CandidateBox(f, b, 0.9, v) for b, v in zip(boxes, feats)])
+            moved.append([dl.CandidateBox(f, (x + ox, y + oy, bw, bh), 0.9, v)
+                          for (x, y, bw, bh), v in zip(boxes, feats)])
+        base = dl.process_tracklet(frames, cands, slim_ratio=float("inf"))
+        shifted = dl.process_tracklet(canvases, moved, slim_ratio=float("inf"))
+        for a, b in zip(base, shifted):
+            assert np.array_equal(a.image, b.image) and np.array_equal(a.mask, b.mask)
+            x0, y0, x1, y1 = a.provenance["box"]
+            assert b.provenance == {**a.provenance, "box": (x0 + ox, y0 + oy, x1 + ox, y1 + oy)}
 
 
 class TestSyntheticDetector:

@@ -1,4 +1,5 @@
 import copy
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -696,4 +697,14 @@ class TestFiles:
         write_metadata_file(tmp_path / "meta.tsv", dataset.queries, dataset.gallery)
         save_tensor(tmp_path / "dist.aakt", np.ones((1, 1)))
         with pytest.raises(DimensionError, match="queries"):
+            ev.load_eval_dataset(tmp_path / "meta.tsv", tmp_path / "dist.aakt")
+
+    @pytest.mark.parametrize("role", ["query", "gallery"])
+    def test_load_dataset_rejects_metadata_without_a_role(self, tmp_path, role):
+        dataset, _ = random_instance(14)
+        kept = {"query": dataset.queries, "gallery": dataset.gallery}
+        kept[role] = []
+        write_metadata_file(tmp_path / "meta.tsv", kept["query"], kept["gallery"])
+        save_tensor(tmp_path / "dist.aakt", np.ones((1, 1)))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(tmp_path / 'meta.tsv'))}: metadata needs"):
             ev.load_eval_dataset(tmp_path / "meta.tsv", tmp_path / "dist.aakt")

@@ -76,7 +76,7 @@ def test_zero_upstream_gives_zero_bundle():
                               encoding="relative", axis_lengths=(2, 4, 2))
     params = att.init_cfaa_params(cfg, rng.child(0))
     x = rng.child(1).normal((4, 2, 4, 2))
-    _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+    _, cache = att.cfaa_forward(x, params, cfg)
     d_x, grads = att.cfaa_backward(np.zeros_like(x), params, cache)
     assert not d_x.any()
     for g in grads.values():
@@ -92,7 +92,7 @@ def test_frozen_zero_projection_passes_upstream_through():
     params["w_o"] = np.zeros_like(params["w_o"])
     x = rng.child(1).normal((4, 2, 2, 2))
     g = rng.child(2).normal(x.shape)
-    _, cache = att.cfaa_forward(x, params, cfg, want_cache=True)
+    _, cache = att.cfaa_forward(x, params, cfg)
     d_x, _ = att.cfaa_backward(g, params, cache)
     np.testing.assert_array_equal(d_x, g)
 
@@ -102,7 +102,7 @@ def test_upstream_shape_mismatch_rejected():
     cfg = att.AttentionConfig(c_in=3, c_qk=2, c_out=3, axis_lengths=(2, 2, 2))
     params = att.init_nonlocal_params(cfg, rng.child(0))
     x = rng.child(1).normal((3, 2, 2, 2))
-    _, cache = att.nonlocal_3d_forward(x, params, cfg, want_cache=True)
+    _, cache = att.nonlocal_3d_forward(x, params, cfg)
     with pytest.raises(Exception, match="shape"):
         att.nonlocal_3d_backward(np.zeros((3, 2, 2, 3)), params, cache)
 
@@ -121,8 +121,8 @@ def attention_cases():
     nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 4, 2))
     nl = att.init_nonlocal_params(nl_cfg, rng.child(3))
     return {
-        "cfaa": (att.cfaa_forward(x, cfaa, cfg, want_cache=True), att.cfaa_backward, cfaa),
-        "nonlocal3d": (att.nonlocal_3d_forward(x, nl, nl_cfg, want_cache=True), att.nonlocal_3d_backward, nl),
+        "cfaa": (att.cfaa_forward(x, cfaa, cfg), att.cfaa_backward, cfaa),
+        "nonlocal3d": (att.nonlocal_3d_forward(x, nl, nl_cfg), att.nonlocal_3d_backward, nl),
     }
 
 

@@ -387,11 +387,11 @@ def test_conv_matches_einsum_reference_on_random_shapes(case):
     assert scaled_error(conv.d_weight, ref_dw) < 1e-12
 
 
-@pytest.mark.parametrize("frame_hw", [(32, 16), (16, 8), (64, 32)], ids=lambda hw: "x".join(map(str, hw)))
-def test_model_convs_bitwise_equal_to_strided_tap_reference(frame_hw):
+@pytest.mark.parametrize("hw", [(32, 16), (16, 8), (64, 32)], ids=lambda hw: "x".join(map(str, hw)))
+def test_model_convs_bitwise_equal_to_strided_tap_reference(hw):
     # the default model's three convs, each at the input size the frames give it
     convs = [layer for _, layer in tt.ToyModel(tt.ToyModelSpec(), Rng(0)).layers if isinstance(layer, tt.Conv2d)]
-    h, w = frame_hw
+    h, w = hw
     for i, layer in enumerate(convs):
         (c_out, c_in), s = layer.weight.shape[:2], layer.stride
         rng = Rng(43).child(i)
@@ -496,10 +496,10 @@ class TestTraining:
         # a tracklet whose frames and masks are both asymmetric in W, so a missed flip shows
         track = next(t for t in small_dataset().tracklets if not np.array_equal(t.masks, t.masks[..., ::-1]))
         assert not np.array_equal(track.frames, track.frames[..., ::-1])
-        clip_len, f = 4, track.frames.shape[0]
+        clip_len, f = tt.CLIP_LEN, track.frames.shape[0]
         starts = set()
         for seed in range(8):
-            frames, masks = tt._sample_clip(track, clip_len, Rng(seed), flip)
+            frames, masks = tt._sample_clip(track, Rng(seed), flip)
             start = int(Rng(seed).integers(0, f - clip_len + 1))  # the draw _sample_clip makes
             starts.add(start)
             want_frames, want_masks = track.frames[start : start + clip_len], track.masks[start : start + clip_len]
