@@ -7,7 +7,9 @@ operation validates its inputs and guarantees a finite result.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import struct
 from pathlib import Path
@@ -116,12 +118,31 @@ def upsample_nearest_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np
     return padded.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1))
 
 
+def _key(k) -> int:
+    """A child key as a Python int: any non-negative integer, numpy's included."""
+    try:
+        n = operator.index(k)
+    except TypeError:
+        n = -1
+    if n < 0:
+        raise ValidationError(f"child key must be a non-negative integer, got {k!r}")
+    return n
+
+
 class Rng:
-    """Deterministic random source, PCG64 keyed by a 64-bit seed.
+    """Deterministic random source, PCG64 keyed by a non-negative seed.
 
     The same seed yields the same draw sequence on every platform. Independent
     child streams are derived with ``child``; derivation depends only on the
     seed and the integer key path.
+
+    The stream of seed s and key path (k1, ..., kn) is that of
+    ``Generator(PCG64(SeedSequence([s, k1, ..., kn])))``. ``SeedSequence`` is
+    handed the same entropy as a uint32 array instead: each int split into
+    its little-endian 32-bit words (0 into one zero word), the split numpy
+    makes of the list, so the pool is identical without numpy's slower
+    element-by-element coercion of a list. The generator is built on the
+    first draw, so a node that only spawns children never builds one.
     """
 
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
@@ -129,21 +150,29 @@ class Rng:
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         self._keys = _keys
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, *_keys])))
 
     def child(self, *keys: int) -> "Rng":
-        return Rng(self.seed, self._keys + tuple(int(k) for k in keys))
+        return Rng(self.seed, self._keys + tuple(map(_key, keys)))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        words = []  # the split of numpy's _int_to_uint32_array, keys checked non-negative
+        for n in (self.seed, *self._keys):
+            words.append(n & 0xFFFFFFFF)
+            while n := n >> 32:
+                words.append(n & 0xFFFFFFFF)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
     def uniform_init(self, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
         """Uniform in [-b, b] with b = 1/sqrt(fan_in), the default for learned parameters."""
         b = 1.0 / np.sqrt(float(fan_in))
-        return self._gen.uniform(-b, b, size=shape).astype(np.float64)
+        return self._gen.uniform(-b, b, size=shape).astype(np.float64, copy=False)
 
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(np.float64)
+        return self._gen.uniform(low, high, size=shape).astype(np.float64, copy=False)
 
     def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
-        return (self._gen.standard_normal(size=shape) * scale).astype(np.float64)
+        return (self._gen.standard_normal(size=shape) * scale).astype(np.float64, copy=False)
 
     def integers(self, low: int, high: int, shape=()):
         return self._gen.integers(low, high, size=shape)

@@ -237,8 +237,9 @@ class SyntheticIdentityDataset:
     palette: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.num_ids < 1:
-            raise ValidationError(f"num_ids must be at least 1, got {self.num_ids}")
+        for name in ("num_ids", "tracklets_per_id", "frames_per_tracklet"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
         rng = Rng(self.seed)
         if self.palette is None:
             self.palette = self._stratified_palette(rng.child(0))
@@ -282,8 +283,8 @@ class SyntheticIdentityDataset:
         for i in range(f):
             frng = rng.child(7, i)
             bg = tint + frng.child(0).normal((3, h, w), scale=0.03)
-            y = np.clip(base_y + int(frng.child(1).integers(-2, 3)), 0, h - 18)
-            x = np.clip(base_x + int(frng.child(2).integers(-2, 3)), 0, w - 7)
+            y = min(max(base_y + int(frng.child(1).integers(-2, 3)), 0), h - 18)
+            x = min(max(base_x + int(frng.child(2).integers(-2, 3)), 0), w - 7)
             img = bg
             img[:, y : y + 18, x : x + 6] = color[:, None, None] + frng.child(3).normal((3, 18, 6), scale=0.02)
             img[:, y : y + 4, x + 1 : x + 5] = color[::-1, None, None] * 0.8

@@ -184,6 +184,12 @@ def reference_tracklet_feature(model: tt.ToyModel, track: tt.Tracklet) -> np.nda
     return f_post.mean(axis=0)
 
 
+def reference_rng(seed: int, keys: tuple[int, ...]) -> np.random.Generator:
+    """Reference for the generator behind ``Rng(seed).child(*keys)``: numpy's
+    SeedSequence handed the Python list, which it splits into words itself."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *keys])))
+
+
 def reference_nonlocal_params(cfg: att.AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
     """Reference for ``attention.init_nonlocal_params``: the four projections
     drawn one by one from children 0-3."""

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -17,6 +18,8 @@ from axialreid.tensor import (
     upsample_nearest_2d,
     upsample_nearest_2d_adjoint,
 )
+
+from helpers import reference_rng
 
 
 class TestPooling:
@@ -237,6 +240,62 @@ class TestRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
             Rng(-1)
+
+    # each draw method, as Rng calls it and as the same call on numpy's Generator
+    DRAWS = {
+        "uniform_init": (lambda r: r.uniform_init((3, 4), 5),
+                         lambda g: g.uniform(-1.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0), size=(3, 4))),
+        "uniform": (lambda r: r.uniform(-2.0, 3.0, (7,)), lambda g: g.uniform(-2.0, 3.0, size=(7,))),
+        "normal": (lambda r: r.normal((2, 5), scale=0.3), lambda g: g.standard_normal(size=(2, 5)) * 0.3),
+        "integers": (lambda r: r.integers(-5, 9, (6,)), lambda g: g.integers(-5, 9, size=(6,))),
+        "permutation": (lambda r: r.permutation(11), lambda g: g.permutation(11)),
+        "choice": (lambda r: r.choice(20, 6), lambda g: g.choice(20, size=6, replace=False)),
+    }
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 3)
+    KEY_PATHS = ((), (0,), (0, 0), (2**32,), (7, 2**40, 0))
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", list(DRAWS))
+    def test_draws_equal_the_seed_sequence_list_oracle(self, method):
+        draw, reference = self.DRAWS[method]
+        for seed in self.SEEDS:
+            for keys in self.KEY_PATHS:
+                rng, gen = Rng(seed).child(*keys), reference_rng(seed, keys)
+                for _ in range(2):  # the second draw continues the same stream
+                    self.assert_same_bits(draw(rng), reference(gen))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**96), keys=st.lists(st.integers(0, 2**96), max_size=4),
+           split=st.integers(0, 4))
+    def test_any_key_path_equals_the_oracle(self, seed, keys, split):
+        rng = Rng(seed).child(*keys[:split]).child(*keys[split:])
+        self.assert_same_bits(rng.normal((4,)), reference_rng(seed, tuple(keys)).standard_normal(size=(4,)))
+
+    def test_spawning_node_builds_no_generator(self):
+        node = Rng(2**63).child(3)
+        kids = {k: node.child(k) for k in (0, 5, 2**32)}
+        grandchild = node.child(1).child(2)
+        for k, kid in kids.items():
+            self.assert_same_bits(kid.normal((5,)), reference_rng(2**63, (3, k)).standard_normal(size=(5,)))
+        self.assert_same_bits(grandchild.permutation(9), reference_rng(2**63, (3, 1, 2)).permutation(9))
+        assert "_gen" not in vars(node)
+        node.uniform(0.0, 1.0)
+        assert "_gen" in vars(node)
+
+    def test_numpy_integer_keys_accepted(self):
+        a = Rng(4).child(np.int64(3), np.uint64(2**63)).normal((3,))
+        self.assert_same_bits(a, Rng(4).child(3, 2**63).normal((3,)))
+
+    @pytest.mark.parametrize("key", [1.7, -1, np.int64(-2), "1", None, np.float64(2.0)],
+                             ids=["float", "negative", "np-negative", "str", "none", "np-float"])
+    def test_bad_child_key_rejected_at_child(self, key):
+        with pytest.raises(ValidationError, match=re.escape(f"child key must be a non-negative integer, got {key!r}")):
+            Rng(0).child(1, key)
 
 
 class TestContainer:

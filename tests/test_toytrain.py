@@ -93,9 +93,11 @@ class TestDataset:
         assert np.array_equal(ds.palette, other.palette)
         assert not np.array_equal(ds.tracklets[0].frames, other.tracklets[0].frames)
 
-    def test_no_identities_rejected(self):
-        with pytest.raises(ValidationError, match="num_ids must be at least 1, got 0"):
-            tt.SyntheticIdentityDataset(num_ids=0)
+    @pytest.mark.parametrize("field,value", [("num_ids", 0), ("tracklets_per_id", 0), ("tracklets_per_id", -2),
+                                             ("frames_per_tracklet", 0), ("frames_per_tracklet", -1)])
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be at least 1, got {value}"):
+            tt.SyntheticIdentityDataset(**{"num_ids": 2, field: value})
 
     def test_palette_separation(self):
         ds = tt.SyntheticIdentityDataset(num_ids=20, seed=0)
