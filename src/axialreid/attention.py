@@ -517,7 +517,7 @@ def cfaa_forward(x, params: dict, cfg: AttentionConfig):
         pooled = avg_pool_2d(xc[s * per_in : (s + 1) * per_in], factor)
         chained, chain_cache = _chain_forward(pooled, _sub(params, f"scale{s}."), cfg)
         outs.append(upsample_nearest_2d(chained, factor, target_hw=(h, w)))
-        caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[-2:], extents=pooled.shape))
+        caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[-2:]))
     z = np.concatenate(outs, axis=0)  # (c_out, [N,] T, H, W)
     out, cache = _residual_forward(x, z, params["w_o"], "coarse-to-fine output")
     return out, dict(scale_caches=caches, **cache, **keys)

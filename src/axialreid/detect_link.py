@@ -4,7 +4,9 @@ The object detector and identity feature extractor are external: candidates
 arrive as (box, confidence, feature) records per frame, either from the
 candidate file format below or from the synthetic detector used in tests.
 Linking picks the first-frame candidate by area, then follows the identity
-across frames by nearest feature to an exponentially averaged global feature.
+across frames by nearest feature to an exponentially averaged global feature
+(DeepSORT's appearance association). That global feature is the linker's only
+state: a plain array that ``link_frame`` takes and returns updated.
 Chosen crops are shift/resize/padded to 256x128 with a validity mask marking
 real versus padded pixels.
 
@@ -55,20 +57,6 @@ class CandidateBox:
 
 
 @dataclass
-class LinkState:
-    f_g: np.ndarray
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"alpha {self.alpha} outside [0, 1]")
-        self.f_g = np.asarray(self.f_g, dtype=np.float64)
-
-    def updated(self, chosen: CandidateBox) -> "LinkState":
-        return LinkState(self.alpha * self.f_g + (1.0 - self.alpha) * chosen.feature, self.alpha)
-
-
-@dataclass
 class AlignedFrame:
     image: np.ndarray  # (3, 256, 128)
     mask: np.ndarray  # (256, 128), 1 = real pixel
@@ -79,22 +67,24 @@ def select_first_frame(candidates: list[CandidateBox]) -> CandidateBox:
     """Largest-area candidate; ties broken by confidence, then lower index."""
     if not candidates:
         raise ValidationError("no candidates in the first frame")
-    best = 0
-    for i, c in enumerate(candidates[1:], 1):
-        b = candidates[best]
-        if (c.area, c.confidence) > (b.area, b.confidence):
-            best = i
-    return candidates[best]
+    return max(candidates, key=lambda c: (c.area, c.confidence))
 
 
-def link_frame(state: LinkState, candidates: list[CandidateBox]) -> tuple[CandidateBox, LinkState]:
-    """Choose the candidate nearest (Euclidean) to the global feature, then EMA-update it."""
+def link_frame(f_g: np.ndarray, candidates: list[CandidateBox],
+               alpha: float = DEFAULT_ALPHA) -> tuple[CandidateBox, np.ndarray]:
+    """Choose the candidate nearest (Euclidean) to the global feature f_g, ties
+    broken by higher confidence, then lower index; return it and the
+    EMA-updated global feature alpha * f_g + (1 - alpha) * chosen.feature."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha {alpha} outside [0, 1]")
     if not candidates:
         raise ValidationError("no candidates to link")
-    dists = [np.linalg.norm(c.feature - state.f_g) for c in candidates]
-    order = sorted(range(len(candidates)), key=lambda i: (dists[i], -candidates[i].confidence, i))
-    chosen = candidates[order[0]]
-    return chosen, state.updated(chosen)
+    for c in candidates:
+        if c.feature.shape != f_g.shape:
+            raise ValidationError(
+                f"candidate feature shape {c.feature.shape} differs from global feature shape {f_g.shape}")
+    chosen = min(candidates, key=lambda c: (np.linalg.norm(c.feature - f_g), -c.confidence))
+    return chosen, alpha * f_g + (1.0 - alpha) * chosen.feature
 
 
 def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -189,7 +179,11 @@ def process_tracklet(
     slim_ratio: float = DEFAULT_SLIM_RATIO,
 ) -> list[AlignedFrame]:
     """Align a tracklet: returns exactly one AlignedFrame per input frame, whose provenance
-    names the frame and either the chosen candidate and its rule (max-area, link) or no_detection."""
+    names the frame and either the chosen candidate and its rule (max-area, link) or no_detection.
+
+    Frame shapes are checked, pixel values are not: a NaN or Inf pixel inside a
+    chosen crop, or anywhere in a no-detection frame, comes back in the image.
+    The ``align`` command rejects such frames before it gets here."""
     if len(frames) < 1:
         raise ValidationError("tracklet must have at least one frame")
     if len(frames) != len(candidates_per_frame):
@@ -198,7 +192,7 @@ def process_tracklet(
         raise ValidationError(f"alpha {alpha} outside [0, 1]")
     _check_slim_ratio(slim_ratio)  # before the loop too, so that its error names no frame
     out: list[AlignedFrame] = []
-    state: LinkState | None = None
+    f_g: np.ndarray | None = None  # the exponentially averaged global feature, once a frame has candidates
     for i, (frame, cands) in enumerate(zip(frames, candidates_per_frame)):
         try:
             frame = _check_frame(frame)  # on both branches: the passthrough reads any shape
@@ -206,11 +200,11 @@ def process_tracklet(
                 aligned = _passthrough(frame)
                 aligned.provenance.update(frame=i, candidate=None)
             else:
-                if state is None:
+                if f_g is None:
                     chosen, rule = select_first_frame(cands), "max-area"
-                    state = LinkState(chosen.feature.copy(), alpha)
+                    f_g = chosen.feature
                 else:
-                    (chosen, state), rule = link_frame(state, cands), "link"
+                    (chosen, f_g), rule = link_frame(f_g, cands, alpha), "link"
                 aligned = normalize_crop(frame, chosen.box, slim_ratio)
                 aligned.provenance.update(frame=i, candidate=cands.index(chosen), rule=rule, n_candidates=len(cands))
         except ValidationError as exc:

@@ -118,14 +118,14 @@ def upsample_nearest_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np
     return padded.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1))
 
 
-def _key(k) -> int:
-    """A child key as a Python int: any non-negative integer, numpy's included."""
+def _key(k, what: str = "child key") -> int:
+    """A seed or child key as a Python int: any non-negative integer, numpy's included."""
     try:
         n = operator.index(k)
     except TypeError:
         n = -1
     if n < 0:
-        raise ValidationError(f"child key must be a non-negative integer, got {k!r}")
+        raise ValidationError(f"{what} must be a non-negative integer, got {k!r}")
     return n
 
 
@@ -146,9 +146,7 @@ class Rng:
     """
 
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        self.seed = _key(seed, "seed")
         self._keys = _keys
 
     def child(self, *keys: int) -> "Rng":

@@ -190,6 +190,27 @@ def reference_rng(seed: int, keys: tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *keys])))
 
 
+def reference_select_first_frame(candidates: list[dl.CandidateBox]) -> dl.CandidateBox:
+    """Reference for ``detect_link.select_first_frame``: the argmax loop that
+    moves only on a strictly larger (area, confidence)."""
+    best = 0
+    for i, c in enumerate(candidates[1:], 1):
+        b = candidates[best]
+        if (c.area, c.confidence) > (b.area, b.confidence):
+            best = i
+    return candidates[best]
+
+
+def reference_link_frame(f_g: np.ndarray, candidates: list[dl.CandidateBox],
+                         alpha: float) -> tuple[dl.CandidateBox, np.ndarray]:
+    """Reference for ``detect_link.link_frame``: a full sort by (distance,
+    -confidence, index), then the EMA as the old link-state update wrote it."""
+    dists = [np.linalg.norm(c.feature - f_g) for c in candidates]
+    order = sorted(range(len(candidates)), key=lambda i: (dists[i], -candidates[i].confidence, i))
+    chosen = candidates[order[0]]
+    return chosen, alpha * f_g + (1.0 - alpha) * chosen.feature
+
+
 def reference_nonlocal_params(cfg: att.AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
     """Reference for ``attention.init_nonlocal_params``: the four projections
     drawn one by one from children 0-3."""

@@ -137,11 +137,11 @@ def test_criterion_7_linking_robustness():
                                        boxes={f: (11, 0, 12, 34) for f in (2, 3, 4)})
         cands, truth = dl.synthetic_detector([target, occluder], 6, rng, noise_scale=0.1)
         chosen0 = dl.select_first_frame(cands[0])
-        state = dl.LinkState(chosen0.feature.copy(), alpha=0.9)
+        f_g = chosen0.feature
         picked_feats = [chosen0.feature.copy()]
         followed = True
         for f in range(1, 6):
-            chosen, state = dl.link_frame(state, cands[f])
+            chosen, f_g = dl.link_frame(f_g, cands[f], alpha=0.9)
             picked_feats.append(chosen.feature.copy())
             followed &= truth[f][cands[f].index(chosen)] == 0
         follows += followed
@@ -151,7 +151,7 @@ def test_criterion_7_linking_robustness():
             weights = [w * 0.9 for w in weights] + [0.1]
         assert abs(sum(weights) - 1.0) < 1e-12
         recon = sum(w * f for w, f in zip(weights, picked_feats))
-        assert np.max(np.abs(state.f_g - recon)) < 1e-12
+        assert np.max(np.abs(f_g - recon)) < 1e-12
     assert follows >= 99, f"linked track followed frame-1 identity in only {follows}/100 trials"
     report(7, time.time() - t0, 30.0, f"{follows}/100 trials followed, EMA invariant exact")
 

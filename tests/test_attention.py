@@ -529,8 +529,10 @@ class TestCfaa:
         params = att.init_cfaa_params(cfg, Rng(0))
         x = Rng(1).normal((256, 6, 32, 16))
         _, cache = att.cfaa_forward(x, params, cfg)
-        assert cache["scale_caches"][0]["extents"] == (128, 6, 32, 16)
-        assert cache["scale_caches"][1]["extents"] == (128, 6, 16, 8)
+        # each scale attends over half the channels at its pooled size: xp holds one row per position
+        for sc, (h, w) in zip(cache["scale_caches"], [(32, 16), (16, 8)]):
+            assert sc["pooled_hw"] == (h, w)
+            assert sc["chain"][0]["xp"].shape == (6 * h * w, 128)
 
     def test_scale1_equals_three_axis_composition(self):
         cfg = self.cfg(scales=1)

@@ -1,3 +1,6 @@
+import builtins
+import errno
+import io
 import shutil
 
 import numpy as np
@@ -499,19 +502,24 @@ HOSTILE_CASES = [(flag, kind) for flag in HOSTILE_TARGETS for kind in HOSTILE_KI
 VALID_HOSTILE = {("--out", "directory"), ("--corrections", "empty")}  # an existing --out; no corrections
 
 
+def hostile_argv(command, tmp_path):
+    """Every file flag of command, each naming its fixture path under tmp_path."""
+    return [a for f, (cmd, path) in HOSTILE_TARGETS.items() if cmd == command and f != "frame"
+            for a in (f, str(tmp_path / path))]
+
+
 class TestHostileInputs:
     """Each file flag of align and eval given a directory, an empty file, a
-    container of the wrong rank or a symlink to a missing file, and a renamed
-    frame container: the run exits 0 or 1, and a failure is one `error:` line
-    that names the hostile path (an escaping exception fails the test)."""
+    container of the wrong rank or a symlink to a missing file, a renamed
+    frame container, and a file whose opening is denied: the run exits 0 or 1,
+    and a failure is one `error:` line that names the hostile path (an
+    escaping exception fails the test)."""
 
     @pytest.mark.parametrize("flag, kind", HOSTILE_CASES + [("frame", "renamed")])
     def test_exits_zero_or_one_with_one_error_line(self, capsys, align_fixture, eval_fixture, tmp_path, flag, kind):
         command, name = HOSTILE_TARGETS[flag]
         hostile = make_hostile(tmp_path / name, kind)
-        argv = [a for f, (cmd, path) in HOSTILE_TARGETS.items() if cmd == command and f != "frame"
-                for a in (f, str(tmp_path / path))]
-        code, out, err = run(capsys, command, *argv)
+        code, out, err = run(capsys, command, *hostile_argv(command, tmp_path))
         assert "Traceback" not in err
         if (flag, kind) in VALID_HOSTILE:
             assert code == 0 and err == ""
@@ -519,6 +527,29 @@ class TestHostileInputs:
         assert code == 1 and "---" not in out
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert str(hostile) in err, err
+
+    @pytest.mark.parametrize("command, name", [
+        ("align", "cands.tsv"), ("align", "frames/5/0001.aakt"), ("align", "out/5/image_0002.aakt"),
+        ("eval", "meta.tsv"), ("eval", "dist.aakt"), ("eval", "corr.txt"),
+    ])
+    def test_permission_denied_exits_one_naming_the_path(self, capsys, monkeypatch, align_fixture, eval_fixture,
+                                                         tmp_path, command, name):
+        # file modes do not stop root, so opening the path is made to fail instead;
+        # Path.read_bytes opens through io.open, everything else through builtins.open
+        denied = str(tmp_path / name)
+        real_open = io.open
+
+        def guarded_open(file, *args, **kwargs):
+            if str(file) == denied:
+                raise PermissionError(errno.EACCES, "Permission denied", denied)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", guarded_open)
+        monkeypatch.setattr(io, "open", guarded_open)
+        code, out, err = run(capsys, command, *hostile_argv(command, tmp_path))
+        assert code == 1 and "---" not in out and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert denied in err, err
 
 
 class TestDemo:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from axialreid import detect_link as dl
 from axialreid.errors import ValidationError
 from axialreid.tensor import Rng
-from helpers import resize_bilinear_oracle, write_candidate_file
+from helpers import reference_link_frame, reference_select_first_frame, resize_bilinear_oracle, write_candidate_file
 
 
 def box(frame=0, b=(0, 0, 10, 20), conf=0.9, feat=(1.0, 0.0)):
@@ -39,26 +39,24 @@ class TestSelectFirstFrame:
 
 class TestLinkFrame:
     def test_ema_arithmetic(self):
-        state = dl.LinkState(np.array([1.0, 0.0]), alpha=0.9)
         cands = [box(feat=(0.9, 0.1)), box(feat=(0.0, 1.0))]
-        chosen, state2 = dl.link_frame(state, cands)
+        chosen, f_g = dl.link_frame(np.array([1.0, 0.0]), cands, alpha=0.9)
         assert chosen is cands[0]
-        np.testing.assert_allclose(state2.f_g, [0.99, 0.01], atol=1e-15)
+        np.testing.assert_allclose(f_g, [0.99, 0.01], atol=1e-15)
 
     def test_single_candidate_always_chosen(self):
-        state = dl.LinkState(np.array([1.0, 0.0]))
         far = box(feat=(-50.0, 80.0))
-        chosen, _ = dl.link_frame(state, [far])
+        chosen, _ = dl.link_frame(np.array([1.0, 0.0]), [far])
         assert chosen is far
 
     def test_chosen_is_distance_optimal(self):
         rng = Rng(0)
         for trial in range(20):
-            state = dl.LinkState(rng.child(trial, 0).normal((4,)))
+            f_g = rng.child(trial, 0).normal((4,))
             cands = [box(feat=rng.child(trial, 1, i).normal((4,))) for i in range(5)]
-            chosen, _ = dl.link_frame(state, cands)
-            dmin = min(np.linalg.norm(c.feature - state.f_g) for c in cands)
-            assert np.linalg.norm(chosen.feature - state.f_g) <= dmin
+            chosen, _ = dl.link_frame(f_g, cands)
+            dmin = min(np.linalg.norm(c.feature - f_g) for c in cands)
+            assert np.linalg.norm(chosen.feature - f_g) <= dmin
 
     def test_monte_carlo_two_identity_linking(self):
         # two interleaved identities with well-separated feature clusters:
@@ -71,10 +69,10 @@ class TestLinkFrame:
             b = dl.ScriptedIdentity(centroid=np.array([0.0, 1.0, 0.0]),
                                     boxes={f: (12, 2, 6, 18) for f in range(4)})
             cands, truth = dl.synthetic_detector([a, b], 4, rng, noise_scale=0.1)
-            state = dl.LinkState(dl.select_first_frame(cands[0]).feature, alpha=0.9)
+            f_g = dl.select_first_frame(cands[0]).feature
             followed = True
             for f in range(1, 4):
-                chosen, state = dl.link_frame(state, cands[f])
+                chosen, f_g = dl.link_frame(f_g, cands[f], alpha=0.9)
                 followed &= truth[f][cands[f].index(chosen)] == 0
             hits += followed
         assert hits >= 99
@@ -84,18 +82,67 @@ class TestLinkFrame:
         # track the weights symbolically and compare
         rng = Rng(2)
         feats = [rng.child(i).normal((3,)) for i in range(5)]
-        state = dl.LinkState(feats[0].copy(), alpha=0.9)
+        f_g = feats[0]
         weights = [1.0]
         for f in feats[1:]:
-            chosen, state = dl.link_frame(state, [box(feat=f)])
+            chosen, f_g = dl.link_frame(f_g, [box(feat=f)], alpha=0.9)
             weights = [w * 0.9 for w in weights] + [0.1]
         assert abs(sum(weights) - 1.0) < 1e-12
         recon = sum(w * f for w, f in zip(weights, feats))
-        np.testing.assert_allclose(state.f_g, recon, atol=1e-12)
+        np.testing.assert_allclose(f_g, recon, atol=1e-12)
 
     def test_alpha_range_validated(self):
-        with pytest.raises(ValidationError):
-            dl.LinkState(np.zeros(2), alpha=1.5)
+        with pytest.raises(ValidationError, match=r"alpha 1\.5 outside \[0, 1\]"):
+            dl.link_frame(np.zeros(2), [box()], alpha=1.5)
+
+    def test_distance_and_confidence_tie(self):
+        # a nearer candidate wins at any confidence; three at distance 1 go by confidence, then lower index
+        f_g = np.array([1.0, 0.0])
+        cands = [box(feat=(2.0, 0.0), conf=0.7), box(feat=(0.0, 0.0), conf=0.9),
+                 box(feat=(1.0, 1.0), conf=0.9), box(feat=(1.0, 0.5), conf=0.1)]
+        assert dl.link_frame(f_g, cands)[0] is cands[3]
+        assert dl.link_frame(f_g, cands[:3])[0] is cands[1]
+        assert dl.link_frame(f_g, cands[2:0:-1])[0] is cands[2]
+
+    def test_feature_shape_mismatch_names_both_shapes(self):
+        shapes = r"candidate feature shape \(3,\) differs from global feature shape \(2,\)"
+        with pytest.raises(ValidationError, match=shapes):
+            dl.link_frame(np.zeros(2), [box(), box(feat=(1.0, 0.0, 0.0))])
+        frames = [Rng(4).child(f).uniform(0, 1, (3, 40, 30)) for f in range(2)]
+        cands = [[box(frame=0)], [box(frame=1, feat=(1.0, 0.0, 0.0))]]
+        with pytest.raises(ValidationError, match=r"^frame 1: candidate feature shape \(3,\)"):
+            dl.process_tracklet(frames, cands)
+
+
+# a small pool of attribute values, so that area, confidence and feature ties all occur
+POOL_SIZES = ((2, 6), (3, 4), (4, 3), (6, 2), (2, 2), (4, 4))  # areas 12, 12, 12, 12, 4, 16
+POOL_CONFS = (0.5, 0.9)
+POOL_FEATS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (1.0, 1.0))
+
+
+@st.composite
+def pooled_rows(draw):
+    """2-6 frames of 1-6 fresh candidates each, every attribute drawn from the pools."""
+    rows = []
+    for f in range(draw(st.integers(2, 6))):
+        picks = draw(st.lists(st.tuples(st.sampled_from(POOL_SIZES), st.sampled_from(POOL_CONFS),
+                                        st.sampled_from(POOL_FEATS)), min_size=1, max_size=6))
+        rows.append([dl.CandidateBox(f, (0, 0, w, h), c, np.array(v)) for (w, h), c, v in picks])
+    return rows
+
+
+class TestLinkerAgainstReference:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(rows=pooled_rows(), alpha=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    def test_same_choices_and_same_global_feature_bytes(self, rows, alpha):
+        first = dl.select_first_frame(rows[0])
+        assert first is reference_select_first_frame(rows[0])
+        f_g = ref_g = first.feature
+        for row in rows[1:]:
+            chosen, f_g = dl.link_frame(f_g, row, alpha)
+            want, ref_g = reference_link_frame(ref_g, row, alpha)
+            assert chosen is want
+            assert f_g.dtype == ref_g.dtype and f_g.tobytes() == ref_g.tobytes()
 
 
 class TestNormalizeCrop:
@@ -309,25 +356,25 @@ def linked_scene(draw):
     the global feature that linking holds when it reaches that frame."""
     n_frames = draw(st.integers(1, 4))
     cands: list[list[dl.CandidateBox]] = []
-    state = None
+    f_g = None
     for f in range(n_frames):
         n = draw(st.integers(0, 3))
         if not n:
             cands.append([])
             continue
         xy = draw(st.lists(st.tuples(st.integers(0, 18), st.integers(0, 18)), min_size=n, max_size=n))
-        if state is None:
+        if f_g is None:
             whc = draw(st.lists(st.tuples(st.integers(2, 10), st.integers(2, 20), st.sampled_from([0.5, 0.7, 0.9])),
                                 min_size=n, max_size=n, unique_by=lambda t: (t[0] * t[1], t[2])))
             feats = draw(st.lists(st.tuples(*[st.floats(-4, 4)] * 2), min_size=n, max_size=n))
             row = [dl.CandidateBox(f, (x, y, w, h), c, np.array(v)) for (x, y), (w, h, c), v in zip(xy, whc, feats)]
-            state = dl.LinkState(dl.select_first_frame(row).feature.copy())
+            f_g = dl.select_first_frame(row).feature
         else:
             radii = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n, unique=True))
             axes = draw(st.lists(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]), min_size=n, max_size=n))
-            row = [dl.CandidateBox(f, (x, y, 6, 12), 0.9, state.f_g + r * np.array(a, dtype=float))
+            row = [dl.CandidateBox(f, (x, y, 6, 12), 0.9, f_g + r * np.array(a, dtype=float))
                    for (x, y), r, a in zip(xy, radii, axes)]
-            state = dl.link_frame(state, row)[1]
+            f_g = dl.link_frame(f_g, row)[1]
         cands.append(row)
     return cands
 

@@ -237,9 +237,15 @@ class TestRng:
         draws = Rng(2).uniform_init((1000,), 4)
         assert np.max(np.abs(draws)) <= 0.5
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
-            Rng(-1)
+    @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.7, "1.7"), ("5", "'5'")], ids=["negative", "float", "str"])
+    def test_seed_that_is_no_non_negative_integer_rejected(self, seed, shown):
+        with pytest.raises(ValidationError, match=f"^seed must be a non-negative integer, got {shown}$"):
+            Rng(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        r = Rng(np.uint64(2**40))
+        assert type(r.seed) is int and r.seed == 2**40
+        assert np.array_equal(r.normal((3,)), Rng(2**40).normal((3,)))
 
     # each draw method, as Rng calls it and as the same call on numpy's Generator
     DRAWS = {
