@@ -8,14 +8,13 @@ from .attention import (
     sinusoidal_encode,
 )
 from .evaluate import EvalDataset, LabelCorrections, TrackletMeta
-from .flops import CountingConvention, attention_flops, backbone_flops, model_table
+from .flops import attention_flops, backbone_flops, model_table
 from .tensor import Rng, load_tensor, save_tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttentionConfig",
-    "CountingConvention",
     "EvalDataset",
     "LabelCorrections",
     "Rng",

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands:
-  bench      analytic FLOP reports for the backbone and attention variants
+  bench      analytic FLOP reports for the backbone and attention variants,
+             each row with its published count and its full count (see
+             axialreid.flops)
   gradcheck  finite-difference check of the analytic backward passes, one row
              each: conv2d, batchnorm, relu, masked_avg_pool, cfaa, cfaa1 and
              nonlocal_3d (all three through AttentionLayer), triplet,
@@ -11,8 +13,9 @@ Subcommands:
   demo       desk-scale training + retrieval demonstration (--attention cfaa|nonlocal3d|none)
 
 Every report ends with a machine-readable key=value block fenced by `---`
-lines. Exit codes: 0 success, 1 invalid input or configuration, or a
-computation that produced non-finite values, 2 internal assertion.
+lines. Exit codes: 0 success, 1 invalid input or configuration (usage errors
+included), or a computation that produced non-finite values, 2 internal
+assertion.
 """
 
 from __future__ import annotations
@@ -43,37 +46,27 @@ def _fmt_gflops(report: flops.FlopReport) -> str:
     return f"{report.name:<18} {report.gflops:10.3f} GFLOPs"
 
 
-def _parse_convention(args) -> flops.CountingConvention:
-    return flops.CountingConvention(
-        macs_per_flop=args.mac,
-        include_softmax_exp=args.include_softmax,
-        include_bn_relu=args.include_bn_relu,
-        include_projections=args.include_projections,
-        positional_per_head=args.positional == "perhead",
-    )
+def _fmt_full(report: flops.FlopReport) -> str:
+    return f"full {report.full_gflops:8.3f} GFLOPs"
 
 
-CONVENTION_FLAGS = ("mac", "include_softmax", "include_bn_relu", "include_projections", "positional")
-BENCH_DEFAULTS = dict(frames=6, scales=4, last_stride=1, mac=1, positional="shared")
+BENCH_DEFAULTS = dict(frames=6, scales=4, last_stride=1)
 
 
 def _check_bench_flags(args) -> None:
     """Reject a flag that the chosen bench mode does not read, then fill in the
     defaults of the flags left out (they parse as None)."""
-    if args.calibrate:
-        mode, reads = "--calibrate", ()
-    elif args.preset:
+    if args.preset:
         mode = f"--preset {args.preset}"
-        reads = ("preset", *CONVENTION_FLAGS, *(("frames",) if args.preset == "models" else ()))
+        reads = ("preset", *(("frames",) if args.preset == "models" else ()))
     elif args.variant:
         mode = f"--variant {args.variant}"
         own = {"backbone": ("last_stride",), "cfaa": ("scales",)}.get(args.variant, ())
-        reads = ("variant", "frames", *CONVENTION_FLAGS, *own)
+        reads = ("variant", "frames", *own)
     else:
         raise ValidationError("bench needs --preset costs|models or --variant")
-    for dest in ("preset", "variant", "frames", "scales", "last_stride", *CONVENTION_FLAGS):
-        given = getattr(args, dest)
-        if dest not in reads and given is not None and given is not False:  # 0 is a given value
+    for dest in ("preset", "variant", "frames", "scales", "last_stride"):
+        if dest not in reads and getattr(args, dest) is not None:  # 0 is a given value
             raise ValidationError(f"--{dest.replace('_', '-')} has no effect with {mode}")
     for dest, value in BENCH_DEFAULTS.items():
         if getattr(args, dest) is None:
@@ -83,33 +76,25 @@ def _check_bench_flags(args) -> None:
 def cmd_bench(args) -> int:
     _check_bench_flags(args)
     _check_minimums(args, frames=1, scales=1)
-    conv = _parse_convention(args)
-    if args.calibrate:
-        ranked = flops.calibrate()
-        print("convention sweep, worst row error vs the reference cost column:")
-        for c, err in ranked[:8]:
-            print(f"  {c.tag():<40} {err:8.2%}")
-        best = ranked[0][0]
-        print(f"best fit: {best.tag()}")
-        _emit_block([f"best_convention={best.tag()}", f"best_worst_error={ranked[0][1]:.6f}"])
-        return 0
     if args.preset:
         costs = args.preset == "costs"
-        reports = list(flops.table_rows(conv).values()) if costs else flops.model_table(conv, args.frames)
-        print(f"cost column reproduction (convention {conv.tag()}):" if costs else "full-model totals:")
-        block = [f"convention={conv.tag()}"] if costs else []
+        reports = list(flops.table_rows().values()) if costs else flops.model_table(args.frames)
+        print(f"{'cost column reproduction' if costs else 'full-model totals'} "
+              "(published count, full count in the last column):")
+        block = []
         for rep in reports:
             ref = flops.REFERENCE_COSTS[rep.name]
-            print(f"  {_fmt_gflops(rep)}  (reference {ref:.3f}, {rep.gflops / ref - 1.0:+.2%})")
-            block.append(f"{rep.name}_gflops={rep.gflops:.6f}")
+            versus = f"(reference {ref:.3f}, {rep.gflops / ref - 1.0:+.2%})"
+            print(f"  {_fmt_gflops(rep)}  {versus:<27}  {_fmt_full(rep)}")
+            block += [f"{rep.name}_gflops={rep.gflops:.6f}", f"{rep.name}_full_gflops={rep.full_gflops:.6f}"]
             block += [f"{rep.name}_reference={ref}"] if costs else []
         _emit_block(block)
         return 0
     if args.variant == "backbone":
-        rep = flops.backbone_flops(frames=args.frames, last_stride=args.last_stride, convention=conv)
+        rep = flops.backbone_flops(frames=args.frames, last_stride=args.last_stride)
     else:
-        rep = flops.attention_flops(args.variant, conv, scales=args.scales, frames=args.frames)
-    print(_fmt_gflops(rep))
+        rep = flops.attention_flops(args.variant, scales=args.scales, frames=args.frames)
+    print(f"{_fmt_gflops(rep)}  {_fmt_full(rep)}")
     _emit_block(rep.lines())
     return 0
 
@@ -276,9 +261,16 @@ def cmd_demo(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input: one `error:` line and exit code 1.
+    Subparsers are built with the same class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="axialreid", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="axialreid", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help="analytic FLOP reports")
@@ -287,14 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scales", type=int, help="CF-AA scale count, --variant cfaa only (default 4)")
     b.add_argument("--frames", type=int, help="clip length, --preset models or --variant (default 6)")
     b.add_argument("--last-stride", type=int, help="--variant backbone only (default 1)")
-    b.add_argument("--calibrate", action="store_true", help="sweep counting conventions")
-    # counting-convention selection; --calibrate sweeps these itself
-    b.add_argument("--mac", type=int, choices=[1, 2], help="FLOPs per multiply-accumulate (default 1)")
-    b.add_argument("--include-softmax", action="store_true")
-    b.add_argument("--include-bn-relu", action="store_true")
-    b.add_argument("--include-projections", action="store_true")
-    b.add_argument("--positional", choices=["shared", "perhead"],
-                   help="price positional terms at shared embedding width or per head (default shared)")
     b.set_defaults(func=cmd_bench)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -335,9 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, ConfigurationError, DimensionError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,21 +1,27 @@
 """Analytic operation counts for the backbone and attention variants.
 
-All counts are exact integers, and a FlopReport carries only its total;
-GFLOP figures are derived at display time.
-The default convention (one multiply-accumulate = one FLOP, attention cost =
-score/value contractions only, positional-embedding terms at the shared
-embedding width) is the calibrated best fit for the published cost column;
-``calibrate`` sweeps the convention grid and reports each candidate's errors.
+Every FlopReport carries two exact integer counts; GFLOP figures are derived
+at display time. One multiply-accumulate counts as one FLOP in both.
+
+- ``total``, the published count: attention costs its score/value
+  contractions only, with positional-embedding terms priced once per pair at
+  the embedding width shared across the heads (width / TOTAL_HEADS). It
+  reproduces the published cost column.
+- ``full``, the count the kernels execute: positional terms per head at full
+  width, plus the q/k/v projections of every attention layer and the output
+  projection.
+
+The backbone's two counts are equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import attention as att
 from .errors import ValidationError
 
-# published cost column used for calibration (GFLOPs), keyed by report name
+# the published cost column (GFLOPs) the published count reproduces, keyed by report name
 REFERENCE_COSTS = {
     "baseline": 24.520,
     "nonlocal3d": 17.213,
@@ -44,67 +50,37 @@ TOTAL_HEADS = 8
 
 
 @dataclass(frozen=True)
-class CountingConvention:
-    """Accounting rules for a report; recorded in every FlopReport.
-
-    positional_per_head: count the q/k/v positional contractions per head at
-    full width, as the kernels execute them, instead of once per pair at the
-    shared embedding width (width / TOTAL_HEADS).
-    """
-
-    macs_per_flop: int = 1
-    include_softmax_exp: bool = False
-    include_bn_relu: bool = False
-    include_projections: bool = False
-    positional_per_head: bool = False
-
-    def tag(self) -> str:
-        ps = "perhead" if self.positional_per_head else f"shared{TOTAL_HEADS}"
-        return (
-            f"mac{self.macs_per_flop}"
-            f"{'+softmax' if self.include_softmax_exp else ''}"
-            f"{'+bnrelu' if self.include_bn_relu else ''}"
-            f"{'+proj' if self.include_projections else ''}"
-            f"+{ps}"
-        )
-
-
-KERNEL_EXACT = CountingConvention(positional_per_head=True)
-
-
-@dataclass
 class FlopReport:
     name: str
-    ops: int  # raw MAC / op count before the macs_per_flop factor
-    convention: CountingConvention
-
-    @property
-    def total(self) -> int:
-        return self.ops * self.convention.macs_per_flop
+    total: int  # published count
+    full: int  # count the kernels execute, projections included
 
     @property
     def gflops(self) -> float:
         return self.total / 1e9
 
+    @property
+    def full_gflops(self) -> float:
+        return self.full / 1e9
+
     def lines(self) -> list[str]:
-        return [f"report={self.name}", f"convention={self.convention.tag()}", f"total_flops={self.total}", f"gflops={self.gflops:.6f}"]
+        return [f"report={self.name}", f"total_flops={self.total}", f"gflops={self.gflops:.6f}",
+                f"full_flops={self.full}", f"full_gflops={self.full_gflops:.6f}"]
 
 
-def backbone_flops(frames: int = 6, last_stride: int = 1,
-                   convention: CountingConvention = CountingConvention()) -> FlopReport:
+def backbone_flops(frames: int = 6, last_stride: int = 1) -> FlopReport:
     """50-layer residual backbone (bottleneck blocks, stride on the 3x3 conv) on
     a 256x128 input, per-frame 2D convolutions multiplied by the number of
-    frames; with include_bn_relu, 3 ops per conv output element on top."""
+    frames."""
     if frames < 1:
         raise ValidationError(f"frames must be at least 1, got {frames}")
     if last_stride not in (1, 2):
         raise ValidationError(f"last_stride must be 1 or 2, got {last_stride}")
-    ops = act_elems = 0  # act_elems: conv output elements, for the bn/relu option
+    ops = 0
 
     def add(cin, cout, k, ho, wo):
-        nonlocal ops, act_elems
+        nonlocal ops
         ops += frames * k * k * cin * cout * ho * wo
-        act_elems += frames * cout * ho * wo
 
     h, w = 128, 64  # conv1 is 7x7/2
     add(3, 64, 7, h, w)
@@ -121,9 +97,7 @@ def backbone_flops(frames: int = 6, last_stride: int = 1,
                 add(cin, width * 4, 1, ho, wo)  # downsample
             cin = width * 4
             h, w = ho, wo
-    if convention.include_bn_relu:
-        ops += 3 * act_elems
-    return FlopReport("backbone", ops, convention)
+    return FlopReport("backbone", ops, ops)
 
 
 def _attention_layers(variant: str, cfg: att.AttentionConfig):
@@ -142,33 +116,30 @@ def _attention_layers(variant: str, cfg: att.AttentionConfig):
     return layers
 
 
-def _module_ops(variant: str, cfg: att.AttentionConfig, convention: CountingConvention) -> int:
-    """Op count of one attention module at cfg under the convention: score/value
-    contractions, positional terms, and optionally softmax and projections."""
+def _module_ops(variant: str, cfg: att.AttentionConfig, per_head: bool, projections: bool) -> int:
+    """Op count of one attention module at cfg: score/value contractions and
+    positional terms, priced per head at full width or once at the shared
+    width, plus the q/k/v and output projections when asked for."""
     if variant not in _VARIANT_SHAPES:
         raise ValidationError(f"unknown attention variant {variant!r}")
     t, h, w = cfg.axis_lengths
     cqk, cout = cfg.c_qk // cfg.scales, cfg.c_out // cfg.scales
-    per_head = convention.positional_per_head
     per_pair = cqk + cout
     if cfg.encoding == "relative":
         per_pair += 2 * cqk + cout if per_head else 2 * (cqk // TOTAL_HEADS) + cout // TOTAL_HEADS
     elif cfg.encoding == "sinusoidal" and not per_head:
         per_pair += cqk // TOTAL_HEADS  # per head the encodings are added to q/k: no contraction
-    if convention.include_softmax_exp:
-        per_pair += 4 * cfg.heads
     ops = 0
     for n, keys, c_x in _attention_layers(variant, cfg):
         ops += n * keys * per_pair
-        if convention.include_projections:
+        if projections:
             ops += n * c_x * (2 * cqk + cout)  # q/k/v of this layer
-    if convention.include_projections:
+    if projections:
         ops += t * h * w * cfg.c_out * cfg.c_in  # concatenated c_out back to c_in
     return ops
 
 
-def attention_flops(variant: str, convention: CountingConvention = CountingConvention(),
-                    scales: int = 1, frames: int = 6) -> FlopReport:
+def attention_flops(variant: str, scales: int = 1, frames: int = 6) -> FlopReport:
     """Cost of inserting the given attention variant at the standard points
     (2 modules on the 32x16 stage, 3 on the 16x8 stage for the 256x128 input)."""
     if variant not in _VARIANT_SHAPES:
@@ -176,61 +147,34 @@ def attention_flops(variant: str, convention: CountingConvention = CountingConve
     encoding, fixed_scales = _VARIANT_SHAPES[variant]
     scales = fixed_scales or scales
     heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // max(scales, 1), 1)  # the config rejects scales < 1
-    ops = 0
+    total = full = 0
     for c, h, w, count in INSERTIONS:
         # q/k width = c/2, value/output width = c
         cfg = att.AttentionConfig(c, c // 2, c, heads, scales, encoding, (frames, h, w))
-        ops += count * _module_ops(variant, cfg, convention)
-    return FlopReport(variant if variant != "cfaa" else f"cfaa{scales}", ops, convention)
+        total += count * _module_ops(variant, cfg, per_head=False, projections=False)
+        full += count * _module_ops(variant, cfg, per_head=True, projections=True)
+    return FlopReport(variant if variant != "cfaa" else f"cfaa{scales}", total, full)
 
 
 def attention_contraction_count(variant: str, cfg: att.AttentionConfig) -> int:
     """Exact multiply count of the score/value contractions the kernels execute
     for one module at the given config (the analytic side of the kernel check)."""
-    return _module_ops(variant, cfg, KERNEL_EXACT)
+    return _module_ops(variant, cfg, per_head=True, projections=False)
 
 
-def model_table(convention: CountingConvention = CountingConvention(), frames: int = 6) -> list[FlopReport]:
+def model_table(frames: int = 6) -> list[FlopReport]:
     """Full-model totals: the backbone alone, with the 3D non-local block, and
-    with 4-scale CF-AA, each the backbone's ops plus the attention's."""
-    base = backbone_flops(frames=frames, convention=convention).ops
-    extras = {"baseline": 0,
-              "nonlocal": attention_flops("nonlocal3d", convention, frames=frames).ops,
-              "cfaa_net": attention_flops("cfaa", convention, scales=4, frames=frames).ops}
-    return [FlopReport(name, base + ops, convention) for name, ops in extras.items()]
+    with 4-scale CF-AA, each the backbone's count plus the attention's."""
+    base = backbone_flops(frames=frames)
+    extras = {"nonlocal": attention_flops("nonlocal3d", frames=frames),
+              "cfaa_net": attention_flops("cfaa", scales=4, frames=frames)}
+    return [replace(base, name="baseline"),
+            *(FlopReport(name, base.total + rep.total, base.full + rep.full) for name, rep in extras.items())]
 
 
-def table_rows(convention: CountingConvention = CountingConvention()) -> dict[str, FlopReport]:
+def table_rows() -> dict[str, FlopReport]:
     """The cost-column rows by report name: backbone plus each attention variant's delta."""
-    reports = [FlopReport("baseline", backbone_flops(convention=convention).ops, convention),
-               *(attention_flops(v, convention) for v in VARIANTS if v != "cfaa"),
-               *(attention_flops("cfaa", convention, scales=s) for s in (2, 4))]
+    reports = [replace(backbone_flops(), name="baseline"),
+               *(attention_flops(v) for v in VARIANTS if v != "cfaa"),
+               *(attention_flops("cfaa", scales=s) for s in (2, 4))]
     return {rep.name: rep for rep in reports}
-
-
-def row_errors(convention: CountingConvention) -> dict[str, float]:
-    """Relative error of every cost row against the reference column."""
-    rows = table_rows(convention)
-    return {name: rows[name].gflops / REFERENCE_COSTS[name] - 1.0 for name in rows}
-
-
-def convention_grid() -> list[CountingConvention]:
-    grid = []
-    for mac in (1, 2):
-        for soft in (False, True):
-            for bn in (False, True):
-                for proj in (False, True):
-                    for per_head in (False, True):
-                        grid.append(CountingConvention(mac, soft, bn, proj, per_head))
-    return grid
-
-
-def calibrate() -> list[tuple[CountingConvention, float]]:
-    """Sweep the convention grid; returns (convention, worst row error) sorted
-    best-first. The best fit is what the default convention should be."""
-    scored = []
-    for conv in convention_grid():
-        errs = row_errors(conv)
-        scored.append((conv, max(abs(e) for e in errs.values())))
-    scored.sort(key=lambda ce: ce[1])
-    return scored

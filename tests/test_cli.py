@@ -1,7 +1,9 @@
 import builtins
 import errno
 import io
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,41 +24,50 @@ def run(capsys, *argv):
 
 # full stdout of `bench --preset costs` and `bench --preset models --frames 8`
 PRESET_COSTS_TEXT = """\
-cost column reproduction (convention mac1+shared8):
-  baseline               24.320 GFLOPs  (reference 24.520, -0.82%)
-  nonlocal3d             17.213 GFLOPs  (reference 17.213, +0.00%)
-  axial                   0.361 GFLOPs  (reference 0.361, -0.01%)
-  axial+sinusoidal        0.376 GFLOPs  (reference 0.377, -0.26%)
-  axial+relative          0.421 GFLOPs  (reference 0.424, -0.68%)
-  cfaa2                   0.241 GFLOPs  (reference 0.245, -1.84%)
-  cfaa4                   0.123 GFLOPs  (reference 0.126, -2.40%)
+cost column reproduction (published count, full count in the last column):
+  baseline               24.320 GFLOPs  (reference 24.520, -0.82%)   full   24.320 GFLOPs
+  nonlocal3d             17.213 GFLOPs  (reference 17.213, +0.00%)   full   29.293 GFLOPs
+  axial                   0.361 GFLOPs  (reference 0.361, -0.01%)    full   28.547 GFLOPs
+  axial+sinusoidal        0.376 GFLOPs  (reference 0.377, -0.26%)    full   28.547 GFLOPs
+  axial+relative          0.421 GFLOPs  (reference 0.424, -0.68%)    full   29.028 GFLOPs
+  cfaa2                   0.241 GFLOPs  (reference 0.245, -1.84%)    full   12.057 GFLOPs
+  cfaa4                   0.123 GFLOPs  (reference 0.126, -2.40%)    full    6.278 GFLOPs
 ---
-convention=mac1+shared8
 baseline_gflops=24.319623
+baseline_full_gflops=24.319623
 baseline_reference=24.52
 nonlocal3d_gflops=17.213424
+nonlocal3d_full_gflops=29.293019
 nonlocal3d_reference=17.213
 axial_gflops=0.360972
+axial_full_gflops=28.546695
 axial_reference=0.361
 axial+sinusoidal_gflops=0.376013
+axial+sinusoidal_full_gflops=28.546695
 axial+sinusoidal_reference=0.377
 axial+relative_gflops=0.421134
+axial+relative_full_gflops=29.027992
 axial+relative_reference=0.424
 cfaa2_gflops=0.240501
+cfaa2_full_gflops=12.057281
 cfaa2_reference=0.245
 cfaa4_gflops=0.122976
+cfaa4_full_gflops=6.277885
 cfaa4_reference=0.126
 ---
 """
 PRESET_MODELS_FRAMES_8_TEXT = """\
-full-model totals:
-  baseline               32.426 GFLOPs  (reference 24.520, +32.24%)
-  nonlocal               63.028 GFLOPs  (reference 41.733, +51.03%)
-  cfaa_net               32.599 GFLOPs  (reference 24.646, +32.27%)
+full-model totals (published count, full count in the last column):
+  baseline               32.426 GFLOPs  (reference 24.520, +32.24%)  full   32.426 GFLOPs
+  nonlocal               63.028 GFLOPs  (reference 41.733, +51.03%)  full   79.134 GFLOPs
+  cfaa_net               32.599 GFLOPs  (reference 24.646, +32.27%)  full   40.814 GFLOPs
 ---
 baseline_gflops=32.426164
+baseline_full_gflops=32.426164
 nonlocal_gflops=63.027806
+nonlocal_full_gflops=79.133934
 cfaa_net_gflops=32.598662
+cfaa_net_full_gflops=40.813738
 ---
 """
 
@@ -93,25 +104,26 @@ class TestBench:
     def test_cfaa_scale1_equals_axial_relative(self, capsys):
         _, out1, _ = run(capsys, "bench", "--variant", "cfaa", "--scales", "1")
         _, out2, _ = run(capsys, "bench", "--variant", "axial+relative")
-        assert kv_block(out1)["total_flops"] == kv_block(out2)["total_flops"]
+        for key in ("total_flops", "full_flops"):
+            assert kv_block(out1)[key] == kv_block(out2)[key]
 
     def test_backbone_frames_linearity(self, capsys):
         _, out1, _ = run(capsys, "bench", "--variant", "backbone", "--frames", "1")
         _, out6, _ = run(capsys, "bench", "--variant", "backbone", "--frames", "6")
         assert 6 * int(kv_block(out1)["total_flops"]) == int(kv_block(out6)["total_flops"])
 
-    def test_calibrate(self, capsys):
-        code, out, _ = run(capsys, "bench", "--calibrate")
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "costs"], ["--preset", "models"], ["--variant", "backbone"], ["--variant", "cfaa"],
+    ], ids=["costs", "models", "backbone", "cfaa"])
+    def test_every_mode_prints_both_counts(self, capsys, argv):
+        code, out, _ = run(capsys, "bench", *argv)
         assert code == 0
-        assert "best fit" in out
-
-    def test_convention_flags_change_totals(self, capsys):
-        _, out_def, _ = run(capsys, "bench", "--variant", "nonlocal3d")
-        _, out_mac2, _ = run(capsys, "bench", "--variant", "nonlocal3d", "--mac", "2")
-        _, out_proj, _ = run(capsys, "bench", "--variant", "nonlocal3d", "--include-projections")
-        base = int(kv_block(out_def)["total_flops"])
-        assert int(kv_block(out_mac2)["total_flops"]) == 2 * base
-        assert int(kv_block(out_proj)["total_flops"]) > base
+        kv = kv_block(out)
+        published = [k for k in kv if k.endswith("gflops") and not k.endswith("full_gflops")]
+        assert published and all(k.replace("gflops", "full_gflops", 1) in kv for k in published)
+        assert "convention" not in out
+        rows = [line for line in out.splitlines() if line.rstrip().endswith("GFLOPs")]
+        assert rows and all(line.count("GFLOPs") == 2 and " full " in line for line in rows)
 
     def test_bad_usage_exits_one(self, capsys):
         code, _, err = run(capsys, "bench")
@@ -121,7 +133,6 @@ class TestBench:
     # each flag is one the chosen mode does not read: the run would print what it prints without it
     @pytest.mark.parametrize("flag, argv", [
         ("--frames", ["--preset", "costs", "--frames", "4"]),
-        ("--frames", ["--calibrate", "--frames", "6"]),
         ("--scales", ["--variant", "axial+relative", "--scales", "4"]),
         ("--scales", ["--variant", "backbone", "--scales", "2"]),
         ("--scales", ["--preset", "models", "--scales", "2"]),
@@ -129,11 +140,6 @@ class TestBench:
         ("--last-stride", ["--preset", "models", "--last-stride", "1"]),
         ("--variant", ["--preset", "costs", "--variant", "cfaa"]),
         ("--variant", ["--preset", "models", "--variant", "backbone"]),
-        ("--mac", ["--calibrate", "--mac", "2"]),
-        ("--include-softmax", ["--calibrate", "--include-softmax"]),
-        ("--include-bn-relu", ["--calibrate", "--include-bn-relu"]),
-        ("--include-projections", ["--calibrate", "--include-projections"]),
-        ("--positional", ["--calibrate", "--positional", "perhead"]),
     ])
     def test_flag_without_effect_exits_one(self, capsys, flag, argv):
         code, out, err = run(capsys, "bench", *argv)
@@ -639,7 +645,47 @@ class TestHelp:
             assert word in out
 
     def test_subcommand_help_mentions_flags(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["bench", "--help"])
+        assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--calibrate" in out and "--preset" in out
+        assert "--preset" in out and "--variant" in out
+        assert "--calibrate" not in out and "--mac" not in out
+
+
+class TestUsageErrors:
+    """Argument-parsing errors are invalid input: exit 1, one error line naming the argument."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["bench", "--mac", "2"], "--mac"),
+        (["bench", "--calibrate"], "--calibrate"),
+        (["bench", "--include-projections", "--variant", "nonlocal3d"], "--include-projections"),
+        (["demo", "--ids", "x"], "--ids"),
+        (["bench", "--preset", "all"], "--preset"),
+        (["bench", "--foo"], "--foo"),
+        ([], "command"),
+    ], ids=["bench-mac", "bench-calibrate", "bench-include-projections", "demo-ids-x",
+            "bench-bad-preset", "bench-foo", "no-command"])
+    def test_usage_error_exits_one(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err, err
+
+
+def readme_bench_lines() -> list[list[str]]:
+    """The argv of every `axialreid bench` line in the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in commands if line.startswith("axialreid bench")]
+
+
+class TestReadme:
+    def test_cli_block_lists_bench_lines(self):
+        assert len(readme_bench_lines()) >= 3
+
+    @pytest.mark.parametrize("argv", readme_bench_lines(), ids=" ".join)
+    def test_readme_bench_line_runs(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), err
+        assert out.endswith("---\n")

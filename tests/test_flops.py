@@ -1,12 +1,49 @@
-import numpy as np
+import math
+
 import pytest
 
 from axialreid import attention as att
 from axialreid import flops
 from axialreid.errors import ConfigurationError, ValidationError
+from axialreid.tensor import Rng
 from helpers import count_oracle_multiplies
 
-DEFAULT = flops.CountingConvention()
+# the configs acceptance criterion 4 checks against the instrumented counter
+CRITERION_4_CASES = [
+    ("nonlocal3d", att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 2, 2))),
+    ("nonlocal3d", att.AttentionConfig(c_in=6, c_qk=4, c_out=6, axis_lengths=(3, 2, 4))),
+    ("axial", att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 3, 2))),
+    ("axial+sinusoidal", att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2,
+                                             encoding="sinusoidal", axis_lengths=(2, 3, 2))),
+    ("axial+relative", att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2,
+                                           encoding="relative", axis_lengths=(3, 2, 2))),
+    ("cfaa", att.AttentionConfig(c_in=8, c_qk=8, c_out=8, heads=2, scales=2,
+                                 encoding="relative", axis_lengths=(2, 4, 3))),
+    ("cfaa", att.AttentionConfig(c_in=12, c_qk=12, c_out=12, heads=1, scales=3,
+                                 encoding="relative", axis_lengths=(2, 4, 4))),
+]
+# the criterion-4 configs all have c_in == c_out, which cannot tell a swapped w_o width
+FULL_COUNT_CASES = CRITERION_4_CASES + [
+    ("nonlocal3d", att.AttentionConfig(c_in=6, c_qk=2, c_out=4, axis_lengths=(2, 3, 2))),
+    ("cfaa", att.AttentionConfig(c_in=8, c_qk=4, c_out=12, heads=1, scales=2,
+                                 encoding="relative", axis_lengths=(2, 4, 2))),
+]
+
+
+def projection_multiplies(variant: str, cfg: att.AttentionConfig) -> int:
+    """Projection multiplies read off the kernel's own parameters: every
+    layer's w_q/w_k/w_v applied at each position of its scale (a CF-AA layer
+    is named scale<s>.aa_<axis>.<key>, the non-local layer's keys are bare),
+    and w_o at each of the T*H*W output positions."""
+    init = att.init_nonlocal_params if variant == "nonlocal3d" else att.init_cfaa_params
+    params = init(cfg, Rng(0))
+    ops = math.prod(cfg.axis_lengths) * params["w_o"].size
+    for name, w in params.items():
+        prefix, _, key = name.rpartition(".")
+        if key in ("w_q", "w_k", "w_v"):
+            scale = int(prefix.split(".")[0].removeprefix("scale")) if prefix else 0
+            ops += math.prod(cfg.scale_extents(scale)) * w.size
+    return ops
 
 
 class TestBackbone:
@@ -42,15 +79,24 @@ class TestReferenceRows:
         assert round(rows["nonlocal3d"].gflops, 3) == 17.213
         assert round(rows["axial"].gflops, 3) == 0.361
 
-    def test_scale_family_ordering_holds_under_every_convention(self):
+    def test_full_rows_leave_the_published_column(self):
+        rows = flops.table_rows()
+        assert rows["baseline"].full == rows["baseline"].total  # no attention: nothing to add
+        for name in set(rows) - {"baseline"}:
+            assert abs(rows[name].full_gflops / flops.REFERENCE_COSTS[name] - 1.0) > 0.10, name
+        assert round(rows["nonlocal3d"].full_gflops, 3) == 29.293
+        assert round(rows["cfaa4"].full_gflops, 3) == 6.278
+        assert round(rows["axial+relative"].full_gflops, 3) == 29.028
+        # under the full count single-scale axial sits under 1% below non-local
+        assert 0.990 < rows["axial+relative"].full / rows["nonlocal3d"].full < 0.991
+
+    @pytest.mark.parametrize("count", ["total", "full"])
+    def test_scale_family_ordering_holds_under_both_counts(self, count):
         # single-scale axial is the S=1 member of the coarse-to-fine family
-        for conv in flops.convention_grid():
-            rows = flops.table_rows(conv)
-            s1 = flops.attention_flops("cfaa", conv, scales=1)
-            assert (
-                rows["cfaa4"].total < rows["cfaa2"].total
-                < s1.total < rows["nonlocal3d"].total
-            ), conv.tag()
+        rows = flops.table_rows()
+        s1 = flops.attention_flops("cfaa", scales=1)
+        order = [getattr(r, count) for r in (rows["cfaa4"], rows["cfaa2"], s1, rows["nonlocal3d"])]
+        assert order == sorted(set(order)), order
 
     def test_table_ordering_under_default_convention(self):
         rows = flops.table_rows()
@@ -60,9 +106,8 @@ class TestReferenceRows:
         )
 
     def test_cfaa_scale1_equals_axial_relative(self):
-        for conv in (DEFAULT, flops.KERNEL_EXACT):
-            assert flops.attention_flops("cfaa", conv, scales=1).total == \
-                flops.attention_flops("axial+relative", conv).total
+        s1, axial = flops.attention_flops("cfaa", scales=1), flops.attention_flops("axial+relative")
+        assert (s1.total, s1.full) == (axial.total, axial.full)
 
     def test_unknown_variant(self):
         with pytest.raises(ValidationError):
@@ -83,8 +128,9 @@ class TestModelTable:
 
     def test_cfaa_net_delta_equals_attention_flops_exactly(self):
         reports = {r.name: r for r in flops.model_table()}
-        delta = reports["cfaa_net"].total - reports["baseline"].total
-        assert delta == flops.attention_flops("cfaa", scales=4).total
+        cfaa = flops.attention_flops("cfaa", scales=4)
+        assert reports["cfaa_net"].total - reports["baseline"].total == cfaa.total
+        assert reports["cfaa_net"].full - reports["baseline"].full == cfaa.full
 
 
 class TestKernelAgreement:
@@ -134,21 +180,30 @@ class TestKernelAgreement:
         assert measured == analytic
 
 
-class TestCalibration:
-    def test_default_convention_is_best_fit(self):
-        ranked = flops.calibrate()
-        best, best_err = ranked[0]
-        assert best == DEFAULT
-        assert best_err < 0.05
+class TestFullCount:
+    """The full count is the kernel's contractions plus its projections."""
 
-    def test_row_errors_reported_per_row(self):
-        errs = flops.row_errors(DEFAULT)
-        assert set(errs) == set(flops.table_rows())
-        assert all(abs(e) < 0.10 for e in errs.values())
+    @pytest.mark.parametrize("variant, cfg", FULL_COUNT_CASES,
+                             ids=[f"{v}-{'x'.join(map(str, c.axis_lengths))}" for v, c in FULL_COUNT_CASES])
+    def test_projection_part_matches_parameter_shapes(self, variant, cfg):
+        contractions = flops.attention_contraction_count(variant, cfg)
+        assert contractions == count_oracle_multiplies(variant, cfg)
+        full = flops._module_ops(variant, cfg, per_head=True, projections=True)
+        assert full - contractions == projection_multiplies(variant, cfg)
 
+    def test_attention_flops_sums_the_modules(self):
+        # 2 modules at 512 channels on 32x16, 3 at 1024 on 16x8, 6 frames
+        cfgs = [(2, att.AttentionConfig(512, 256, 512, 2, 4, "relative", (6, 32, 16))),
+                (3, att.AttentionConfig(1024, 512, 1024, 2, 4, "relative", (6, 16, 8)))]
+        full = sum(n * (flops.attention_contraction_count("cfaa", c) + projection_multiplies("cfaa", c))
+                   for n, c in cfgs)
+        assert flops.attention_flops("cfaa", scales=4).full == full
+
+
+class TestReport:
     def test_report_lines_are_machine_readable(self):
-        rep = flops.backbone_flops()
-        lines = rep.lines()
-        assert any(l.startswith("total_flops=") for l in lines)
-        kv = dict(l.split("=", 1) for l in lines)
+        rep = flops.attention_flops("nonlocal3d")
+        kv = dict(l.split("=", 1) for l in rep.lines())
         assert int(kv["total_flops"]) == rep.total
+        assert int(kv["full_flops"]) == rep.full
+        assert float(kv["full_gflops"]) == pytest.approx(rep.full / 1e9, abs=1e-6)
