@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -772,3 +773,43 @@ class TestBatchedMatmulCore:
             with pytest.raises(DimensionError, match="shape"):
                 att.cfaa_backward(np.ones(shape), params, cache)
 
+
+
+# case -> (config, input shape); each pins one SHA-256 below
+DIGEST_CASES = {
+    "nonlocal_batch": (att.AttentionConfig(c_in=32, c_qk=16, c_out=32, axis_lengths=(4, 16, 8)), (2, 32, 4, 16, 8)),
+    "nonlocal_c_in_ne_c_out": (att.AttentionConfig(c_in=3, c_qk=2, c_out=5, axis_lengths=(2, 3, 4)), (3, 2, 3, 4)),
+    "cfaa_s4_relative": (att.AttentionConfig(c_in=32, c_qk=16, c_out=32, heads=2, scales=4, encoding="relative",
+                                             axis_lengths=(4, 16, 8)), (2, 32, 4, 16, 8)),
+    "cfaa_s2_sinusoidal": (att.AttentionConfig(c_in=8, c_qk=8, c_out=8, heads=2, scales=2, encoding="sinusoidal",
+                                               axis_lengths=(2, 4, 6)), (8, 2, 4, 6)),
+}
+DIGESTS = {
+    "nonlocal_batch": "62a047f578ab37adb601c0d12e68d29d5a8c3f30facad427233ad68ac3150352",
+    "nonlocal_c_in_ne_c_out": "98f14273f3dc6175d65e2b012b23c127d21e10cb11106ad0479f99e54a023eca",
+    "cfaa_s4_relative": "d2e3ad79128a414bd5c131c6156342ef59471faf2cf0d3242a04a8240f6189dc",
+    "cfaa_s2_sinusoidal": "c8e19137e4f7450e0ac3561c955254965f371f4e479ce9fb499a926f0833225d",
+}
+
+
+@pytest.mark.parametrize("case", list(DIGEST_CASES))
+def test_module_bits_pinned(case):
+    # one SHA-256 over the output, the input gradient, every parameter
+    # gradient (name and bits, in order) and the multiply count of the forward
+    cfg, shape = DIGEST_CASES[case]
+    kind = case.partition("_")[0]
+    init, forward, backward = ((att.init_nonlocal_params, att.nonlocal_3d_forward, att.nonlocal_3d_backward)
+                               if kind == "nonlocal" else (att.init_cfaa_params, att.cfaa_forward, att.cfaa_backward))
+    rng = Rng(2024)
+    params = init(cfg, rng.child(0))
+    x = rng.child(1).normal(shape)
+    with att.count_multiplies() as counter:
+        out, cache = forward(x, params, cfg)
+    d_x, grads = backward(rng.child(2).normal(shape), params, cache)
+    h = hashlib.sha256(out.tobytes())
+    h.update(d_x.tobytes())
+    for name, grad in grads.items():
+        h.update(name.encode())
+        h.update(grad.tobytes())
+    h.update(str(counter.total).encode())
+    assert h.hexdigest() == DIGESTS[case]
