@@ -3,26 +3,28 @@
 Two ops, each with a forward pass and an analytic backward pass; every
 forward takes ``(x, params, cfg)`` and returns ``(out, cache)``, and every
 backward takes ``(d_out, params, cache)`` and returns ``(d_x, grads)`` with
-gradients named like params. Both run on one axial attention core (one
-softmax, one analytic backward, one place that counts multiplies and checks
-the logits): attention restricted to 1-D lines along one axis (height, width
-or time), with every axis but the channel axis and the attended one a batch
-axis. The core keeps queries, keys, values and attention weights as
-(heads, lines, L, d) stacks, so each projection and each score/value
-contraction, relative positional terms included, is one stacked
-``np.matmul``. With ``encoding="relative"`` it is position-sensitive: learned
-relative positional embeddings add q^T r^q and k^T r^k logit terms and a
-value-side r^v term. A layer carries relative tables if and only if the
-encoding is ``"relative"``.
+gradients named like params. Both run one module path: the input's channels
+split into groups, each group average-pooled by its factor, passed through
+its axial attention layers in sequence and upsampled back; the groups'
+outputs are concatenated, projected back to C_in and added to the input.
+Every layer runs on one axial attention core (one softmax, one analytic
+backward, one place that counts multiplies and checks the logits):
+attention restricted to 1-D lines along one axis (height, width, time, or
+one line through a volume's T*H*W positions), with every axis but the
+channel axis and the attended one a batch axis. The core keeps queries,
+keys, values and attention weights as (heads, lines, L, d) stacks, so each
+projection and each score/value contraction, relative positional terms
+included, is one stacked ``np.matmul``. With ``encoding="relative"`` it is
+position-sensitive: learned relative positional embeddings add q^T r^q and
+k^T r^k logit terms and a value-side r^v term. A layer carries relative
+tables if and only if the encoding is ``"relative"``.
 
-* 3D self-attention: the core along one line that holds all T*H*W
-  positions (single head, no positional encoding), then output projection
-  and residual add.
-* coarse-to-fine module: the input is split into S channel groups, group s is
-  average-pooled by 2^(s-1), passed through height/width/time axial attention
-  in sequence, upsampled, concatenated, projected back to C_in and added to
-  the input. At S = 1 it is one axial block (position-sensitive with the
-  relative encoding): the three axes in sequence at full resolution.
+* 3D self-attention: one group at factor 1 with one layer along the T*H*W
+  line (single head, no positional encoding).
+* coarse-to-fine module: S groups; group s (from 1) is pooled by 2^(s-1)
+  and runs height, width and time axial attention in sequence. At S = 1 it
+  is one axial block (position-sensitive with the relative encoding): the
+  three axes in sequence at full resolution.
 
 Both take one (C, T, H, W) volume or a batch (N, C, T, H, W), which runs
 channels first as (C, N, T, H, W) in one pass; the output projection is one
@@ -173,12 +175,12 @@ def sinusoidal_encode(axis_length: int, dim: int) -> np.ndarray:
 
 _TABLES = ("r_q", "r_k", "r_v")
 _LAYER_KEYS = {e: ("w_q", "w_k", "w_v", *(_TABLES if e == "relative" else ())) for e in ENCODINGS}
-_CHAIN = (("aa_h", "H"), ("aa_w", "W"), ("aa_t", "T"))  # one CF-AA scale's layers, in the order applied
 
 
-def _sub(params: dict, prefix: str) -> dict:
-    """The entries of params whose names start with prefix, with it stripped."""
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+def _cfaa_groups(scales: int) -> list:
+    """CF-AA's channel groups, each (pooling factor, [(parameter prefix, axis)]):
+    group s pools by 2^s and runs AA^H, AA^W, AA^T in that order."""
+    return [(2**s, [(f"scale{s}.aa_{a.lower()}.", a) for a in "HWT"]) for s in range(scales)]
 
 
 def _check_keys(params: dict, want: list[str] | tuple[str, ...], encoding: str) -> dict:
@@ -228,12 +230,12 @@ def init_cfaa_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
     per_in = cfg.c_in // cfg.scales
     per_out = cfg.c_out // cfg.scales
     params = {}
-    for s in range(cfg.scales):
+    for s, (_, layers) in enumerate(_cfaa_groups(cfg.scales)):
         extents = dict(zip(AXES, cfg.scale_extents(s)))
         srng = rng.child(10 + s)
-        for i, (name, axis) in enumerate(_CHAIN):
+        for i, (prefix, axis) in enumerate(layers):
             layer = init_axial_layer(cfg, per_out if i else per_in, extents[axis], srng.child(i))
-            params.update({f"scale{s}.{name}.{k}": v for k, v in layer.items()})
+            params.update({prefix + k: v for k, v in layer.items()})
     params["w_o"] = rng.child(9).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out)
     return params
 
@@ -241,7 +243,8 @@ def init_cfaa_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # axial attention engine
 
-_AXIS_INDEX = {"T": -3, "H": -2, "W": -1}  # from the end, so leading axes are batch axes
+# from the end, so leading axes are batch axes; "THW" is one line through each volume's T*H*W positions
+_AXIS_INDEX = {"T": -3, "H": -2, "W": -1, "THW": -1}
 
 
 def _gather_offsets(table: np.ndarray, length: int) -> np.ndarray:
@@ -334,8 +337,10 @@ def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding:
     at least the names _LAYER_KEYS[encoding] lists; the public ops check that.
     """
     if axis not in _AXIS_INDEX:
-        raise DimensionError(f"unknown axis {axis!r}, expected one of {AXES}")
-    c_x = x.shape[0]
+        raise DimensionError(f"unknown axis {axis!r}, expected one of {(*AXES, 'THW')}")
+    c_x, shape = x.shape[0], x.shape
+    if axis == "THW":
+        x = x.reshape(*shape[:-3], -1)
     if p["w_q"].shape[1] != c_x:
         raise DimensionError(f"projection expects {p['w_q'].shape[1]} channels, input has {c_x}")
     cqk, cout = p["w_q"].shape[0], p["w_v"].shape[0]
@@ -367,23 +372,20 @@ def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding:
         rq, rk, rv = (_gather_offsets(p[name], length) for name in _TABLES)  # (L, L, dq|dq|dv)
 
     logits = q @ k.swapaxes(-1, -2)  # (heads, b, L, L)
-    _count(heads * b * length * length * dq)
     if rq is not None:
         # q term stacked over the query index i, k term over the key index j
         logits += (q.swapaxes(1, 2) @ rq.swapaxes(1, 2)).swapaxes(1, 2)
-        _count(heads * b * length * length * dq)
         logits += (k.swapaxes(1, 2) @ rk.transpose(1, 2, 0)).transpose(0, 2, 3, 1)
-        _count(heads * b * length * length * dq)
+    # q.k and attn.v, plus the q.r^q, k.r^k and attn.r^v terms with relative tables
+    _count(heads * b * length * length * (dq + dv if rq is None else 3 * dq + 2 * dv))
 
     attn = _softmax(check_finite(logits, "attention logits"))
 
     y = attn @ v  # (heads, b, L, dv)
-    _count(heads * b * length * length * dv)
     if rv is not None:
         y += (attn.swapaxes(1, 2) @ rv).swapaxes(1, 2)
-        _count(heads * b * length * length * dv)
 
-    out = np.moveaxis(y.transpose(0, 3, 1, 2).reshape(cout, *lines.shape[1:]), -1, ax)
+    out = np.moveaxis(y.transpose(0, 3, 1, 2).reshape(cout, *lines.shape[1:]), -1, ax).reshape(cout, *shape[1:])
     cache = dict(xp=xp, q=q, k=k, v=v, attn=attn, rq=rq, rk=rk, rv=rv, axis=ax, heads=heads,
                  lines=lines.shape[1:])
     return check_finite(np.ascontiguousarray(out), "axial attention output"), cache
@@ -419,7 +421,7 @@ def _axial_core_backward(d_out: np.ndarray, p: dict, cache: dict):
     pairs = [(g.reshape(heads, b * length, -1), p[n]) for g, n in ((d_q, "w_q"), (d_k, "w_k"), (d_v, "w_v"))]
     grads = {n: (g.swapaxes(1, 2) @ xp).reshape(w.shape) for n, (g, w) in zip(("w_q", "w_k", "w_v"), pairs)}
     d_xp = sum(g @ _per_head(w, heads) for g, w in pairs).sum(axis=0)  # (b*L, c_x)
-    d_x = np.moveaxis(d_xp.T.reshape(-1, *cache["lines"]), -1, ax)
+    d_x = np.moveaxis(d_xp.T.reshape(-1, *cache["lines"]), -1, ax).reshape(-1, *d_out.shape[1:])
 
     if rq is not None:
         grads.update(zip(_TABLES, (_scatter_offsets(g, length) for g in (d_rq_full, d_rk_full, d_rv_full))))
@@ -430,27 +432,59 @@ def _axial_core_backward(d_out: np.ndarray, p: dict, cache: dict):
 # public forward/backward ops
 
 
-def _residual_forward(x: np.ndarray, z: np.ndarray, w_o: np.ndarray, what: str):
-    """x + w_o z for x ([N,] C, T, H, W): project the attention output z
-    (c_out channels first, then x's other axes) back to x's channels, one
-    matmul per volume, and add the input. Returns (out, cache)."""
-    z = np.moveaxis(z, 0, -4)  # x's layout
-    out = check_finite(x + (w_o @ z.reshape(*z.shape[:-3], -1)).reshape(x.shape), what)
-    return out, dict(z=z, shape=x.shape)
+def _module_forward(x, params: dict, cfg: AttentionConfig, groups: list, what: str):
+    """x + w_o z for x ([N,] C, T, H, W), where z concatenates the channel
+    groups' outputs. A group is (pooling factor, [(parameter prefix, axis)]):
+    its slice of x's channels is average-pooled by the factor, passed through
+    the axial layers in order, each reading params[prefix + key], and
+    upsampled back. The output projection is one matmul per volume."""
+    x = as_tensor(x, "x")
+    _check_extents(x, cfg)
+    layer_keys = _LAYER_KEYS[cfg.encoding]
+    keys = _check_keys(params, [prefix + k for _, layers in groups for prefix, _ in layers for k in layer_keys]
+                       + ["w_o"], cfg.encoding)
+    xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
+    per_in = cfg.c_in // len(groups)
+    outs, caches = [], []
+    for g, (factor, layers) in enumerate(groups):
+        z = xc[g * per_in : (g + 1) * per_in]
+        if factor > 1:  # at factor 1 pooling and upsampling would only copy
+            z = avg_pool_2d(z, factor)
+        chain = []
+        for prefix, axis in layers:
+            z, layer_cache = _axial_core_forward(z, {k: params[prefix + k] for k in layer_keys}, axis,
+                                                 cfg.heads, cfg.encoding)
+            chain.append({**layer_cache, "prefix": prefix})
+        caches.append(dict(chain=chain, factor=factor, pooled_hw=z.shape[-2:]))
+        outs.append(upsample_nearest_2d(z, factor, target_hw=x.shape[-2:]) if factor > 1 else z)
+    z = np.moveaxis(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0), 0, -4)  # x's layout
+    out = check_finite(x + (params["w_o"] @ z.reshape(*z.shape[:-3], -1)).reshape(x.shape), what)
+    return out, dict(scale_caches=caches, z=z, shape=x.shape, **keys)
 
 
-def _residual_backward(d_out, w_o: np.ndarray, cache: dict):
-    """Backward of _residual_forward. Returns (d_out, d_z, d_w_o) with d_z
-    channels first like the forward's z; the residual path's input gradient is
-    d_out itself."""
+def _module_backward(d_out, params: dict, cache: dict):
+    """Backward of _module_forward. Returns (d_x, gradients named like params)."""
+    _check_keys(params, cache["names"], cache["encoding"])
     d_out = as_tensor(d_out, "upstream gradient")
     if d_out.shape != cache["shape"]:
         raise DimensionError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")
-    z = cache["z"]
+    w_o, z, layer_keys = params["w_o"], cache["z"], _LAYER_KEYS[cache["encoding"]]
     d_flat, z_flat = d_out.reshape(*d_out.shape[:-3], -1), z.reshape(*z.shape[:-3], -1)
-    d_z = (w_o.T @ d_flat).reshape(z.shape)
-    d_wo = (d_flat @ z_flat.swapaxes(-1, -2)).reshape(-1, *w_o.shape).sum(axis=0)
-    return d_out, np.moveaxis(d_z, -4, 0), d_wo
+    d_z = np.moveaxis((w_o.T @ d_flat).reshape(z.shape), -4, 0)  # channels first
+    grads = {"w_o": (d_flat @ z_flat.swapaxes(-1, -2)).reshape(-1, *w_o.shape).sum(axis=0)}
+    per_out = d_z.shape[0] // len(cache["scale_caches"])
+    d_groups = []
+    for g, sc in enumerate(cache["scale_caches"]):
+        d = d_z[g * per_out : (g + 1) * per_out]
+        if sc["factor"] > 1:
+            d = upsample_nearest_2d_adjoint(d, sc["factor"], sc["pooled_hw"])
+        for layer_cache in reversed(sc["chain"]):
+            prefix = layer_cache["prefix"]
+            d, layer_grads = _axial_core_backward(d, {k: params[prefix + k] for k in layer_keys}, layer_cache)
+            grads.update((prefix + k, v) for k, v in layer_grads.items())
+        d_groups.append(avg_pool_2d_adjoint(d, sc["factor"], d_out.shape[-2:]) if sc["factor"] > 1 else d)
+    d_xc = d_groups[0] if len(d_groups) == 1 else np.concatenate(d_groups, axis=0)
+    return d_out + np.moveaxis(d_xc, 0, -4), {k: grads[k] for k in params}
 
 
 def check_nonlocal_config(cfg: AttentionConfig) -> None:
@@ -460,85 +494,27 @@ def check_nonlocal_config(cfg: AttentionConfig) -> None:
 
 
 def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig):
-    """3D self-attention on one (C, T, H, W) volume or an (N, C, T, H, W) batch: the axial core along
-    one line through each volume's T*H*W positions, then output projection and residual add."""
-    x = as_tensor(x, "x")
-    _check_extents(x, cfg)
+    """3D self-attention on one (C, T, H, W) volume or an (N, C, T, H, W) batch: the module's one
+    group at factor 1, one layer along each volume's T*H*W line, then output projection and residual add."""
     check_nonlocal_config(cfg)
-    keys = _check_keys(params, ["w_q", "w_k", "w_v", "w_o"], cfg.encoding)
-    xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
-    y, core_cache = _axial_core_forward(xc.reshape(*xc.shape[:-3], 1, 1, -1), params, "W", 1, "none")
-    out, cache = _residual_forward(x, y, params["w_o"], "3D attention output")
-    return out, {**core_cache, **cache, **keys}
+    return _module_forward(x, params, cfg, [(1, [("", "THW")])], "3D attention output")
 
 
 def nonlocal_3d_backward(d_out, params: dict, cache: dict):
     """Returns (d_x, gradients named like params)."""
-    _check_keys(params, cache["names"], cache["encoding"])
-    d_out, d_y, d_wo = _residual_backward(d_out, params["w_o"], cache)
-    d_line, grads = _axial_core_backward(d_y, params, cache)
-    return np.moveaxis(d_line.reshape(np.moveaxis(d_out, -4, 0).shape), 0, -4) + d_out, {**grads, "w_o": d_wo}
-
-
-def _chain_forward(x, sp: dict, cfg: AttentionConfig):
-    """AA^H then AA^W then AA^T on x with one scale's params; returns (out, caches)."""
-    caches = []
-    for name, axis in _CHAIN:
-        x, cache = _axial_core_forward(x, _sub(sp, f"{name}."), axis, cfg.heads, cfg.encoding)
-        caches.append(cache)
-    return x, caches
-
-
-def _chain_backward(d_out, sp: dict, caches):
-    grads = {}
-    for (name, _), cache in reversed(list(zip(_CHAIN, caches))):
-        d_out, g = _axial_core_backward(d_out, _sub(sp, f"{name}."), cache)
-        grads.update((f"{name}.{k}", v) for k, v in g.items())
-    return d_out, grads
+    return _module_backward(d_out, params, cache)
 
 
 def cfaa_forward(x, params: dict, cfg: AttentionConfig):
     """Coarse-to-fine module on one (C, T, H, W) volume or a batch
     (N, C, T, H, W): channel split, per-scale pooled axial attention (H, W, T
     in sequence), upsample, concat, project to C_in, residual add."""
-    x = as_tensor(x, "x")
-    _check_extents(x, cfg)
-    carried = len({k.partition(".")[0] for k in params if k.startswith("scale")})
-    if carried != cfg.scales:
-        raise ConfigurationError(f"params carry {carried} scales, config says {cfg.scales}")
-    layers = [f"scale{s}.{n}.{k}" for s in range(cfg.scales) for n, _ in _CHAIN for k in _LAYER_KEYS[cfg.encoding]]
-    keys = _check_keys(params, layers + ["w_o"], cfg.encoding)
-    xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
-    h, w = x.shape[-2:]
-    per_in = cfg.c_in // cfg.scales
-    outs, caches = [], []
-    for s in range(cfg.scales):
-        factor = 2**s
-        pooled = avg_pool_2d(xc[s * per_in : (s + 1) * per_in], factor)
-        chained, chain_cache = _chain_forward(pooled, _sub(params, f"scale{s}."), cfg)
-        outs.append(upsample_nearest_2d(chained, factor, target_hw=(h, w)))
-        caches.append(dict(chain=chain_cache, factor=factor, pooled_hw=pooled.shape[-2:]))
-    z = np.concatenate(outs, axis=0)  # (c_out, [N,] T, H, W)
-    out, cache = _residual_forward(x, z, params["w_o"], "coarse-to-fine output")
-    return out, dict(scale_caches=caches, **cache, **keys)
+    return _module_forward(x, params, cfg, _cfaa_groups(cfg.scales), "coarse-to-fine output")
 
 
 def cfaa_backward(d_out, params: dict, cache: dict):
     """Returns (d_x, gradients named like params)."""
-    _check_keys(params, cache["names"], cache["encoding"])
-    d_out, d_z, d_wo = _residual_backward(d_out, params["w_o"], cache)
-    scales = len(cache["scale_caches"])
-    per_in, per_out = d_out.shape[-4] // scales, d_z.shape[0] // scales
-    d_x = d_out.copy()
-    d_xc = np.moveaxis(d_x, -4, 0)  # a channels-first view of d_x
-    grads = {"w_o": d_wo}
-    for s in range(scales):
-        sc = cache["scale_caches"][s]
-        d_chained = upsample_nearest_2d_adjoint(d_z[s * per_out : (s + 1) * per_out], sc["factor"], sc["pooled_hw"])
-        d_pooled, g_scale = _chain_backward(d_chained, _sub(params, f"scale{s}."), sc["chain"])
-        d_xc[s * per_in : (s + 1) * per_in] += avg_pool_2d_adjoint(d_pooled, sc["factor"], d_out.shape[-2:])
-        grads.update((f"scale{s}.{k}", g) for k, g in g_scale.items())
-    return d_x, {k: grads[k] for k in params}
+    return _module_backward(d_out, params, cache)
 
 
 def _check_extents(x: np.ndarray, cfg: AttentionConfig):

@@ -57,8 +57,7 @@ def _check_bench_flags(args) -> None:
     """Reject a flag that the chosen bench mode does not read, then fill in the
     defaults of the flags left out (they parse as None)."""
     if args.preset:
-        mode = f"--preset {args.preset}"
-        reads = ("preset", *(("frames",) if args.preset == "models" else ()))
+        mode, reads = f"--preset {args.preset}", ("preset",)
     elif args.variant:
         mode = f"--variant {args.variant}"
         own = {"backbone": ("last_stride",), "cfaa": ("scales",)}.get(args.variant, ())
@@ -78,7 +77,7 @@ def cmd_bench(args) -> int:
     _check_minimums(args, frames=1, scales=1)
     if args.preset:
         costs = args.preset == "costs"
-        reports = list(flops.table_rows().values()) if costs else flops.model_table(args.frames)
+        reports = list(flops.table_rows().values()) if costs else flops.model_table()
         print(f"{'cost column reproduction' if costs else 'full-model totals'} "
               "(published count, full count in the last column):")
         block = []
@@ -93,7 +92,7 @@ def cmd_bench(args) -> int:
     if args.variant == "backbone":
         rep = flops.backbone_flops(frames=args.frames, last_stride=args.last_stride)
     else:
-        rep = flops.attention_flops(args.variant, scales=args.scales, frames=args.frames)
+        rep = flops.attention_flops(args.variant, args.scales if args.variant == "cfaa" else 1, args.frames)
     print(f"{_fmt_gflops(rep)}  {_fmt_full(rep)}")
     _emit_block(rep.lines())
     return 0
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--preset", choices=["costs", "models"])
     b.add_argument("--variant", choices=["backbone", *flops.VARIANTS])
     b.add_argument("--scales", type=int, help="CF-AA scale count, --variant cfaa only (default 4)")
-    b.add_argument("--frames", type=int, help="clip length, --preset models or --variant (default 6)")
+    b.add_argument("--frames", type=int, help="clip length, --variant only (default 6)")
     b.add_argument("--last-stride", type=int, help="--variant backbone only (default 1)")
     b.set_defaults(func=cmd_bench)
 

@@ -34,15 +34,15 @@ REFERENCE_COSTS = {
     "cfaa_net": 24.646,
 }
 
-# variant -> (encoding, fixed scale count or None for the caller's)
-_VARIANT_SHAPES = {
-    "nonlocal3d": ("none", 1),
-    "axial": ("none", 1),
-    "axial+sinusoidal": ("sinusoidal", 1),
-    "axial+relative": ("relative", 1),
-    "cfaa": ("relative", None),
+# variant -> encoding; every variant but cfaa has one scale
+_VARIANT_ENCODINGS = {
+    "nonlocal3d": "none",
+    "axial": "none",
+    "axial+sinusoidal": "sinusoidal",
+    "axial+relative": "relative",
+    "cfaa": "relative",
 }
-VARIANTS = tuple(_VARIANT_SHAPES)
+VARIANTS = tuple(_VARIANT_ENCODINGS)
 
 # insertion points for the 256x128 backbone: (channels, H, W, module count)
 INSERTIONS = ((512, 32, 16, 2), (1024, 16, 8, 3))
@@ -120,7 +120,7 @@ def _module_ops(variant: str, cfg: att.AttentionConfig, per_head: bool, projecti
     """Op count of one attention module at cfg: score/value contractions and
     positional terms, priced per head at full width or once at the shared
     width, plus the q/k/v and output projections when asked for."""
-    if variant not in _VARIANT_SHAPES:
+    if variant not in _VARIANT_ENCODINGS:
         raise ValidationError(f"unknown attention variant {variant!r}")
     t, h, w = cfg.axis_lengths
     cqk, cout = cfg.c_qk // cfg.scales, cfg.c_out // cfg.scales
@@ -142,11 +142,14 @@ def _module_ops(variant: str, cfg: att.AttentionConfig, per_head: bool, projecti
 def attention_flops(variant: str, scales: int = 1, frames: int = 6) -> FlopReport:
     """Cost of inserting the given attention variant at the standard points
     (2 modules on the 32x16 stage, 3 on the 16x8 stage for the 256x128 input)."""
-    if variant not in _VARIANT_SHAPES:
+    if variant not in _VARIANT_ENCODINGS:
         raise ValidationError(f"unknown attention variant {variant!r}")
-    encoding, fixed_scales = _VARIANT_SHAPES[variant]
-    scales = fixed_scales or scales
-    heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // max(scales, 1), 1)  # the config rejects scales < 1
+    if variant != "cfaa" and scales != 1:
+        raise ValidationError(f"variant {variant!r} has one scale, got scales={scales}")
+    if scales < 1:
+        raise ValidationError(f"scales must be at least 1, got {scales}")
+    encoding = _VARIANT_ENCODINGS[variant]
+    heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // scales, 1)
     total = full = 0
     for c, h, w, count in INSERTIONS:
         # q/k width = c/2, value/output width = c
@@ -162,12 +165,12 @@ def attention_contraction_count(variant: str, cfg: att.AttentionConfig) -> int:
     return _module_ops(variant, cfg, per_head=True, projections=False)
 
 
-def model_table(frames: int = 6) -> list[FlopReport]:
-    """Full-model totals: the backbone alone, with the 3D non-local block, and
-    with 4-scale CF-AA, each the backbone's count plus the attention's."""
-    base = backbone_flops(frames=frames)
-    extras = {"nonlocal": attention_flops("nonlocal3d", frames=frames),
-              "cfaa_net": attention_flops("cfaa", scales=4, frames=frames)}
+def model_table() -> list[FlopReport]:
+    """Full-model totals at the published 6-frame clip: the backbone alone,
+    with the 3D non-local block, and with 4-scale CF-AA, each the backbone's
+    count plus the attention's."""
+    base = backbone_flops()
+    extras = {"nonlocal": attention_flops("nonlocal3d"), "cfaa_net": attention_flops("cfaa", scales=4)}
     return [replace(base, name="baseline"),
             *(FlopReport(name, base.total + rep.total, base.full + rep.full) for name, rep in extras.items())]
 

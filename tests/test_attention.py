@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import re
 
 import numpy as np
@@ -455,7 +456,7 @@ class TestSoftmax:
         x = rng.child(1).uniform(-30.0, 30.0, (2, 2, 13, 3))  # logits up to ~1e3
         _, cache = att._axial_core_forward(x, params, "H", cfg.heads, cfg.encoding)
         _, nl_cache = att.nonlocal_3d_forward(x, att.init_nonlocal_params(cfg, rng.child(2)), cfg)
-        for attn in (cache["attn"], nl_cache["attn"]):
+        for attn in (cache["attn"], nl_cache["scale_caches"][0]["chain"][0]["attn"]):
             assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -540,10 +541,11 @@ class TestCfaa:
         params = att.init_cfaa_params(cfg, Rng(2))
         x = Rng(3).normal((8, 2, 8, 4))
         out, _ = att.cfaa_forward(x, params, cfg)
-        h1, _ = att._axial_core_forward(x, att._sub(params, "scale0.aa_h."), "H", cfg.heads, cfg.encoding)
-        h2, _ = att._axial_core_forward(h1, att._sub(params, "scale0.aa_w."), "W", cfg.heads, cfg.encoding)
-        h3, _ = att._axial_core_forward(h2, att._sub(params, "scale0.aa_t."), "T", cfg.heads, cfg.encoding)
-        expected = x + np.einsum("co,othw->cthw", params["w_o"], h3)
+        h = x
+        for name, axis in (("aa_h", "H"), ("aa_w", "W"), ("aa_t", "T")):
+            layer = {k: params[f"scale0.{name}.{k}"] for k in att._LAYER_KEYS[cfg.encoding]}
+            h, _ = att._axial_core_forward(h, layer, axis, cfg.heads, cfg.encoding)
+        expected = x + np.einsum("co,othw->cthw", params["w_o"], h)
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_zero_output_projection_is_identity(self):
@@ -569,11 +571,14 @@ class TestCfaa:
             assert att.cfaa_forward(x, params, cfg)[0].shape == x.shape
 
     def test_param_scale_count_validated(self):
+        # a missing scale is named by its first parameter, an extra one by its first
         cfg = self.cfg(scales=2)
         params = att.init_cfaa_params(cfg, Rng(6))
         params = {name: p for name, p in params.items() if not name.startswith("scale1.")}
-        with pytest.raises(ConfigurationError, match="^params carry 1 scales, config says 2$"):
+        with pytest.raises(ConfigurationError, match=r"^missing parameter 'scale1\.aa_h\.w_q'$"):
             att.cfaa_forward(np.ones((8, 2, 8, 4)), params, cfg)
+        with pytest.raises(ConfigurationError, match=r"^unknown parameter 'scale1\.aa_h\.w_q'$"):
+            att.cfaa_forward(np.ones((8, 2, 8, 4)), att.init_cfaa_params(cfg, Rng(6)), self.cfg(scales=1))
 
 
 # op -> (config, params for it, forward(x, params, cfg)); every config draws relative tables where it can
@@ -773,6 +778,18 @@ class TestBatchedMatmulCore:
             with pytest.raises(DimensionError, match="shape"):
                 att.cfaa_backward(np.ones(shape), params, cache)
 
+
+def test_public_names_bind_distinct_functions():
+    # a span tracer wraps each function object once, under the first name bound
+    # to it: an alias such as nonlocal_3d_backward = cfaa_backward would book
+    # one op's spans under the other's name
+    names = {}
+    for name, obj in vars(att).items():
+        if not name.startswith("_") and inspect.isfunction(obj):
+            names.setdefault(id(obj), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
+    ops = {"cfaa_forward", "cfaa_backward", "nonlocal_3d_forward", "nonlocal_3d_backward"}
+    assert ops <= {name for group in names.values() for name in group}
 
 
 # case -> (config, input shape); each pins one SHA-256 below

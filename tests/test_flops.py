@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -113,11 +114,22 @@ class TestReferenceRows:
         with pytest.raises(ValidationError):
             flops.attention_flops("fancy")
 
-    @pytest.mark.parametrize("scales", [0, 3, 8])
+    @pytest.mark.parametrize("scales", [3, 8])
     def test_unsplittable_scale_counts_rejected(self, scales):
-        # 3 does not divide 512 channels, 8 needs H, W >= 128, 0 makes no groups
+        # 3 does not divide 512 channels, 8 needs H, W >= 128
         with pytest.raises(ConfigurationError):
             flops.attention_flops("cfaa", scales=scales)
+
+    @pytest.mark.parametrize("scales", [0, -1])
+    def test_cfaa_scales_below_one_rejected(self, scales):
+        with pytest.raises(ValidationError, match=f"^scales must be at least 1, got {scales}$"):
+            flops.attention_flops("cfaa", scales=scales)
+
+    @pytest.mark.parametrize("variant", ["nonlocal3d", "axial", "axial+sinusoidal", "axial+relative"])
+    @pytest.mark.parametrize("scales", [0, 4])
+    def test_one_scale_variants_reject_other_scale_counts(self, variant, scales):
+        with pytest.raises(ValidationError, match=f"^variant '{re.escape(variant)}' has one scale, got scales={scales}$"):
+            flops.attention_flops(variant, scales=scales)
 
 
 class TestModelTable:
