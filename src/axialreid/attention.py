@@ -19,12 +19,16 @@ position-sensitive: learned relative positional embeddings add q^T r^q and
 k^T r^k logit terms and a value-side r^v term. A layer carries relative
 tables if and only if the encoding is ``"relative"``.
 
-* 3D self-attention: one group at factor 1 with one layer along the T*H*W
-  line (single head, no positional encoding).
-* coarse-to-fine module: S groups; group s (from 1) is pooled by 2^(s-1)
-  and runs height, width and time axial attention in sequence. At S = 1 it
-  is one axial block (position-sensitive with the relative encoding): the
-  three axes in sequence at full resolution.
+``module_layers(kind, cfg)`` is the one place that lists a module's layers,
+as groups (pooling factor, [(parameter prefix, axis, input channels, axis
+length)]); the initialisers, the forward and the FLOP model read it:
+
+* 3D self-attention (``"nonlocal3d"``): one group at factor 1 with one layer
+  along the T*H*W line (single head, no positional encoding).
+* coarse-to-fine module (``"cfaa"``): S groups; group s (from 0) is pooled
+  by 2^s and runs height, width and time axial attention in sequence. At
+  S = 1 it is one axial block (position-sensitive with the relative
+  encoding): the three axes in sequence at full resolution.
 
 Both take one (C, T, H, W) volume or a batch (N, C, T, H, W), which runs
 channels first as (C, N, T, H, W) in one pass; the output projection is one
@@ -58,6 +62,7 @@ be instrumented via ``count_multiplies`` for cost-model cross-checks.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -126,9 +131,19 @@ class AttentionConfig:
     axis_lengths: tuple[int, int, int] = (1, 1, 1)  # (T, H, W)
 
     def __post_init__(self):
-        t, h, w = self.axis_lengths
-        if min(self.c_in, self.c_qk, self.c_out, self.heads, self.scales, t, h, w) < 1:
-            raise ConfigurationError(f"non-positive field in {self}")
+        try:
+            t, h, w = self.axis_lengths
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"axis_lengths must hold 3 entries (T, H, W), got {self.axis_lengths!r}") from None
+        counts = {name: (getattr(self, name),) for name in ("c_in", "c_qk", "c_out", "heads", "scales")}
+        for name, values in {**counts, "axis_lengths": (t, h, w)}.items():
+            try:
+                ok = min(operator.index(n) for n in values) >= 1
+            except TypeError:
+                ok = False
+            if not ok:
+                what = "positive integers" if name == "axis_lengths" else "a positive integer"
+                raise ConfigurationError(f"{name} must be {what}, got {getattr(self, name)!r}")
         if self.encoding not in ENCODINGS:
             raise ConfigurationError(f"unknown encoding {self.encoding!r}")
         for name in ("c_in", "c_qk", "c_out"):
@@ -177,10 +192,23 @@ _TABLES = ("r_q", "r_k", "r_v")
 _LAYER_KEYS = {e: ("w_q", "w_k", "w_v", *(_TABLES if e == "relative" else ())) for e in ENCODINGS}
 
 
-def _cfaa_groups(scales: int) -> list:
-    """CF-AA's channel groups, each (pooling factor, [(parameter prefix, axis)]):
-    group s pools by 2^s and runs AA^H, AA^W, AA^T in that order."""
-    return [(2**s, [(f"scale{s}.aa_{a.lower()}.", a) for a in "HWT"]) for s in range(scales)]
+def module_layers(kind: str, cfg: AttentionConfig) -> list:
+    """The layers of one attention module of kind "nonlocal3d" or "cfaa" at cfg,
+    as channel groups (pooling factor, [(parameter prefix, axis, input
+    channels, axis length)]). Non-local is one group at factor 1 with one
+    layer along each volume's T*H*W line. CF-AA's group s pools by 2^s and
+    runs AA^H, AA^W, AA^T in that order over scale s's extents, the first
+    layer reading c_in/S channels and the others c_out/S."""
+    if kind == "nonlocal3d":
+        if cfg.heads != 1 or cfg.encoding != "none" or cfg.scales != 1:
+            raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
+        return [(1, [("", "THW", cfg.c_in, math.prod(cfg.axis_lengths))])]
+    if kind != "cfaa":
+        raise ConfigurationError(f"unknown attention module {kind!r}, expected 'nonlocal3d' or 'cfaa'")
+    per_in, per_out = cfg.c_in // cfg.scales, cfg.c_out // cfg.scales
+    return [(2**s, [(f"scale{s}.aa_h.", "H", per_in, h), (f"scale{s}.aa_w.", "W", per_out, w),
+                    (f"scale{s}.aa_t.", "T", per_out, t)])
+            for s, (t, h, w) in enumerate(map(cfg.scale_extents, range(cfg.scales)))]
 
 
 def _check_keys(params: dict, want: list[str] | tuple[str, ...], encoding: str) -> dict:
@@ -219,7 +247,8 @@ def init_axial_layer(cfg: AttentionConfig, c_x: int, axis_len: int, rng: Rng) ->
 
 def init_nonlocal_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
     """One axial layer along the T*H*W line, then the output projection w_o (c_in, c_out)."""
-    params = init_axial_layer(cfg, cfg.c_in, math.prod(cfg.axis_lengths), rng)
+    [(_, [(_, _, c_x, length)])] = module_layers("nonlocal3d", cfg)
+    params = init_axial_layer(cfg, c_x, length, rng)
     params["w_o"] = rng.child(3).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out)
     return params
 
@@ -227,15 +256,10 @@ def init_nonlocal_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray
 def init_cfaa_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
     """One axial layer per axis and scale, named scale<s>.aa_<axis>.<key>,
     then the output projection w_o (c_in, c_out)."""
-    per_in = cfg.c_in // cfg.scales
-    per_out = cfg.c_out // cfg.scales
     params = {}
-    for s, (_, layers) in enumerate(_cfaa_groups(cfg.scales)):
-        extents = dict(zip(AXES, cfg.scale_extents(s)))
-        srng = rng.child(10 + s)
-        for i, (prefix, axis) in enumerate(layers):
-            layer = init_axial_layer(cfg, per_out if i else per_in, extents[axis], srng.child(i))
-            params.update({prefix + k: v for k, v in layer.items()})
+    for s, (_, layers) in enumerate(module_layers("cfaa", cfg)):
+        for i, (prefix, _, c_x, length) in enumerate(layers):
+            params.update((prefix + k, v) for k, v in init_axial_layer(cfg, c_x, length, rng.child(10 + s, i)).items())
     params["w_o"] = rng.child(9).uniform_init((cfg.c_in, cfg.c_out), cfg.c_out)
     return params
 
@@ -432,26 +456,26 @@ def _axial_core_backward(d_out: np.ndarray, p: dict, cache: dict):
 # public forward/backward ops
 
 
-def _module_forward(x, params: dict, cfg: AttentionConfig, groups: list, what: str):
-    """x + w_o z for x ([N,] C, T, H, W), where z concatenates the channel
-    groups' outputs. A group is (pooling factor, [(parameter prefix, axis)]):
-    its slice of x's channels is average-pooled by the factor, passed through
-    the axial layers in order, each reading params[prefix + key], and
-    upsampled back. The output projection is one matmul per volume."""
+def _module_forward(x, params: dict, cfg: AttentionConfig, kind: str, what: str):
+    """x + w_o z for x ([N,] C, T, H, W), where z concatenates the outputs of
+    module_layers(kind, cfg)'s groups: a group's slice of x's channels is
+    average-pooled by its factor, passed through its layers in order, each
+    reading params[prefix + key], and upsampled back. w_o is one matmul per volume."""
+    groups = module_layers(kind, cfg)
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
     layer_keys = _LAYER_KEYS[cfg.encoding]
-    keys = _check_keys(params, [prefix + k for _, layers in groups for prefix, _ in layers for k in layer_keys]
+    keys = _check_keys(params, [prefix + k for _, layers in groups for prefix, *_ in layers for k in layer_keys]
                        + ["w_o"], cfg.encoding)
     xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
-    per_in = cfg.c_in // len(groups)
     outs, caches = [], []
     for g, (factor, layers) in enumerate(groups):
+        per_in = layers[0][2]
         z = xc[g * per_in : (g + 1) * per_in]
         if factor > 1:  # at factor 1 pooling and upsampling would only copy
             z = avg_pool_2d(z, factor)
         chain = []
-        for prefix, axis in layers:
+        for prefix, axis, _, _ in layers:
             z, layer_cache = _axial_core_forward(z, {k: params[prefix + k] for k in layer_keys}, axis,
                                                  cfg.heads, cfg.encoding)
             chain.append({**layer_cache, "prefix": prefix})
@@ -487,17 +511,10 @@ def _module_backward(d_out, params: dict, cache: dict):
     return d_out + np.moveaxis(d_xc, 0, -4), {k: grads[k] for k in params}
 
 
-def check_nonlocal_config(cfg: AttentionConfig) -> None:
-    """Reject a config the 3D kernel does not run, and the FLOP model does not price."""
-    if cfg.heads != 1 or cfg.encoding != "none" or cfg.scales != 1:
-        raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
-
-
 def nonlocal_3d_forward(x, params: dict, cfg: AttentionConfig):
     """3D self-attention on one (C, T, H, W) volume or an (N, C, T, H, W) batch: the module's one
     group at factor 1, one layer along each volume's T*H*W line, then output projection and residual add."""
-    check_nonlocal_config(cfg)
-    return _module_forward(x, params, cfg, [(1, [("", "THW")])], "3D attention output")
+    return _module_forward(x, params, cfg, "nonlocal3d", "3D attention output")
 
 
 def nonlocal_3d_backward(d_out, params: dict, cache: dict):
@@ -509,7 +526,7 @@ def cfaa_forward(x, params: dict, cfg: AttentionConfig):
     """Coarse-to-fine module on one (C, T, H, W) volume or a batch
     (N, C, T, H, W): channel split, per-scale pooled axial attention (H, W, T
     in sequence), upsample, concat, project to C_in, residual add."""
-    return _module_forward(x, params, cfg, _cfaa_groups(cfg.scales), "coarse-to-fine output")
+    return _module_forward(x, params, cfg, "cfaa", "coarse-to-fine output")
 
 
 def cfaa_backward(d_out, params: dict, cache: dict):

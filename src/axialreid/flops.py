@@ -11,11 +11,14 @@ at display time. One multiply-accumulate counts as one FLOP in both.
   width, plus the q/k/v projections of every attention layer and the output
   projection.
 
-The backbone's two counts are equal.
+The backbone's two counts are equal. The attention counts price the layers
+that ``attention.module_layers`` lists, the same table the kernels run: the
+layers, input widths and axis lengths are not restated here.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 from . import attention as att
@@ -68,12 +71,22 @@ class FlopReport:
                 f"full_flops={self.full}", f"full_gflops={self.full_gflops:.6f}"]
 
 
+def _positive_int(value, name: str) -> int:
+    """A frame or scale count as a Python int: an integer of at least 1, numpy's included."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ValidationError(f"{name} must be at least 1, got {n}")
+    return n
+
+
 def backbone_flops(frames: int = 6, last_stride: int = 1) -> FlopReport:
     """50-layer residual backbone (bottleneck blocks, stride on the 3x3 conv) on
     a 256x128 input, per-frame 2D convolutions multiplied by the number of
     frames."""
-    if frames < 1:
-        raise ValidationError(f"frames must be at least 1, got {frames}")
+    frames = _positive_int(frames, "frames")
     if last_stride not in (1, 2):
         raise ValidationError(f"last_stride must be 1 or 2, got {last_stride}")
     ops = 0
@@ -100,22 +113,6 @@ def backbone_flops(frames: int = 6, last_stride: int = 1) -> FlopReport:
     return FlopReport("backbone", ops, ops)
 
 
-def _attention_layers(variant: str, cfg: att.AttentionConfig):
-    """(positions, keys per query, input channels) of each attention layer in
-    one module: the single 3D layer, or AA^H, AA^W, AA^T at every scale."""
-    t, h, w = cfg.axis_lengths
-    if variant == "nonlocal3d":
-        att.check_nonlocal_config(cfg)
-        return [(t * h * w, t * h * w, cfg.c_in)]
-    c_in, c_out = cfg.c_in // cfg.scales, cfg.c_out // cfg.scales
-    layers = []
-    for s in range(cfg.scales):
-        ts, hs, ws = cfg.scale_extents(s)
-        n = ts * hs * ws
-        layers += [(n, hs, c_in), (n, ws, c_out), (n, ts, c_out)]
-    return layers
-
-
 def _module_ops(variant: str, cfg: att.AttentionConfig, per_head: bool, projections: bool) -> int:
     """Op count of one attention module at cfg: score/value contractions and
     positional terms, priced per head at full width or once at the shared
@@ -130,10 +127,12 @@ def _module_ops(variant: str, cfg: att.AttentionConfig, per_head: bool, projecti
     elif cfg.encoding == "sinusoidal" and not per_head:
         per_pair += cqk // TOTAL_HEADS  # per head the encodings are added to q/k: no contraction
     ops = 0
-    for n, keys, c_x in _attention_layers(variant, cfg):
-        ops += n * keys * per_pair
-        if projections:
-            ops += n * c_x * (2 * cqk + cout)  # q/k/v of this layer
+    for factor, layers in att.module_layers("nonlocal3d" if variant == "nonlocal3d" else "cfaa", cfg):
+        n = t * -(-h // factor) * -(-w // factor)  # positions of the group's pooled maps
+        for _, _, c_x, keys in layers:
+            ops += n * keys * per_pair
+            if projections:
+                ops += n * c_x * (2 * cqk + cout)  # q/k/v of this layer
     if projections:
         ops += t * h * w * cfg.c_out * cfg.c_in  # concatenated c_out back to c_in
     return ops
@@ -146,8 +145,7 @@ def attention_flops(variant: str, scales: int = 1, frames: int = 6) -> FlopRepor
         raise ValidationError(f"unknown attention variant {variant!r}")
     if variant != "cfaa" and scales != 1:
         raise ValidationError(f"variant {variant!r} has one scale, got scales={scales}")
-    if scales < 1:
-        raise ValidationError(f"scales must be at least 1, got {scales}")
+    scales, frames = _positive_int(scales, "scales"), _positive_int(frames, "frames")
     encoding = _VARIANT_ENCODINGS[variant]
     heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // scales, 1)
     total = full = 0

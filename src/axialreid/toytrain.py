@@ -434,8 +434,14 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
     """SGD with momentum on cross-entropy + batch-hard triplet over p_ids x k_tracks
     batches; deterministic per seed. The learning rate drops 10x after LR_DECAY_AFTER.
     A batch whose loss or updated parameters are not finite raises NumericalError."""
+    if epochs < 0:
+        raise ValidationError(f"epochs must be non-negative, got {epochs}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ValidationError(f"lr must be finite and non-negative, got {lr}")
     if p_ids < 2:
         raise ValidationError(f"p_ids must be at least 2 (a one-identity batch has no negatives), got {p_ids}")
+    if k_tracks < 2:
+        raise ValidationError(f"k_tracks must be at least 2 (a one-tracklet identity has no positives), got {k_tracks}")
     if dataset.num_ids < p_ids or dataset.tracklets_per_id < k_tracks:
         raise ValidationError(
             f"cannot build {p_ids}x{k_tracks} batches from {dataset.num_ids} ids "

@@ -12,6 +12,7 @@ import numpy as np
 from axialreid import aggregation as agg
 from axialreid import attention as att
 from axialreid import detect_link as dl
+from axialreid import flops
 from axialreid import toytrain as tt
 from axialreid.errors import ValidationError
 from axialreid.tensor import Rng
@@ -252,3 +253,37 @@ def count_oracle_multiplies(variant: str, cfg: att.AttentionConfig, seed: int = 
     with att.count_multiplies() as counter:
         att.cfaa_forward(x, params, cfg)
     return counter.total
+
+
+def reference_attention_layers(variant: str, cfg: att.AttentionConfig) -> list[tuple[int, int, int]]:
+    """Reference for the layers ``flops._module_ops`` reads off
+    ``attention.module_layers``, written out on its own: (positions, keys per
+    query, input channels) of each attention layer in one module, the single
+    3D layer or AA^H, AA^W, AA^T at every scale s, pooled by 2^s with ceiling
+    division."""
+    t, h, w = cfg.axis_lengths
+    if variant == "nonlocal3d":
+        return [(t * h * w, t * h * w, cfg.c_in)]
+    c_in, c_out = cfg.c_in // cfg.scales, cfg.c_out // cfg.scales
+    layers = []
+    for s in range(cfg.scales):
+        hs, ws = -(-h // 2**s), -(-w // 2**s)
+        n = t * hs * ws
+        layers += [(n, hs, c_in), (n, ws, c_out), (n, t, c_out)]
+    return layers
+
+
+def reference_module_ops(variant: str, cfg: att.AttentionConfig, per_head: bool, projections: bool) -> int:
+    """Reference for ``flops._module_ops``: the same prices per query/key pair
+    and per projection, summed over reference_attention_layers."""
+    t, h, w = cfg.axis_lengths
+    cqk, cout = cfg.c_qk // cfg.scales, cfg.c_out // cfg.scales
+    per_pair = cqk + cout
+    if cfg.encoding == "relative":
+        per_pair += 2 * cqk + cout if per_head else 2 * (cqk // flops.TOTAL_HEADS) + cout // flops.TOTAL_HEADS
+    elif cfg.encoding == "sinusoidal" and not per_head:
+        per_pair += cqk // flops.TOTAL_HEADS
+    ops = 0
+    for n, keys, c_x in reference_attention_layers(variant, cfg):
+        ops += n * keys * per_pair + (n * c_x * (2 * cqk + cout) if projections else 0)
+    return ops + (t * h * w * cfg.c_out * cfg.c_in if projections else 0)

@@ -158,6 +158,27 @@ class TestConfig:
             att.AttentionConfig(c_in=6, c_qk=6, c_out=6, scales=3, axis_lengths=(2, 4, 3))
         att.AttentionConfig(c_in=6, c_qk=6, c_out=6, scales=3, axis_lengths=(2, 4, 4))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("scales", 2.0, "scales must be a positive integer, got 2.0"),
+        ("heads", np.float64(1.0), "heads must be a positive integer, got np.float64(1.0)"),
+        ("c_in", "4", "c_in must be a positive integer, got '4'"),
+        ("c_qk", 0, "c_qk must be a positive integer, got 0"),
+        ("c_out", -4, "c_out must be a positive integer, got -4"),
+        ("axis_lengths", (2, 4.0, 4), "axis_lengths must be positive integers, got (2, 4.0, 4)"),
+        ("axis_lengths", (2, 0, 4), "axis_lengths must be positive integers, got (2, 0, 4)"),
+        ("axis_lengths", (2, 4), "axis_lengths must hold 3 entries (T, H, W), got (2, 4)"),
+        ("axis_lengths", (2, 4, 4, 1), "axis_lengths must hold 3 entries (T, H, W), got (2, 4, 4, 1)"),
+        ("axis_lengths", 4, "axis_lengths must hold 3 entries (T, H, W), got 4"),
+    ])
+    def test_bad_count_rejected_naming_the_field(self, field, value, message):
+        fields = dict(c_in=4, c_qk=4, c_out=4, heads=1, scales=1, axis_lengths=(2, 4, 4)) | {field: value}
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            att.AttentionConfig(**fields)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = att.AttentionConfig(c_in=np.int64(4), c_qk=4, c_out=4, scales=np.int32(2), axis_lengths=(2, np.int64(4), 4))
+        assert cfg.scale_extents(1) == (2, 2, 2)
+
     def test_unknown_encoding(self):
         with pytest.raises(ConfigurationError):
             att.AttentionConfig(c_in=2, c_qk=2, c_out=2, encoding="learned", axis_lengths=(1, 1, 1))
@@ -229,16 +250,36 @@ class TestNonlocal3d:
             assert a.shape == want[name].shape and np.array_equal(a, want[name]), name
 
     def test_multihead_rejected(self):
+        # at init, and at forward with params drawn for a one-head config
+        one_head = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, axis_lengths=(1, 1, 1))
         cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, axis_lengths=(1, 1, 1))
-        params = att.init_nonlocal_params(cfg, Rng(0))
-        with pytest.raises(ConfigurationError):
-            att.nonlocal_3d_forward(np.ones((4, 1, 1, 1)), params, cfg)
+        with pytest.raises(ConfigurationError, match="single head"):
+            att.init_nonlocal_params(cfg, Rng(0))
+        with pytest.raises(ConfigurationError, match="single head"):
+            att.nonlocal_3d_forward(np.ones((4, 1, 1, 1)), att.init_nonlocal_params(one_head, Rng(0)), cfg)
 
     def test_shape_mismatch(self):
         cfg = self.cfg()
         params = att.init_nonlocal_params(cfg, Rng(0))
         with pytest.raises(DimensionError):
             att.nonlocal_3d_forward(np.ones((3, 2, 2, 3)), params, cfg)
+
+
+class TestModuleLayers:
+    def test_tables_written_out(self):
+        # c_in != c_out, and odd H that scale 1 rounds up
+        cfg = att.AttentionConfig(c_in=6, c_qk=6, c_out=4, scales=2, axis_lengths=(3, 5, 4))
+        assert att.module_layers("cfaa", cfg) == [
+            (1, [("scale0.aa_h.", "H", 3, 5), ("scale0.aa_w.", "W", 2, 4), ("scale0.aa_t.", "T", 2, 3)]),
+            (2, [("scale1.aa_h.", "H", 3, 3), ("scale1.aa_w.", "W", 2, 2), ("scale1.aa_t.", "T", 2, 3)]),
+        ]
+        nl_cfg = att.AttentionConfig(c_in=6, c_qk=2, c_out=4, axis_lengths=(3, 5, 4))
+        assert att.module_layers("nonlocal3d", nl_cfg) == [(1, [("", "THW", 6, 60)])]
+
+    def test_unknown_kind_rejected(self):
+        cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2)
+        with pytest.raises(ConfigurationError, match="^unknown attention module 'axial', expected 'nonlocal3d' or 'cfaa'$"):
+            att.module_layers("axial", cfg)
 
 
 class TestAxial:

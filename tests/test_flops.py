@@ -1,13 +1,14 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from axialreid import attention as att
 from axialreid import flops
 from axialreid.errors import ConfigurationError, ValidationError
 from axialreid.tensor import Rng
-from helpers import count_oracle_multiplies
+from helpers import count_oracle_multiplies, reference_module_ops
 
 # the configs acceptance criterion 4 checks against the instrumented counter
 CRITERION_4_CASES = [
@@ -110,6 +111,26 @@ class TestReferenceRows:
         s1, axial = flops.attention_flops("cfaa", scales=1), flops.attention_flops("axial+relative")
         assert (s1.total, s1.full) == (axial.total, axial.full)
 
+    @pytest.mark.parametrize("variant", flops.VARIANTS)
+    @pytest.mark.parametrize("frames, message", [
+        (0, "frames must be at least 1, got 0"), (-2, "frames must be at least 1, got -2"),
+        (6.5, "frames must be an integer, got 6.5"), (6.0, "frames must be an integer, got 6.0"),
+        ("6", "frames must be an integer, got '6'"), (None, "frames must be an integer, got None"),
+    ])
+    def test_bad_frames_rejected_as_the_backbone_rejects_them(self, variant, frames, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            flops.attention_flops(variant, frames=frames)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            flops.backbone_flops(frames=frames)
+
+    def test_numpy_integer_counts_give_python_ints(self):
+        # FlopReport's counts are exact Python ints whatever integer type comes in
+        for rep, want in ((flops.attention_flops("cfaa", scales=np.int64(4), frames=np.int64(6)),
+                           flops.attention_flops("cfaa", scales=4)),
+                          (flops.backbone_flops(frames=np.int64(6)), flops.backbone_flops())):
+            assert (rep.total, rep.full) == (want.total, want.full)
+            assert type(rep.total) is int and type(rep.full) is int
+
     def test_unknown_variant(self):
         with pytest.raises(ValidationError):
             flops.attention_flops("fancy")
@@ -125,11 +146,47 @@ class TestReferenceRows:
         with pytest.raises(ValidationError, match=f"^scales must be at least 1, got {scales}$"):
             flops.attention_flops("cfaa", scales=scales)
 
+    @pytest.mark.parametrize("scales", [4.0, 1.0])
+    def test_non_integer_scales_rejected(self, scales):
+        with pytest.raises(ValidationError, match=f"^scales must be an integer, got {scales}$"):
+            flops.attention_flops("cfaa", scales=scales)
+
     @pytest.mark.parametrize("variant", ["nonlocal3d", "axial", "axial+sinusoidal", "axial+relative"])
     @pytest.mark.parametrize("scales", [0, 4])
     def test_one_scale_variants_reject_other_scale_counts(self, variant, scales):
         with pytest.raises(ValidationError, match=f"^variant '{re.escape(variant)}' has one scale, got scales={scales}$"):
             flops.attention_flops(variant, scales=scales)
+
+
+class TestLayerTable:
+    """_module_ops prices the layers of attention.module_layers; the reference
+    writes the same layers out without that table, so a table that drops a
+    layer or mis-sizes its positions, keys or input width shows as a count
+    mismatch."""
+
+    @staticmethod
+    def assert_counts_equal_reference(variant, cfg):
+        # the published count, the full count and the contraction count
+        for per_head, projections in ((False, False), (True, True), (True, False)):
+            got = flops._module_ops(variant, cfg, per_head=per_head, projections=projections)
+            assert got == reference_module_ops(variant, cfg, per_head, projections), (per_head, projections)
+
+    @pytest.mark.parametrize("insertion", flops.INSERTIONS, ids=lambda ins: f"{ins[0]}x{ins[1]}x{ins[2]}")
+    @pytest.mark.parametrize("frames", [1, 6, 8])
+    @pytest.mark.parametrize("variant, scales", [*((v, 1) for v in flops.VARIANTS), ("cfaa", 2), ("cfaa", 4)])
+    def test_insertion_configs_equal_reference(self, variant, scales, frames, insertion):
+        # the configs attention_flops builds at each insertion point
+        c, h, w, _ = insertion
+        heads = 1 if variant == "nonlocal3d" else max(flops.TOTAL_HEADS // scales, 1)
+        cfg = att.AttentionConfig(c, c // 2, c, heads, scales, flops._VARIANT_ENCODINGS[variant], (frames, h, w))
+        self.assert_counts_equal_reference(variant, cfg)
+
+    @pytest.mark.parametrize("variant, cfg", FULL_COUNT_CASES + [
+        ("cfaa", att.AttentionConfig(c_in=6, c_qk=6, c_out=9, scales=3, encoding="relative", axis_lengths=(3, 5, 7))),
+    ])
+    def test_odd_widths_and_extents_equal_reference(self, variant, cfg):
+        # c_in != c_out, and odd H, W that the pooled scales round up
+        self.assert_counts_equal_reference(variant, cfg)
 
 
 class TestModelTable:

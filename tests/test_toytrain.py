@@ -530,11 +530,30 @@ class TestTraining:
         with pytest.raises(NumericalError, match=r"^training diverged at epoch 2, batch 1: .*non-finite"):
             tt.train(spec, tt.SyntheticIdentityDataset(num_ids=4, seed=0), epochs=2, seed=0, lr=1e308)
 
-    def test_non_finite_parameter_raises(self):
-        # the loss of the only batch is finite; its update is not
+    def test_non_finite_parameter_raises(self, monkeypatch):
+        # the loss of the only batch is finite; its update is not: an infinite
+        # learning rate is rejected up front, so the gradients overflow instead
+        backward = tt.ToyModel.backward
+        monkeypatch.setattr(tt.ToyModel, "backward",
+                            lambda self, *a: {k: g * 1e300 for k, g in backward(self, *a).items()})
         spec = tt.ToyModelSpec(num_classes=4, attention=NONE)
         with pytest.raises(NumericalError, match=r"^training diverged at epoch 1, batch 1: parameter \S+ contains "):
-            tt.train(spec, tt.SyntheticIdentityDataset(num_ids=4, seed=0), epochs=1, seed=0, lr=np.inf)
+            tt.train(spec, tt.SyntheticIdentityDataset(num_ids=4, seed=0), epochs=1, seed=0, lr=1e300)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(epochs=-1), "epochs must be non-negative, got -1"),
+        (dict(lr=-0.05), "lr must be finite and non-negative, got -0.05"),
+        (dict(lr=np.nan), "lr must be finite and non-negative, got nan"),
+        (dict(lr=np.inf), "lr must be finite and non-negative, got inf"),
+        (dict(k_tracks=1), r"k_tracks must be at least 2 .*, got 1"),
+        (dict(k_tracks=0), r"k_tracks must be at least 2 .*, got 0"),
+        (dict(k_tracks=-1), r"k_tracks must be at least 2 .*, got -1"),
+    ])
+    def test_bad_training_arguments_rejected_up_front(self, kwargs, message):
+        # each one before a model is built or a batch is drawn
+        args = dict(epochs=1, seed=0, lr=0.05, p_ids=2, k_tracks=2) | kwargs
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            tt.train(small_spec(), small_dataset(), **args)
 
 
 # Trains with CF-AA, without attention and with non-local attention at the
@@ -555,6 +574,8 @@ for attention in (tt.ToyModelSpec.attention, ("none",), ("nonlocal3d",)):
     h.update(tt.retrieve(model, fresh_split(ds, 12).tracklets).distances.tobytes())
 print(h.hexdigest())
 """
+# its value at the default channel widths, 1 and 2 BLAS threads alike
+TRAIN_DIGEST_VALUE = "8dc3fdc6a8a89a90c13fddb601df0dc4d6ce19d667a5e2a112a48afa600109ae"
 
 
 def test_training_bitwise_equal_across_blas_thread_counts():
@@ -573,7 +594,7 @@ def test_training_bitwise_equal_across_blas_thread_counts():
     for run, (_, err) in zip(runs, outputs):
         assert run.returncode == 0, err
     one, two = (out.strip() for out, _ in outputs)
-    assert len(one) == 64 and one == two
+    assert one == two == TRAIN_DIGEST_VALUE
 
 
 def test_kernels_bitwise_equal_to_reference_kernels(monkeypatch):
