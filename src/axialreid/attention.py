@@ -62,14 +62,13 @@ be instrumented via ``count_multiplies`` for cost-model cross-checks.
 from __future__ import annotations
 
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
-from .tensor import Rng, as_tensor, check_finite
+from .errors import ConfigurationError, DimensionError, ValidationError
+from .tensor import Rng, as_int, as_tensor, check_finite
 from .tensor import avg_pool_2d, avg_pool_2d_adjoint
 from .tensor import upsample_nearest_2d, upsample_nearest_2d_adjoint
 
@@ -135,15 +134,13 @@ class AttentionConfig:
             t, h, w = self.axis_lengths
         except (TypeError, ValueError):
             raise ConfigurationError(f"axis_lengths must hold 3 entries (T, H, W), got {self.axis_lengths!r}") from None
-        counts = {name: (getattr(self, name),) for name in ("c_in", "c_qk", "c_out", "heads", "scales")}
-        for name, values in {**counts, "axis_lengths": (t, h, w)}.items():
-            try:
-                ok = min(operator.index(n) for n in values) >= 1
-            except TypeError:
-                ok = False
-            if not ok:
-                what = "positive integers" if name == "axis_lengths" else "a positive integer"
-                raise ConfigurationError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        try:
+            for name in ("c_in", "c_qk", "c_out", "heads", "scales"):
+                as_int(getattr(self, name), name, 1)
+            for axis, n in zip(AXES, (t, h, w)):
+                as_int(n, f"axis length {axis}", 1)
+        except ValidationError as exc:
+            raise ConfigurationError(str(exc)) from None
         if self.encoding not in ENCODINGS:
             raise ConfigurationError(f"unknown encoding {self.encoding!r}")
         for name in ("c_in", "c_qk", "c_out"):

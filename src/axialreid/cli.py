@@ -32,7 +32,7 @@ from . import flops
 from . import gradcheck as gc
 from . import toytrain as tt
 from .errors import ConfigurationError, DimensionError, NumericalError, ValidationError
-from .tensor import load_tensor, save_tensor
+from .tensor import as_int, load_tensor, save_tensor
 
 
 def _emit_block(lines: list[str]) -> None:
@@ -50,30 +50,23 @@ def _fmt_full(report: flops.FlopReport) -> str:
     return f"full {report.full_gflops:8.3f} GFLOPs"
 
 
-BENCH_DEFAULTS = dict(frames=6, scales=4, last_stride=1)
-
-
-def _check_bench_flags(args) -> None:
-    """Reject a flag that the chosen bench mode does not read, then fill in the
-    defaults of the flags left out (they parse as None)."""
-    if args.preset:
-        mode, reads = f"--preset {args.preset}", ("preset",)
-    elif args.variant:
-        mode = f"--variant {args.variant}"
-        own = {"backbone": ("last_stride",), "cfaa": ("scales",)}.get(args.variant, ())
-        reads = ("variant", "frames", *own)
-    else:
-        raise ValidationError("bench needs --preset costs|models or --variant")
-    for dest in ("preset", "variant", "frames", "scales", "last_stride"):
-        if dest not in reads and getattr(args, dest) is not None:  # 0 is a given value
-            raise ValidationError(f"--{dest.replace('_', '-')} has no effect with {mode}")
-    for dest, value in BENCH_DEFAULTS.items():
+def _mode_flags(args, mode: str, defaults: dict, reads: tuple) -> None:
+    """Reject a flag in ``defaults`` that ``mode`` does not read, then fill in
+    the defaults of the flags left out (they parse as None, so 0 is a given value)."""
+    for dest, value in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
+        elif dest not in reads:
+            raise ValidationError(f"--{dest.replace('_', '-')} has no effect with {mode}")
 
 
 def cmd_bench(args) -> int:
-    _check_bench_flags(args)
+    if not (args.preset or args.variant):
+        raise ValidationError("bench needs --preset costs|models or --variant")
+    own = {"backbone": ("last_stride",), "cfaa": ("scales",)}.get(args.variant, ())
+    reads = () if args.preset else ("variant", "frames", *own)
+    mode = f"--preset {args.preset}" if args.preset else f"--variant {args.variant}"
+    _mode_flags(args, mode, dict(variant=None, frames=6, scales=4, last_stride=1), reads)
     _check_minimums(args, frames=1, scales=1)
     if args.preset:
         costs = args.preset == "costs"
@@ -101,9 +94,7 @@ def cmd_bench(args) -> int:
 def _check_minimums(args, **minimums) -> None:
     """Reject an integer flag (a count or a seed) below its minimum."""
     for dest, low in minimums.items():
-        value = getattr(args, dest)
-        if value < low:
-            raise ValidationError(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
+        as_int(getattr(args, dest), f"--{dest.replace('_', '-')}", low)
 
 
 def cmd_gradcheck(args) -> int:
@@ -155,6 +146,7 @@ def _frame_files(frame_dir: Path) -> list[Path]:
 
 
 def cmd_align(args) -> int:
+    dl.check_align_options(args.alpha, args.slim_ratio)  # before any tracklet, so that its error names none
     records = dl.read_candidate_file(args.candidates)
     frames_root = Path(args.frames)
     out_root = Path(args.out)
@@ -195,9 +187,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.compare and args.protocol is not None:
-        raise ValidationError("--protocol has no effect with --compare")
-    args.protocol = args.protocol or "old"
+    _mode_flags(args, "--compare", dict(protocol="old"), () if args.compare else ("protocol",))
     dataset, corrections = ev.load_eval_dataset(args.meta, args.distances, args.corrections)
     block = []
     if args.compare:
@@ -234,14 +224,13 @@ def cmd_demo(args) -> int:
         raise ValidationError(f"--lr must be positive, got {args.lr}")
     if args.lr == np.inf:
         raise ValidationError("--lr must be finite, got inf")
-    given = {f: v for f, v in (("scales", args.scales), ("heads", args.heads)) if v is not None}
-    if args.attention != "cfaa" and given:
-        raise ValidationError(f"--{next(iter(given))} has no effect with --attention {args.attention}")
-    _check_minimums(args, **{f: 1 for f in given})
     _, scales, heads = tt.ToyModelSpec.attention  # the defaults
-    cfaa = ("cfaa", given.get("scales", scales), given.get("heads", heads))
+    reads = ("scales", "heads") if args.attention == "cfaa" else ()
+    _mode_flags(args, f"--attention {args.attention}", dict(scales=scales, heads=heads), reads)
+    _check_minimums(args, scales=1, heads=1)
     dataset = tt.SyntheticIdentityDataset(num_ids=args.ids, seed=args.data_seed)
-    spec = tt.ToyModelSpec(num_classes=args.ids, attention=cfaa if args.attention == "cfaa" else (args.attention,))
+    attention = ("cfaa", args.scales, args.heads) if reads else (args.attention,)
+    spec = tt.ToyModelSpec(num_classes=args.ids, attention=attention)
     model, log = tt.train(spec, dataset, epochs=args.epochs, seed=args.seed, lr=args.lr)
     res = ev.evaluate(tt.retrieve(model, dataset.tracklets), "old")
     block = [f"epochs={args.epochs}", f"seed={args.seed}", f"attention={args.attention}"]

@@ -70,13 +70,20 @@ def select_first_frame(candidates: list[CandidateBox]) -> CandidateBox:
     return max(candidates, key=lambda c: (c.area, c.confidence))
 
 
+def check_align_options(alpha: float = DEFAULT_ALPHA, slim_ratio: float = DEFAULT_SLIM_RATIO) -> None:
+    """Reject an EMA weight alpha outside [0, 1] or a slim ratio that is not positive."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha {alpha} outside [0, 1]")
+    if not slim_ratio > 0:  # nan included; inf shifts no box
+        raise ValidationError(f"slim ratio {slim_ratio} must be positive")
+
+
 def link_frame(f_g: np.ndarray, candidates: list[CandidateBox],
                alpha: float = DEFAULT_ALPHA) -> tuple[CandidateBox, np.ndarray]:
     """Choose the candidate nearest (Euclidean) to the global feature f_g, ties
     broken by higher confidence, then lower index; return it and the
     EMA-updated global feature alpha * f_g + (1 - alpha) * chosen.feature."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha {alpha} outside [0, 1]")
+    check_align_options(alpha=alpha)
     if not candidates:
         raise ValidationError("no candidates to link")
     for c in candidates:
@@ -116,11 +123,6 @@ def _check_frame(frame) -> np.ndarray:
     return frame
 
 
-def _check_slim_ratio(slim_ratio: float) -> None:
-    if not slim_ratio > 0:  # nan included; inf shifts no box
-        raise ValidationError(f"slim ratio {slim_ratio} must be positive")
-
-
 def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATIO) -> AlignedFrame:
     """Crop the box, aspect-preserving resize into 256x128, zero-pad the rest.
     Box edges round half up, so shifting the box by whole pixels shifts the crop
@@ -131,7 +133,7 @@ def normalize_crop(frame: np.ndarray, box, slim_ratio: float = DEFAULT_SLIM_RATI
     lands on the side the content came from.
     """
     frame = _check_frame(frame)
-    _check_slim_ratio(slim_ratio)
+    check_align_options(slim_ratio=slim_ratio)
     fh, fw = frame.shape[1:]
     x, y, w, h = box
     x0, y0 = max(math.floor(x + 0.5), 0), max(math.floor(y + 0.5), 0)
@@ -188,9 +190,7 @@ def process_tracklet(
         raise ValidationError("tracklet must have at least one frame")
     if len(frames) != len(candidates_per_frame):
         raise ValidationError(f"{len(frames)} frames but {len(candidates_per_frame)} candidate lists")
-    if not 0.0 <= alpha <= 1.0:  # before the loop, so that its error names no frame
-        raise ValidationError(f"alpha {alpha} outside [0, 1]")
-    _check_slim_ratio(slim_ratio)  # before the loop too, so that its error names no frame
+    check_align_options(alpha, slim_ratio)  # before the loop, so that its error names no frame
     out: list[AlignedFrame] = []
     f_g: np.ndarray | None = None  # the exponentially averaged global feature, once a frame has candidates
     for i, (frame, cands) in enumerate(zip(frames, candidates_per_frame)):

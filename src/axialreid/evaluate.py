@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .tensor import as_tensor, load_tensor, read_text_lines
+from .tensor import as_int, as_tensor, load_tensor, read_text_lines
 
 DISTRACTOR_ID = 0
 PROTOCOLS = ("old", "new")
@@ -139,6 +139,7 @@ class EvalResult:
 
     def cmc_at(self, k: int) -> float:
         """CMC(k); past the end of a curve that covers the whole gallery, its last entry."""
+        k = as_int(k, "CMC rank", -np.inf)  # the range check below names the curve's ranks
         if k < 1 or (k > len(self.cmc) and len(self.cmc) < self.gallery_size):
             raise ValidationError(f"CMC rank {k} is not among the curve's ranks 1..{len(self.cmc)}")
         return float(self.cmc[min(k, len(self.cmc)) - 1])
@@ -148,8 +149,7 @@ def evaluate(dataset: EvalDataset, protocol: str = "old", max_rank: int = 50) ->
     """Rank the gallery per query, drop ignored entries, score AP and CMC."""
     if protocol not in PROTOCOLS:
         raise ValidationError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
-    if max_rank < 1:  # before any ranking work
-        raise ValidationError(f"max_rank must be at least 1, got {max_rank}")
+    max_rank = as_int(max_rank, "max_rank", 1)  # before any ranking work
     return _score(dataset, protocol, max_rank, _rank(dataset.distances))
 
 

@@ -18,11 +18,11 @@ layers, input widths and axis lengths are not restated here.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 from . import attention as att
 from .errors import ValidationError
+from .tensor import as_int
 
 # the published cost column (GFLOPs) the published count reproduces, keyed by report name
 REFERENCE_COSTS = {
@@ -71,22 +71,11 @@ class FlopReport:
                 f"full_flops={self.full}", f"full_gflops={self.full_gflops:.6f}"]
 
 
-def _positive_int(value, name: str) -> int:
-    """A frame or scale count as a Python int: an integer of at least 1, numpy's included."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ValidationError(f"{name} must be at least 1, got {n}")
-    return n
-
-
 def backbone_flops(frames: int = 6, last_stride: int = 1) -> FlopReport:
     """50-layer residual backbone (bottleneck blocks, stride on the 3x3 conv) on
     a 256x128 input, per-frame 2D convolutions multiplied by the number of
     frames."""
-    frames = _positive_int(frames, "frames")
+    frames = as_int(frames, "frames", 1)
     if last_stride not in (1, 2):
         raise ValidationError(f"last_stride must be 1 or 2, got {last_stride}")
     ops = 0
@@ -145,7 +134,7 @@ def attention_flops(variant: str, scales: int = 1, frames: int = 6) -> FlopRepor
         raise ValidationError(f"unknown attention variant {variant!r}")
     if variant != "cfaa" and scales != 1:
         raise ValidationError(f"variant {variant!r} has one scale, got scales={scales}")
-    scales, frames = _positive_int(scales, "scales"), _positive_int(frames, "frames")
+    scales, frames = as_int(scales, "scales", 1), as_int(frames, "frames", 1)
     encoding = _VARIANT_ENCODINGS[variant]
     heads = 1 if variant == "nonlocal3d" else max(TOTAL_HEADS // scales, 1)
     total = full = 0

@@ -180,4 +180,4 @@ def check(name: str, seed: int, perturb: bool = False) -> CheckResult:
 
 def run_gradient_checks(seeds=range(5), perturb: bool = False) -> list[CheckResult]:
     """Run every registered check on every seed; returns all results."""
-    return [check(name, int(seed), perturb) for name in ALL_CHECKS for seed in seeds]
+    return [check(name, seed, perturb) for name in ALL_CHECKS for seed in seeds]

@@ -118,14 +118,15 @@ def upsample_nearest_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np
     return padded.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1))
 
 
-def _key(k, what: str = "child key") -> int:
-    """A seed or child key as a Python int: any non-negative integer, numpy's included."""
+def as_int(value, name: str, low: int) -> int:
+    """value as a Python int: an integer, numpy's included, of at least low.
+    The one integer rule for counts, seeds and keys."""
     try:
-        n = operator.index(k)
+        n = operator.index(value)
     except TypeError:
-        n = -1
-    if n < 0:
-        raise ValidationError(f"{what} must be a non-negative integer, got {k!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if n < low:
+        raise ValidationError(f"{name} must be at least {low}, got {n}")
     return n
 
 
@@ -146,11 +147,12 @@ class Rng:
     """
 
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
-        self.seed = _key(seed, "seed")
+        self.seed = as_int(seed, "seed", 0)
         self._keys = _keys
 
     def child(self, *keys: int) -> "Rng":
-        return Rng(self.seed, self._keys + tuple(map(_key, keys)))
+        # a list, not a generator expression: child runs thousands of times per dataset
+        return Rng(self.seed, self._keys + tuple([as_int(k, "child key", 0) for k in keys]))
 
     @functools.cached_property
     def _gen(self) -> np.random.Generator:

@@ -16,7 +16,7 @@ from . import attention as att
 from . import aggregation as agg
 from . import evaluate as ev
 from .errors import ConfigurationError, DimensionError, NumericalError, ValidationError
-from .tensor import Rng, check_finite
+from .tensor import Rng, as_int, check_finite
 
 SGD_MOMENTUM = 0.9
 BN_MOMENTUM = 0.1  # weight of the batch statistics in BatchNorm's running estimates
@@ -238,8 +238,7 @@ class SyntheticIdentityDataset:
 
     def __post_init__(self):
         for name in ("num_ids", "tracklets_per_id", "frames_per_tracklet"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
+            as_int(getattr(self, name), name, 1)
         rng = Rng(self.seed)
         if self.palette is None:
             self.palette = self._stratified_palette(rng.child(0))
@@ -434,14 +433,11 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
     """SGD with momentum on cross-entropy + batch-hard triplet over p_ids x k_tracks
     batches; deterministic per seed. The learning rate drops 10x after LR_DECAY_AFTER.
     A batch whose loss or updated parameters are not finite raises NumericalError."""
-    if epochs < 0:
-        raise ValidationError(f"epochs must be non-negative, got {epochs}")
+    epochs = as_int(epochs, "epochs", 0)
     if not (np.isfinite(lr) and lr >= 0):
         raise ValidationError(f"lr must be finite and non-negative, got {lr}")
-    if p_ids < 2:
-        raise ValidationError(f"p_ids must be at least 2 (a one-identity batch has no negatives), got {p_ids}")
-    if k_tracks < 2:
-        raise ValidationError(f"k_tracks must be at least 2 (a one-tracklet identity has no positives), got {k_tracks}")
+    p_ids = as_int(p_ids, "p_ids", 2)  # a one-identity batch has no negatives
+    k_tracks = as_int(k_tracks, "k_tracks", 2)  # a one-tracklet identity has no positives
     if dataset.num_ids < p_ids or dataset.tracklets_per_id < k_tracks:
         raise ValidationError(
             f"cannot build {p_ids}x{k_tracks} batches from {dataset.num_ids} ids "
@@ -555,7 +551,7 @@ def chance_baseline(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, seeds
     """Monte-Carlo rank-1 of untrained models (the documented chance level)."""
     out = []
     for s in seeds:
-        model = ToyModel(spec, Rng(int(s)).child(0))
+        model = ToyModel(spec, Rng(s).child(0))
         res = ev.evaluate(retrieve(model, dataset.tracklets), "old")
         out.append(res.cmc_at(1))
     return out

@@ -159,13 +159,13 @@ class TestConfig:
         att.AttentionConfig(c_in=6, c_qk=6, c_out=6, scales=3, axis_lengths=(2, 4, 4))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("scales", 2.0, "scales must be a positive integer, got 2.0"),
-        ("heads", np.float64(1.0), "heads must be a positive integer, got np.float64(1.0)"),
-        ("c_in", "4", "c_in must be a positive integer, got '4'"),
-        ("c_qk", 0, "c_qk must be a positive integer, got 0"),
-        ("c_out", -4, "c_out must be a positive integer, got -4"),
-        ("axis_lengths", (2, 4.0, 4), "axis_lengths must be positive integers, got (2, 4.0, 4)"),
-        ("axis_lengths", (2, 0, 4), "axis_lengths must be positive integers, got (2, 0, 4)"),
+        ("scales", 2.0, "scales must be an integer, got 2.0"),
+        ("heads", np.float64(1.0), "heads must be an integer, got np.float64(1.0)"),
+        ("c_in", "4", "c_in must be an integer, got '4'"),
+        ("c_qk", 0, "c_qk must be at least 1, got 0"),
+        ("c_out", -4, "c_out must be at least 1, got -4"),
+        ("axis_lengths", (2, 4.0, 4), "axis length H must be an integer, got 4.0"),
+        ("axis_lengths", (2, 0, 4), "axis length H must be at least 1, got 0"),
         ("axis_lengths", (2, 4), "axis_lengths must hold 3 entries (T, H, W), got (2, 4)"),
         ("axis_lengths", (2, 4, 4, 1), "axis_lengths must hold 3 entries (T, H, W), got (2, 4, 4, 1)"),
         ("axis_lengths", 4, "axis_lengths must hold 3 entries (T, H, W), got 4"),

@@ -327,7 +327,17 @@ class TestAlign:
         code, out, err = run(capsys, "align", "--candidates", str(cand_file), "--frames", str(frames_dir),
                              "--out", str(out_dir), "--slim-ratio", value)
         assert code == 1 and out == ""
-        assert err == f"error: tracklet 5: slim ratio {float(value)} must be positive\n"
+        assert err == f"error: slim ratio {float(value)} must be positive\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("records", [True, False], ids=["records", "no-records"])
+    def test_bad_alpha_rejected_before_any_tracklet(self, capsys, align_fixture, records):
+        cand_file, frames_dir, out_dir, _ = align_fixture
+        if not records:
+            write_candidate_file(cand_file, {}, dim=2)
+        code, out, err = run(capsys, "align", "--candidates", str(cand_file), "--frames", str(frames_dir),
+                             "--out", str(out_dir), "--alpha", "5", "--slim-ratio", "-1")
+        assert (code, out, err) == (1, "", "error: alpha 5.0 outside [0, 1]\n")
         assert not out_dir.exists()
 
     def test_zero_padding_frame_names_leaves_output_unchanged(self, capsys, tmp_path):

@@ -490,7 +490,7 @@ class TestTraining:
 
     def test_single_identity_batches_rejected(self):
         ds = tt.SyntheticIdentityDataset(num_ids=2, tracklets_per_id=4, frames_per_tracklet=8, seed=6)
-        with pytest.raises(ValidationError, match=r"p_ids must be at least 2 .*, got 1"):
+        with pytest.raises(ValidationError, match=r"^p_ids must be at least 2, got 1$"):
             tt.train(small_spec(num_ids=2), ds, epochs=2, seed=3, p_ids=1, k_tracks=2, lr=0.01)
 
     @pytest.mark.parametrize("flip", [False, True])
@@ -541,13 +541,13 @@ class TestTraining:
             tt.train(spec, tt.SyntheticIdentityDataset(num_ids=4, seed=0), epochs=1, seed=0, lr=1e300)
 
     @pytest.mark.parametrize("kwargs, message", [
-        (dict(epochs=-1), "epochs must be non-negative, got -1"),
+        (dict(epochs=-1), "epochs must be at least 0, got -1"),
         (dict(lr=-0.05), "lr must be finite and non-negative, got -0.05"),
         (dict(lr=np.nan), "lr must be finite and non-negative, got nan"),
         (dict(lr=np.inf), "lr must be finite and non-negative, got inf"),
-        (dict(k_tracks=1), r"k_tracks must be at least 2 .*, got 1"),
-        (dict(k_tracks=0), r"k_tracks must be at least 2 .*, got 0"),
-        (dict(k_tracks=-1), r"k_tracks must be at least 2 .*, got -1"),
+        (dict(k_tracks=1), "k_tracks must be at least 2, got 1"),
+        (dict(k_tracks=0), "k_tracks must be at least 2, got 0"),
+        (dict(k_tracks=-1), "k_tracks must be at least 2, got -1"),
     ])
     def test_bad_training_arguments_rejected_up_front(self, kwargs, message):
         # each one before a model is built or a batch is drawn
