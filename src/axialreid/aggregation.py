@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .tensor import as_tensor
 
 TRIPLET_MARGIN = 0.3  # the batch-hard recipe's margin (Hermans et al., arXiv 1703.07737)
@@ -27,11 +27,11 @@ def mask_downsample(mask, target_hw: tuple[int, int]) -> np.ndarray:
     """
     mask = np.asarray(mask)
     if mask.ndim != 3 or not mask.size:
-        raise DimensionError(f"mask must be a non-empty (T, H, W) array, got shape {mask.shape}")
+        raise ValidationError(f"mask must be a non-empty (T, H, W) array, got shape {mask.shape}")
     t, h, w = mask.shape
     th, tw = target_hw
     if th > h or tw > w or h % th or w % tw:
-        raise DimensionError(f"target {target_hw} is not an integer pooling of ({h}, {w})")
+        raise ValidationError(f"target {target_hw} is not an integer pooling of ({h}, {w})")
     bad = ((mask != 0) & (mask != 1)).reshape(t, -1).any(axis=1)
     if bad.any():
         raise ValidationError(f"mask frame {int(bad.argmax())} holds a value other than 0 or 1")
@@ -49,9 +49,9 @@ def masked_avg_pool(features, mask) -> np.ndarray:
     features = as_tensor(features, "features")
     mask = np.asarray(mask, dtype=np.float64)
     if features.ndim != 4 or mask.ndim != 3:
-        raise DimensionError(f"expected (T, C, H, W) features and (T, H, W) mask, got {features.shape} and {mask.shape}")
+        raise ValidationError(f"expected (T, C, H, W) features and (T, H, W) mask, got {features.shape} and {mask.shape}")
     if features.shape[0] != mask.shape[0] or features.shape[2:] != mask.shape[1:]:
-        raise DimensionError(f"features {features.shape} and mask {mask.shape} extents differ")
+        raise ValidationError(f"features {features.shape} and mask {mask.shape} extents differ")
     counts = mask.sum(axis=(1, 2))
     if np.any(counts == 0):
         raise ValidationError("mask has a fully invalid frame; apply mask_downsample fallback first")
@@ -87,7 +87,7 @@ def batch_hard_triplet(features, labels):
     features = as_tensor(features, "features")
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
-        raise DimensionError(f"features {features.shape} vs labels {labels.shape}")
+        raise ValidationError(f"features {features.shape} vs labels {labels.shape}")
     validate_pk_labels(labels)
     b = features.shape[0]
     diff = features[:, None, :] - features[None, :, :]
@@ -124,7 +124,7 @@ def cross_entropy(logits, labels):
     logits = as_tensor(logits, "logits")
     labels = np.asarray(labels)
     if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
-        raise DimensionError(f"logits {logits.shape} vs labels {labels.shape}")
+        raise ValidationError(f"logits {logits.shape} vs labels {labels.shape}")
     b, n = logits.shape
     if np.any(labels < 0) or np.any(labels >= n):
         raise ValidationError(f"labels out of range [0, {n})")

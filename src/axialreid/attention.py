@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, ValidationError
+from .errors import ValidationError
 from .tensor import Rng, as_int, as_tensor, check_finite
 from .tensor import avg_pool_2d, avg_pool_2d_adjoint
 from .tensor import upsample_nearest_2d, upsample_nearest_2d_adjoint
@@ -133,30 +133,27 @@ class AttentionConfig:
         try:
             t, h, w = self.axis_lengths
         except (TypeError, ValueError):
-            raise ConfigurationError(f"axis_lengths must hold 3 entries (T, H, W), got {self.axis_lengths!r}") from None
-        try:
-            for name in ("c_in", "c_qk", "c_out", "heads", "scales"):
-                as_int(getattr(self, name), name, 1)
-            for axis, n in zip(AXES, (t, h, w)):
-                as_int(n, f"axis length {axis}", 1)
-        except ValidationError as exc:
-            raise ConfigurationError(str(exc)) from None
+            raise ValidationError(f"axis_lengths must hold 3 entries (T, H, W), got {self.axis_lengths!r}") from None
+        for name in ("c_in", "c_qk", "c_out", "heads", "scales"):
+            as_int(getattr(self, name), name, 1)
+        for axis, n in zip(AXES, (t, h, w)):
+            as_int(n, f"axis length {axis}", 1)
         if self.encoding not in ENCODINGS:
-            raise ConfigurationError(f"unknown encoding {self.encoding!r}")
+            raise ValidationError(f"unknown encoding {self.encoding!r}")
         for name in ("c_in", "c_qk", "c_out"):
             if getattr(self, name) % self.scales:
-                raise ConfigurationError(f"{name}={getattr(self, name)} not divisible by scales={self.scales}")
+                raise ValidationError(f"{name}={getattr(self, name)} not divisible by scales={self.scales}")
         if (self.c_qk // self.scales) % self.heads or (self.c_out // self.scales) % self.heads:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"per-scale c_qk={self.c_qk // self.scales} / c_out={self.c_out // self.scales} "
                 f"not divisible by heads={self.heads}"
             )
         dq = self.c_qk // self.scales // self.heads
         if self.encoding == "sinusoidal" and dq % 2:
-            raise ConfigurationError(f"sinusoidal encoding needs an even per-head q/k width, got {dq}")
+            raise ValidationError(f"sinusoidal encoding needs an even per-head q/k width, got {dq}")
         min_hw = 2 ** (self.scales - 1)
         if h < min_hw or w < min_hw:
-            raise ConfigurationError(f"H={h}, W={w} must each be >= {min_hw} for scales={self.scales}")
+            raise ValidationError(f"H={h}, W={w} must each be >= {min_hw} for scales={self.scales}")
 
     def scale_extents(self, s: int) -> tuple[int, int, int]:
         """(T, H_s, W_s) for scale index s (0-based), ceiling division."""
@@ -171,9 +168,9 @@ def sinusoidal_encode(axis_length: int, dim: int) -> np.ndarray:
     Position p, slot 2i holds sin(p / 10000^(2i/dim)), slot 2i+1 the cosine.
     """
     if dim < 2 or dim % 2:
-        raise DimensionError(f"sinusoidal encoding dim must be even and positive, got {dim}")
+        raise ValidationError(f"sinusoidal encoding dim must be even and positive, got {dim}")
     if axis_length < 1:
-        raise DimensionError(f"axis_length must be >= 1, got {axis_length}")
+        raise ValidationError(f"axis_length must be >= 1, got {axis_length}")
     pos = np.arange(axis_length, dtype=np.float64)[:, None]
     inv = 10000.0 ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     table = np.empty((axis_length, dim), dtype=np.float64)
@@ -198,10 +195,10 @@ def module_layers(kind: str, cfg: AttentionConfig) -> list:
     layer reading c_in/S channels and the others c_out/S."""
     if kind == "nonlocal3d":
         if cfg.heads != 1 or cfg.encoding != "none" or cfg.scales != 1:
-            raise ConfigurationError("3D self-attention uses a single head, no encoding, one scale")
+            raise ValidationError("3D self-attention uses a single head, no encoding, one scale")
         return [(1, [("", "THW", cfg.c_in, math.prod(cfg.axis_lengths))])]
     if kind != "cfaa":
-        raise ConfigurationError(f"unknown attention module {kind!r}, expected 'nonlocal3d' or 'cfaa'")
+        raise ValidationError(f"unknown attention module {kind!r}, expected 'nonlocal3d' or 'cfaa'")
     per_in, per_out = cfg.c_in // cfg.scales, cfg.c_out // cfg.scales
     return [(2**s, [(f"scale{s}.aa_h.", "H", per_in, h), (f"scale{s}.aa_w.", "W", per_out, w),
                     (f"scale{s}.aa_t.", "T", per_out, t)])
@@ -216,9 +213,9 @@ def _check_keys(params: dict, want: list[str] | tuple[str, ...], encoding: str) 
     for key in [k for k in params if k not in known] + [k for k in want if k not in params]:
         table = key.rpartition(".")[2] in _TABLES
         if key not in known:
-            raise ConfigurationError(f"relative tables r_q/r_k/r_v need encoding 'relative', got {encoding!r}"
-                                     if table and encoding != "relative" else f"unknown parameter {key!r}")
-        raise ConfigurationError(f"relative encoding requires table {key}" if table else f"missing parameter {key!r}")
+            raise ValidationError(f"relative tables r_q/r_k/r_v need encoding 'relative', got {encoding!r}"
+                                  if table and encoding != "relative" else f"unknown parameter {key!r}")
+        raise ValidationError(f"relative encoding requires table {key}" if table else f"missing parameter {key!r}")
     return dict(names=tuple(want), encoding=encoding)
 
 
@@ -358,15 +355,15 @@ def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding:
     at least the names _LAYER_KEYS[encoding] lists; the public ops check that.
     """
     if axis not in _AXIS_INDEX:
-        raise DimensionError(f"unknown axis {axis!r}, expected one of {(*AXES, 'THW')}")
+        raise ValidationError(f"unknown axis {axis!r}, expected one of {(*AXES, 'THW')}")
     c_x, shape = x.shape[0], x.shape
     if axis == "THW":
         x = x.reshape(*shape[:-3], -1)
     if p["w_q"].shape[1] != c_x:
-        raise DimensionError(f"projection expects {p['w_q'].shape[1]} channels, input has {c_x}")
+        raise ValidationError(f"projection expects {p['w_q'].shape[1]} channels, input has {c_x}")
     cqk, cout = p["w_q"].shape[0], p["w_v"].shape[0]
     if cqk % heads or cout % heads:
-        raise DimensionError(f"c_qk={cqk}, c_out={cout} must divide heads={heads}")
+        raise ValidationError(f"c_qk={cqk}, c_out={cout} must divide heads={heads}")
     ax = _AXIS_INDEX[axis]
     lines = np.moveaxis(x, ax, -1)  # (c_x, ..., L)
     length = lines.shape[-1]
@@ -387,7 +384,7 @@ def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding:
     if encoding == "relative":
         for name, want in zip(_TABLES, (dq, dq, dv)):
             if p[name].shape != (2 * length - 1, want):
-                raise ConfigurationError(
+                raise ValidationError(
                     f"{name} has shape {p[name].shape}, expected {(2 * length - 1, want)} for axis length {length}"
                 )
         rq, rk, rv = (_gather_offsets(p[name], length) for name in _TABLES)  # (L, L, dq|dq|dv)
@@ -488,7 +485,7 @@ def _module_backward(d_out, params: dict, cache: dict):
     _check_keys(params, cache["names"], cache["encoding"])
     d_out = as_tensor(d_out, "upstream gradient")
     if d_out.shape != cache["shape"]:
-        raise DimensionError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")
+        raise ValidationError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")
     w_o, z, layer_keys = params["w_o"], cache["z"], _LAYER_KEYS[cache["encoding"]]
     d_flat, z_flat = d_out.reshape(*d_out.shape[:-3], -1), z.reshape(*z.shape[:-3], -1)
     d_z = np.moveaxis((w_o.T @ d_flat).reshape(z.shape), -4, 0)  # channels first
@@ -534,7 +531,7 @@ def cfaa_backward(d_out, params: dict, cache: dict):
 def _check_extents(x: np.ndarray, cfg: AttentionConfig):
     """x is one (C, T, H, W) volume of cfg's extents or an (N, C, T, H, W) stack of them."""
     if x.ndim not in (4, 5):
-        raise DimensionError(f"expected (C, T, H, W) or (N, C, T, H, W) input, got shape {x.shape}")
+        raise ValidationError(f"expected (C, T, H, W) or (N, C, T, H, W) input, got shape {x.shape}")
     want = (cfg.c_in, *cfg.axis_lengths)
     if x.shape[-4:] != want:
-        raise DimensionError(f"input shape {x.shape} does not match config {want}")
+        raise ValidationError(f"input shape {x.shape} does not match config {want}")

@@ -31,7 +31,7 @@ from . import evaluate as ev
 from . import flops
 from . import gradcheck as gc
 from . import toytrain as tt
-from .errors import ConfigurationError, DimensionError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .tensor import as_int, load_tensor, save_tensor
 
 
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValidationError, ConfigurationError, DimensionError, NumericalError, OSError) as exc:
+    except (ValidationError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

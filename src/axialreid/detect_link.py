@@ -95,24 +95,28 @@ def link_frame(f_g: np.ndarray, candidates: list[CandidateBox],
 
 
 def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of (C, H, W), align-corners-false: W pass, then H pass, bitwise equal to the 2-D gather."""
+    """Bilinear resize of (C, H, W), align-corners-false: W pass, then H pass, bitwise equal to the 2-D gather.
+    Every pixel it reads reaches the output, so a NaN or Inf among them raises ValidationError."""
     c, h, w = img.shape
     if (h, w) == (out_h, out_w):
-        return img.copy()
-    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
-    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    cols = np.take(img, x0, axis=2)  # W pass: (C, H, out_w)
-    cols *= 1 - wx
-    cols += np.take(img, x1, axis=2) * wx
-    out = np.take(cols, y0, axis=1)  # H pass: (C, out_h, out_w)
-    out *= 1 - wy
-    out += np.take(cols, y1, axis=1) * wy
+        out = img.copy()
+    else:
+        ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
+        xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
+        y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+        x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+        y1 = np.minimum(y0 + 1, h - 1)
+        x1 = np.minimum(x0 + 1, w - 1)
+        wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+        wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+        cols = np.take(img, x0, axis=2)  # W pass: (C, H, out_w)
+        cols *= 1 - wx
+        cols += np.take(img, x1, axis=2) * wx
+        out = np.take(cols, y0, axis=1)  # H pass: (C, out_h, out_w)
+        out *= 1 - wy
+        out += np.take(cols, y1, axis=1) * wy
+    if not np.isfinite(out).all():
+        raise ValidationError("non-finite pixel values in the aligned region")
     return out
 
 
@@ -183,9 +187,11 @@ def process_tracklet(
     """Align a tracklet: returns exactly one AlignedFrame per input frame, whose provenance
     names the frame and either the chosen candidate and its rule (max-area, link) or no_detection.
 
-    Frame shapes are checked, pixel values are not: a NaN or Inf pixel inside a
-    chosen crop, or anywhere in a no-detection frame, comes back in the image.
-    The ``align`` command rejects such frames before it gets here."""
+    Frame shapes are checked, and so are the pixels the bilinear resize reads
+    from the chosen crop, or from the whole frame when it has no detection: a
+    NaN or Inf among them raises ValidationError naming the frame. A pixel the
+    resize does not read (outside the crop, or between the samples of a
+    shrinking resize) is not checked."""
     if len(frames) < 1:
         raise ValidationError("tracklet must have at least one frame")
     if len(frames) != len(candidates_per_frame):

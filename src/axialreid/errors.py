@@ -1,16 +1,9 @@
 """Exception types shared across the package."""
 
 
-class DimensionError(ValueError):
-    """Shapes or extents are inconsistent with what an operation requires."""
-
-
-class ConfigurationError(ValueError):
-    """A configuration object violates one of its invariants."""
-
-
 class ValidationError(ValueError):
-    """External input (file, record, flag) failed validation."""
+    """Input failed validation: a file, a record, a flag, an argument, a shape
+    or a configuration."""
 
 
 class NumericalError(ValueError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .tensor import as_int, as_tensor, load_tensor, read_text_lines
 
 DISTRACTOR_ID = 0
@@ -85,7 +85,7 @@ class EvalDataset:
     def __post_init__(self):
         self.distances = as_tensor(self.distances, "distances")
         if self.distances.shape != (len(self.queries), len(self.gallery)):
-            raise DimensionError(
+            raise ValidationError(
                 f"distance matrix {self.distances.shape} does not match "
                 f"{len(self.queries)} queries x {len(self.gallery)} gallery"
             )
@@ -373,11 +373,9 @@ def load_eval_dataset(meta_path, distances_path, corrections_path=None) -> tuple
         raise ValidationError(f"{meta_path}: metadata needs a query and a gallery line, "
                               f"got {len(queries)} queries and {len(gallery)} gallery")
     distances = load_tensor(distances_path)
-    if distances.ndim != 2 or distances.shape != (len(queries), len(gallery)):
-        raise DimensionError(
-            f"{distances_path}: distance matrix {distances.shape} does not match metadata "
-            f"({len(queries)} queries x {len(gallery)} gallery)"
-        )
-    dataset = EvalDataset(queries=queries, gallery=gallery, distances=distances)
+    try:
+        dataset = EvalDataset(queries=queries, gallery=gallery, distances=distances)
+    except ValidationError as exc:
+        raise ValidationError(f"{distances_path}: {exc}") from None
     corrections = read_corrections_file(corrections_path) if corrections_path else None
     return dataset, corrections

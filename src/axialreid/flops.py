@@ -76,6 +76,7 @@ def backbone_flops(frames: int = 6, last_stride: int = 1) -> FlopReport:
     a 256x128 input, per-frame 2D convolutions multiplied by the number of
     frames."""
     frames = as_int(frames, "frames", 1)
+    last_stride = as_int(last_stride, "last_stride", float("-inf"))  # the check below names both strides
     if last_stride not in (1, 2):
         raise ValidationError(f"last_stride must be 1 or 2, got {last_stride}")
     ops = 0

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 MAGIC = b"AAKT"
 FORMAT_VERSION = 1
@@ -27,7 +27,7 @@ def as_tensor(x, name: str = "tensor") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64, order="C")  # ascontiguousarray would make a scalar 1-d
     for ext in arr.shape:
         if ext <= 0:
-            raise DimensionError(f"{name} has non-positive extent in shape {arr.shape}")
+            raise ValidationError(f"{name} has non-positive extent in shape {arr.shape}")
     return arr
 
 
@@ -69,9 +69,9 @@ def avg_pool_2d(x, factor: int) -> np.ndarray:
     """
     x = as_tensor(x, "x")
     if x.ndim < 2:
-        raise DimensionError(f"avg_pool_2d expects (..., H, W) input, got shape {x.shape}")
+        raise ValidationError(f"avg_pool_2d expects (..., H, W) input, got shape {x.shape}")
     if factor < 1:
-        raise DimensionError(f"pooling factor must be >= 1, got {factor}")
+        raise ValidationError(f"pooling factor must be >= 1, got {factor}")
     if factor == 1:
         return x.copy()
     rows, cols, counts = _window_counts(*x.shape[-2:], factor)
@@ -85,7 +85,7 @@ def avg_pool_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np.ndarray
     grad = as_tensor(grad, "grad")
     h, w = in_hw
     if grad.shape[-2:] != (-(-h // factor), -(-w // factor)):
-        raise DimensionError(f"grad extents {grad.shape[-2:]} do not match avg_pool_2d of {in_hw} by {factor}")
+        raise ValidationError(f"grad extents {grad.shape[-2:]} do not match avg_pool_2d of {in_hw} by {factor}")
     cells = grad / _window_counts(h, w, factor)[2]
     return np.ascontiguousarray(np.repeat(np.repeat(cells, factor, axis=-2), factor, axis=-1)[..., :h, :w])
 
@@ -96,13 +96,13 @@ def upsample_nearest_2d(x, factor: int, target_hw: tuple[int, int]) -> np.ndarra
     the input's where the fine scale has odd size)."""
     x = as_tensor(x, "x")
     if x.ndim < 2:
-        raise DimensionError(f"upsample_nearest_2d expects (..., H, W) input, got shape {x.shape}")
+        raise ValidationError(f"upsample_nearest_2d expects (..., H, W) input, got shape {x.shape}")
     if factor < 1:
-        raise DimensionError(f"upsampling factor must be >= 1, got {factor}")
+        raise ValidationError(f"upsampling factor must be >= 1, got {factor}")
     out = np.repeat(np.repeat(x, factor, axis=-2), factor, axis=-1)
     th, tw = target_hw
     if th > out.shape[-2] or tw > out.shape[-1]:
-        raise DimensionError(f"target {target_hw} exceeds upsampled extents {out.shape[-2:]}")
+        raise ValidationError(f"target {target_hw} exceeds upsampled extents {out.shape[-2:]}")
     return np.ascontiguousarray(out[..., :th, :tw])
 
 
@@ -112,7 +112,7 @@ def upsample_nearest_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np
     h, w = in_hw
     *lead, gh, gw = grad.shape
     if gh > h * factor or gw > w * factor:
-        raise DimensionError(f"grad extents {(gh, gw)} exceed {in_hw} upsampled by {factor}")
+        raise ValidationError(f"grad extents {(gh, gw)} exceed {in_hw} upsampled by {factor}")
     padded = np.zeros((*lead, h * factor, w * factor))  # a cropped target leaves zeros
     padded[..., :gh, :gw] = grad
     return padded.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1))

@@ -15,7 +15,7 @@ import numpy as np
 from . import attention as att
 from . import aggregation as agg
 from . import evaluate as ev
-from .errors import ConfigurationError, DimensionError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .tensor import Rng, as_int, check_finite
 
 SGD_MOMENTUM = 0.9
@@ -314,16 +314,16 @@ class ToyModelSpec:
 
     def __post_init__(self):
         if not self.channels or len(self.channels) != len(self.strides):
-            raise ConfigurationError(f"channels and strides must give the same number of blocks, at least one; "
-                                     f"got {len(self.channels)} and {len(self.strides)}")
+            raise ValidationError(f"channels and strides must give the same number of blocks, at least one; "
+                                  f"got {len(self.channels)} and {len(self.strides)}")
         match self.attention:
             case ("cfaa", int(), int()) | ("nonlocal3d",):
                 self.attention_config()  # rejects scales and heads the widths do not divide
             case ("none",):
                 pass
             case _:
-                raise ConfigurationError(f"attention must be ('cfaa', scales, heads), ('nonlocal3d',) "
-                                         f"or ('none',), got {self.attention!r}")
+                raise ValidationError(f"attention must be ('cfaa', scales, heads), ('nonlocal3d',) "
+                                      f"or ('none',), got {self.attention!r}")
 
     def attention_config(self) -> att.AttentionConfig:
         h, w = (n // self.strides[0] for n in FRAME_HW)  # attention follows block 0
@@ -360,7 +360,7 @@ class ToyModel:
         """frames (B, T, 3, H, W), masks (B, T, H, W) -> (f_pre, f_post, logits)."""
         b, t = frames.shape[:2]
         if self.spec.attention[0] != "none" and t != CLIP_LEN:
-            raise DimensionError(f"clips of T={t} frames, but attention runs on clip_len={CLIP_LEN}")
+            raise ValidationError(f"clips of T={t} frames, but attention runs on clip_len={CLIP_LEN}")
         x = frames.reshape(b * t, *frames.shape[2:])
         for _, layer in self.layers:
             x = layer.forward(x, training)
@@ -376,7 +376,7 @@ class ToyModel:
         d(loss)/d(logits), after a training-mode forward; returns name ->
         gradient matching named_params."""
         if self._cache is None:
-            raise ConfigurationError("backward needs a training-mode forward; the last forward kept no cache")
+            raise ValidationError("backward needs a training-mode forward; the last forward kept no cache")
         t = self._cache["t"]
         grads = {"classifier.weight": d_logits.T @ self._cache["f_post"]}
         d_f_pre = d_f_pre + self.bn_feat.backward(d_logits @ self.classifier)
@@ -446,7 +446,7 @@ def train(spec: ToyModelSpec, dataset: SyntheticIdentityDataset, epochs: int, se
     if dataset.frames_per_tracklet < CLIP_LEN:
         raise ValidationError(f"tracklets of {dataset.frames_per_tracklet} frames are shorter than clip_len={CLIP_LEN}")
     if spec.num_classes != dataset.num_ids:
-        raise ConfigurationError(f"classifier width {spec.num_classes} != {dataset.num_ids} identities")
+        raise ValidationError(f"classifier width {spec.num_classes} != {dataset.num_ids} identities")
     rng = Rng(seed)
     model = ToyModel(spec, rng.child(0))
     by_id: dict[int, list[Tracklet]] = {}

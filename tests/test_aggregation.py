@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from axialreid import aggregation as agg
 from axialreid import toytrain as tt
-from axialreid.errors import DimensionError, ValidationError
+from axialreid.errors import ValidationError
 from axialreid.tensor import Rng
 from helpers import reference_mask_downsample
 
@@ -42,7 +42,7 @@ class TestMaskDownsample:
         assert np.all(out[0] == 1.0) and np.all(out[1] == 1.0)
 
     def test_non_integer_ratio_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             agg.mask_downsample(np.ones((1, 6, 4)), (4, 2))
 
     @pytest.mark.parametrize("value", [np.nan, 0.5, 2.0])
@@ -89,7 +89,7 @@ class TestMaskedAvgPool:
         assert np.array_equal(agg.masked_avg_pool(f2, m), base)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             agg.masked_avg_pool(np.ones((2, 3, 4, 4)), np.ones((2, 4, 3)))
 
 
@@ -144,7 +144,7 @@ class TestAggregate:
 
     def test_empty_rejected(self):
         frames, masks = self.clip(8, t=1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             self.model().forward(frames[:, :0], masks[:, :0], training=False)
 
 

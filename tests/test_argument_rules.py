@@ -1,5 +1,6 @@
 """Each argument rule is written once: ``tensor.as_int`` for every count, seed
-and key, and ``cli._mode_flags`` for a flag that a command's mode does not read."""
+and key, and ``cli._mode_flags`` for a flag that a command's mode does not read;
+and every error the package raises is one of two classes."""
 
 import ast
 from argparse import Namespace
@@ -14,7 +15,7 @@ from axialreid import cli, flops
 from axialreid import evaluate as ev
 from axialreid import gradcheck as gc
 from axialreid import toytrain as tt
-from axialreid.errors import ConfigurationError, ValidationError
+from axialreid.errors import ValidationError
 from axialreid.tensor import Rng, as_int
 
 SRC = Path(axialreid.__file__).parent
@@ -40,6 +41,7 @@ SITES = {
     "Rng-seed": (Rng, "seed", 0, 3),
     "Rng.child-key": (lambda v: Rng(0).child(1, v), "child key", 0, 3),
     "backbone_flops-frames": (lambda v: flops.backbone_flops(frames=v), "frames", 1, 6),
+    "backbone_flops-last_stride": (lambda v: flops.backbone_flops(last_stride=v), "last_stride", 1, 2),
     "attention_flops-scales": (lambda v: flops.attention_flops("cfaa", scales=v), "scales", 1, 2),
     "attention_flops-frames": (lambda v: flops.attention_flops("axial", frames=v), "frames", 1, 6),
     "AttentionConfig-heads": (lambda v: att.AttentionConfig(**CONFIG | dict(heads=v)), "heads", 1, 1),
@@ -59,17 +61,16 @@ SITES = {
     "run_gradient_checks-seeds": (lambda v: gc.run_gradient_checks(seeds=[v]), "seed", 0, 0),
     "chance_baseline-seeds": (lambda v: tt.chance_baseline(SPEC, dataset(), seeds=[v]), "seed", 0, 3),
 }
-# the attention config reports a bad count as a configuration error; cmc_at's
-# range check names the curve's ranks
-ERRORS = {"AttentionConfig-heads": ConfigurationError, "AttentionConfig-W": ConfigurationError}
-BELOW = {"cmc_at-k": "CMC rank 0 is not among the curve's ranks 1..2"}
+# the range checks of last_stride and cmc_at name every value they accept
+BELOW = {"backbone_flops-last_stride": "last_stride must be 1 or 2, got 0",
+         "cmc_at-k": "CMC rank 0 is not among the curve's ranks 1..2"}
 
 
 @pytest.mark.parametrize("site", list(SITES))
 @pytest.mark.parametrize("value", [1.9, -0.5, "2"], ids=["float", "negative-float", "str"])
 def test_non_integer_rejected(site, value):
     call, name, _, _ = SITES[site]
-    with pytest.raises(ERRORS.get(site, ValidationError)) as info:
+    with pytest.raises(ValidationError) as info:
         call(value)
     assert str(info.value) == f"{name} must be an integer, got {value!r}"
 
@@ -77,7 +78,7 @@ def test_non_integer_rejected(site, value):
 @pytest.mark.parametrize("site", list(SITES))
 def test_value_below_the_lowest_rejected(site):
     call, name, low, _ = SITES[site]
-    with pytest.raises(ERRORS.get(site, ValidationError)) as info:
+    with pytest.raises(ValidationError) as info:
         call(low - 1)
     assert str(info.value) == BELOW.get(site, f"{name} must be at least {low}, got {low - 1}")
 
@@ -126,3 +127,17 @@ def test_operator_index_runs_only_in_as_int():
 def test_one_has_no_effect_message():
     counts = {path.name: path.read_text().count("has no effect with") for path in SRC.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
+
+
+def _raised_name(node):
+    """The class a raise statement names, or None for a bare re-raise."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc and (exc.id if isinstance(exc, ast.Name) else ast.unparse(exc))
+
+
+def test_two_error_classes():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    assert [node.name for node in errors.body if isinstance(node, ast.ClassDef)] == ["ValidationError", "NumericalError"]
+    raised = {f"{path.stem}:{node.lineno}": _raised_name(node) for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Raise)}
+    assert {site: name for site, name in raised.items() if name not in ("ValidationError", "NumericalError", None)} == {}

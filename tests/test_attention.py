@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axialreid import attention as att
-from axialreid.errors import ConfigurationError, DimensionError
+from axialreid.errors import ValidationError
 from axialreid.tensor import Rng
 from helpers import (reference_gather_offsets, reference_nonlocal_params, reference_scatter_offsets,
                      reference_softmax, reference_softmax_backward)
@@ -148,13 +148,13 @@ def scaled_error(a, ref):
 
 class TestConfig:
     def test_divisibility_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             att.AttentionConfig(c_in=6, c_qk=4, c_out=6, heads=1, scales=4, axis_lengths=(2, 8, 8))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             att.AttentionConfig(c_in=4, c_qk=3, c_out=4, heads=2, axis_lengths=(2, 2, 2))
 
     def test_min_spatial_extent_per_scale(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             att.AttentionConfig(c_in=6, c_qk=6, c_out=6, scales=3, axis_lengths=(2, 4, 3))
         att.AttentionConfig(c_in=6, c_qk=6, c_out=6, scales=3, axis_lengths=(2, 4, 4))
 
@@ -172,7 +172,7 @@ class TestConfig:
     ])
     def test_bad_count_rejected_naming_the_field(self, field, value, message):
         fields = dict(c_in=4, c_qk=4, c_out=4, heads=1, scales=1, axis_lengths=(2, 4, 4)) | {field: value}
-        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             att.AttentionConfig(**fields)
 
     def test_numpy_integer_counts_accepted(self):
@@ -180,12 +180,12 @@ class TestConfig:
         assert cfg.scale_extents(1) == (2, 2, 2)
 
     def test_unknown_encoding(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             att.AttentionConfig(c_in=2, c_qk=2, c_out=2, encoding="learned", axis_lengths=(1, 1, 1))
 
     def test_odd_per_head_width_rejected_with_sinusoidal(self):
         # c_qk 4 over 2 scales and 2 heads leaves 1 q/k channel per head, too few for sin/cos pairs
-        with pytest.raises(ConfigurationError, match="even per-head q/k width, got 1"):
+        with pytest.raises(ValidationError, match="even per-head q/k width, got 1"):
             att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="sinusoidal", axis_lengths=(2, 4, 2))
         att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="relative", axis_lengths=(2, 4, 2))
 
@@ -205,7 +205,7 @@ class TestSinusoidal:
         assert np.array_equal(att.sinusoidal_encode(7, 10), att.sinusoidal_encode(7, 10))
 
     def test_odd_dim_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             att.sinusoidal_encode(4, 5)
 
 
@@ -253,15 +253,15 @@ class TestNonlocal3d:
         # at init, and at forward with params drawn for a one-head config
         one_head = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, axis_lengths=(1, 1, 1))
         cfg = att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, axis_lengths=(1, 1, 1))
-        with pytest.raises(ConfigurationError, match="single head"):
+        with pytest.raises(ValidationError, match="single head"):
             att.init_nonlocal_params(cfg, Rng(0))
-        with pytest.raises(ConfigurationError, match="single head"):
+        with pytest.raises(ValidationError, match="single head"):
             att.nonlocal_3d_forward(np.ones((4, 1, 1, 1)), att.init_nonlocal_params(one_head, Rng(0)), cfg)
 
     def test_shape_mismatch(self):
         cfg = self.cfg()
         params = att.init_nonlocal_params(cfg, Rng(0))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             att.nonlocal_3d_forward(np.ones((3, 2, 2, 3)), params, cfg)
 
 
@@ -278,7 +278,7 @@ class TestModuleLayers:
 
     def test_unknown_kind_rejected(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2)
-        with pytest.raises(ConfigurationError, match="^unknown attention module 'axial', expected 'nonlocal3d' or 'cfaa'$"):
+        with pytest.raises(ValidationError, match="^unknown attention module 'axial', expected 'nonlocal3d' or 'cfaa'$"):
             att.module_layers("axial", cfg)
 
 
@@ -312,7 +312,7 @@ class TestAxial:
     def test_unknown_axis(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(2, 2, 2))
         params = att.init_axial_layer(cfg, 2, 2, Rng(0))
-        with pytest.raises(DimensionError, match="axis"):
+        with pytest.raises(ValidationError, match="axis"):
             axial_out(np.ones((2, 2, 2, 2)), params, "Z", cfg)
 
     def test_off_axis_perturbation_stays_local(self):
@@ -418,7 +418,7 @@ class TestAxialPositionSensitive:
         cfg, params = self.make(length=3, seed=7)
         params["r_q"] = params["r_q"][:-1]
         x = Rng(8).normal((3, 1, 3, 1))
-        with pytest.raises(ConfigurationError, match="r_q"):
+        with pytest.raises(ValidationError, match="r_q"):
             axial_out(x, params, "H", cfg)
 
     @pytest.mark.parametrize("length", range(1, 17))
@@ -555,7 +555,7 @@ class TestSoftmax:
     def test_empty_axis_rejected(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(1, 1, 1))
         params = att.init_cfaa_params(cfg, Rng(0))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             att.cfaa_forward(np.empty((2, 1, 0, 1)), params, cfg)
 
 
@@ -616,9 +616,9 @@ class TestCfaa:
         cfg = self.cfg(scales=2)
         params = att.init_cfaa_params(cfg, Rng(6))
         params = {name: p for name, p in params.items() if not name.startswith("scale1.")}
-        with pytest.raises(ConfigurationError, match=r"^missing parameter 'scale1\.aa_h\.w_q'$"):
+        with pytest.raises(ValidationError, match=r"^missing parameter 'scale1\.aa_h\.w_q'$"):
             att.cfaa_forward(np.ones((8, 2, 8, 4)), params, cfg)
-        with pytest.raises(ConfigurationError, match=r"^unknown parameter 'scale1\.aa_h\.w_q'$"):
+        with pytest.raises(ValidationError, match=r"^unknown parameter 'scale1\.aa_h\.w_q'$"):
             att.cfaa_forward(np.ones((8, 2, 8, 4)), att.init_cfaa_params(cfg, Rng(6)), self.cfg(scales=1))
 
 
@@ -645,7 +645,7 @@ class TestParamNames:
         for name in params:
             table = name.rpartition(".")[2] in ("r_q", "r_k", "r_v")
             want = f"relative encoding requires table {name}" if table else f"missing parameter '{name}'"
-            with pytest.raises(ConfigurationError, match=f"^{re.escape(want)}$"):
+            with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
                 forward(x, {k: v for k, v in params.items() if k != name}, cfg)
 
     @pytest.mark.parametrize("extra", ["w_x", "bias", "scale0.aa_h.w_o", "scale0.aa_x.w_q"])
@@ -653,7 +653,7 @@ class TestParamNames:
     def test_unknown_name_rejected_by_name(self, op, extra):
         cfg, init, forward = PARAM_OPS[op]
         params = {**init(cfg), extra: np.zeros((1, 1))}
-        with pytest.raises(ConfigurationError, match=f"^unknown parameter '{re.escape(extra)}'$"):
+        with pytest.raises(ValidationError, match=f"^unknown parameter '{re.escape(extra)}'$"):
             forward(np.ones((cfg.c_in, *cfg.axis_lengths)), params, cfg)
 
     @pytest.mark.parametrize("encoding", ["none", "sinusoidal"])
@@ -665,7 +665,7 @@ class TestParamNames:
             params["r_k"], encoding = np.zeros((1, 1)), "none"
         cfg = att.AttentionConfig(c_in=cfg.c_in, c_qk=2 * cfg.scales, c_out=cfg.c_out, scales=cfg.scales,
                                   encoding=encoding, axis_lengths=cfg.axis_lengths)
-        with pytest.raises(ConfigurationError, match=f"^relative tables r_q/r_k/r_v need encoding 'relative', "
+        with pytest.raises(ValidationError, match=f"^relative tables r_q/r_k/r_v need encoding 'relative', "
                                                      f"got '{encoding}'$"):
             forward(np.ones((cfg.c_in, *cfg.axis_lengths)), params, cfg)
 
@@ -801,14 +801,14 @@ class TestBatchedMatmulCore:
         cfg, params, _ = batch_case("relative", 2, 1, 0)
         t, h, w = cfg.axis_lengths
         for shape in ((2, cfg.c_in, t, h, w + 1), (2, cfg.c_in + 1, t, h, w), (1, 2, cfg.c_in, t, h, w)):
-            with pytest.raises(DimensionError):
+            with pytest.raises(ValidationError):
                 att.cfaa_forward(np.ones(shape), params, cfg)
         # 3D self-attention takes a batch as well, of volumes of the config's shape
         nl_cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(2, 2, 2))
         nl_params = att.init_nonlocal_params(nl_cfg, Rng(0))
         assert att.nonlocal_3d_forward(np.ones((2, 4, 2, 2, 2)), nl_params, nl_cfg)[0].shape == (2, 4, 2, 2, 2)
         for shape in ((2, 4, 2, 2, 3), (2, 5, 2, 2, 2), (1, 2, 4, 2, 2, 2)):
-            with pytest.raises(DimensionError):
+            with pytest.raises(ValidationError):
                 att.nonlocal_3d_forward(np.ones(shape), nl_params, nl_cfg)
 
     def test_batched_upstream_shape_mismatch_rejected(self):
@@ -816,7 +816,7 @@ class TestBatchedMatmulCore:
         x = rng.child(1).normal((3, cfg.c_in, *cfg.axis_lengths))
         _, cache = att.cfaa_forward(x, params, cfg)
         for shape in ((2, *x.shape[1:]), x.shape[1:]):
-            with pytest.raises(DimensionError, match="shape"):
+            with pytest.raises(ValidationError, match="shape"):
                 att.cfaa_backward(np.ones(shape), params, cache)
 
 

@@ -463,6 +463,18 @@ class TestEval:
         assert "mAP" not in out
         assert "(query 1, gallery 2)" in err
 
+    @pytest.mark.parametrize("distances, message", [
+        (np.ones((3, 3)), "distance matrix (3, 3) does not match 2 queries x 4 gallery"),
+        (np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, np.nan, 0.8]]),
+         "distance matrix holds 1 non-finite entries, first at (query 1, gallery 2): nan"),
+    ], ids=["shape", "nan"])
+    def test_distance_errors_name_the_file(self, capsys, eval_fixture, tmp_path, distances, message):
+        meta, _, _, _ = eval_fixture
+        bad = tmp_path / "bad.aakt"
+        save_tensor(bad, distances)
+        code, out, err = run(capsys, "eval", "--meta", str(meta), "--distances", str(bad))
+        assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
+
     def test_repeated_gallery_tid_exits_one_with_line(self, capsys, eval_fixture):
         meta, dist, _, _ = eval_fixture
         meta.write_text(meta.read_text() + "gallery\t410\t374\t0\t-\n")

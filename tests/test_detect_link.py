@@ -330,6 +330,27 @@ class TestProcessTracklet:
         with pytest.raises(ValidationError, match=rf"^frame 1: frame must be \(3, H, W\), got {re.escape(str(shape))}$"):
             dl.process_tracklet(frames, cands)
 
+    @pytest.mark.parametrize("detected", [False, True], ids=["no-detection", "detection"])
+    def test_zero_extent_frame_names_frame(self, detected):
+        cands = [[], [box(frame=1, b=(0, 0, 2, 2))] if detected else []]
+        with pytest.raises(ValidationError, match=r"^frame 1: frame has non-positive extent in shape \(3, 0, 4\)$"):
+            dl.process_tracklet([np.zeros((3, 4, 4)), np.zeros((3, 0, 4))], cands)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("detected", [False, True], ids=["no-detection", "detection"])
+    def test_non_finite_pixel_read_names_frame(self, detected, value):
+        frames = [np.ones((3, 40, 30)), np.ones((3, 40, 30))]
+        frames[1][2, 10, 5] = value  # inside the 8x24 box at (2, 2)
+        cands = [[box(b=(2, 2, 8, 24))], [box(frame=1, b=(2, 2, 8, 24))] if detected else []]
+        with pytest.raises(ValidationError, match=r"^frame 1: non-finite pixel values in the aligned region$"):
+            dl.process_tracklet(frames, cands)
+
+    def test_non_finite_pixel_outside_the_crop_not_read(self):
+        frame = np.ones((3, 40, 30))
+        frame[:, 35:, 20:] = np.nan
+        out = dl.process_tracklet([frame], [[box(b=(2, 2, 8, 24))]])
+        assert np.isfinite(out[0].image).all()
+
     @pytest.mark.parametrize("cands", [[[]], [[box(b=(0, 0, 2, 4))]]], ids=["no-detection", "detection"])
     def test_alpha_checked_before_any_frame(self, cands):
         with pytest.raises(ValidationError, match=r"^alpha 1.5 outside \[0, 1\]$"):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axialreid import evaluate as ev
-from axialreid.errors import DimensionError, ValidationError
+from axialreid.errors import ValidationError
 from axialreid.tensor import Rng, save_tensor
 from eval_files import write_metadata_file
 from helpers import rank_oracle
@@ -316,7 +316,7 @@ class TestEvaluate:
             ev.evaluate(dataset, "v2")
 
     def test_distance_matrix_shape_checked(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError):
             ev.EvalDataset(
                 queries=[ev.TrackletMeta(tid=1, identity=1, camera=0)],
                 gallery=[ev.TrackletMeta(tid=2, identity=1, camera=1)],
@@ -696,7 +696,7 @@ class TestFiles:
         dataset, _ = random_instance(14)
         write_metadata_file(tmp_path / "meta.tsv", dataset.queries, dataset.gallery)
         save_tensor(tmp_path / "dist.aakt", np.ones((1, 1)))
-        with pytest.raises(DimensionError, match="queries"):
+        with pytest.raises(ValidationError, match="queries"):
             ev.load_eval_dataset(tmp_path / "meta.tsv", tmp_path / "dist.aakt")
 
     @pytest.mark.parametrize("role", ["query", "gallery"])

@@ -6,7 +6,7 @@ import pytest
 
 from axialreid import attention as att
 from axialreid import flops
-from axialreid.errors import ConfigurationError, ValidationError
+from axialreid.errors import ValidationError
 from axialreid.tensor import Rng
 from helpers import count_oracle_multiplies, reference_module_ops
 
@@ -138,7 +138,7 @@ class TestReferenceRows:
     @pytest.mark.parametrize("scales", [3, 8])
     def test_unsplittable_scale_counts_rejected(self, scales):
         # 3 does not divide 512 channels, 8 needs H, W >= 128
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             flops.attention_flops("cfaa", scales=scales)
 
     @pytest.mark.parametrize("scales", [0, -1])
@@ -222,7 +222,7 @@ class TestKernelAgreement:
 
     def test_config_the_3d_kernel_rejects_is_not_priced(self):
         cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, encoding="relative", axis_lengths=(2, 2, 2))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             flops.attention_contraction_count("nonlocal3d", cfg)
 
     def test_single_position_counts(self):

@@ -8,7 +8,7 @@ from axialreid import aggregation as agg
 from axialreid import attention as att
 from axialreid import gradcheck as gc
 from axialreid import toytrain as tt
-from axialreid.errors import ConfigurationError
+from axialreid.errors import ValidationError
 from axialreid.tensor import Rng
 
 SEEDS = range(5)
@@ -141,7 +141,7 @@ DROPPED = {"cfaa": "scale1.aa_t.r_v", "nonlocal3d": "w_o"}
 @pytest.mark.parametrize("op", list(DROPPED))
 def test_backward_rejects_a_name_the_forward_did_not_check(op):
     (out, cache), backward, params = attention_cases()[op]
-    with pytest.raises(ConfigurationError, match=r"unknown parameter 'bias'"):
+    with pytest.raises(ValidationError, match=r"unknown parameter 'bias'"):
         backward(np.ones_like(out), {**params, "bias": np.zeros(4)}, cache)
 
 
@@ -149,5 +149,5 @@ def test_backward_rejects_a_name_the_forward_did_not_check(op):
 def test_backward_rejects_a_missing_name_the_forward_checked(op):
     (out, cache), backward, params = attention_cases()[op]
     short = {k: v for k, v in params.items() if k != DROPPED[op]}
-    with pytest.raises(ConfigurationError, match=rf"\b{DROPPED[op]}\b"):
+    with pytest.raises(ValidationError, match=rf"\b{DROPPED[op]}\b"):
         backward(np.ones_like(out), short, cache)

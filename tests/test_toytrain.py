@@ -16,7 +16,7 @@ from axialreid import aggregation as agg
 from axialreid import attention as att
 from axialreid import evaluate as ev
 from axialreid import toytrain as tt
-from axialreid.errors import ConfigurationError, DimensionError, NumericalError, ValidationError
+from axialreid.errors import NumericalError, ValidationError
 from axialreid.gradcheck import fd_gradient, rel_error
 from axialreid.tensor import Rng
 from helpers import (fresh_split, reference_batchnorm_forward, reference_conv_backward, reference_conv_forward,
@@ -112,23 +112,23 @@ class TestSpec:
     @pytest.mark.parametrize("channels, strides", [((32, 64, 64), (2, 2)), ((32,), (2, 2))])
     def test_channels_and_strides_of_different_lengths_rejected(self, channels, strides):
         # zip would build min(len(channels), len(strides)) blocks
-        with pytest.raises(ConfigurationError, match=r"^channels and strides must give the same number of blocks, "
+        with pytest.raises(ValidationError, match=r"^channels and strides must give the same number of blocks, "
                                                      rf"at least one; got {len(channels)} and 2$"):
             tt.ToyModelSpec(channels=channels, strides=strides)
 
     def test_empty_channels_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"^channels and strides must .*; got 0 and 0$"):
+        with pytest.raises(ValidationError, match=r"^channels and strides must .*; got 0 and 0$"):
             tt.ToyModelSpec(channels=(), strides=())
 
     @pytest.mark.parametrize("attention", [("cfaa",), ("cfaa", 4), ("cfaa", 4.0, 2), ("nonlocal",), ("none", 1),
                                            ("nonlocal3d", 1, 1), "cfaa", (), None])
     def test_unknown_attention_rejected(self, attention):
-        with pytest.raises(ConfigurationError, match=r"^attention must be \('cfaa', scales, heads\), "
+        with pytest.raises(ValidationError, match=r"^attention must be \('cfaa', scales, heads\), "
                                                      rf"\('nonlocal3d',\) or \('none',\), got {re.escape(repr(attention))}$"):
             tt.ToyModelSpec(attention=attention)
 
     def test_cfaa_scales_the_widths_do_not_divide_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"^c_in=32 not divisible by scales=3$"):
+        with pytest.raises(ValidationError, match=r"^c_in=32 not divisible by scales=3$"):
             tt.ToyModelSpec(attention=("cfaa", 3, 2))
 
     def test_attention_configs(self):
@@ -219,7 +219,7 @@ class TestLayers:
         frames = np.stack([t.frames[:5] for t in ds.tracklets[:4]])
         masks = np.stack([t.masks[:5] for t in ds.tracklets[:4]])
         for training in (True, False):
-            with pytest.raises(DimensionError, match=r"T=5.*clip_len=4"):
+            with pytest.raises(ValidationError, match=r"T=5.*clip_len=4"):
                 model.forward(frames, masks, training)
 
     def test_backward_after_eval_forward_rejected(self):
@@ -231,7 +231,7 @@ class TestLayers:
         masks = np.stack([t.masks[:4] for t in ds.tracklets[:4]])
         f_pre, _, logits = model.forward(frames, masks, training=True)
         model.forward(frames, masks, training=False)
-        with pytest.raises(ConfigurationError, match="training-mode forward"):
+        with pytest.raises(ValidationError, match="training-mode forward"):
             model.backward(np.zeros_like(f_pre), agg.cross_entropy(logits, np.arange(4))[1])
 
 
