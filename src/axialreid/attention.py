@@ -55,8 +55,9 @@ them keep the bits of those over a gathered copy. CHANGES.md holds the
 timings behind these choices.
 
 Projections are per-position linear maps (1x1x1 convolutions) without bias.
-All math is float64 numpy; multiply counts of the score/value contractions can
-be instrumented via ``count_multiplies`` for cost-model cross-checks.
+All math is float64 numpy. For cost-model cross-checks, a
+``with count_multiplies() as counter:`` block yields an object whose int
+``total`` counts the multiplies of the score/value contractions run inside it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,34 +81,21 @@ ENCODINGS = ("none", "sinusoidal", "relative")
 # multiply instrumentation
 
 
-class MultiplyCounter:
-    def __init__(self):
-        self.total = 0
-
-    def add(self, n: int):
-        self.total += int(n)
-
-
-_ACTIVE_COUNTER: MultiplyCounter | None = None
+_ACTIVE_COUNTER: SimpleNamespace | None = None
 
 
 @contextmanager
 def count_multiplies():
     """Count scalar multiplies in attention score/value contractions executed
-    inside the block. Projections and softmax are not counted."""
+    inside the block into the int ``total`` of the object it yields. Projections
+    and softmax are not counted; a nested block's multiplies count in it only."""
     global _ACTIVE_COUNTER
     prev = _ACTIVE_COUNTER
-    counter = MultiplyCounter()
-    _ACTIVE_COUNTER = counter
+    counter = _ACTIVE_COUNTER = SimpleNamespace(total=0)
     try:
         yield counter
     finally:
         _ACTIVE_COUNTER = prev
-
-
-def _count(n: int):
-    if _ACTIVE_COUNTER is not None:
-        _ACTIVE_COUNTER.add(n)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +384,8 @@ def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding:
         logits += (q.swapaxes(1, 2) @ rq.swapaxes(1, 2)).swapaxes(1, 2)
         logits += (k.swapaxes(1, 2) @ rk.transpose(1, 2, 0)).transpose(0, 2, 3, 1)
     # q.k and attn.v, plus the q.r^q, k.r^k and attn.r^v terms with relative tables
-    _count(heads * b * length * length * (dq + dv if rq is None else 3 * dq + 2 * dv))
+    if _ACTIVE_COUNTER is not None:
+        _ACTIVE_COUNTER.total += int(heads * b * length * length * (dq + dv if rq is None else 3 * dq + 2 * dv))
 
     attn = _softmax(check_finite(logits, "attention logits"))
 

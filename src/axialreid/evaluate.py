@@ -359,11 +359,10 @@ def read_corrections_file(path) -> LabelCorrections:
                 out.duplicate_pairs.add(frozenset((a, b)))
             else:
                 raise ValidationError(f"unrecognized record {line!r}")
-            if kind in ("RELABEL", "AMBIG") and out.conflicts(tid):
-                raise ValidationError("; ".join(out.conflicts(tid)))
+            if kind in ("RELABEL", "AMBIG") and (conflicts := out.conflicts(tid)):
+                raise ValidationError("; ".join(conflicts))
         except ValueError as exc:  # the ValidationErrors above included
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    out.validate()
     return out
 
 

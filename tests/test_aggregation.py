@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,19 @@ class TestMaskedAvgPool:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             agg.masked_avg_pool(np.ones((2, 3, 4, 4)), np.ones((2, 4, 3)))
+
+    @pytest.mark.parametrize("features, mask", [((2, 3, 4), (2, 3, 4)), ((2, 3, 4, 4), (2, 4, 4, 1))],
+                             ids=["three-axis-features", "four-axis-mask"])
+    def test_wrong_rank_rejected(self, features, mask):
+        message = f"expected (T, C, H, W) features and (T, H, W) mask, got {features} and {mask}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            agg.masked_avg_pool(np.ones(features), np.ones(mask))
+
+    def test_fully_invalid_frame_rejected(self):
+        mask = np.ones((2, 4, 4))
+        mask[1] = 0.0
+        with pytest.raises(ValidationError, match="^mask has a fully invalid frame; apply mask_downsample fallback first$"):
+            agg.masked_avg_pool(np.ones((2, 3, 4, 4)), mask)
 
 
 class TestAggregate:
@@ -200,6 +215,16 @@ class TestTriplet:
         with pytest.raises(ValidationError):
             agg.batch_hard_triplet(np.ones((3, 2)), np.array([0, 0, 1]))
 
+    def test_unequal_instance_counts_rejected(self):
+        message = "batch is not P x K: instance counts {0: 2, 1: 3}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            agg.validate_pk_labels(np.array([0, 0, 1, 1, 1]))
+
+    @pytest.mark.parametrize("features, labels", [((4,), (4,)), ((4, 2), (3,))], ids=["one-axis", "row-count"])
+    def test_shape_mismatch_rejected(self, features, labels):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'features {features} vs labels {labels}')}$"):
+            agg.batch_hard_triplet(np.ones(features), np.array([0, 0, 1, 1])[: labels[0]])
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -222,3 +247,8 @@ class TestCrossEntropy:
     def test_out_of_range_label(self):
         with pytest.raises(ValidationError):
             agg.cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    @pytest.mark.parametrize("logits, labels", [((3,), (3,)), ((2, 3), (3,))], ids=["one-axis", "row-count"])
+    def test_shape_mismatch_rejected(self, logits, labels):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'logits {logits} vs labels {labels}')}$"):
+            agg.cross_entropy(np.zeros(logits), np.zeros(labels, dtype=int))

@@ -1,6 +1,7 @@
 """Each argument rule is written once: ``tensor.as_int`` for every count, seed
 and key, and ``cli._mode_flags`` for a flag that a command's mode does not read;
-and every error the package raises is one of two classes."""
+every error the package raises is one of two classes; and the package root
+binds no name, so that each is imported from its own module."""
 
 import ast
 from argparse import Namespace
@@ -141,3 +142,10 @@ def test_two_error_classes():
     raised = {f"{path.stem}:{node.lineno}": _raised_name(node) for path in sorted(SRC.glob("*.py"))
               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Raise)}
     assert {site: name for site, name in raised.items() if name not in ("ValidationError", "NumericalError", None)} == {}
+
+
+def test_package_root_holds_only_its_docstring():
+    # every name is imported from its own module (axialreid.attention, ...):
+    # a re-export at the root would bind it a second time
+    root = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(root) and len(root.body) == 1

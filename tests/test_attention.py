@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,16 @@ class TestAxial:
         params = att.init_axial_layer(cfg, 2, 2, Rng(0))
         with pytest.raises(ValidationError, match="axis"):
             axial_out(np.ones((2, 2, 2, 2)), params, "Z", cfg)
+
+    @pytest.mark.parametrize("w_q, w_v, heads, message", [
+        ((2, 3), (2, 3), 1, "projection expects 3 channels, input has 2"),
+        ((3, 2), (4, 2), 2, "c_qk=3, c_out=4 must divide heads=2"),
+        ((4, 2), (3, 2), 2, "c_qk=4, c_out=3 must divide heads=2"),
+    ], ids=["channels", "c_qk-heads", "c_out-heads"])
+    def test_core_rejects_projections_that_do_not_fit(self, w_q, w_v, heads, message):
+        p = {"w_q": np.ones(w_q), "w_k": np.ones(w_q), "w_v": np.ones(w_v)}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            att._axial_core_forward(np.ones((2, 2, 3, 2)), p, "H", heads, "none")
 
     def test_off_axis_perturbation_stays_local(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(3, 2, 3))
@@ -818,6 +829,25 @@ class TestBatchedMatmulCore:
         for shape in ((2, *x.shape[1:]), x.shape[1:]):
             with pytest.raises(ValidationError, match="shape"):
                 att.cfaa_backward(np.ones(shape), params, cache)
+
+
+def test_nested_count_blocks_count_their_own_multiplies():
+    # an inner block's multiplies count in it only, and a numpy head count
+    # still gives int totals
+    from axialreid import flops
+
+    cfg, params, rng = batch_case("relative", 2, 2, 60)
+    cfg = replace(cfg, heads=np.int64(cfg.heads))
+    x = rng.child(1).normal((cfg.c_in, *cfg.axis_lengths))
+    per_call = flops.attention_contraction_count("cfaa", cfg)
+    with att.count_multiplies() as outer:
+        att.cfaa_forward(x, params, cfg)
+        with att.count_multiplies() as inner:
+            att.cfaa_forward(x, params, cfg)
+        att.cfaa_forward(x, params, cfg)
+    att.cfaa_forward(x, params, cfg)  # outside every block: counted in none
+    assert (outer.total, inner.total) == (2 * per_call, per_call)
+    assert type(outer.total) is int and type(inner.total) is int
 
 
 def test_public_names_bind_distinct_functions():

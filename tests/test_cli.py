@@ -311,6 +311,27 @@ class TestAlign:
         assert err == f"error: {frames_dir / '5' / '0001.aakt'}: frame must be (3, H, W), got {shape}\n"
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    def test_frame_without_candidate_logged_as_no_detection(self, capsys, align_fixture):
+        _, frames_dir, out_dir, _ = align_fixture
+        cand_file = frames_dir.parent / "sparse.tsv"
+        cand_file.write_text("D=2\n5\t0\t2\t2\t8\t24\t0.9\t1.0\t0.0\n5\t2\t2\t2\t8\t24\t0.9\t1.0\t0.0\n")
+        code, out, err = run(capsys, "align", "--candidates", str(cand_file),
+                             "--frames", str(frames_dir), "--out", str(out_dir))
+        assert (code, err) == (0, "") and kv_block(out)["frames"] == "4"
+        assert (out_dir / "5" / "provenance.log").read_text() == (
+            "frame=0 candidate=0 rule=max-area\nframe=1 no_detection=1\n"
+            "frame=2 candidate=0 rule=link\nframe=3 no_detection=1\n")
+
+    def test_tracklet_directory_without_frames_exits_one(self, capsys, align_fixture):
+        cand_file, frames_dir, out_dir, _ = align_fixture
+        for path in (frames_dir / "5").glob("*.aakt"):
+            path.unlink()
+        code, out, err = run(capsys, "align", "--candidates", str(cand_file),
+                             "--frames", str(frames_dir), "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == f"error: {frames_dir / '5'} holds no frame containers\n"
+        assert not out_dir.exists()
+
     def test_candidate_past_last_frame_names_tracklet(self, capsys, align_fixture):
         # a negative frame is rejected at parse time; the frame count is known only here
         _, frames_dir, out_dir, _ = align_fixture

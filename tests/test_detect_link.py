@@ -49,6 +49,10 @@ class TestLinkFrame:
         chosen, _ = dl.link_frame(np.array([1.0, 0.0]), [far])
         assert chosen is far
 
+    def test_no_candidates_rejected(self):
+        with pytest.raises(ValidationError, match="^no candidates to link$"):
+            dl.link_frame(np.array([1.0, 0.0]), [])
+
     def test_chosen_is_distance_optimal(self):
         rng = Rng(0)
         for trial in range(20):
@@ -259,6 +263,10 @@ class TestProcessTracklet:
         for i, a in enumerate(out):
             assert a.provenance["frame"] == i
             assert a.provenance["candidate"] == 0
+
+    def test_no_frames_rejected(self):
+        with pytest.raises(ValidationError, match="^tracklet must have at least one frame$"):
+            dl.process_tracklet([], [])
 
     def test_single_frame_uses_area_rule_only(self):
         f = Rng(5).uniform(0, 1, (3, 40, 30))

@@ -222,6 +222,13 @@ class TestApplyCorrections:
         with pytest.raises(ValidationError, match="5"):
             c.validate()
 
+    def test_one_tracklet_duplicate_pair_rejected(self):
+        dataset = ev.EvalDataset(queries=[ev.TrackletMeta(tid=1, identity=4, camera=0)],
+                                 gallery=[ev.TrackletMeta(tid=3, identity=4, camera=1)], distances=np.array([[0.5]]))
+        message = "conflicting corrections: DUPDIST pair [3] is not two distinct tracklets"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ev.apply_corrections(dataset, ev.LabelCorrections(duplicate_pairs={frozenset({3})}))
+
 
 class TestEvaluate:
     def test_ap_arithmetic(self):

@@ -134,6 +134,8 @@ class TestReferenceRows:
     def test_unknown_variant(self):
         with pytest.raises(ValidationError):
             flops.attention_flops("fancy")
+        with pytest.raises(ValidationError, match="^unknown attention variant 'fancy'$"):
+            flops.attention_contraction_count("fancy", CRITERION_4_CASES[0][1])
 
     @pytest.mark.parametrize("scales", [3, 8])
     def test_unsplittable_scale_counts_rejected(self, scales):

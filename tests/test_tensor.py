@@ -42,6 +42,16 @@ class TestPooling:
         with pytest.raises(ValidationError):
             upsample_nearest_2d(np.ones((1, 1, 2, 2)), 0, (2, 2))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: avg_pool_2d(np.ones(4), 2), "avg_pool_2d expects (..., H, W) input, got shape (4,)"),
+        (lambda: upsample_nearest_2d(np.ones(4), 2, (8, 1)),
+         "upsample_nearest_2d expects (..., H, W) input, got shape (4,)"),
+        (lambda: upsample_nearest_2d(np.ones((1, 2, 3)), 2, (5, 7)), "target (5, 7) exceeds upsampled extents (4, 6)"),
+    ], ids=["pool-rank", "upsample-rank", "upsample-target"])
+    def test_bad_rank_or_target_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_partial_edge_windows(self):
         x = np.arange(6, dtype=np.float64).reshape(1, 1, 2, 3)
         out = avg_pool_2d(x, 2)

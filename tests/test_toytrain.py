@@ -107,6 +107,13 @@ class TestDataset:
         ]
         assert min(dists) > 0.15
 
+    def test_more_identities_than_lattice_points_get_new_colors(self):
+        # the palette lattice has 27 points; identities 27-29 draw their colors
+        ds = tt.SyntheticIdentityDataset(num_ids=30, tracklets_per_id=1, frames_per_tracklet=1, seed=0)
+        assert ds.palette.shape == (30, 3)
+        assert len({tuple(color) for color in ds.palette}) == 30
+        assert {tr.identity for tr in ds.tracklets} == set(range(30))
+
 
 class TestSpec:
     @pytest.mark.parametrize("channels, strides", [((32, 64, 64), (2, 2)), ((32,), (2, 2))])
@@ -515,6 +522,10 @@ class TestTraining:
         ds = small_dataset()
         with pytest.raises(ValidationError):
             tt.train(small_spec(), ds, epochs=1, seed=0, p_ids=8, k_tracks=2)
+
+    def test_classifier_width_other_than_identity_count_rejected(self):
+        with pytest.raises(ValidationError, match=r"^classifier width 5 != 4 identities$"):
+            tt.train(small_spec(num_ids=5), small_dataset(), epochs=1, seed=0, p_ids=2, k_tracks=2)
 
     @ATTENTION_KINDS
     def test_tracklets_shorter_than_clip_rejected(self, attention):
