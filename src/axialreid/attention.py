@@ -17,7 +17,11 @@ projection and each score/value contraction, relative positional terms
 included, is one stacked ``np.matmul``. With ``encoding="relative"`` it is
 position-sensitive: learned relative positional embeddings add q^T r^q and
 k^T r^k logit terms and a value-side r^v term. A layer carries relative
-tables if and only if the encoding is ``"relative"``.
+tables if and only if the encoding is ``"relative"``. One private table,
+``_layer_shapes``, states every layer parameter's shape: the initialiser
+draws from it, and each public forward and backward checks its params'
+names and shapes against it (plus the output projection's), so the core
+takes its params as given.
 
 ``module_layers(kind, cfg)`` is the one place that lists a module's layers,
 as groups (pooling factor, [(parameter prefix, axis, input channels, axis
@@ -194,38 +198,35 @@ def module_layers(kind: str, cfg: AttentionConfig) -> list:
             for s, (t, h, w) in enumerate(map(cfg.scale_extents, range(cfg.scales)))]
 
 
-def _check_keys(params: dict, want: list[str] | tuple[str, ...], encoding: str) -> dict:
-    """Reject params whose names are not exactly want, naming the first stray or
-    missing one. Returns the accepted names and encoding as cache entries, so
-    that a backward can check its params against the forward's."""
-    known = set(want)
-    for key in [k for k in params if k not in known] + [k for k in want if k not in params]:
+def _layer_shapes(cfg: AttentionConfig, c_x: int, length: int) -> dict[str, tuple[int, int]]:
+    """One axial layer's parameter shapes in draw order: projections w_q, w_k
+    (c_qk, c_x) and w_v (c_out, c_x) per scale and, with relative encoding,
+    tables holding one vector per offset -(L-1)..L-1 (2L-1 rows) with per-head
+    width c_qk/heads (r_q, r_k) or c_out/heads (r_v), shared across heads."""
+    cqk, cout = cfg.c_qk // cfg.scales, cfg.c_out // cfg.scales
+    n, dq, dv = 2 * length - 1, cqk // cfg.heads, cout // cfg.heads
+    return dict(zip(_LAYER_KEYS[cfg.encoding], [(cqk, c_x), (cqk, c_x), (cout, c_x), (n, dq), (n, dq), (n, dv)]))
+
+
+def _check_params(params: dict, shapes: dict, encoding: str):
+    """Reject params whose names are not exactly those of shapes, naming the
+    first stray or missing one, or one whose array has another shape."""
+    for key in [k for k in params if k not in shapes] + [k for k in shapes if k not in params]:
         table = key.rpartition(".")[2] in _TABLES
-        if key not in known:
+        if key not in shapes:
             raise ValidationError(f"relative tables r_q/r_k/r_v need encoding 'relative', got {encoding!r}"
                                   if table and encoding != "relative" else f"unknown parameter {key!r}")
         raise ValidationError(f"relative encoding requires table {key}" if table else f"missing parameter {key!r}")
-    return dict(names=tuple(want), encoding=encoding)
+    for name, shape in shapes.items():
+        if np.shape(params[name]) != shape:
+            raise ValidationError(f"parameter {name!r} has shape {np.shape(params[name])}, expected {shape}")
 
 
 def init_axial_layer(cfg: AttentionConfig, c_x: int, axis_len: int, rng: Rng) -> dict[str, np.ndarray]:
-    """One axial attention layer: projections w_q, w_k (c_qk, c_x) and w_v
-    (c_out, c_x) per scale and, with relative encoding, tables holding one
-    vector per offset -(L-1)..L-1 (2L-1 rows) with per-head width c_qk/heads
-    (r_q, r_k) or c_out/heads (r_v), shared across heads."""
-    cqk = cfg.c_qk // cfg.scales
-    cout = cfg.c_out // cfg.scales
-    p = {
-        "w_q": rng.child(0).uniform_init((cqk, c_x), c_x),
-        "w_k": rng.child(1).uniform_init((cqk, c_x), c_x),
-        "w_v": rng.child(2).uniform_init((cout, c_x), c_x),
-    }
-    if cfg.encoding == "relative":
-        dq, dv, n = cqk // cfg.heads, cout // cfg.heads, 2 * axis_len - 1
-        p["r_q"] = rng.child(3).uniform_init((n, dq), dq)
-        p["r_k"] = rng.child(4).uniform_init((n, dq), dq)
-        p["r_v"] = rng.child(5).uniform_init((n, dv), dv)
-    return p
+    """One axial layer's parameters, shaped as _layer_shapes lists them:
+    parameter i is drawn from rng.child(i) with its row width as fan-in."""
+    return {name: rng.child(i).uniform_init(shape, shape[1])
+            for i, (name, shape) in enumerate(_layer_shapes(cfg, c_x, axis_len).items())}
 
 
 def init_nonlocal_params(cfg: AttentionConfig, rng: Rng) -> dict[str, np.ndarray]:
@@ -341,18 +342,15 @@ def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding:
     (c_x, N, T, H, W) stack of volumes runs in one call. out has c_out channels
     and x's other extents. q, k, v and attn are kept as (heads, b, L, d) and
     each projection and score/value contraction is one stacked matmul. p holds
-    at least the names _LAYER_KEYS[encoding] lists; the public ops check that.
+    the arrays _layer_shapes lists for x's channels and this axis's length;
+    the public ops check their names and shapes, and the core checks only the axis.
     """
     if axis not in _AXIS_INDEX:
         raise ValidationError(f"unknown axis {axis!r}, expected one of {(*AXES, 'THW')}")
     c_x, shape = x.shape[0], x.shape
     if axis == "THW":
         x = x.reshape(*shape[:-3], -1)
-    if p["w_q"].shape[1] != c_x:
-        raise ValidationError(f"projection expects {p['w_q'].shape[1]} channels, input has {c_x}")
     cqk, cout = p["w_q"].shape[0], p["w_v"].shape[0]
-    if cqk % heads or cout % heads:
-        raise ValidationError(f"c_qk={cqk}, c_out={cout} must divide heads={heads}")
     ax = _AXIS_INDEX[axis]
     lines = np.moveaxis(x, ax, -1)  # (c_x, ..., L)
     length = lines.shape[-1]
@@ -371,11 +369,6 @@ def _axial_core_forward(x: np.ndarray, p: dict, axis: str, heads: int, encoding:
 
     rq = rk = rv = None
     if encoding == "relative":
-        for name, want in zip(_TABLES, (dq, dq, dv)):
-            if p[name].shape != (2 * length - 1, want):
-                raise ValidationError(
-                    f"{name} has shape {p[name].shape}, expected {(2 * length - 1, want)} for axis length {length}"
-                )
         rq, rk, rv = (_gather_offsets(p[name], length) for name in _TABLES)  # (L, L, dq|dq|dv)
 
     logits = q @ k.swapaxes(-1, -2)  # (heads, b, L, L)
@@ -448,9 +441,10 @@ def _module_forward(x, params: dict, cfg: AttentionConfig, kind: str, what: str)
     groups = module_layers(kind, cfg)
     x = as_tensor(x, "x")
     _check_extents(x, cfg)
+    shapes = {prefix + k: shape for _, layers in groups for prefix, _, c_x, length in layers
+              for k, shape in _layer_shapes(cfg, c_x, length).items()} | {"w_o": (cfg.c_in, cfg.c_out)}
+    _check_params(params, shapes, cfg.encoding)
     layer_keys = _LAYER_KEYS[cfg.encoding]
-    keys = _check_keys(params, [prefix + k for _, layers in groups for prefix, *_ in layers for k in layer_keys]
-                       + ["w_o"], cfg.encoding)
     xc = np.moveaxis(x, -4, 0)  # channels first: (C, [N,] T, H, W)
     outs, caches = [], []
     for g, (factor, layers) in enumerate(groups):
@@ -467,12 +461,12 @@ def _module_forward(x, params: dict, cfg: AttentionConfig, kind: str, what: str)
         outs.append(upsample_nearest_2d(z, factor, target_hw=x.shape[-2:]) if factor > 1 else z)
     z = np.moveaxis(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0), 0, -4)  # x's layout
     out = check_finite(x + (params["w_o"] @ z.reshape(*z.shape[:-3], -1)).reshape(x.shape), what)
-    return out, dict(scale_caches=caches, z=z, shape=x.shape, **keys)
+    return out, dict(scale_caches=caches, z=z, shape=x.shape, shapes=shapes, encoding=cfg.encoding)
 
 
 def _module_backward(d_out, params: dict, cache: dict):
     """Backward of _module_forward. Returns (d_x, gradients named like params)."""
-    _check_keys(params, cache["names"], cache["encoding"])
+    _check_params(params, cache["shapes"], cache["encoding"])
     d_out = as_tensor(d_out, "upstream gradient")
     if d_out.shape != cache["shape"]:
         raise ValidationError(f"upstream gradient shape {d_out.shape} != forward shape {cache['shape']}")

@@ -106,9 +106,13 @@ def backbone_flops(frames: int = 6, last_stride: int = 1) -> FlopReport:
 def _module_ops(variant: str, cfg: att.AttentionConfig, per_head: bool, projections: bool) -> int:
     """Op count of one attention module at cfg: score/value contractions and
     positional terms, priced per head at full width or once at the shared
-    width, plus the q/k/v and output projections when asked for."""
+    width, plus the q/k/v and output projections when asked for. Every
+    variant but cfaa has one scale and its own encoding."""
     if variant not in _VARIANT_ENCODINGS:
         raise ValidationError(f"unknown attention variant {variant!r}")
+    if variant != "cfaa" and (cfg.scales, cfg.encoding) != (1, _VARIANT_ENCODINGS[variant]):
+        raise ValidationError(f"variant {variant!r} has one scale and encoding {_VARIANT_ENCODINGS[variant]!r}, "
+                              f"got scales={cfg.scales}, encoding={cfg.encoding!r}")
     t, h, w = cfg.axis_lengths
     cqk, cout = cfg.c_qk // cfg.scales, cfg.c_out // cfg.scales
     per_pair = cqk + cout

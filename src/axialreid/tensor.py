@@ -70,8 +70,7 @@ def avg_pool_2d(x, factor: int) -> np.ndarray:
     x = as_tensor(x, "x")
     if x.ndim < 2:
         raise ValidationError(f"avg_pool_2d expects (..., H, W) input, got shape {x.shape}")
-    if factor < 1:
-        raise ValidationError(f"pooling factor must be >= 1, got {factor}")
+    factor = as_int(factor, "pooling factor", 1)
     if factor == 1:
         return x.copy()
     rows, cols, counts = _window_counts(*x.shape[-2:], factor)
@@ -83,6 +82,7 @@ def avg_pool_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np.ndarray
     """Adjoint of avg_pool_2d: spreads each cell gradient, divided by its
     window's cell count, over its window (repeat, then crop the edge windows)."""
     grad = as_tensor(grad, "grad")
+    factor = as_int(factor, "pooling factor", 1)
     h, w = in_hw
     if grad.shape[-2:] != (-(-h // factor), -(-w // factor)):
         raise ValidationError(f"grad extents {grad.shape[-2:]} do not match avg_pool_2d of {in_hw} by {factor}")
@@ -97,8 +97,7 @@ def upsample_nearest_2d(x, factor: int, target_hw: tuple[int, int]) -> np.ndarra
     x = as_tensor(x, "x")
     if x.ndim < 2:
         raise ValidationError(f"upsample_nearest_2d expects (..., H, W) input, got shape {x.shape}")
-    if factor < 1:
-        raise ValidationError(f"upsampling factor must be >= 1, got {factor}")
+    factor = as_int(factor, "upsampling factor", 1)
     out = np.repeat(np.repeat(x, factor, axis=-2), factor, axis=-1)
     th, tw = target_hw
     if th > out.shape[-2] or tw > out.shape[-1]:
@@ -109,6 +108,7 @@ def upsample_nearest_2d(x, factor: int, target_hw: tuple[int, int]) -> np.ndarra
 def upsample_nearest_2d_adjoint(grad, factor: int, in_hw: tuple[int, int]) -> np.ndarray:
     """Adjoint of upsample_nearest_2d: sums gradients over each replicated block."""
     grad = as_tensor(grad, "grad")
+    factor = as_int(factor, "upsampling factor", 1)
     h, w = in_hw
     *lead, gh, gw = grad.shape
     if gh > h * factor or gw > w * factor:

@@ -242,6 +242,13 @@ class SyntheticIdentityDataset:
         rng = Rng(self.seed)
         if self.palette is None:
             self.palette = self._stratified_palette(rng.child(0))
+        elif not (isinstance(self.palette, np.ndarray) and self.palette.dtype.kind in ("i", "u", "f")
+                  and self.palette.shape == (self.num_ids, 3)):
+            got = (f"a {self.palette.dtype} array of shape {self.palette.shape}"
+                   if isinstance(self.palette, np.ndarray) else type(self.palette).__name__)
+            raise ValidationError(f"palette must be a ({self.num_ids}, 3) array of numbers, got {got}")
+        elif not np.isfinite(self.palette).all():
+            raise ValidationError("palette contains non-finite values")
         self.tracklets = []
         tid = 0
         for ident in range(self.num_ids):

@@ -17,7 +17,8 @@ from axialreid import evaluate as ev
 from axialreid import gradcheck as gc
 from axialreid import toytrain as tt
 from axialreid.errors import ValidationError
-from axialreid.tensor import Rng, as_int
+from axialreid.tensor import (Rng, as_int, avg_pool_2d, avg_pool_2d_adjoint, upsample_nearest_2d,
+                               upsample_nearest_2d_adjoint)
 
 SRC = Path(axialreid.__file__).parent
 SPEC = tt.ToyModelSpec(channels=(8, 16, 16), num_classes=2, attention=("none",))
@@ -40,6 +41,12 @@ def train(**args):
 # site -> (call with the value, name in the message, lowest value, a valid value)
 SITES = {
     "Rng-seed": (Rng, "seed", 0, 3),
+    "avg_pool_2d-factor": (lambda v: avg_pool_2d(np.ones((4, 4)), v), "pooling factor", 1, 2),
+    "avg_pool_2d_adjoint-factor": (lambda v: avg_pool_2d_adjoint(np.ones((2, 2)), v, (4, 4)), "pooling factor", 1, 2),
+    "upsample_nearest_2d-factor": (lambda v: upsample_nearest_2d(np.ones((4, 4)), v, (8, 8)),
+                                   "upsampling factor", 1, 2),
+    "upsample_nearest_2d_adjoint-factor": (lambda v: upsample_nearest_2d_adjoint(np.ones((8, 8)), v, (4, 4)),
+                                           "upsampling factor", 1, 2),
     "Rng.child-key": (lambda v: Rng(0).child(1, v), "child key", 0, 3),
     "backbone_flops-frames": (lambda v: flops.backbone_flops(frames=v), "frames", 1, 6),
     "backbone_flops-last_stride": (lambda v: flops.backbone_flops(last_stride=v), "last_stride", 1, 2),

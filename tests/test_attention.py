@@ -316,16 +316,6 @@ class TestAxial:
         with pytest.raises(ValidationError, match="axis"):
             axial_out(np.ones((2, 2, 2, 2)), params, "Z", cfg)
 
-    @pytest.mark.parametrize("w_q, w_v, heads, message", [
-        ((2, 3), (2, 3), 1, "projection expects 3 channels, input has 2"),
-        ((3, 2), (4, 2), 2, "c_qk=3, c_out=4 must divide heads=2"),
-        ((4, 2), (3, 2), 2, "c_qk=4, c_out=3 must divide heads=2"),
-    ], ids=["channels", "c_qk-heads", "c_out-heads"])
-    def test_core_rejects_projections_that_do_not_fit(self, w_q, w_v, heads, message):
-        p = {"w_q": np.ones(w_q), "w_k": np.ones(w_q), "w_v": np.ones(w_v)}
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            att._axial_core_forward(np.ones((2, 2, 3, 2)), p, "H", heads, "none")
-
     def test_off_axis_perturbation_stays_local(self):
         cfg = att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(3, 2, 3))
         params = att.init_axial_layer(cfg, 2, 2, Rng(8))
@@ -424,13 +414,6 @@ class TestAxialPositionSensitive:
             x[:, 0, :, 0], *(params[n] for n in ("w_q", "w_k", "w_v", "r_q", "r_k", "r_v"))
         )
         assert np.max(np.abs(out[:, 0, :, 0] - oracle)) < 1e-12
-
-    def test_wrong_table_length_rejected(self):
-        cfg, params = self.make(length=3, seed=7)
-        params["r_q"] = params["r_q"][:-1]
-        x = Rng(8).normal((3, 1, 3, 1))
-        with pytest.raises(ValidationError, match="r_q"):
-            axial_out(x, params, "H", cfg)
 
     @pytest.mark.parametrize("length", range(1, 17))
     def test_scatter_matches_loop_oracle_and_is_gather_adjoint(self, length):
@@ -633,20 +616,24 @@ class TestCfaa:
             att.cfaa_forward(np.ones((8, 2, 8, 4)), att.init_cfaa_params(cfg, Rng(6)), self.cfg(scales=1))
 
 
-# op -> (config, params for it, forward(x, params, cfg)); every config draws relative tables where it can
+# op -> (config, params for it, forward(x, params, cfg)); every config draws relative tables where it
+# can, and CF-AA's runs two heads
 PARAM_OPS = {
     "cfaa1": (att.AttentionConfig(c_in=2, c_qk=2, c_out=2, encoding="relative", axis_lengths=(2, 4, 2)),
               lambda cfg: att.init_cfaa_params(cfg, Rng(0)), att.cfaa_forward),
     "nonlocal_3d": (att.AttentionConfig(c_in=2, c_qk=2, c_out=2, axis_lengths=(2, 4, 2)),
                     lambda cfg: att.init_nonlocal_params(cfg, Rng(0)), att.nonlocal_3d_forward),
-    "cfaa": (att.AttentionConfig(c_in=4, c_qk=4, c_out=4, scales=2, encoding="relative", axis_lengths=(2, 4, 2)),
+    "cfaa": (att.AttentionConfig(c_in=4, c_qk=4, c_out=4, heads=2, scales=2, encoding="relative",
+                                 axis_lengths=(2, 4, 2)),
              lambda cfg: att.init_cfaa_params(cfg, Rng(0)), att.cfaa_forward),
 }
+BACKWARD = {att.cfaa_forward: att.cfaa_backward, att.nonlocal_3d_forward: att.nonlocal_3d_backward}
 
 
 class TestParamNames:
     """Every op takes its parameters as a name -> array dict with exactly the
-    names the init function draws, and names any other or missing one."""
+    names and shapes the init function draws, and names any other or missing
+    one and any array of another shape."""
 
     @pytest.mark.parametrize("op", list(PARAM_OPS))
     def test_each_missing_name_rejected_by_name(self, op):
@@ -658,6 +645,22 @@ class TestParamNames:
             want = f"relative encoding requires table {name}" if table else f"missing parameter '{name}'"
             with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
                 forward(x, {k: v for k, v in params.items() if k != name}, cfg)
+
+    @pytest.mark.parametrize("grow", [(1, 0), (0, 1)], ids=["one-row-more", "one-column-more"])
+    @pytest.mark.parametrize("op", list(PARAM_OPS))
+    def test_each_misshapen_parameter_rejected_by_name(self, op, grow):
+        # a row more on w_q/w_k/w_v breaks the head split (CF-AA's per-scale width 2
+        # at heads=2), a column more the input channels, a row more on r_* the table length
+        cfg, init, forward = PARAM_OPS[op]
+        params, x = init(cfg), Rng(1).normal((cfg.c_in, *cfg.axis_lengths))
+        out, cache = forward(x, params, cfg)
+        for name, good in params.items():
+            bad = {**params, name: np.zeros((good.shape[0] + grow[0], good.shape[1] + grow[1]))}
+            want = f"^{re.escape(f'parameter {name!r} has shape {bad[name].shape}, expected {good.shape}')}$"
+            with pytest.raises(ValidationError, match=want):
+                forward(x, bad, cfg)
+            with pytest.raises(ValidationError, match=want):
+                BACKWARD[forward](np.ones_like(out), bad, cache)
 
     @pytest.mark.parametrize("extra", ["w_x", "bias", "scale0.aa_h.w_o", "scale0.aa_x.w_q"])
     @pytest.mark.parametrize("op", list(PARAM_OPS))

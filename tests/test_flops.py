@@ -227,6 +227,20 @@ class TestKernelAgreement:
         with pytest.raises(ValidationError):
             flops.attention_contraction_count("nonlocal3d", cfg)
 
+    @pytest.mark.parametrize("variant, scales, encoding", [
+        ("axial", 4, "relative"), ("axial", 1, "relative"), ("axial+relative", 1, "none"),
+        ("axial+sinusoidal", 2, "sinusoidal"), ("nonlocal3d", 2, "none"),
+    ])
+    def test_config_of_another_variant_is_not_priced(self, variant, scales, encoding):
+        # at scales=4 with relative tables "axial" would price CF-AA4, and "axial+relative"
+        # under no encoding plain axial
+        cfg = att.AttentionConfig(c_in=8, c_qk=8, c_out=8, heads=1, scales=scales, encoding=encoding,
+                                  axis_lengths=(2, 8, 8))
+        want = (f"variant {variant!r} has one scale and encoding {flops._VARIANT_ENCODINGS[variant]!r}, "
+                f"got scales={scales}, encoding={encoding!r}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            flops.attention_contraction_count(variant, cfg)
+
     def test_single_position_counts(self):
         cfg = att.AttentionConfig(c_in=4, c_qk=2, c_out=4, axis_lengths=(1, 1, 1))
         nl = flops.attention_contraction_count("nonlocal3d", cfg)

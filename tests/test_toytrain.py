@@ -99,6 +99,18 @@ class TestDataset:
         with pytest.raises(ValidationError, match=f"{field} must be at least 1, got {value}"):
             tt.SyntheticIdentityDataset(**{"num_ids": 2, field: value})
 
+    @pytest.mark.parametrize("palette, message", [
+        (np.full((4, 1), 0.5), "palette must be a (4, 3) array of numbers, got a float64 array of shape (4, 1)"),
+        (np.full((3, 3), 0.5), "palette must be a (4, 3) array of numbers, got a float64 array of shape (3, 3)"),
+        ([[0.5] * 3] * 4, "palette must be a (4, 3) array of numbers, got list"),
+        (np.full((4, 3), "red"), "palette must be a (4, 3) array of numbers, got a <U3 array of shape (4, 3)"),
+        (np.where(np.eye(4, 3), np.nan, 0.5), "palette contains non-finite values"),
+        (np.where(np.eye(4, 3), np.inf, 0.5), "palette contains non-finite values"),
+    ], ids=["one-channel", "too-few-ids", "list", "strings", "nan", "inf"])
+    def test_bad_palette_rejected(self, palette, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            tt.SyntheticIdentityDataset(num_ids=4, tracklets_per_id=1, frames_per_tracklet=1, palette=palette)
+
     def test_palette_separation(self):
         ds = tt.SyntheticIdentityDataset(num_ids=20, seed=0)
         dists = [
